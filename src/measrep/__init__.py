@@ -29,14 +29,11 @@ from .qcore import (
     degenerate_qutrit_povm,
     haar_state,
     haar_states,
-    haar_unitary,
     hermitian_eig,
     induced_povm,
     lueders_instrument,
     noisy_z_povm,
-    partial_trace,
     tensor,
-    tensor_all,
     trine_povm,
     validate_povm,
     von_neumann_povm,
@@ -44,17 +41,14 @@ from .qcore import (
 from .rms import (
     RmsEstimate,
     rms_closed_form_qubit,
-    rms_closed_form_qudit,
     rms_monte_carlo_instrument,
     rms_monte_carlo_povm,
-    symmetric_subspace_projector,
 )
 from .subroutines import (
     CloningBasis,
     chernoff_information,
     cloning_error_rate,
     build_measurement_isometry,
-    ml_decode,
     run_post_measurement,
     select_cloning_basis,
 )

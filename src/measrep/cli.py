@@ -117,14 +117,12 @@ def _cmd_synth(args) -> int:
     report = RunReport("synth", _digest(args.measurement, args.n_uses), args.seed)
     t0 = time.perf_counter()
     available = io.load_measurement(args.measurement)
-    n_strings = available.outcomes**args.n_uses
-    if n_strings <= 12:
+    if available.outcomes**args.n_uses <= vnsynth.EXHAUSTIVE_STRING_CAP:
         result = vnsynth.exhaustive_search(available, args.n_uses)
-        report.add("partitions_evaluated", result.evaluated)
     else:
         result = vnsynth.hill_climb_search(available, args.n_uses,
                                            rng=Rng(args.seed))
-        report.add("partitions_evaluated", result.evaluated)
+    report.add("partitions_evaluated", result.evaluated)
     sol = result.solution
     report.add("epsilon", sol.epsilon)
     # same optimum under the normalization without the 1/m outcome
@@ -137,11 +135,10 @@ def _cmd_synth(args) -> int:
     prep = vnsynth.construct_states(result.protocol, (sol.x_star, sol.y_star))
     report.add("ancilla_qubits", prep.ancilla_qubits)
     impl = vnsynth.implemented_povm(prep, result.protocol)
+    m0 = impl.elements[0]
     closed = rms.rms_closed_form_qubit(
-        float(impl.elements[0][0, 0].real),
-        float(impl.elements[0][1, 1].real),
-        complex(impl.elements[0][0, 1]),
-    ) if impl.dim == 2 else sol.epsilon
+        float(m0[0, 0].real), float(m0[1, 1].real), complex(m0[0, 1])
+    )
     report.add("epsilon_implemented", closed)
     report.wall_time = time.perf_counter() - t0
     _print_report(report, args)

@@ -3,7 +3,9 @@
 A measurement induces a classical channel over basis states; its
 capacity (computed by Blahut-Arimoto with a certified two-sided gap)
 lower-bounds the achievable reproduction rate. Concrete repetition and
-random codebooks demonstrate the block protocol at desk scale.
+random codebooks demonstrate the block protocol at desk scale. The
+exact count-vector ML error computed here is also the error of
+generalised classical cloning in ``subroutines``.
 """
 
 from __future__ import annotations
@@ -17,10 +19,76 @@ import numpy as np
 from scipy.special import gammaln
 
 from .errors import NotConverged, ShapeMismatch, TooLarge
-from .qcore import Povm, Rng
+from .qcore import Povm, Rng, density
 
-_LOG_ZERO = -1e30
+_LOG_ZERO = -1e30  # stands in for log 0: finite, so 0 * _LOG_ZERO is 0
 _CODEBOOK_CAP = 2**16
+_COUNT_VECTOR_CAP = 2 * 10**6
+
+
+# ---------------------------------------------------------------------------
+# Maximum-likelihood decoding of i.i.d. outcomes
+# ---------------------------------------------------------------------------
+
+
+def _safe_log(p: np.ndarray) -> np.ndarray:
+    """Elementwise natural log with ``_LOG_ZERO`` in place of log 0."""
+    return np.where(p > 0.0, np.log(np.where(p > 0.0, p, 1.0)), _LOG_ZERO)
+
+
+def _ml_argmax(ll: np.ndarray) -> np.ndarray:
+    """ML decision over the last axis: log-likelihoods rounded to 12
+    decimals, ties broken to the smallest index."""
+    return np.argmax(np.round(ll, 12), axis=-1)
+
+
+def _ml_decode_counts(counts: np.ndarray, logp: np.ndarray) -> np.ndarray:
+    """ML hypothesis per outcome-count row; -1 marks a row that every
+    hypothesis gives zero likelihood (undecodable)."""
+    ll = counts @ logp.T
+    dec = _ml_argmax(ll)
+    dec[np.max(ll, axis=1) < _LOG_ZERO / 2] = -1
+    return dec
+
+
+def _count_vectors(n: int, m: int) -> np.ndarray:
+    """All outcome-count vectors summing to n, lexicographic, one per row."""
+    if math.comb(n + m - 1, m - 1) > _COUNT_VECTOR_CAP:
+        raise TooLarge("count-vector enumeration beyond the supported size")
+    vectors = []
+    for cuts in itertools.combinations(range(n + m - 1), m - 1):
+        prev = -1
+        vec = []
+        for c in cuts:
+            vec.append(c - prev - 1)
+            prev = c
+        vec.append(n + m - 2 - prev)
+        vectors.append(vec)
+    return np.array(vectors, dtype=float)
+
+
+def _exact_ml_error(table: np.ndarray, n: int) -> tuple[np.ndarray, int]:
+    """Exact ML decoding error per hypothesis after n i.i.d. draws.
+
+    ``table`` holds one outcome distribution per hypothesis, shape
+    (d, m). The ML decision depends on the outcome string only through
+    its counts, so the error sums multinomial weights over count
+    vectors. Returns the per-hypothesis error and the number of
+    undecodable count vectors.
+    """
+    d = table.shape[0]
+    logp = _safe_log(table)
+    counts = _count_vectors(n, table.shape[1])
+    dec = _ml_decode_counts(counts, logp)
+    log_multi = math.lgamma(n + 1) - gammaln(counts + 1.0).sum(axis=1)
+    errs = np.zeros(d)
+    for x in range(d):
+        # a zero-probability outcome kills the weight unless it is unseen
+        terms = np.where(counts > 0, counts * logp[x][None, :], 0.0).sum(axis=1)
+        weight = np.exp(log_multi + terms)
+        weight[terms < _LOG_ZERO / 2] = 0.0
+        errs[x] = float(np.sum(weight[dec != x]))
+    return errs, int(np.sum(dec == -1))
 
 
 # ---------------------------------------------------------------------------
@@ -70,19 +138,13 @@ def associated_channel(
 ) -> ClassicalChannel:
     """Channel p(a|x) from measuring basis states (or supplied states)."""
     if states is None:
-        rhos = [
-            np.outer(e, np.conj(e))
-            for e in np.eye(available.dim, dtype=complex)
-        ]
+        rhos = [density(e) for e in np.eye(available.dim, dtype=complex)]
     else:
         rhos = [np.asarray(r, dtype=complex) for r in states]
         for r in rhos:
             if r.shape != (available.dim, available.dim):
                 raise ShapeMismatch("state dimension does not match the POVM")
-    rows = [
-        [float(np.trace(m @ rho).real) for m in available.elements] for rho in rhos
-    ]
-    mat = np.clip(np.array(rows), 0.0, None)
+    mat = np.clip(np.array([available.probabilities(r) for r in rhos]), 0.0, None)
     mat /= mat.sum(axis=1, keepdims=True)
     return ClassicalChannel(mat)
 
@@ -126,11 +188,11 @@ def blahut_arimoto(
     r = np.full(n_in, 1.0 / n_in)
     ln2 = math.log(2.0)
     mask = w > 0.0
-    logw = np.where(mask, np.log(np.where(mask, w, 1.0)), 0.0)
+    logw = _safe_log(w)
     lower = upper = 0.0
     for it in range(1, max_iter + 1):
         q = r @ w
-        logq = np.where(q > 0.0, np.log(np.where(q > 0.0, q, 1.0)), _LOG_ZERO)
+        logq = _safe_log(q)
         div = np.sum(np.where(mask, w * (logw - logq[None, :]), 0.0), axis=1)
         lower = float(r @ div)
         upper = float(np.max(div))
@@ -160,7 +222,7 @@ def blahut_arimoto(
 class BlockCode:
     """Encoder/decoder pair for k message symbols in blocks of length n."""
 
-    kind: str  # repetition | random | identity
+    kind: str  # repetition | random
     k: int
     n: int
     d: int  # alphabet size (messages and codewords)
@@ -182,34 +244,25 @@ class BlockCode:
         messages = np.asarray(messages)
         if self.kind == "repetition":
             return np.repeat(messages, self.copies, axis=1)
-        if self.kind == "identity":
-            return messages.copy()
         idx = _pack(messages, self.d)
         return self.codebook[idx]
 
     def decode(self, outputs: np.ndarray, channel: ClassicalChannel) -> np.ndarray:
         """ML decode output rows (batch, n) back to message rows (batch, k)."""
         outputs = np.asarray(outputs)
-        if self.kind == "identity":
-            return outputs.copy()
-        logw = np.where(
-            channel.matrix > 0.0,
-            np.log(np.where(channel.matrix > 0.0, channel.matrix, 1.0)),
-            _LOG_ZERO,
-        )
+        logw = _safe_log(channel.matrix)
         if self.kind == "repetition":
             batch = outputs.shape[0]
             grouped = outputs.reshape(batch, self.k, self.copies)
             # log-likelihood of each input letter for each message symbol
             ll = logw[:, grouped].sum(axis=-1)  # (d, batch, k)
             ll = np.moveaxis(ll, 0, -1)  # (batch, k, d)
-            return np.argmax(np.round(ll, 12), axis=-1)
+            return _ml_argmax(ll)
         # random codebook: full ML over all codewords
         ll = np.zeros((outputs.shape[0], self.codebook.shape[0]))
         for j in range(self.n):
             ll += logw[self.codebook[:, j][None, :], outputs[:, j][:, None]]
-        best = np.argmax(np.round(ll, 12), axis=1)
-        return _unpack(best, self.d, self.k)
+        return _unpack(_ml_argmax(ll), self.d, self.k)
 
 
 def _pack(messages: np.ndarray, d: int) -> np.ndarray:
@@ -233,10 +286,6 @@ def repetition_code(k: int, copies: int, d: int) -> BlockCode:
     if k < 1 or copies < 1 or d < 2:
         raise ShapeMismatch("need k >= 1, copies >= 1, d >= 2")
     return BlockCode(kind="repetition", k=k, n=k * copies, d=d, copies=copies)
-
-
-def identity_code(k: int, d: int) -> BlockCode:
-    return BlockCode(kind="identity", k=k, n=k, d=d)
 
 
 def random_codebook(k: int, n: int, d: int, rng: Rng) -> BlockCode:
@@ -323,72 +372,4 @@ def exact_repetition_error(channel: ClassicalChannel, copies: int) -> np.ndarray
     Enumerates outcome-count vectors (the per-symbol sufficient
     statistic) rather than raw strings.
     """
-    w = channel.matrix
-    d, m = w.shape
-    if math.comb(copies + m - 1, m - 1) > 2 * 10**6:
-        raise TooLarge("count-vector enumeration beyond the supported size")
-    logw = np.where(w > 0.0, np.log(np.where(w > 0.0, w, 1.0)), _LOG_ZERO)
-    vectors = []
-    for cuts in itertools.combinations(range(copies + m - 1), m - 1):
-        prev = -1
-        vec = []
-        for c in cuts:
-            vec.append(c - prev - 1)
-            prev = c
-        vec.append(copies + m - 2 - prev)
-        vectors.append(vec)
-    counts = np.array(vectors, dtype=float)
-    ll = counts @ logw.T
-    dec = np.argmax(np.round(ll, 12), axis=1)
-    dec[np.max(ll, axis=1) < _LOG_ZERO / 2] = -1
-    log_multi = math.lgamma(copies + 1) - gammaln(counts + 1.0).sum(axis=1)
-    errs = np.zeros(d)
-    for x in range(d):
-        terms = np.where(counts > 0, counts * logw[x][None, :], 0.0).sum(axis=1)
-        weight = np.exp(log_multi + terms)
-        weight[terms < _LOG_ZERO / 2] = 0.0
-        errs[x] = float(np.sum(weight[dec != x]))
-    return errs
-
-
-def block_protocol_statevector_distribution(
-    available: Povm, code: BlockCode, amplitudes: np.ndarray
-) -> np.ndarray:
-    """Exact decoded-outcome distribution via the full state vector.
-
-    Consistency check only, capped at k <= 2, n <= 4: builds the encoded
-    superposition of codeword product states and enumerates every
-    outcome string of the N parallel measurements.
-    """
-    if code.k > 2 or code.n > 4:
-        raise TooLarge("state-vector path capped at k <= 2, n <= 4")
-    d = available.dim
-    if code.d != d:
-        raise ShapeMismatch("code alphabet does not match the POVM dimension")
-    m = available.outcomes
-    n_msgs = d**code.k
-    amplitudes = np.asarray(amplitudes, dtype=complex)
-    if amplitudes.shape != (n_msgs,):
-        raise ShapeMismatch(f"need {n_msgs} amplitudes")
-    amplitudes = amplitudes / np.linalg.norm(amplitudes)
-    messages = _unpack(np.arange(n_msgs, dtype=np.int64), d, code.k)
-    codewords = code.encode(messages)
-    # encoded state: sum_i alpha_i |c_i>, a vector on d**n
-    psi = np.zeros(d**code.n, dtype=complex)
-    for alpha, word in zip(amplitudes, codewords):
-        idx = 0
-        for letter in word:
-            idx = idx * d + int(letter)
-        psi[idx] += alpha
-    channel = associated_channel(available)
-    dist = np.zeros(n_msgs)
-    for outcome in itertools.product(range(m), repeat=code.n):
-        op = np.eye(1, dtype=complex)
-        for a in outcome:
-            op = np.kron(op, available.elements[a])
-        prob = float(np.real(np.conj(psi) @ (op @ psi)))
-        if prob <= 0.0:
-            continue
-        decoded = code.decode(np.array([outcome]), channel)[0]
-        dist[_pack(decoded[None, :], d)[0]] += prob
-    return dist
+    return _exact_ml_error(channel.matrix, copies)[0]

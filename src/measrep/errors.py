@@ -33,20 +33,12 @@ class SearchSpaceTooLarge(MeasrepError):
     """Exhaustive enumeration was requested beyond its size cap."""
 
 
-class ZeroProbabilityOutcome(MeasrepError):
-    """Conditioning on an outcome whose probability vanishes."""
-
-
 class TrivialMeasurement(MeasrepError):
     """All POVM elements are proportional to the identity."""
 
 
 class NotNormalized(MeasrepError):
     """Kraus operators do not sum to a trace-preserving map."""
-
-
-class Undecodable(MeasrepError):
-    """Every hypothesis was eliminated by a zero-likelihood symbol."""
 
 
 class TooFewSamples(MeasrepError):

@@ -10,16 +10,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import (
-    DimensionTooLarge,
-    NotHermitian,
-    ShapeMismatch,
-    ZeroProbabilityOutcome,
-)
+from .errors import DimensionTooLarge, NotHermitian, ShapeMismatch
 
 # Hard cap on operator dimension (rows of any matrix we will build).
 DIM_CAP = 2**16
@@ -201,40 +195,6 @@ def tensor(a, b) -> np.ndarray:
     return np.kron(a, b)
 
 
-def tensor_all(mats: Iterable[np.ndarray]) -> np.ndarray:
-    mats = list(mats)
-    out = _matrix(mats[0])
-    for m in mats[1:]:
-        out = tensor(out, m)
-    return out
-
-
-def partial_trace(m, dims: Sequence[int], keep) -> np.ndarray:
-    """Trace out every factor not listed in ``keep``.
-
-    ``dims`` are the factor dimensions (their product must match the
-    matrix dimension); ``keep`` is a set of factor indices that survive,
-    in their original order.
-    """
-    m = _matrix(m)
-    dims = [int(d) for d in dims]
-    n = len(dims)
-    total = int(np.prod(dims))
-    if m.shape != (total, total):
-        raise ShapeMismatch(f"dims {dims} do not factor a {m.shape} matrix")
-    keep = sorted(set(int(k) for k in keep))
-    if any(k < 0 or k >= n for k in keep):
-        raise ShapeMismatch(f"keep indices {keep} out of range for {n} factors")
-    t = m.reshape(dims + dims)
-    traced = [i for i in range(n) if i not in keep]
-    cur = n
-    for ax in sorted(traced, reverse=True):
-        t = np.trace(t, axis1=ax, axis2=ax + cur)
-        cur -= 1
-    kept = int(np.prod([dims[k] for k in keep])) if keep else 1
-    return t.reshape(kept, kept)
-
-
 def _canonical_phase(v: np.ndarray) -> np.ndarray:
     """Rotate the global phase so the first non-negligible entry is positive real."""
     idx = np.flatnonzero(np.abs(v) > 1e-12)
@@ -301,16 +261,6 @@ def haar_states(dim: int, count: int, rng: Rng) -> np.ndarray:
     return z / np.linalg.norm(z, axis=1, keepdims=True)
 
 
-def haar_unitary(dim: int, rng: Rng) -> np.ndarray:
-    """Haar-random unitary via QR with the standard phase fix."""
-    g = rng.generator
-    z = g.standard_normal((dim, dim)) + 1j * g.standard_normal((dim, dim))
-    q, r = np.linalg.qr(z)
-    ph = np.diag(r).copy()
-    ph /= np.abs(ph)
-    return q * ph
-
-
 def validate_povm(p: Povm, atol: float = POSITIVITY_ATOL) -> PovmReport:
     """Positivity and completeness check; reports defects, never raises."""
     total = sum(p.elements)
@@ -347,18 +297,6 @@ def induced_povm(inst: Instrument) -> Povm:
             m += dagger(k) @ k
         elems.append(m)
     return Povm(tuple(elems))
-
-
-def apply_subchannel(inst: Instrument, a: int, rho):
-    """Outcome probability and normalised post-state for sub-channel a."""
-    rho = _matrix(rho)
-    out = np.zeros((inst.dim_out, inst.dim_out), dtype=complex)
-    for k in inst.kraus[a]:
-        out += k @ rho @ dagger(k)
-    prob = float(np.trace(out).real)
-    if prob < 1e-14:
-        raise ZeroProbabilityOutcome(f"outcome {a} has probability {prob:.3e}")
-    return prob, out / prob
 
 
 # ---------------------------------------------------------------------------
@@ -404,12 +342,3 @@ def sqrtm_psd(m: np.ndarray) -> np.ndarray:
 def lueders_instrument(p: Povm) -> Instrument:
     """Single Kraus operator sqrt(M_a) per outcome."""
     return Instrument(tuple((sqrtm_psd(e),) for e in p.elements))
-
-
-def von_neumann_instrument(dim: int) -> Instrument:
-    eye = identity(dim)
-    return Instrument(tuple((density(eye[:, i]),) for i in range(dim)))
-
-
-def identity_instrument(dim: int) -> Instrument:
-    return Instrument(((identity(dim),),))

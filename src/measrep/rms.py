@@ -1,9 +1,9 @@
 """Reproduction-error figures of merit.
 
-Closed forms for diagonal qubit/qudit implementations, the Frobenius
-figure of merit for instruments, and Haar Monte Carlo estimators that
-cross-check both. Estimates live at the squared-error level; reported
-values are the square roots with delta-method standard errors.
+The closed form for a qubit implementation, the Frobenius figure of
+merit for instruments, and Haar Monte Carlo estimators that cross-check
+both. Estimates live at the squared-error level; reported values are
+the square roots with delta-method standard errors.
 """
 
 from __future__ import annotations
@@ -15,7 +15,12 @@ from typing import Optional
 import numpy as np
 
 from .errors import ShapeMismatch, TooFewSamples
-from .qcore import Instrument, Povm, Rng, dagger, haar_states, identity
+from .qcore import Instrument, Povm, Rng, haar_states
+from .vnsynth import _qubit_objective
+
+# How far rounding may carry an implemented element's diagonal outside
+# [0, 1]; excursions up to this are clamped, larger ones rejected.
+_ROUNDING_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -25,33 +30,15 @@ class RmsEstimate:
     sample_count: int
     seed: Optional[int]
 
-    @classmethod
-    def exact(cls, value: float) -> "RmsEstimate":
-        return cls(value=value, standard_error=0.0, sample_count=0, seed=None)
-
 
 def rms_closed_form_qubit(x: float, y: float, z: complex = 0.0) -> float:
     """Error of a qubit implementation diagonal up to the off-diagonal z."""
-    if not (0.0 <= x <= 1.0 and 0.0 <= y <= 1.0):
+    lo, hi = -_ROUNDING_TOL, 1.0 + _ROUNDING_TOL
+    if not (lo <= x <= hi and lo <= y <= hi):
         raise ShapeMismatch("x, y must lie in [0, 1]")
-    val = ((1.0 - x - y) ** 2 + (1.0 - x) * y + abs(z) ** 2) / 3.0
-    return math.sqrt(max(val, 0.0))
-
-
-def rms_closed_form_qudit(x, d: int, m: int) -> float:
-    """Error of a basis-diagonal d-dimensional implementation.
-
-    Normalisation 1/(m d (d+1)) so that d = m = 2 reduces exactly to the
-    qubit closed form at z = 0.
-    """
-    x = np.asarray(x, dtype=float)
-    if x.shape != (m, d):
-        raise ShapeMismatch(f"expected ({m}, {d}) table, got {x.shape}")
-    row = x.sum(axis=1)
-    val = float(np.sum((row - 1.0) ** 2) + np.sum(x**2))
-    diag = min(m, d)
-    val += float(-2.0 * np.trace(x[:diag, :diag]) + diag)
-    return math.sqrt(max(val / (m * d * (d + 1)), 0.0))
+    x = min(max(x, 0.0), 1.0)
+    y = min(max(y, 0.0), 1.0)
+    return math.sqrt(max(_qubit_objective(x, y) + abs(z) ** 2 / 3.0, 0.0))
 
 
 def _expectations(psi: np.ndarray, op: np.ndarray) -> np.ndarray:
@@ -118,14 +105,3 @@ def rms_monte_carlo_instrument(
         sq += np.einsum("nij,nij->n", diff, np.conj(diff)).real
     sq /= impl.outcomes
     return _estimate_from_squares(sq, rng.seed)
-
-
-def symmetric_subspace_projector(d: int) -> np.ndarray:
-    """Projector onto the symmetric subspace of two d-level systems."""
-    if d < 1:
-        raise ShapeMismatch("d must be >= 1")
-    swap = np.zeros((d * d, d * d), dtype=complex)
-    for i in range(d):
-        for j in range(d):
-            swap[i * d + j, j * d + i] = 1.0
-    return (identity(d * d) + swap) / 2.0

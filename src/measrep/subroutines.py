@@ -9,28 +9,19 @@ decoding of the outcome string.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.special import gammaln
 
 from . import qcore
-from .errors import (
-    NotNormalized,
-    ShapeMismatch,
-    TooLarge,
-    TrivialMeasurement,
-    Undecodable,
-)
-from .qcore import Instrument, Povm, Rng, dagger, density
+from .coding import _exact_ml_error, _ml_decode_counts, _safe_log
+from .errors import NotNormalized, ShapeMismatch, TrivialMeasurement
+from .qcore import Instrument, Povm, Rng, dagger
 
 _ROW_DISTINCT_TV = 1e-6
 _THETA_SCAN = tuple(math.pi / 2**k for k in range(3, 12))
-
-_LOG_ZERO = -1e30
 
 
 # ---------------------------------------------------------------------------
@@ -89,25 +80,6 @@ def run_post_measurement(target: Instrument, psi):
             post = None
         results.append((a, prob, post))
     return results
-
-
-def embed_outcomes(m: int, d: int):
-    """Register count and injective label map for encoding m outcomes in qudits."""
-    if m < 1 or d < 2:
-        raise ShapeMismatch("need m >= 1 and d >= 2")
-    k = math.ceil(math.log(m, d)) if m > 1 else 0
-    # guard against floating log undershoot
-    while d**k < m:
-        k += 1
-    labels = {}
-    for a in range(m):
-        digits = []
-        v = a
-        for _ in range(k):
-            digits.append(v % d)
-            v //= d
-        labels[a] = tuple(reversed(digits))
-    return k, labels
 
 
 # ---------------------------------------------------------------------------
@@ -207,24 +179,6 @@ def select_cloning_basis(available: Povm) -> CloningBasis:
     raise TrivialMeasurement("basis selection did not converge")
 
 
-def ml_decode(outcomes, table) -> int:
-    """Maximum-likelihood basis index for an outcome string.
-
-    A symbol with zero probability eliminates the hypothesis; ties break
-    to the smallest index; all hypotheses eliminated raises Undecodable.
-    """
-    table = np.asarray(table, dtype=float)
-    d, m = table.shape
-    counts = np.zeros(m)
-    for a in outcomes:
-        counts[a] += 1
-    logp = np.where(table > 0.0, np.log(np.where(table > 0.0, table, 1.0)), _LOG_ZERO)
-    ll = counts @ logp.T
-    if np.max(ll) < _LOG_ZERO / 2:
-        raise Undecodable("every hypothesis has zero likelihood")
-    return int(np.argmax(np.round(ll, 12)))
-
-
 @dataclass(frozen=True)
 class CloningErrorRate:
     per_state: np.ndarray  # error probability per basis state
@@ -233,26 +187,6 @@ class CloningErrorRate:
     trials: Optional[int]
     standard_error: Optional[float]  # on the average, sampled mode only
     undecodable: int
-
-
-def _count_vectors(n: int, m: int):
-    """All outcome-count vectors summing to n, lexicographic."""
-    for cuts in itertools.combinations(range(n + m - 1), m - 1):
-        prev = -1
-        vec = []
-        for c in cuts:
-            vec.append(c - prev - 1)
-            prev = c
-        vec.append(n + m - 2 - prev)
-        yield tuple(vec)
-
-
-def _decode_counts(counts: np.ndarray, logp: np.ndarray) -> np.ndarray:
-    """Vectorised ML decode of count matrices; -1 marks undecodable."""
-    ll = counts @ logp.T
-    dec = np.argmax(np.round(ll, 12), axis=1)
-    dec[np.max(ll, axis=1) < _LOG_ZERO / 2] = -1
-    return dec
 
 
 def cloning_error_rate(
@@ -270,27 +204,9 @@ def cloning_error_rate(
     sampled mode draws count vectors directly.
     """
     table = np.asarray(basis.table, dtype=float)
-    d, m = table.shape
-    logp = np.where(table > 0.0, np.log(np.where(table > 0.0, table, 1.0)), _LOG_ZERO)
-    undecodable = 0
+    d = table.shape[0]
     if mode == "exact":
-        if math.comb(n_uses + m - 1, m - 1) > 2 * 10**6:
-            raise TooLarge("exact enumeration beyond the supported size")
-        counts = np.array(list(_count_vectors(n_uses, m)), dtype=float)
-        dec = _decode_counts(counts, logp)
-        undecodable = int(np.sum(dec == -1))
-        log_multi = math.lgamma(n_uses + 1) - gammaln(counts + 1.0).sum(axis=1)
-        per_state = np.zeros(d)
-        for i in range(d):
-            # zero-probability outcomes kill the weight unless unseen
-            terms = np.where(
-                counts > 0,
-                counts * logp[i][None, :],
-                0.0,
-            )
-            weight = np.exp(log_multi + terms.sum(axis=1))
-            weight[terms.sum(axis=1) < _LOG_ZERO / 2] = 0.0
-            per_state[i] = float(np.sum(weight[dec != i]))
+        per_state, undecodable = _exact_ml_error(table, n_uses)
         return CloningErrorRate(
             per_state=per_state,
             average=float(per_state.mean()),
@@ -303,6 +219,8 @@ def cloning_error_rate(
         raise ShapeMismatch(f"unknown mode {mode!r}")
     if rng is None:
         raise ShapeMismatch("sampled mode requires an Rng")
+    logp = _safe_log(table)
+    undecodable = 0
     g = rng.generator
     per_state = np.zeros(d)
     variances = np.zeros(d)
@@ -310,7 +228,7 @@ def cloning_error_rate(
         counts = g.multinomial(n_uses, table[i] / table[i].sum(), size=trials).astype(
             float
         )
-        dec = _decode_counts(counts, logp)
+        dec = _ml_decode_counts(counts, logp)
         errs = dec != i
         undecodable += int(np.sum(dec == -1))
         rate = float(np.mean(errs))

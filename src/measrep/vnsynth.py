@@ -28,7 +28,8 @@ from .errors import (
 )
 from .qcore import Povm, Rng, dagger, identity, tensor
 
-_EXHAUSTIVE_STRING_CAP = 12
+# Largest outcome-string count that exhaustive_search accepts.
+EXHAUSTIVE_STRING_CAP = 12
 
 
 # ---------------------------------------------------------------------------
@@ -45,13 +46,6 @@ class PartitionProtocol:
     assignment: tuple  # target outcome per lexicographic outcome string
     m_target: int
     coarse: tuple  # Q_i operators on the N-fold space
-
-    @property
-    def dim(self) -> int:
-        return self.coarse[0].shape[0]
-
-    def strings(self):
-        return itertools.product(range(self.available.outcomes), repeat=self.n_uses)
 
 
 def _string_tensors(available: Povm, n_uses: int) -> list:
@@ -118,6 +112,7 @@ class BoxQuadSolution:
 
 
 def _qubit_objective(x, y):
+    """Squared error of a qubit implementation with diagonal (x, y), z = 0."""
     return ((1.0 - x - y) ** 2 + (1.0 - x) * y) / 3.0
 
 
@@ -266,10 +261,6 @@ class StatePrep:
     ancilla_qubits: int  # 0 or 1
     states: tuple  # one state vector per target outcome
 
-    @property
-    def dim(self) -> int:
-        return self.states[0].shape[0]
-
 
 def _mix_eigvecs(vec_hi, mu_hi, vec_lo, mu_lo, target):
     """Real combination of two eigenvectors with a given expectation."""
@@ -358,7 +349,6 @@ def construct_states(protocol: PartitionProtocol, targets) -> StatePrep:
 
 def implemented_povm(prep: StatePrep, protocol: PartitionProtocol) -> Povm:
     """Effective POVM on the original system, via the prepared-state isometry."""
-    d = protocol.m_target
     anc = 2**prep.ancilla_qubits
     vmat = np.column_stack(prep.states)
     elems = []
@@ -367,7 +357,6 @@ def implemented_povm(prep: StatePrep, protocol: PartitionProtocol) -> Povm:
         if big.shape[0] != vmat.shape[0]:
             raise ShapeMismatch("state and coarse POVM dimensions disagree")
         elems.append(dagger(vmat) @ big @ vmat)
-    del d
     return Povm(tuple(elems))
 
 
@@ -403,9 +392,9 @@ def exhaustive_search(available: Povm, n_uses: int):
     partitions (up to that relabelling) are reported alongside.
     """
     n_strings = available.outcomes**n_uses
-    if n_strings > _EXHAUSTIVE_STRING_CAP:
+    if n_strings > EXHAUSTIVE_STRING_CAP:
         raise SearchSpaceTooLarge(
-            f"{n_strings} strings exceeds cap {_EXHAUSTIVE_STRING_CAP}; "
+            f"{n_strings} strings exceeds cap {EXHAUSTIVE_STRING_CAP}; "
             "use hill_climb_search"
         )
     tensors = _string_tensors(available, n_uses)

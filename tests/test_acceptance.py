@@ -10,6 +10,7 @@ import numpy as np
 
 from measrep import coding, qcore, rms, subroutines, vnsynth
 from measrep.qcore import Instrument, Rng, dagger, density, trine_povm, von_neumann_povm
+from oracles import symmetric_subspace_projector
 
 
 def report(criterion, ok, detail):
@@ -322,7 +323,7 @@ def test_criterion_11_haar_second_moment():
         second = np.einsum(
             "ni,nk,nj,nl->ikjl", psi, psi, np.conj(psi), np.conj(psi)
         ).reshape(d * d, d * d) / n
-        ref = (2.0 / (d * (d + 1))) * rms.symmetric_subspace_projector(d)
+        ref = (2.0 / (d * (d + 1))) * symmetric_subspace_projector(d)
         dev = float(np.linalg.norm(second - ref))
         worst.append(dev)
         ok = ok and dev < 5.0 / math.sqrt(n)

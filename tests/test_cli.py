@@ -32,6 +32,19 @@ def test_synth_trine(capsys):
     assert "0.0555555555556" in out
 
 
+def test_synth_rotated_projective_measurement(tmp_path, capsys):
+    # the implemented element's diagonal lands a few ulps outside [0, 1]
+    t = np.radians(1.0)
+    v0 = np.array([np.cos(t), np.sin(t)], dtype=complex)
+    v1 = np.array([-np.sin(t), np.cos(t)], dtype=complex)
+    path = tmp_path / "rotated.json"
+    io.save_measurement(qcore.Povm((np.outer(v0, v0), np.outer(v1, v1))), path)
+    code, out = run_cli(capsys, "synth", str(path), "--n", "2", "--json")
+    assert code == 0
+    rows = {r["name"]: r["value"] for r in json.loads(out.splitlines()[-1])["rows"]}
+    assert abs(rows["epsilon_implemented"] - rows["epsilon"]) < 1e-12
+
+
 def test_rms_command(capsys):
     code, out = run_cli(capsys, "rms", "trine", "--n", "2", "--samples", "2000")
     assert code == 0

@@ -10,9 +10,7 @@ from measrep.coding import (
     associated_channel,
     binary_symmetric_channel,
     blahut_arimoto,
-    block_protocol_statevector_distribution,
     exact_repetition_error,
-    identity_code,
     mutual_information,
     random_codebook,
     repetition_code,
@@ -20,6 +18,7 @@ from measrep.coding import (
 )
 from measrep.errors import NotConverged, ShapeMismatch, TooLarge
 from measrep.qcore import Rng, trine_povm, von_neumann_povm
+from oracles import block_protocol_statevector_distribution
 
 
 def h2(p):
@@ -193,7 +192,7 @@ def test_random_codebook_single_message_edge():
 
 
 def test_identity_code_identity_channel_statistics():
-    code = identity_code(2, 2)
+    code = repetition_code(2, 1, 2)  # one copy: the uncoded identity code
     ident = ClassicalChannel(np.eye(2))
     amps = np.array([0.8, 0.0, 0.0, 0.6], dtype=complex)
     run = simulate_block_protocol(ident, code, amps, 100_000, Rng(7))
@@ -214,7 +213,7 @@ def test_simulation_matches_exact_repetition():
 def test_random_code_beats_uncoded_below_capacity():
     bsc = binary_symmetric_channel(0.1)
     coded = random_codebook(4, 16, 2, Rng(11))
-    uncoded = identity_code(4, 2)
+    uncoded = repetition_code(4, 1, 2)
     run_coded = simulate_block_protocol(bsc, coded, None, 100_000, Rng(12))
     run_uncoded = simulate_block_protocol(bsc, uncoded, None, 100_000, Rng(12))
     assert run_coded.error_rate < run_uncoded.error_rate

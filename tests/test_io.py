@@ -6,16 +6,7 @@ import pytest
 from measrep import io, qcore
 from measrep.errors import InvalidMeasurement, MalformedFile
 from measrep.qcore import Instrument, Povm, Rng
-
-
-def random_povm(dim, m, rng):
-    """Random POVM from a Haar unitary on a dilated space."""
-    u = qcore.haar_unitary(dim * m, rng)
-    elems = []
-    for a in range(m):
-        block = u[a * dim : (a + 1) * dim, :dim]
-        elems.append(qcore.dagger(block) @ block)
-    return Povm(tuple(elems))
+from oracles import random_povm
 
 
 def test_builtin_names():

@@ -2,35 +2,27 @@ import numpy as np
 import pytest
 
 from measrep import qcore
-from measrep.errors import (
-    DimensionTooLarge,
-    NotHermitian,
-    ShapeMismatch,
-    ZeroProbabilityOutcome,
-)
+from measrep.errors import DimensionTooLarge, NotHermitian, ShapeMismatch
 from measrep.qcore import (
     Instrument,
     Povm,
     Rng,
-    apply_subchannel,
     dagger,
     degenerate_qutrit_povm,
     density,
     haar_state,
     haar_states,
-    haar_unitary,
     hermitian_eig,
     identity,
     induced_povm,
     lueders_instrument,
     noisy_z_povm,
-    partial_trace,
     tensor,
-    tensor_all,
     trine_povm,
     validate_povm,
     von_neumann_povm,
 )
+from oracles import haar_unitary
 
 
 def test_rng_reproducible():
@@ -90,35 +82,12 @@ def test_tensor_matches_kron():
     a = np.arange(4).reshape(2, 2).astype(complex)
     b = np.arange(9).reshape(3, 3).astype(complex)
     assert np.array_equal(tensor(a, b), np.kron(a, b))
-    assert np.array_equal(tensor_all([a, b, a]), np.kron(np.kron(a, b), a))
 
 
 def test_tensor_dimension_cap():
     big = identity(1024)
     with pytest.raises(DimensionTooLarge):
         tensor(tensor(big, big), big)
-
-
-def test_partial_trace_product_state():
-    rng = Rng(11)
-    a = density(haar_state(2, rng))
-    b = density(haar_state(3, rng))
-    ab = np.kron(a, b)
-    assert np.allclose(partial_trace(ab, [2, 3], [0]), a, atol=1e-12)
-    assert np.allclose(partial_trace(ab, [2, 3], [1]), b, atol=1e-12)
-
-
-def test_partial_trace_preserves_trace():
-    rng = Rng(5)
-    rho = density(haar_state(12, rng))
-    reduced = partial_trace(rho, [2, 2, 3], [1])
-    assert abs(np.trace(reduced) - 1.0) < 1e-12
-    assert reduced.shape == (2, 2)
-
-
-def test_partial_trace_shape_mismatch():
-    with pytest.raises(ShapeMismatch):
-        partial_trace(identity(6), [2, 2], [0])
 
 
 def test_hermitian_eig_reconstructs():
@@ -176,19 +145,6 @@ def test_lueders_induces_original():
 def test_instrument_normalization():
     inst = lueders_instrument(noisy_z_povm(0.9, 0.8))
     assert inst.normalization_defect() < 1e-12
-
-
-def test_apply_subchannel_vn():
-    inst = qcore.von_neumann_instrument(2)
-    prob, post = apply_subchannel(inst, 0, density(np.array([0.6, 0.8])))
-    assert abs(prob - 0.36) < 1e-12
-    assert np.allclose(post, np.diag([1.0, 0.0]), atol=1e-12)
-
-
-def test_apply_subchannel_zero_probability():
-    inst = qcore.von_neumann_instrument(2)
-    with pytest.raises(ZeroProbabilityOutcome):
-        apply_subchannel(inst, 1, np.diag([1.0, 0.0]).astype(complex))
 
 
 def test_noisy_z_builtin():

@@ -14,11 +14,10 @@ from measrep.qcore import (
 )
 from measrep.rms import (
     rms_closed_form_qubit,
-    rms_closed_form_qudit,
     rms_monte_carlo_instrument,
     rms_monte_carlo_povm,
-    symmetric_subspace_projector,
 )
+from oracles import symmetric_subspace_projector, von_neumann_instrument
 
 
 def test_closed_form_known_values():
@@ -41,16 +40,31 @@ def test_closed_form_rejects_out_of_range():
         rms_closed_form_qubit(1.2, 0.0)
 
 
+def _qudit_closed_form(table, d):
+    # qudit closed form: epsilon**2 = qudit_objective / (m d (d+1))
+    m = table.shape[0]
+    return math.sqrt(max(vnsynth.qudit_objective(table, d) / (m * d * (d + 1)), 0.0))
+
+
 def test_qudit_closed_form_reduces_to_qubit():
     for a, b in [(0.9, 0.05), (2 / 3, 0.0), (0.5, 0.5)]:
         table = np.array([[a, b], [1 - a, 1 - b]])
-        assert rms_closed_form_qudit(table, 2, 2) == pytest.approx(
+        assert _qudit_closed_form(table, 2) == pytest.approx(
             rms_closed_form_qubit(a, b), abs=1e-14
         )
 
 
 def test_qudit_closed_form_identity_table():
-    assert rms_closed_form_qudit(np.eye(3), 3, 3) == 0.0
+    assert _qudit_closed_form(np.eye(3), 3) == 0.0
+
+
+def test_closed_form_clamps_rounding_excursions():
+    # a diagonal a few ulps above 1 is rounding in the implemented
+    # element, not an invalid input
+    assert rms_closed_form_qubit(1.0 + 2.2e-15, 0.0) == rms_closed_form_qubit(1.0, 0.0)
+    assert rms_closed_form_qubit(0.5, -2.2e-15) == rms_closed_form_qubit(0.5, 0.0)
+    with pytest.raises(ShapeMismatch):
+        rms_closed_form_qubit(1.0 + 1e-11, 0.0)
 
 
 def test_monte_carlo_matches_closed_form():
@@ -95,7 +109,7 @@ def test_instrument_monte_carlo_detects_difference():
     b = lueders_instrument(qcore.noisy_z_povm(0.9, 0.9))
     with pytest.raises(ShapeMismatch):
         rms_monte_carlo_instrument(a, b, 200, Rng(1))
-    c = qcore.von_neumann_instrument(2)
+    c = von_neumann_instrument(2)
     d = qcore.Instrument(
         (
             c.kraus[1],

@@ -3,14 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from measrep import qcore
-from measrep.errors import (
-    NotNormalized,
-    ShapeMismatch,
-    TooLarge,
-    TrivialMeasurement,
-    Undecodable,
-)
+from measrep.coding import ClassicalChannel, exact_repetition_error
+from measrep.errors import NotNormalized, ShapeMismatch, TooLarge, TrivialMeasurement
 from measrep.qcore import (
     Instrument,
     Povm,
@@ -21,17 +15,18 @@ from measrep.qcore import (
     haar_state,
     identity,
     lueders_instrument,
+    noisy_z_povm,
     trine_povm,
+    von_neumann_povm,
 )
 from measrep.subroutines import (
     build_measurement_isometry,
     chernoff_information,
     cloning_error_rate,
-    embed_outcomes,
-    ml_decode,
     run_post_measurement,
     select_cloning_basis,
 )
+from oracles import random_povm
 
 
 def random_instrument(d_in, d_out, m, r, rng):
@@ -101,18 +96,6 @@ def test_run_post_measurement_shape_check():
         run_post_measurement(inst, np.ones(3))
 
 
-def test_embed_outcomes():
-    k, labels = embed_outcomes(3, 2)
-    assert k == 2
-    assert len(set(labels.values())) == 3
-    k, labels = embed_outcomes(1, 2)
-    assert k == 0
-    k, _ = embed_outcomes(9, 3)
-    assert k == 2
-    k, _ = embed_outcomes(10, 3)
-    assert k == 3
-
-
 # ---------------------------------------------------------------------------
 # cloning basis selection
 # ---------------------------------------------------------------------------
@@ -155,16 +138,37 @@ def test_trivial_measurement_rejected():
 
 
 def test_ml_decode_majority():
-    table = np.array([[2 / 3, 1 / 6, 1 / 6], [0.0, 0.5, 0.5]])
-    assert ml_decode([0, 1, 2], table) == 0  # any 0 rules out state 1
-    assert ml_decode([1, 2, 1], table) == 1
-    assert ml_decode([], table) == 0  # tie breaks to the smallest index
+    # rows (0.2, 0.8) and (0, 1): a single outcome 0 rules out state 1
+    # against the majority, so only the all-ones string decodes to 1
+    povm = noisy_z_povm(0.2, 1.0)
+    err = cloning_error_rate(povm, select_cloning_basis(povm), 3, mode="exact")
+    assert err.per_state[0] == pytest.approx(0.8**3, abs=1e-15)
+    assert err.per_state[1] == 0.0
+    # identical rows: every count vector ties and goes to index 0
+    tie = exact_repetition_error(ClassicalChannel(np.full((2, 2), 0.5)), 3)
+    assert np.allclose(tie, [0.0, 1.0], atol=1e-14)
 
 
 def test_ml_decode_undecodable():
-    table = np.array([[1.0, 0.0], [0.0, 1.0]])
-    with pytest.raises(Undecodable):
-        ml_decode([0, 1], table)
+    # the count vector (1, 1) has zero likelihood under both rows
+    povm = von_neumann_povm(2)
+    err = cloning_error_rate(povm, select_cloning_basis(povm), 2, mode="exact")
+    assert err.undecodable == 1
+    assert np.array_equal(err.per_state, [0.0, 0.0])
+
+
+def test_cloning_exact_equals_repetition_error():
+    # the cloning error and the repetition-code error are the same ML
+    # computation, so they agree bit for bit on the same table
+    rng = Rng(31)
+    povms = [trine_povm(), degenerate_qutrit_povm()]
+    povms += [random_povm(2 + i % 2, 2 + i % 3, rng.split(i)) for i in range(6)]
+    for povm in povms:
+        basis = select_cloning_basis(povm)
+        channel = ClassicalChannel(basis.table)
+        for n in (1, 3, 7, 20):
+            err = cloning_error_rate(povm, basis, n, mode="exact")
+            assert np.array_equal(err.per_state, exact_repetition_error(channel, n))
 
 
 def test_cloning_exact_trine_values():

@@ -13,6 +13,7 @@ from measrep.errors import (
     Unachievable,
 )
 from measrep.qcore import Rng, identity, trine_povm
+from measrep.rms import rms_closed_form_qubit
 from measrep.vnsynth import (
     QuditQpProblem,
     build_partition_povm,
@@ -157,11 +158,14 @@ def test_qudit_qp_infeasible():
 def test_qudit_objective_matches_qubit_closed_form():
     # binary table with unit column sums: the normalised qudit objective
     # collapses to the qubit closed form on the first row
-    x = np.array([[0.8, 0.1], [0.2, 0.9]])
-    val = qudit_objective(x, 2) / (2 * 2 * 3)
-    a, b = x[0]
-    ref = ((1 - a - b) ** 2 + (1 - a) * b) / 3.0
-    assert val == pytest.approx(ref, abs=1e-12)
+    for a, b in [(0.8, 0.1), (0.9, 0.05), (2 / 3, 0.0), (0.5, 0.5)]:
+        x = np.array([[a, b], [1 - a, 1 - b]])
+        val = qudit_objective(x, 2) / (2 * 2 * 3)
+        ref = ((1 - a - b) ** 2 + (1 - a) * b) / 3.0
+        assert val == pytest.approx(ref, abs=1e-12)
+        assert math.sqrt(val) == pytest.approx(rms_closed_form_qubit(a, b), abs=1e-14)
+    # the identity table is an exact reproduction
+    assert qudit_objective(np.eye(3), 3) == 0.0
 
 
 def test_qudit_problem_from_protocol():
