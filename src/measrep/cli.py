@@ -21,7 +21,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from . import coding, io, qcore, rms, subroutines, vnsynth
-from .errors import MeasrepError
+from .errors import MalformedName, MeasrepError
 from .qcore import Rng
 
 
@@ -482,6 +482,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except MalformedName as exc:
+        print(f"measrep: usage error: {exc}", file=sys.stderr)
+        return 2
     except MeasrepError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

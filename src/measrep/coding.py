@@ -106,6 +106,8 @@ class ClassicalChannel:
         m = np.asarray(self.matrix, dtype=float)
         if m.ndim != 2:
             raise ShapeMismatch("channel matrix must be 2-D")
+        if not np.all(np.isfinite(m)):
+            raise ShapeMismatch("channel entries must be finite")
         if np.any(m < -1e-12):
             raise ShapeMismatch("channel entries must be nonnegative")
         if np.any(np.abs(m.sum(axis=1) - 1.0) > 1e-12):

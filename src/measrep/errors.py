@@ -65,6 +65,10 @@ class MalformedFile(MeasrepError):
     """Measurement file failed to parse against the JSON schema."""
 
 
+class MalformedName(MeasrepError):
+    """Built-in measurement name with unparsable parameters (a usage error)."""
+
+
 class InvalidMeasurement(MeasrepError):
     """Parsed measurement failed validation; carries the violation report."""
 

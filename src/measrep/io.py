@@ -15,7 +15,7 @@ from typing import Union
 import numpy as np
 
 from . import qcore
-from .errors import InvalidMeasurement, MalformedFile
+from .errors import InvalidMeasurement, MalformedFile, MalformedName
 from .qcore import Instrument, Povm
 
 
@@ -61,25 +61,41 @@ def _builtin(name: str):
     if name == "degenerate-qutrit":
         return qcore.degenerate_qutrit_povm()
     if name.startswith("noisy-z:"):
-        parts = name.split(":", 1)[1].split(",")
-        if len(parts) != 2:
-            raise MalformedFile(f"expected noisy-z:p,q, got {name!r}")
-        return qcore.noisy_z_povm(float(parts[0]), float(parts[1]))
+        try:
+            p, q = (float(v) for v in name.split(":", 1)[1].split(","))
+        except ValueError:
+            raise MalformedName(
+                f"expected noisy-z:p,q with two numbers, got {name!r}"
+            ) from None
+        return qcore.noisy_z_povm(p, q)
     if name.startswith("vn:"):
-        return qcore.von_neumann_povm(int(name.split(":", 1)[1]))
+        d = name.split(":", 1)[1]
+        if not d.isdigit() or int(d) < 1:
+            raise MalformedName(f"expected vn:d with an integer d >= 1, got {name!r}")
+        return qcore.von_neumann_povm(int(d))
     return None
+
+
+def _validated(povm: Povm, source: str) -> Povm:
+    report = qcore.validate_povm(povm)
+    if not report.ok:
+        raise InvalidMeasurement(
+            f"{source}: " + "; ".join(report.violations), report=report
+        )
+    return povm
 
 
 def load_measurement(path_or_name: str) -> Union[Povm, Instrument]:
     """Load a measurement from a JSON file or a built-in name.
 
     Built-ins: "trine", "noisy-z:p,q", "vn:d", "degenerate-qutrit".
-    POVMs are validated on load; a failing file is rejected with the
-    validation report attached.
+    POVMs, built-in or from a file, are validated on load; a failing one
+    is rejected with the validation report attached. A built-in name
+    whose parameters do not parse raises ``MalformedName``.
     """
     builtin = _builtin(str(path_or_name))
     if builtin is not None:
-        return builtin
+        return _validated(builtin, str(path_or_name))
     p = Path(path_or_name)
     if not p.exists():
         raise MalformedFile(f"no such file or built-in: {path_or_name!r}")
@@ -103,13 +119,7 @@ def load_measurement(path_or_name: str) -> Union[Povm, Instrument]:
         mats = [_matrix_from_json(e, f"element {a}") for a, e in enumerate(elements)]
         if any(m.shape != (dim, dim) for m in mats):
             raise MalformedFile(f"{path_or_name}: element shape != ({dim}, {dim})")
-        povm = Povm(tuple(mats))
-        report = qcore.validate_povm(povm)
-        if not report.ok:
-            raise InvalidMeasurement(
-                f"{path_or_name}: " + "; ".join(report.violations), report=report
-            )
-        return povm
+        return _validated(Povm(tuple(mats)), path_or_name)
     if kind == "instrument":
         groups = []
         for a, group in enumerate(elements):

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionTooLarge, NotHermitian, ShapeMismatch
+from .errors import DimensionTooLarge, InvalidMeasurement, NotHermitian, ShapeMismatch
 
 # Hard cap on operator dimension (rows of any matrix we will build).
 DIM_CAP = 2**16
@@ -103,9 +103,11 @@ class Povm:
         if not elems:
             raise ShapeMismatch("POVM needs at least one element")
         d = elems[0].shape[0]
-        for e in elems:
+        for a, e in enumerate(elems):
             if e.shape != (d, d):
                 raise ShapeMismatch("POVM elements must be square and same-dim")
+            if not np.all(np.isfinite(e)):
+                raise InvalidMeasurement(f"POVM element {a}: non-finite entry")
         for e in elems:
             e.setflags(write=False)
         object.__setattr__(self, "elements", elems)
@@ -156,10 +158,14 @@ class Instrument:
             raise ShapeMismatch("instrument needs at least one Kraus operator")
         first = next(k for g in groups for k in g)
         dout, din = first.shape
-        for g in groups:
+        for a, g in enumerate(groups):
             for k in g:
                 if k.shape != (dout, din):
                     raise ShapeMismatch("all Kraus operators must share a shape")
+                if not np.all(np.isfinite(k)):
+                    raise InvalidMeasurement(
+                        f"instrument outcome {a}: non-finite Kraus entry"
+                    )
                 k.setflags(write=False)
         object.__setattr__(self, "kraus", groups)
 
@@ -195,15 +201,6 @@ def tensor(a, b) -> np.ndarray:
     return np.kron(a, b)
 
 
-def _canonical_phase(v: np.ndarray) -> np.ndarray:
-    """Rotate the global phase so the first non-negligible entry is positive real."""
-    idx = np.flatnonzero(np.abs(v) > 1e-12)
-    if idx.size == 0:
-        return v
-    ph = v[idx[0]] / abs(v[idx[0]])
-    return v / ph
-
-
 def hermitian_eig(m, atol: float = 1e-10):
     """Eigendecomposition of a Hermitian matrix.
 
@@ -220,9 +217,15 @@ def hermitian_eig(m, atol: float = 1e-10):
     w, v = np.linalg.eigh(h)
     w = w[::-1].copy()
     v = v[:, ::-1].copy()
-    for j in range(v.shape[1]):
-        v[:, j] = _canonical_phase(v[:, j])
-    # stable ordering inside degenerate clusters
+    # global phase: the first non-negligible entry of each column is
+    # made positive real (hypot rounds like the scalar abs() of a
+    # complex; numpy's vectorised complex abs can differ by an ulp)
+    big = np.abs(v) > 1e-12
+    cols = np.flatnonzero(big.any(axis=0))
+    lead = v[np.argmax(big, axis=0)[cols], cols]
+    v[:, cols] /= lead / np.hypot(lead.real, lead.imag)
+    # stable ordering inside degenerate clusters: columns sorted by
+    # their rounded (re, im) entries, row by row, larger first
     j = 0
     n = w.size
     while j < n:
@@ -230,15 +233,12 @@ def hermitian_eig(m, atol: float = 1e-10):
         while k < n and abs(w[k] - w[j]) <= 1e-12:
             k += 1
         if k - j > 1:
-            cols = sorted(
-                range(j, k),
-                key=lambda c: tuple(
-                    (round(v[r, c].real, 10), round(v[r, c].imag, 10))
-                    for r in range(v.shape[0])
-                ),
-                reverse=True,
-            )
-            v[:, j:k] = v[:, cols]
+            block = np.round(v[:, j:k], 10)
+            keys = np.empty((2 * block.shape[0], k - j))
+            keys[0::2] = block.real
+            keys[1::2] = block.imag
+            # lexsort's last key is the primary one
+            v[:, j:k] = v[:, j + np.lexsort(-keys[::-1])]
         j = k
     return w, v
 
@@ -262,7 +262,10 @@ def haar_states(dim: int, count: int, rng: Rng) -> np.ndarray:
 
 
 def validate_povm(p: Povm, atol: float = POSITIVITY_ATOL) -> PovmReport:
-    """Positivity and completeness check; reports defects, never raises."""
+    """Positivity and completeness check; reports defects, never raises.
+
+    Comparisons fail closed: a NaN defect or eigenvalue is a violation.
+    """
     total = sum(p.elements)
     completeness = frobenius(total - identity(p.dim))
     min_eigs = []
@@ -275,9 +278,9 @@ def validate_povm(p: Povm, atol: float = POSITIVITY_ATOL) -> PovmReport:
             continue
         lo = float(np.linalg.eigvalsh((e + dagger(e)) / 2)[0])
         min_eigs.append(lo)
-        if lo < -atol:
+        if not lo >= -atol:
             violations.append(f"element {a}: negative eigenvalue {lo:.3e}")
-    if completeness > COMPLETENESS_ATOL:
+    if not completeness <= COMPLETENESS_ATOL:
         violations.append(f"completeness defect {completeness:.3e}")
     return PovmReport(
         ok=not violations,

@@ -6,6 +6,11 @@ minimise the reproduction error over achievable expectation values
 (a box-constrained quadratic program), then construct orthonormal
 prepared states realising the optimum, with a single unmeasured
 ancilla qubit when no in-space solution exists.
+
+The partition searches score candidates incrementally. Q_0 is the sum
+of the string tensors T_s assigned to target 0, so moving one string
+between the targets changes Q_0 by +-T_s: a candidate costs one matrix
+add and one ``eigvalsh``, not a sum over all m^N tensors.
 """
 
 from __future__ import annotations
@@ -373,14 +378,11 @@ class SearchResult:
     evaluated: int
 
 
-def _eval_assignment(tensors, dim, bits):
-    q0 = np.zeros((dim, dim), dtype=complex)
-    for t, b in zip(tensors, bits):
-        if b == 0:
-            q0 += t
+def _score(q0):
+    """Qubit box program on the extreme eigenvalues of a ready Q_0."""
     w = np.linalg.eigvalsh((q0 + dagger(q0)) / 2)
-    lam_min = float(np.clip(w[0], 0.0, 1.0))
-    lam_max = float(np.clip(w[-1], 0.0, 1.0))
+    lam_min = min(max(float(w[0]), 0.0), 1.0)
+    lam_max = min(max(float(w[-1]), 0.0), 1.0)
     return solve_box_quadratic_qubit(lam_min, lam_max)
 
 
@@ -390,6 +392,12 @@ def exhaustive_search(available: Povm, n_uses: int):
     Partitions are canonicalised by assigning the lexicographically
     first string to outcome 0, halving the enumeration; co-optimal
     partitions (up to that relabelling) are reported alongside.
+
+    The 2^(n-1) partitions are walked depth first in lexicographic
+    order, deciding one string per level and keeping the partial Q_0
+    of each level, so each partition costs about one matrix add. The
+    partial sums add the tensors in string order, exactly as a sum
+    from scratch does, so every Q_0 is bit-identical to it.
     """
     n_strings = available.outcomes**n_uses
     if n_strings > EXHAUSTIVE_STRING_CAP:
@@ -399,25 +407,36 @@ def exhaustive_search(available: Povm, n_uses: int):
         )
     tensors = _string_tensors(available, n_uses)
     dim = available.dim**n_uses
+    scored = []
+    bits = [0] * n_strings
+
+    def walk(i, q0):
+        if i == n_strings:
+            scored.append((tuple(bits), _score(q0)))
+            return
+        bits[i] = 0
+        walk(i + 1, q0 + tensors[i])
+        bits[i] = 1
+        walk(i + 1, q0)
+
+    # string 0 is always in target 0; 0 + T_0 starts the sum as a sum
+    # from scratch does, signed zeros included
+    walk(1, np.zeros((dim, dim), dtype=complex) + tensors[0])
     best = None
     best_bits = None
     ties = []
-    count = 0
-    for rest in itertools.product((0, 1), repeat=n_strings - 1):
-        bits = (0,) + rest
-        sol = _eval_assignment(tensors, dim, bits)
-        count += 1
+    for cand, sol in scored:
         if best is None or sol.epsilon < best.epsilon - 1e-15:
-            best, best_bits = sol, bits
-            ties = [bits]
+            best, best_bits = sol, cand
+            ties = [cand]
         elif abs(sol.epsilon - best.epsilon) <= 1e-12:
-            ties.append(bits)
+            ties.append(cand)
     protocol = build_partition_povm(available, n_uses, best_bits, 2)
     return SearchResult(
         protocol=protocol,
         solution=best,
         co_optimal=tuple(ties),
-        evaluated=count,
+        evaluated=len(scored),
     )
 
 
@@ -440,6 +459,13 @@ def hill_climb_search(
 
     The closed-form 'no zero outcome -> 1' partition is always included
     as a seed, so the result is never worse than that family.
+
+    Partitions are int bitmasks (bit i is string i's target). The climb
+    keeps the running Q_0 of its current partition and scores a
+    neighbour as Q_0 +- T_i; Q_0 is rebuilt from scratch at each start,
+    so round-off does not carry over from one start to the next. Scores
+    are cached per partition, and ``evaluated`` counts the distinct
+    partitions scored.
     """
     rng = rng if rng is not None else Rng(0)
     n_strings = available.outcomes**n_uses
@@ -447,33 +473,46 @@ def hill_climb_search(
     dim = available.dim**n_uses
     cache: dict = {}
 
-    def score(bits):
-        if bits not in cache:
-            cache[bits] = _eval_assignment(tensors, dim, bits)
-        return cache[bits]
-
     starts = [_zero_string_seed(available, n_uses)]
-    if seeds:
-        starts.extend(tuple(int(v) for v in s) for s in seeds)
+    for seed in seeds or ():
+        seed = tuple(int(v) for v in seed)
+        if len(seed) != n_strings or not set(seed) <= {0, 1}:
+            raise ShapeMismatch(f"a seed must be {n_strings} targets, each 0 or 1")
+        starts.append(seed)
     g = rng.generator
     for _ in range(restarts):
         starts.append(tuple(int(v) for v in g.integers(0, 2, size=n_strings)))
 
-    best_bits, best = None, None
+    every = (1 << n_strings) - 1
+    best_mask, best = None, None
     for start in starts:
-        bits = (0,) + tuple(1 - b for b in start[1:]) if start[0] == 1 else start
-        cur = score(bits)
+        mask = sum(b << i for i, b in enumerate(start))
+        if mask & 1:
+            mask ^= every
+        q0 = np.zeros((dim, dim), dtype=complex)
+        for i, t in enumerate(tensors):
+            if not mask >> i & 1:
+                q0 += t
+        if mask not in cache:
+            cache[mask] = _score(q0)
+        cur = cache[mask]
         improved = True
         while improved:
             improved = False
             for i in range(1, n_strings):
-                cand = bits[:i] + (1 - bits[i],) + bits[i + 1 :]
-                s = score(cand)
+                cand = mask ^ (1 << i)
+                s = cache.get(cand)
+                if s is not None and not s.epsilon < cur.epsilon - 1e-14:
+                    continue
+                cand_q0 = q0 + tensors[i] if mask >> i & 1 else q0 - tensors[i]
+                if s is None:
+                    s = cache[cand] = _score(cand_q0)
                 if s.epsilon < cur.epsilon - 1e-14:
-                    bits, cur = cand, s
+                    mask, cur, q0 = cand, s, cand_q0
                     improved = True
         if best is None or cur.epsilon < best.epsilon - 1e-15:
-            best_bits, best = bits, cur
+            best_mask, best = mask, cur
+    best_bits = tuple(best_mask >> i & 1 for i in range(n_strings))
     protocol = build_partition_povm(available, n_uses, best_bits, 2)
     return SearchResult(
         protocol=protocol,

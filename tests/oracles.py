@@ -4,13 +4,16 @@ Oracles compute a quantity a second, independent way; fixtures build
 random or textbook inputs. None of this is library API.
 """
 
+import functools
 import itertools
+import json
 
 import numpy as np
 
 from measrep.coding import associated_channel
 from measrep.errors import ShapeMismatch, TooLarge
-from measrep.qcore import Instrument, Povm, dagger, density, identity
+from measrep.qcore import Instrument, Povm, Rng, dagger, density, identity
+from measrep.vnsynth import solve_box_quadratic_qubit
 
 
 def haar_unitary(dim, rng):
@@ -37,6 +40,21 @@ def von_neumann_instrument(dim):
     """Projective measurement onto the computational basis, as an instrument."""
     eye = identity(dim)
     return Instrument(tuple((density(eye[:, i]),) for i in range(dim)))
+
+
+def nan_povm_file(path):
+    """Two-outcome qubit POVM file whose element 0 holds a NaN entry."""
+    doc = {
+        "kind": "povm",
+        "dim": 2,
+        "outcomes": 2,
+        "elements": [
+            [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [float("nan"), 0.0]]],
+            [[[0.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]],
+        ],
+    }
+    path.write_text(json.dumps(doc), encoding="utf-8")  # json writes a NaN literal
+    return path
 
 
 def symmetric_subspace_projector(d):
@@ -89,3 +107,114 @@ def block_protocol_statevector_distribution(available, code, amplitudes):
         decoded = code.decode(np.array([outcome]), channel)[0]
         dist[_index(decoded, d)] += prob
     return dist
+
+
+def hermitian_eig_sorted(m):
+    """Eigendecomposition with the column order of a per-cluster Python sort.
+
+    Same contract as ``qcore.hermitian_eig`` (descending eigenvalues,
+    first non-negligible entry of each column positive real), but each
+    degenerate cluster is ordered by ``sorted`` on tuples of Python
+    ``round(.., 10)`` keys, larger first.
+    """
+    m = np.asarray(m, dtype=complex)
+    w, v = np.linalg.eigh((m + dagger(m)) / 2)
+    w = w[::-1].copy()
+    v = v[:, ::-1].copy()
+    for j in range(v.shape[1]):
+        idx = np.flatnonzero(np.abs(v[:, j]) > 1e-12)
+        if idx.size:
+            v[:, j] = v[:, j] / (v[idx[0], j] / abs(v[idx[0], j]))
+    j = 0
+    while j < w.size:
+        k = j + 1
+        while k < w.size and abs(w[k] - w[j]) <= 1e-12:
+            k += 1
+        if k - j > 1:
+            cols = sorted(
+                range(j, k),
+                key=lambda c: tuple(
+                    (round(v[r, c].real, 10), round(v[r, c].imag, 10))
+                    for r in range(v.shape[0])
+                ),
+                reverse=True,
+            )
+            v[:, j:k] = v[:, cols]
+        j = k
+    return w, v
+
+
+def string_tensors(available, n_uses):
+    """M_{a_1} x ... x M_{a_N} for every outcome string, lexicographically."""
+    return [
+        functools.reduce(np.kron, (available.elements[a] for a in s), np.eye(1))
+        for s in itertools.product(range(available.outcomes), repeat=n_uses)
+    ]
+
+
+def score_from_scratch(tensors, bits):
+    """Qubit box program for a partition, summing Q_0 over every string."""
+    dim = tensors[0].shape[0]
+    q0 = np.zeros((dim, dim), dtype=complex)
+    for t, b in zip(tensors, bits):
+        if b == 0:
+            q0 += t
+    w = np.linalg.eigvalsh((q0 + dagger(q0)) / 2)
+    return solve_box_quadratic_qubit(
+        float(np.clip(w[0], 0.0, 1.0)), float(np.clip(w[-1], 0.0, 1.0))
+    )
+
+
+def exhaustive_search_from_scratch(available, n_uses):
+    """(best bits, solution, co-optimal bits, partitions scored), lexicographic scan."""
+    tensors = string_tensors(available, n_uses)
+    best = best_bits = None
+    ties = []
+    count = 0
+    for rest in itertools.product((0, 1), repeat=len(tensors) - 1):
+        bits = (0,) + rest
+        sol = score_from_scratch(tensors, bits)
+        count += 1
+        if best is None or sol.epsilon < best.epsilon - 1e-15:
+            best, best_bits, ties = sol, bits, [bits]
+        elif abs(sol.epsilon - best.epsilon) <= 1e-12:
+            ties.append(bits)
+    return best_bits, best, tuple(ties), count
+
+
+def hill_climb_search_from_scratch(available, n_uses, restarts=8, rng=None):
+    """(best bits, solution, partitions scored): first-improvement climb on
+    bit tuples, each candidate scored from scratch."""
+    rng = rng if rng is not None else Rng(0)
+    tensors = string_tensors(available, n_uses)
+    n = len(tensors)
+    cache = {}
+
+    def score(bits):
+        if bits not in cache:
+            cache[bits] = score_from_scratch(tensors, bits)
+        return cache[bits]
+
+    starts = [
+        tuple(0 if 0 in s else 1
+              for s in itertools.product(range(available.outcomes), repeat=n_uses))
+    ]
+    g = rng.generator
+    for _ in range(restarts):
+        starts.append(tuple(int(v) for v in g.integers(0, 2, size=n)))
+    best_bits = best = None
+    for start in starts:
+        bits = (0,) + tuple(1 - b for b in start[1:]) if start[0] == 1 else start
+        cur = score(bits)
+        improved = True
+        while improved:
+            improved = False
+            for i in range(1, n):
+                cand = bits[:i] + (1 - bits[i],) + bits[i + 1:]
+                s = score(cand)
+                if s.epsilon < cur.epsilon - 1e-14:
+                    bits, cur = cand, s
+                    improved = True
+        if best is None or cur.epsilon < best.epsilon - 1e-15:
+            best_bits, best = bits, cur
+    return best_bits, best, len(cache)

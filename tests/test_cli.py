@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from measrep import cli, io, qcore
+from oracles import nan_povm_file
 
 
 def run_cli(capsys, *argv):
@@ -24,6 +25,25 @@ def test_validate_bad_file(tmp_path, capsys):
     io.save_measurement(bad, path)
     code, _ = run_cli(capsys, "validate", str(path))
     assert code == 1
+
+
+def test_validate_nan_file(tmp_path, capsys):
+    code, _ = run_cli(capsys, "validate", str(nan_povm_file(tmp_path / "nan.json")))
+    assert code == 1
+
+
+def test_synth_invalid_builtin_fails_validation(capsys):
+    code = cli.main(["synth", "noisy-z:1.5,0.2", "--n", "1"])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "negative eigenvalue" in err
+
+
+def test_malformed_builtin_is_usage_error(capsys):
+    code = cli.main(["synth", "noisy-z:abc,1"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert len(err.strip().splitlines()) == 1
 
 
 def test_synth_trine(capsys):

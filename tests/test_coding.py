@@ -37,6 +37,13 @@ def test_channel_rejects_bad_rows():
         ClassicalChannel(np.array([[1.2, -0.2], [0.5, 0.5]]))
 
 
+def test_channel_rejects_non_finite():
+    # NaN passes every ordered comparison's negation, so it needs its own check
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ShapeMismatch):
+            ClassicalChannel(np.array([[bad, 0.0], [0.5, 0.5]]))
+
+
 def test_associated_channel_trine():
     channel = associated_channel(trine_povm())
     ref = np.array([[2 / 3, 1 / 6, 1 / 6], [0.0, 0.5, 0.5]])

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from measrep import io, qcore
-from measrep.errors import InvalidMeasurement, MalformedFile
+from measrep.errors import InvalidMeasurement, MalformedFile, MalformedName
 from measrep.qcore import Instrument, Povm, Rng
-from oracles import random_povm
+from oracles import nan_povm_file, random_povm
 
 
 def test_builtin_names():
@@ -90,3 +90,23 @@ def test_bad_entry_shape(tmp_path):
     path.write_text(json.dumps(doc), encoding="utf-8")
     with pytest.raises(MalformedFile):
         io.load_measurement(str(path))
+
+
+def test_nan_entry_rejected(tmp_path):
+    with pytest.raises(InvalidMeasurement):
+        io.load_measurement(str(nan_povm_file(tmp_path / "nan.json")))
+
+
+def test_invalid_builtin_rejected_with_report():
+    # p = 1.5 puts an eigenvalue -0.5 in the second element
+    with pytest.raises(InvalidMeasurement) as exc:
+        io.load_measurement("noisy-z:1.5,0.2")
+    assert not exc.value.report.ok
+    assert exc.value.report.min_eigenvalues[1] == pytest.approx(-0.5)
+
+
+def test_malformed_builtin_names():
+    for name in ("noisy-z:abc,1", "noisy-z:0.9", "noisy-z:0.9,0.8,0.7",
+                 "vn:x", "vn:0"):
+        with pytest.raises(MalformedName):
+            io.load_measurement(name)

@@ -2,7 +2,12 @@ import numpy as np
 import pytest
 
 from measrep import qcore
-from measrep.errors import DimensionTooLarge, NotHermitian, ShapeMismatch
+from measrep.errors import (
+    DimensionTooLarge,
+    InvalidMeasurement,
+    NotHermitian,
+    ShapeMismatch,
+)
 from measrep.qcore import (
     Instrument,
     Povm,
@@ -22,7 +27,7 @@ from measrep.qcore import (
     validate_povm,
     von_neumann_povm,
 )
-from oracles import haar_unitary
+from oracles import haar_unitary, hermitian_eig_sorted
 
 
 def test_rng_reproducible():
@@ -73,6 +78,18 @@ def test_validate_rejects_negative():
     assert report.min_eigenvalues[1] < -1e-6
 
 
+def test_validate_fails_closed_on_nan_eigenvalue():
+    # finite, Hermitian, complete, but e + e^dagger overflows, so the
+    # eigenvalues come out NaN; a NaN must be a violation, not a pass
+    big = 1.7e308
+    p = Povm((np.array([[0.5, big], [big, 0.5]]), np.array([[0.5, -big], [-big, 0.5]])))
+    with np.errstate(over="ignore", invalid="ignore"):
+        report = validate_povm(p)
+    assert report.completeness_defect == 0.0
+    assert not report.ok
+    assert len(report.violations) == 2
+
+
 def test_is_trivial():
     assert Povm((identity(2) / 2, identity(2) / 2)).is_trivial()
     assert not trine_povm().is_trivial()
@@ -108,6 +125,49 @@ def test_hermitian_eig_deterministic_on_degenerate():
     w2, v2 = hermitian_eig(h)
     assert np.array_equal(v1, v2)
     assert np.allclose(w1, [1.0, 1.0, 0.0])
+
+
+def _tensor_power(e, n):
+    out = e
+    for _ in range(n - 1):
+        out = np.kron(out, e)
+    return out
+
+
+def test_hermitian_eig_tie_break_matches_sorted_on_tensor_powers():
+    # tensor powers of the degenerate qutrit elements: clusters of up to
+    # 3^4 - 1 equal eigenvalues with exactly tied eigenvector entries
+    for n in (2, 3, 4):
+        for e in degenerate_qutrit_povm().elements:
+            w, v = hermitian_eig(_tensor_power(e, n))
+            w_ref, v_ref = hermitian_eig_sorted(_tensor_power(e, n))
+            assert np.array_equal(w, w_ref)
+            assert np.array_equal(v, v_ref)
+
+
+def test_hermitian_eig_tie_break_matches_sorted_on_rotated_spectra():
+    g = Rng(31).generator
+    for trial in range(60):
+        dim = int(g.integers(2, 13))
+        levels = np.round(g.uniform(0.0, 1.0, size=3), 3)
+        spectrum = g.choice(levels, size=dim)  # repeated eigenvalues
+        u = haar_unitary(dim, Rng(100 + trial))
+        h = (u * spectrum) @ dagger(u)
+        w, v = hermitian_eig(h)
+        w_ref, v_ref = hermitian_eig_sorted(h)
+        assert np.array_equal(w, w_ref)
+        assert np.array_equal(v, v_ref)
+
+
+def test_povm_rejects_non_finite():
+    for bad in (np.nan, np.inf):
+        with pytest.raises(InvalidMeasurement):
+            Povm((np.array([[1.0, 0.0], [bad, 0.0]]), np.diag([0.0, 1.0])))
+
+
+def test_instrument_rejects_non_finite():
+    with pytest.raises(InvalidMeasurement):
+        Instrument(((np.diag([1.0, np.nan]),), (np.diag([0.0, 1.0]),)))
 
 
 def test_hermitian_eig_rejects_nonhermitian():

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from measrep import qcore, vnsynth
 from measrep.errors import (
@@ -28,6 +30,11 @@ from measrep.vnsynth import (
     solve_box_quadratic_qubit,
     solve_box_quadratic_qudit,
     trine_optimal_protocol,
+)
+from oracles import (
+    exhaustive_search_from_scratch,
+    hill_climb_search_from_scratch,
+    random_povm,
 )
 
 
@@ -256,9 +263,51 @@ def test_hill_climb_degenerate_povm():
     assert result.solution.epsilon == pytest.approx(1 / math.sqrt(12), abs=1e-12)
 
 
+def test_hill_climb_seed_partitions():
+    seed = [0 if s[0] == 0 else 1 for s in itertools.product(range(3), repeat=2)]
+    result = hill_climb_search(trine_povm(), 2, restarts=0, seeds=[seed])
+    assert result.solution.epsilon <= 1 / 18 + 1e-12
+    for bad in ([0, 1, 2, 0, 0, 0, 0, 0, 0], [0, 1]):
+        with pytest.raises(ShapeMismatch):
+            hill_climb_search(trine_povm(), 2, restarts=0, seeds=[bad])
+
+
 def test_hill_climb_three_use_matches_closed_form():
     climbed = hill_climb_search(trine_povm(), 3, restarts=2, rng=Rng(5))
     assert climbed.solution.epsilon <= 3.0**-3 / 2 + 1e-12
+
+
+# Random qubit POVMs with 2-4 outcomes, searched at N = 1..3 uses.
+povm_seeds = st.integers(0, 2**32 - 1)
+outcome_counts = st.integers(2, 4)
+use_counts = st.integers(1, 3)
+
+
+@settings(max_examples=60)
+@given(seed=povm_seeds, m=outcome_counts, n_uses=use_counts)
+def test_exhaustive_search_matches_from_scratch_scoring(seed, m, n_uses):
+    assume(m**n_uses <= vnsynth.EXHAUSTIVE_STRING_CAP)
+    povm = random_povm(2, m, Rng(seed))
+    result = exhaustive_search(povm, n_uses)
+    bits, sol, ties, count = exhaustive_search_from_scratch(povm, n_uses)
+    assert result.protocol.assignment == bits
+    assert result.co_optimal == ties
+    assert result.evaluated == count
+    assert abs(result.solution.epsilon - sol.epsilon) <= 1e-14
+
+
+@settings(max_examples=60)
+@given(seed=povm_seeds, m=outcome_counts, n_uses=use_counts)
+def test_hill_climb_matches_from_scratch_scoring(seed, m, n_uses):
+    povm = random_povm(2, m, Rng(seed))
+    result = hill_climb_search(povm, n_uses, restarts=3, rng=Rng(seed))
+    bits, sol, count = hill_climb_search_from_scratch(
+        povm, n_uses, restarts=3, rng=Rng(seed)
+    )
+    assert result.protocol.assignment == bits
+    assert result.co_optimal == (bits,)
+    assert result.evaluated == count
+    assert abs(result.solution.epsilon - sol.epsilon) <= 1e-14
 
 
 # ---------------------------------------------------------------------------
