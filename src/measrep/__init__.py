@@ -21,7 +21,7 @@ from .coding import (
     simulate_block_protocol,
 )
 from .errors import MeasrepError
-from .io import load_measurement, save_measurement
+from .io import load_measurement, load_povm, save_measurement
 from .qcore import (
     Instrument,
     Povm,

@@ -21,7 +21,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from . import coding, io, qcore, rms, subroutines, vnsynth
-from .errors import MalformedName, MeasrepError
+from .errors import InvalidMeasurement, MalformedName, MeasrepError
 from .qcore import Rng
 
 
@@ -36,7 +36,9 @@ class RunReport:
     wall_time: float = 0.0
 
     def add(self, name: str, value: float, stderr: Optional[float] = None,
-            status: str = ""):
+            ok: Optional[bool] = None):
+        """Append a row; ``ok`` marks it PASS or FAIL, None leaves it unchecked."""
+        status = "" if ok is None else "PASS" if ok else "FAIL"
         self.rows.append((name, float(value), stderr, status))
 
     def failed(self) -> bool:
@@ -65,13 +67,13 @@ def _print_report(report: RunReport, args) -> None:
             line += f"  {status}"
         print(line)
     print(f"# wall time {report.wall_time:.3f} s")
-    if getattr(args, "out", None):
+    if args.out:
         with open(args.out, "w", encoding="utf-8", newline="") as fh:
             fh.write("name,value,stderr,status\n")
             for name, value, stderr, status in report.rows:
                 se = _fmt(stderr) if stderr is not None else ""
                 fh.write(f"{name},{_fmt(value)},{se},{status}\n")
-    if getattr(args, "json", False):
+    if args.json:
         doc = {
             "command": report.command,
             "inputs_digest": report.inputs_digest,
@@ -86,37 +88,40 @@ def _print_report(report: RunReport, args) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Subcommands
+# Subcommands: each adds its rows to the report that ``main`` prints
 # ---------------------------------------------------------------------------
 
 
-def _cmd_validate(args) -> int:
-    report = RunReport("validate", _digest(args.measurement), args.seed)
-    t0 = time.perf_counter()
-    obj = io.load_measurement(args.measurement)
-    if isinstance(obj, qcore.Povm):
-        rep = qcore.validate_povm(obj)
-        report.add("completeness_defect", rep.completeness_defect,
-                   status="PASS" if rep.ok else "FAIL")
-        for a, lo in enumerate(rep.min_eigenvalues):
-            report.add(f"min_eigenvalue[{a}]", lo)
-        for v in rep.violations:
-            print(f"violation: {v}")
-        ok = rep.ok
+def _implemented_error(impl: qcore.Povm) -> float:
+    """Closed-form error of an implemented qubit POVM's outcome-0 element."""
+    m0 = impl.elements[0]
+    return rms.rms_closed_form_qubit(
+        float(m0[0, 0].real), float(m0[1, 1].real), complex(m0[0, 1])
+    )
+
+
+def _cmd_validate(args, report: RunReport) -> None:
+    try:
+        obj = io.load_measurement(args.measurement)
+    except InvalidMeasurement as exc:
+        if exc.report is None:
+            raise
+        rep = exc.report
     else:
-        defect = obj.normalization_defect()
-        report.add("normalization_defect", defect,
-                   status="PASS" if defect <= 1e-9 else "FAIL")
-        ok = defect <= 1e-9
-    report.wall_time = time.perf_counter() - t0
-    _print_report(report, args)
-    return 0 if ok else 1
+        if isinstance(obj, qcore.Instrument):
+            defect = obj.normalization_defect()
+            report.add("normalization_defect", defect, ok=defect <= 1e-9)
+            return
+        rep = qcore.validate_povm(obj)
+    report.add("completeness_defect", rep.completeness_defect, ok=rep.ok)
+    for a, lo in enumerate(rep.min_eigenvalues):
+        report.add(f"min_eigenvalue[{a}]", lo)
+    for v in rep.violations:
+        print(f"violation: {v}")
 
 
-def _cmd_synth(args) -> int:
-    report = RunReport("synth", _digest(args.measurement, args.n_uses), args.seed)
-    t0 = time.perf_counter()
-    available = io.load_measurement(args.measurement)
+def _cmd_synth(args, report: RunReport) -> None:
+    available = io.load_povm(args.measurement)
     if available.outcomes**args.n_uses <= vnsynth.EXHAUSTIVE_STRING_CAP:
         result = vnsynth.exhaustive_search(available, args.n_uses)
     else:
@@ -135,22 +140,11 @@ def _cmd_synth(args) -> int:
     prep = vnsynth.construct_states(result.protocol, (sol.x_star, sol.y_star))
     report.add("ancilla_qubits", prep.ancilla_qubits)
     impl = vnsynth.implemented_povm(prep, result.protocol)
-    m0 = impl.elements[0]
-    closed = rms.rms_closed_form_qubit(
-        float(m0[0, 0].real), float(m0[1, 1].real), complex(m0[0, 1])
-    )
-    report.add("epsilon_implemented", closed)
-    report.wall_time = time.perf_counter() - t0
-    _print_report(report, args)
-    return 0
+    report.add("epsilon_implemented", _implemented_error(impl))
 
 
-def _cmd_rms(args) -> int:
-    report = RunReport(
-        "rms", _digest(args.measurement, args.n_uses, args.samples), args.seed
-    )
-    t0 = time.perf_counter()
-    available = io.load_measurement(args.measurement)
+def _cmd_rms(args, report: RunReport) -> None:
+    available = io.load_povm(args.measurement)
     result = vnsynth.hill_climb_search(available, args.n_uses, rng=Rng(args.seed))
     sol = result.solution
     prep = vnsynth.construct_states(result.protocol, (sol.x_star, sol.y_star))
@@ -159,22 +153,14 @@ def _cmd_rms(args) -> int:
     report.add("epsilon_closed_form", sol.epsilon)
     est = rms.rms_monte_carlo_povm(impl, target, args.samples, Rng(args.seed))
     report.add("epsilon_monte_carlo", est.value, est.standard_error)
-    report.wall_time = time.perf_counter() - t0
-    _print_report(report, args)
-    return 0
 
 
-def _cmd_postmeas(args) -> int:
-    report = RunReport(
-        "postmeas", _digest(args.measurement, args.samples), args.seed
-    )
-    t0 = time.perf_counter()
+def _cmd_postmeas(args, report: RunReport) -> None:
     obj = io.load_measurement(args.measurement)
     inst = obj if isinstance(obj, qcore.Instrument) else qcore.lueders_instrument(obj)
     rng = Rng(args.seed)
-    n_states = min(args.samples, 200)
     worst_p = worst_s = 0.0
-    for _ in range(n_states):
+    for _ in range(min(args.samples, 200)):
         psi = qcore.haar_state(inst.dim_in, rng)
         rho = qcore.density(psi)
         for a, prob, post in subroutines.run_post_measurement(inst, psi):
@@ -185,22 +171,12 @@ def _cmd_postmeas(args) -> int:
             worst_p = max(worst_p, abs(prob - p_ref))
             if post is not None and p_ref > 1e-12:
                 worst_s = max(worst_s, qcore.frobenius(post - out / p_ref))
-    ok = worst_p <= args.tol and worst_s <= args.tol
-    report.add("max_probability_deviation", worst_p,
-               status="PASS" if worst_p <= args.tol else "FAIL")
-    report.add("max_poststate_deviation", worst_s,
-               status="PASS" if worst_s <= args.tol else "FAIL")
-    report.wall_time = time.perf_counter() - t0
-    _print_report(report, args)
-    return 0 if ok else 1
+    report.add("max_probability_deviation", worst_p, ok=worst_p <= args.tol)
+    report.add("max_poststate_deviation", worst_s, ok=worst_s <= args.tol)
 
 
-def _cmd_clone(args) -> int:
-    report = RunReport(
-        "clone", _digest(args.measurement, args.max_n), args.seed
-    )
-    t0 = time.perf_counter()
-    available = io.load_measurement(args.measurement)
+def _cmd_clone(args, report: RunReport) -> None:
+    available = io.load_povm(args.measurement)
     basis = subroutines.select_cloning_basis(available)
     d = available.dim
     for i in range(d):
@@ -215,18 +191,10 @@ def _cmd_clone(args) -> int:
     for n in range(1, args.max_n + 1):
         err = subroutines.cloning_error_rate(available, basis, n, mode="exact")
         report.add(f"error_n={n}", err.average)
-    report.wall_time = time.perf_counter() - t0
-    _print_report(report, args)
-    return 0
 
 
-def _cmd_capacity(args) -> int:
-    report = RunReport("capacity", _digest(args.measurement, args.tol), args.seed)
-    t0 = time.perf_counter()
-    available = io.load_measurement(args.measurement)
-    if isinstance(available, qcore.Instrument):
-        available = qcore.induced_povm(available)
-    channel = coding.associated_channel(available)
+def _cmd_capacity(args, report: RunReport) -> None:
+    channel = coding.associated_channel(io.load_povm(args.measurement))
     cap = coding.blahut_arimoto(channel, tol=args.tol)
     report.add("capacity_bits", cap.capacity)
     report.add("upper_bound_bits", cap.upper_bound)
@@ -234,21 +202,10 @@ def _cmd_capacity(args) -> int:
     report.add("iterations", cap.iterations)
     for x, px in enumerate(cap.p_x):
         report.add(f"p_x[{x}]", px)
-    report.wall_time = time.perf_counter() - t0
-    _print_report(report, args)
-    return 0
 
 
-def _cmd_block(args) -> int:
-    report = RunReport(
-        "block",
-        _digest(args.measurement, args.k, args.copies, args.trials),
-        args.seed,
-    )
-    t0 = time.perf_counter()
-    available = io.load_measurement(args.measurement)
-    if isinstance(available, qcore.Instrument):
-        available = qcore.induced_povm(available)
+def _cmd_block(args, report: RunReport) -> None:
+    available = io.load_povm(args.measurement)
     channel = coding.associated_channel(available)
     code = coding.repetition_code(args.k, args.copies, available.dim)
     report.add("block_length", code.n)
@@ -261,9 +218,6 @@ def _cmd_block(args) -> int:
     if args.k == 1:
         exact = coding.exact_repetition_error(channel, args.copies)
         report.add("block_error_exact", float(exact.mean()))
-    report.wall_time = time.perf_counter() - t0
-    _print_report(report, args)
-    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -271,25 +225,20 @@ def _cmd_block(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _check(report: RunReport, name: str, value: float, expected: float,
-           tol: float = 1e-10, stderr: Optional[float] = None):
-    if stderr is not None:
-        ok = abs(value - expected) <= max(3.0 * stderr, 1e-12)
-    else:
-        ok = abs(value - expected) <= tol
-    report.add(name, value, stderr, "PASS" if ok else "FAIL")
+def _table_deviation(table: np.ndarray, ref: np.ndarray) -> float:
+    """Largest entry-wise deviation from a reference table; 1 if shapes differ."""
+    if table.shape != ref.shape:
+        return 1.0
+    return float(np.max(np.abs(table - ref)))
 
 
-def _cmd_reproduce_paper(args) -> int:
-    report = RunReport("reproduce-paper", _digest(args.override), args.seed)
-    t0 = time.perf_counter()
-    trine = (
-        io.load_measurement(args.override) if args.override else qcore.trine_povm()
-    )
-    if isinstance(trine, qcore.Instrument):
-        trine = qcore.induced_povm(trine)
-    target = qcore.von_neumann_povm(2)
-    rng = Rng(args.seed)
+def _paper_rows(trine: qcore.Povm, samples: int, rng: Rng):
+    """The paper's closed-form claims as (name, value, expected, tol, stderr).
+
+    A row passes when |value - expected| <= tol, or, for a Monte Carlo
+    row (stderr set), when it lies within 3 standard errors.
+    """
+    clone_error = 1.0 / (9.0 * math.sqrt(3.0))
 
     # two-use cloning protocol: copy in the computational basis, declare
     # outcome 0 when any use fires outcome 0
@@ -301,48 +250,42 @@ def _cmd_reproduce_paper(args) -> int:
         n_measured=2, ancilla_qubits=0, states=(e[:, 0], e[:, 3])
     )
     impl_clone = vnsynth.implemented_povm(prep_clone, proto2)
-    m0 = impl_clone.elements[0]
-    eps_clone = rms.rms_closed_form_qubit(
-        float(m0[0, 0].real), float(m0[1, 1].real), complex(m0[0, 1])
-    )
-    _check(report, "two_use_cloning_error", eps_clone, 1.0 / (9.0 * math.sqrt(3.0)),
-           tol=1e-12)
-    est = rms.rms_monte_carlo_povm(impl_clone, target, args.samples, rng.split(1))
-    _check(report, "two_use_cloning_error_mc", est.value,
-           1.0 / (9.0 * math.sqrt(3.0)), stderr=est.standard_error)
+    yield ("two_use_cloning_error", _implemented_error(impl_clone), clone_error,
+           1e-12, None)
+    target = qcore.von_neumann_povm(2)
+    est = rms.rms_monte_carlo_povm(impl_clone, target, samples, rng.split(1))
+    yield ("two_use_cloning_error_mc", est.value, clone_error, None,
+           est.standard_error)
 
     # two-use optimum
     sol2 = vnsynth.solve_box_quadratic_qubit(0.0, 1.0 - 3.0**-2)
-    _check(report, "two_use_optimal_error", sol2.epsilon, 1.0 / 18.0, tol=1e-12)
-    _check(report, "two_use_x_star", sol2.x_star, 8.0 / 9.0, tol=1e-12)
-    _check(report, "two_use_y_star", sol2.y_star, 1.0 / 18.0, tol=1e-12)
+    yield "two_use_optimal_error", sol2.epsilon, 1.0 / 18.0, 1e-12, None
+    yield "two_use_x_star", sol2.x_star, 8.0 / 9.0, 1e-12, None
+    yield "two_use_y_star", sol2.y_star, 1.0 / 18.0, 1e-12, None
 
     # spectrum of the two-use coarse element for outcome 0
     evals, _ = qcore.hermitian_eig(proto2.coarse[0])
     for val, ref in zip(evals, (8.0 / 9.0, 2.0 / 3.0, 2.0 / 3.0, 0.0)):
-        _check(report, f"two_use_Q0_eigenvalue_{_fmt(ref)}", val, ref)
+        yield f"two_use_Q0_eigenvalue_{_fmt(ref)}", val, ref, 1e-10, None
 
     # N-use closed form, checked against the synthesized implementation
+    impls = []
     for n in range(1, 7):
         syn = vnsynth.trine_optimal_protocol(n)
-        _check(report, f"optimal_error_n={n}", syn.solution.epsilon,
-               3.0**-n / 2.0)
-        _check(report, f"lambda_max_n={n}", syn.solution.lam_max, 1.0 - 3.0**-n)
-        impl = vnsynth.implemented_povm(syn.prep, syn.protocol)
+        yield f"optimal_error_n={n}", syn.solution.epsilon, 3.0**-n / 2.0, 1e-10, None
+        yield f"lambda_max_n={n}", syn.solution.lam_max, 1.0 - 3.0**-n, 1e-10, None
+        impls.append(vnsynth.implemented_povm(syn.prep, syn.protocol))
         ref0 = np.diag([1.0 - 3.0**-n, 3.0**-n / 2.0]).astype(complex)
-        dev = qcore.frobenius(impl.elements[0] - ref0)
-        _check(report, f"implemented_element_deviation_n={n}", dev, 0.0)
+        dev = qcore.frobenius(impls[-1].elements[0] - ref0)
+        yield f"implemented_element_deviation_n={n}", dev, 0.0, 1e-10, None
 
     # single-use implemented element and the naive single-use error
-    syn1 = vnsynth.trine_optimal_protocol(1)
-    impl1 = vnsynth.implemented_povm(syn1.prep, syn1.protocol)
     dev1 = qcore.frobenius(
-        impl1.elements[0] - np.diag([2.0 / 3.0, 1.0 / 6.0]).astype(complex)
+        impls[0].elements[0] - np.diag([2.0 / 3.0, 1.0 / 6.0]).astype(complex)
     )
-    _check(report, "single_use_element_deviation", dev1, 0.0)
-    eps_naive = rms.rms_closed_form_qubit(2.0 / 3.0, 0.0)
-    _check(report, "single_use_naive_error", eps_naive,
-           1.0 / (3.0 * math.sqrt(3.0)), tol=1e-12)
+    yield "single_use_element_deviation", dev1, 0.0, 1e-10, None
+    yield ("single_use_naive_error", rms.rms_closed_form_qubit(2.0 / 3.0, 0.0),
+           1.0 / (3.0 * math.sqrt(3.0)), 1e-12, None)
 
     # noisy-Z regions: boundary classification plus the rotation angle
     for p, q, region in (
@@ -352,26 +295,22 @@ def _cmd_reproduce_paper(args) -> int:
         (0.8, 0.6, "trivial"),  # exactly on p = (1+q)/2
     ):
         params = vnsynth.classify_noisy_z(p, q)
-        _check(report, f"noisy_z_region_p={p}_q={q}",
-               1.0 if params.region == region else 0.0, 1.0)
-    params = vnsynth.classify_noisy_z(0.95, 0.6)
-    gamma_ref = math.sqrt((3.0 * 0.6 - 1.0) / (2.0 * (0.95 + 0.6 - 1.0)))
-    _check(report, "noisy_z_gamma", params.gamma, gamma_ref, tol=1e-12)
+        yield (f"noisy_z_region_p={p}_q={q}",
+               1.0 if params.region == region else 0.0, 1.0, 1e-10, None)
     res = vnsynth.noisy_z_optimal(0.95, 0.6)
-    _check(report, "noisy_z_error", res.solution.epsilon, (1.0 - 0.6) / 2.0)
+    gamma_ref = math.sqrt((3.0 * 0.6 - 1.0) / (2.0 * (0.95 + 0.6 - 1.0)))
+    yield "noisy_z_gamma", res.params.gamma, gamma_ref, 1e-12, None
+    yield "noisy_z_error", res.solution.epsilon, (1.0 - 0.6) / 2.0, 1e-10, None
 
     # cloning outcome table
-    channel = coding.associated_channel(trine)
     table_ref = np.array([[2.0 / 3.0, 1.0 / 6.0, 1.0 / 6.0],
                           [0.0, 0.5, 0.5]])
-    if channel.matrix.shape == table_ref.shape:
-        dev = float(np.max(np.abs(channel.matrix - table_ref)))
-    else:
-        dev = 1.0
-    _check(report, "cloning_table_deviation", dev, 0.0, tol=1e-12)
+    dev = _table_deviation(coding.associated_channel(trine).matrix, table_ref)
+    yield "cloning_table_deviation", dev, 0.0, 1e-12, None
 
     # joint outcome distribution of two uses on alpha|00> + beta|11>
     g = rng.split(2).generator
+    ops = [[qcore.tensor(e1, e2) for e2 in trine.elements] for e1 in trine.elements]
     worst = 0.0
     for _ in range(10):
         z = g.standard_normal(2) + 1j * g.standard_normal(2)
@@ -388,24 +327,63 @@ def _cmd_reproduce_paper(args) -> int:
             [aa / 9.0, 1.0 / 36.0 + 2.0 / 9.0 * bb - cross,
              1.0 / 36.0 + 2.0 / 9.0 * bb + cross],
         ])
-        for a1 in range(trine.outcomes):
-            for a2 in range(trine.outcomes):
-                op = qcore.tensor(trine.elements[a1], trine.elements[a2])
-                prob = float(np.real(np.conj(psi) @ (op @ psi)))
-                if ref.shape == (3, 3):
-                    worst = max(worst, abs(prob - ref[a1, a2]))
-                else:
-                    worst = 1.0
-    _check(report, "two_use_joint_distribution_deviation", worst, 0.0)
+        joint = np.array([[float(np.real(np.conj(psi) @ (op @ psi))) for op in row]
+                          for row in ops])
+        worst = max(worst, _table_deviation(joint, ref))
+    yield "two_use_joint_distribution_deviation", worst, 0.0, 1e-10, None
 
-    report.wall_time = time.perf_counter() - t0
-    _print_report(report, args)
-    return 0 if not report.failed() else 1
+
+def _cmd_reproduce_paper(args, report: RunReport) -> None:
+    trine = io.load_povm(args.override) if args.override else qcore.trine_povm()
+    for name, value, expected, tol, stderr in _paper_rows(
+        trine, args.samples, Rng(args.seed)
+    ):
+        bound = tol if stderr is None else max(3.0 * stderr, 1e-12)
+        report.add(name, value, stderr, ok=abs(value - expected) <= bound)
 
 
 # ---------------------------------------------------------------------------
-# Parser
+# Command table and runner
 # ---------------------------------------------------------------------------
+
+# dest -> (flag, argparse keywords) of every input a subcommand may read
+OPTIONS = {
+    "measurement": ("measurement", dict(
+        help="JSON file (POVM or instrument) or built-in name (trine, "
+             "noisy-z:p,q, vn:d, degenerate-qutrit)")),
+    "n_uses": ("--n", dict(type=int, default=2,
+                           help="number of uses of the available measurement")),
+    "samples": ("--samples", dict(type=int, default=100_000,
+                                  help="Monte Carlo sample count")),
+    "tol": ("--tol", dict(type=float, default=1e-6, help="numerical tolerance")),
+    "max_n": ("--max-n", dict(type=int, default=6,
+                              help="largest number of uses to sweep")),
+    "k": ("--k", dict(type=int, default=1, help="message length")),
+    "copies": ("--copies", dict(type=int, default=5,
+                                help="repetitions per message symbol")),
+    "trials": ("--trials", dict(type=int, default=100_000,
+                                help="simulated block transmissions")),
+    "override": ("--override", dict(
+        help="replace the built-in trine with a measurement file")),
+}
+
+# name -> (command, help, inputs it reads); the inputs also form the digest
+COMMANDS = {
+    "validate": (_cmd_validate, "validate a measurement file", ("measurement",)),
+    "synth": (_cmd_synth, "partition search + program + states",
+              ("measurement", "n_uses")),
+    "rms": (_cmd_rms, "closed-form and Monte Carlo error",
+            ("measurement", "n_uses", "samples")),
+    "postmeas": (_cmd_postmeas, "post-measurement sub-routine check",
+                 ("measurement", "samples", "tol")),
+    "clone": (_cmd_clone, "basis selection + error curves", ("measurement", "max_n")),
+    "capacity": (_cmd_capacity, "associated-channel capacity", ("measurement", "tol")),
+    "block": (_cmd_block, "block-coding protocol simulation",
+              ("measurement", "k", "copies", "trials")),
+    "reproduce-paper": (_cmd_reproduce_paper,
+                        "recompute and check the closed-form constants",
+                        ("override", "samples")),
+}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -415,79 +393,36 @@ def _build_parser() -> argparse.ArgumentParser:
                     "of another.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, measurement=True):
-        if measurement:
-            p.add_argument("measurement",
-                           help="JSON file or built-in name (trine, "
-                                "noisy-z:p,q, vn:d, degenerate-qutrit)")
+    for name, (_, help_text, inputs) in COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        for dest in inputs:
+            flag, kw = OPTIONS[dest]
+            p.add_argument(flag, **(dict(kw, dest=dest) if flag[0] == "-" else kw))
         p.add_argument("--seed", type=int, default=0, help="64-bit RNG seed")
-        p.add_argument("--samples", type=int, default=100_000,
-                       help="Monte Carlo sample count")
-        p.add_argument("--tol", type=float, default=1e-6,
-                       help="numerical tolerance")
-        p.add_argument("--max-n", dest="max_n", type=int, default=6,
-                       help="largest number of uses to sweep")
         p.add_argument("--json", action="store_true",
                        help="also print the raw report as JSON")
         p.add_argument("--out", help="write the result table as CSV")
-
-    p = sub.add_parser("validate", help="validate a measurement file")
-    common(p)
-    p.set_defaults(func=_cmd_validate)
-
-    p = sub.add_parser("synth", help="partition search + program + states")
-    common(p)
-    p.add_argument("--n", dest="n_uses", type=int, default=2,
-                   help="number of uses of the available measurement")
-    p.set_defaults(func=_cmd_synth)
-
-    p = sub.add_parser("rms", help="closed-form and Monte Carlo error")
-    common(p)
-    p.add_argument("--n", dest="n_uses", type=int, default=2)
-    p.set_defaults(func=_cmd_rms)
-
-    p = sub.add_parser("postmeas", help="post-measurement sub-routine check")
-    common(p)
-    p.set_defaults(func=_cmd_postmeas)
-
-    p = sub.add_parser("clone", help="basis selection + error curves")
-    common(p)
-    p.set_defaults(func=_cmd_clone)
-
-    p = sub.add_parser("capacity", help="associated-channel capacity")
-    common(p)
-    p.set_defaults(func=_cmd_capacity)
-
-    p = sub.add_parser("block", help="block-coding protocol simulation")
-    common(p)
-    p.add_argument("--k", type=int, default=1, help="message length")
-    p.add_argument("--copies", type=int, default=5,
-                   help="repetitions per message symbol")
-    p.add_argument("--trials", type=int, default=100_000)
-    p.set_defaults(func=_cmd_block)
-
-    p = sub.add_parser("reproduce-paper",
-                       help="recompute and check the closed-form constants")
-    common(p, measurement=False)
-    p.add_argument("--override",
-                   help="replace the built-in trine with a measurement file")
-    p.set_defaults(func=_cmd_reproduce_paper)
-
     return parser
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
+    func, _, inputs = COMMANDS[args.command]
+    report = RunReport(
+        args.command, _digest(*(getattr(args, d) for d in inputs)), args.seed
+    )
+    t0 = time.perf_counter()
     try:
-        return args.func(args)
+        func(args, report)
     except MalformedName as exc:
         print(f"measrep: usage error: {exc}", file=sys.stderr)
         return 2
     except MeasrepError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    report.wall_time = time.perf_counter() - t0
+    _print_report(report, args)
+    return 1 if report.failed() else 0
 
 
 if __name__ == "__main__":

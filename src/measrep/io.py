@@ -15,7 +15,7 @@ from typing import Union
 import numpy as np
 
 from . import qcore
-from .errors import InvalidMeasurement, MalformedFile, MalformedName
+from .errors import InvalidMeasurement, MalformedFile, MalformedName, ShapeMismatch
 from .qcore import Instrument, Povm
 
 
@@ -85,6 +85,14 @@ def _validated(povm: Povm, source: str) -> Povm:
     return povm
 
 
+def _build(cls, parts, source: str):
+    """``cls(parts)``, with the source named in a construction error."""
+    try:
+        return cls(tuple(parts))
+    except (InvalidMeasurement, ShapeMismatch) as exc:
+        raise type(exc)(f"{source}: {exc}") from exc
+
+
 def load_measurement(path_or_name: str) -> Union[Povm, Instrument]:
     """Load a measurement from a JSON file or a built-in name.
 
@@ -119,7 +127,7 @@ def load_measurement(path_or_name: str) -> Union[Povm, Instrument]:
         mats = [_matrix_from_json(e, f"element {a}") for a, e in enumerate(elements)]
         if any(m.shape != (dim, dim) for m in mats):
             raise MalformedFile(f"{path_or_name}: element shape != ({dim}, {dim})")
-        return _validated(Povm(tuple(mats)), path_or_name)
+        return _validated(_build(Povm, mats, path_or_name), path_or_name)
     if kind == "instrument":
         groups = []
         for a, group in enumerate(elements):
@@ -131,7 +139,7 @@ def load_measurement(path_or_name: str) -> Union[Povm, Instrument]:
                     for j, k in enumerate(group)
                 )
             )
-        inst = Instrument(tuple(groups))
+        inst = _build(Instrument, groups, path_or_name)
         if inst.dim_in != dim:
             raise MalformedFile(f"{path_or_name}: Kraus input dim != {dim}")
         defect = inst.normalization_defect()
@@ -143,3 +151,9 @@ def load_measurement(path_or_name: str) -> Union[Povm, Instrument]:
             )
         return inst
     raise MalformedFile(f"{path_or_name}: unknown kind {kind!r}")
+
+
+def load_povm(path_or_name: str) -> Povm:
+    """``load_measurement``, with an instrument replaced by its induced POVM."""
+    obj = load_measurement(path_or_name)
+    return qcore.induced_povm(obj) if isinstance(obj, Instrument) else obj

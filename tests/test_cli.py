@@ -28,8 +28,19 @@ def test_validate_bad_file(tmp_path, capsys):
 
 
 def test_validate_nan_file(tmp_path, capsys):
-    code, _ = run_cli(capsys, "validate", str(nan_povm_file(tmp_path / "nan.json")))
+    path = str(nan_povm_file(tmp_path / "nan.json"))
+    code = cli.main(["validate", path])
     assert code == 1
+    assert path in capsys.readouterr().err
+
+
+def test_validate_invalid_builtin_shows_report(capsys):
+    code, out = run_cli(capsys, "validate", "noisy-z:1.5,0.2", "--json")
+    assert code == 1
+    rows = {r["name"]: r for r in json.loads(out.splitlines()[-1])["rows"]}
+    assert rows["completeness_defect"]["status"] == "FAIL"
+    assert rows["min_eigenvalue[1]"]["value"] == pytest.approx(-0.5, abs=1e-12)
+    assert "violation: element 1: negative eigenvalue" in out
 
 
 def test_synth_invalid_builtin_fails_validation(capsys):
@@ -153,3 +164,91 @@ def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         cli.main(["no-such-command"])
     assert exc.value.code == 2
+
+
+def json_rows(capsys, *argv):
+    code, out = run_cli(capsys, *argv, "--json")
+    return code, json.loads(out.splitlines()[-1])
+
+
+REPRODUCE_PAPER_ROWS = [
+    "two_use_cloning_error", "two_use_cloning_error_mc", "two_use_optimal_error",
+    "two_use_x_star", "two_use_y_star",
+    "two_use_Q0_eigenvalue_0.888888888889", "two_use_Q0_eigenvalue_0.666666666667",
+    "two_use_Q0_eigenvalue_0.666666666667", "two_use_Q0_eigenvalue_0",
+    *(f"{row}_n={n}" for n in range(1, 7)
+      for row in ("optimal_error", "lambda_max", "implemented_element_deviation")),
+    "single_use_element_deviation", "single_use_naive_error",
+    "noisy_z_region_p=0.95_q=0.6", "noisy_z_region_p=0.6_q=0.95",
+    "noisy_z_region_p=0.7_q=0.7", "noisy_z_region_p=0.8_q=0.6",
+    "noisy_z_gamma", "noisy_z_error", "cloning_table_deviation",
+    "two_use_joint_distribution_deviation",
+]
+
+
+def test_reproduce_paper_row_contract(capsys):
+    # the benchmark's checks rely on these 37 names, in this order
+    code, doc = json_rows(capsys, "reproduce-paper")
+    assert code == 0
+    assert [r["name"] for r in doc["rows"]] == REPRODUCE_PAPER_ROWS
+    assert all(r["status"] == "PASS" for r in doc["rows"])
+
+
+def test_reproduce_paper_override_four_outcomes(tmp_path, capsys):
+    plus = np.full((2, 2), 0.5)
+    minus = np.array([[0.5, -0.5], [-0.5, 0.5]])
+    four = qcore.Povm((np.diag([0.5, 0.0]), np.diag([0.0, 0.5]), plus / 2, minus / 2))
+    path = tmp_path / "four.json"
+    io.save_measurement(four, path)
+    code, doc = json_rows(
+        capsys, "reproduce-paper", "--samples", "2000", "--override", str(path)
+    )
+    assert code == 1
+    status = {r["name"]: r["status"] for r in doc["rows"]}
+    assert len(status) == len(set(REPRODUCE_PAPER_ROWS))
+    assert status["cloning_table_deviation"] == "FAIL"
+    assert status["two_use_joint_distribution_deviation"] == "FAIL"
+
+
+@pytest.mark.parametrize("argv", [
+    ("synth", "--n", "2"),
+    ("rms", "--n", "2", "--samples", "2000"),
+    ("clone", "--max-n", "3"),
+])
+def test_instrument_file_reads_as_its_induced_povm(tmp_path, capsys, argv):
+    path = tmp_path / "inst.json"
+    io.save_measurement(qcore.lueders_instrument(qcore.trine_povm()), path)
+    code, trine = json_rows(capsys, argv[0], "trine", *argv[1:])
+    assert code == 0
+    code, inst = json_rows(capsys, argv[0], str(path), *argv[1:])
+    assert code == 0
+    # the induced POVM sqrt(E)^2 matches the trine up to rounding
+    assert [r["name"] for r in inst["rows"]] == [r["name"] for r in trine["rows"]]
+    for a, b in zip(inst["rows"], trine["rows"]):
+        assert a["value"] == pytest.approx(b["value"], abs=1e-12)
+
+
+@pytest.mark.parametrize("argv", [
+    ("validate", "trine", "--samples", "5"),
+    ("synth", "trine", "--tol", "1e-3"),
+    ("rms", "trine", "--max-n", "3"),
+    ("postmeas", "trine", "--max-n", "3"),
+    ("clone", "trine", "--samples", "5"),
+    ("capacity", "trine", "--samples", "5"),
+    ("block", "trine", "--tol", "1e-3"),
+    ("reproduce-paper", "--max-n", "3"),
+])
+def test_subcommand_rejects_unread_option(argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(list(argv))
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("argv, option, values", [
+    (("postmeas", "trine", "--samples", "5"), "--tol", ("1e-6", "1e-9")),
+    (("reproduce-paper",), "--samples", ("2000", "3000")),
+])
+def test_digest_covers_every_read_option(capsys, argv, option, values):
+    digests = {json_rows(capsys, *argv, option, v)[1]["inputs_digest"] for v in values}
+    assert len(digests) == 2
+

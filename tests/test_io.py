@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from measrep import io, qcore
-from measrep.errors import InvalidMeasurement, MalformedFile, MalformedName
+from measrep.errors import (
+    InvalidMeasurement, MalformedFile, MalformedName, ShapeMismatch,
+)
 from measrep.qcore import Instrument, Povm, Rng
 from oracles import nan_povm_file, random_povm
 
@@ -93,7 +95,7 @@ def test_bad_entry_shape(tmp_path):
 
 
 def test_nan_entry_rejected(tmp_path):
-    with pytest.raises(InvalidMeasurement):
+    with pytest.raises(InvalidMeasurement, match="nan.json: POVM element 0"):
         io.load_measurement(str(nan_povm_file(tmp_path / "nan.json")))
 
 
@@ -110,3 +112,27 @@ def test_malformed_builtin_names():
                  "vn:x", "vn:0"):
         with pytest.raises(MalformedName):
             io.load_measurement(name)
+
+
+def test_load_povm_induces_instrument(tmp_path):
+    inst = qcore.lueders_instrument(qcore.trine_povm())
+    path = tmp_path / "inst.json"
+    io.save_measurement(inst, path)
+    povm = io.load_povm(str(path))
+    assert isinstance(povm, Povm)
+    for a, b in zip(povm.elements, qcore.induced_povm(inst).elements):
+        assert np.array_equal(a, b)
+    trine = io.load_povm("trine")
+    assert isinstance(trine, Povm) and trine.outcomes == 3
+
+
+def test_kraus_shape_mismatch_names_the_source(tmp_path):
+    doc = {"kind": "instrument", "dim": 2, "outcomes": 2, "elements": [
+        [[[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]],
+        [[[[0.0, 0.0], [1.0, 0.0]]]],
+    ]}
+    path = tmp_path / "shapes.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    with pytest.raises(ShapeMismatch, match="shapes.json: all Kraus"):
+        io.load_measurement(str(path))
+
