@@ -63,6 +63,7 @@ from .vnsynth import (
     noisy_z_optimal,
     solve_box_quadratic_qubit,
     solve_box_quadratic_qudit,
+    synthesize,
     trine_optimal_protocol,
 )
 

@@ -21,7 +21,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from . import coding, io, qcore, rms, subroutines, vnsynth
-from .errors import InvalidMeasurement, MalformedName, MeasrepError
+from .errors import InvalidMeasurement, MalformedName, MeasrepError, ShapeMismatch
 from .qcore import Rng
 
 
@@ -121,14 +121,10 @@ def _cmd_validate(args, report: RunReport) -> None:
 
 
 def _cmd_synth(args, report: RunReport) -> None:
-    available = io.load_povm(args.measurement)
-    if available.outcomes**args.n_uses <= vnsynth.EXHAUSTIVE_STRING_CAP:
-        result = vnsynth.exhaustive_search(available, args.n_uses)
-    else:
-        result = vnsynth.hill_climb_search(available, args.n_uses,
-                                           rng=Rng(args.seed))
-    report.add("partitions_evaluated", result.evaluated)
-    sol = result.solution
+    syn = vnsynth.synthesize(io.load_povm(args.measurement), args.n_uses,
+                             Rng(args.seed))
+    report.add("partitions_evaluated", syn.evaluated)
+    sol = syn.solution
     report.add("epsilon", sol.epsilon)
     # same optimum under the normalization without the 1/m outcome
     # average (differs by a constant factor, argmin unchanged)
@@ -137,20 +133,17 @@ def _cmd_synth(args, report: RunReport) -> None:
     report.add("y_star", sol.y_star)
     report.add("lambda_min", sol.lam_min)
     report.add("lambda_max", sol.lam_max)
-    prep = vnsynth.construct_states(result.protocol, (sol.x_star, sol.y_star))
-    report.add("ancilla_qubits", prep.ancilla_qubits)
-    impl = vnsynth.implemented_povm(prep, result.protocol)
+    report.add("ancilla_qubits", syn.prep.ancilla_qubits)
+    impl = vnsynth.implemented_povm(syn.prep, syn.protocol)
     report.add("epsilon_implemented", _implemented_error(impl))
 
 
 def _cmd_rms(args, report: RunReport) -> None:
-    available = io.load_povm(args.measurement)
-    result = vnsynth.hill_climb_search(available, args.n_uses, rng=Rng(args.seed))
-    sol = result.solution
-    prep = vnsynth.construct_states(result.protocol, (sol.x_star, sol.y_star))
-    impl = vnsynth.implemented_povm(prep, result.protocol)
+    syn = vnsynth.synthesize(io.load_povm(args.measurement), args.n_uses,
+                             Rng(args.seed))
+    impl = vnsynth.implemented_povm(syn.prep, syn.protocol)
     target = qcore.von_neumann_povm(2)
-    report.add("epsilon_closed_form", sol.epsilon)
+    report.add("epsilon_closed_form", syn.solution.epsilon)
     est = rms.rms_monte_carlo_povm(impl, target, args.samples, Rng(args.seed))
     report.add("epsilon_monte_carlo", est.value, est.standard_error)
 
@@ -297,9 +290,10 @@ def _paper_rows(trine: qcore.Povm, samples: int, rng: Rng):
         params = vnsynth.classify_noisy_z(p, q)
         yield (f"noisy_z_region_p={p}_q={q}",
                1.0 if params.region == region else 0.0, 1.0, 1e-10, None)
-    res = vnsynth.noisy_z_optimal(0.95, 0.6)
+    gamma = vnsynth.classify_noisy_z(0.95, 0.6).gamma
     gamma_ref = math.sqrt((3.0 * 0.6 - 1.0) / (2.0 * (0.95 + 0.6 - 1.0)))
-    yield "noisy_z_gamma", res.params.gamma, gamma_ref, 1e-12, None
+    yield "noisy_z_gamma", gamma, gamma_ref, 1e-12, None
+    res = vnsynth.noisy_z_optimal(0.95, 0.6)
     yield "noisy_z_error", res.solution.epsilon, (1.0 - 0.6) / 2.0, 1e-10, None
 
     # cloning outcome table
@@ -335,6 +329,10 @@ def _paper_rows(trine: qcore.Povm, samples: int, rng: Rng):
 
 def _cmd_reproduce_paper(args, report: RunReport) -> None:
     trine = io.load_povm(args.override) if args.override else qcore.trine_povm()
+    if trine.dim != 2:
+        # the two-use cloning rows prepare states in dimension 4
+        raise ShapeMismatch(f"--override {args.override}: reproduce-paper needs "
+                            f"a qubit measurement, got dimension {trine.dim}")
     for name, value, expected, tol, stderr in _paper_rows(
         trine, args.samples, Rng(args.seed)
     ):

@@ -5,10 +5,6 @@ class MeasrepError(Exception):
     """Base class for all errors raised by measrep."""
 
 
-class DimensionTooLarge(MeasrepError):
-    """A tensor-product dimension exceeded the configured cap."""
-
-
 class ShapeMismatch(MeasrepError):
     """Matrix/vector dimensions are inconsistent with the declared factors."""
 
@@ -27,10 +23,6 @@ class Infeasible(MeasrepError):
 
 class Unachievable(MeasrepError):
     """Requested expectation values cannot be realised by any state."""
-
-
-class SearchSpaceTooLarge(MeasrepError):
-    """Exhaustive enumeration was requested beyond its size cap."""
 
 
 class TrivialMeasurement(MeasrepError):
@@ -58,7 +50,7 @@ class NotConverged(MeasrepError):
 
 
 class TooLarge(MeasrepError):
-    """Codebook or enumeration size beyond the supported cap."""
+    """Dimension, search space, codebook or enumeration beyond its cap."""
 
 
 class MalformedFile(MeasrepError):

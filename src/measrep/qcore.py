@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionTooLarge, InvalidMeasurement, NotHermitian, ShapeMismatch
+from .errors import InvalidMeasurement, NotHermitian, ShapeMismatch, TooLarge
 
 # Hard cap on operator dimension (rows of any matrix we will build).
 DIM_CAP = 2**16
@@ -22,6 +22,8 @@ DIM_CAP = 2**16
 # objects accumulate in double precision.
 COMPLETENESS_ATOL = 1e-10
 POSITIVITY_ATOL = 1e-10
+TRIVIAL_ATOL = 1e-10
+HERMITICITY_RTOL = 1e-10  # relative to max(1, ||m||)
 
 
 def _matrix(a) -> np.ndarray:
@@ -124,11 +126,11 @@ class Povm:
         rho = _matrix(rho)
         return np.array([np.trace(e @ rho).real for e in self.elements])
 
-    def is_trivial(self, atol: float = 1e-10) -> bool:
+    def is_trivial(self) -> bool:
         """True when every element is proportional to the identity."""
         d = self.dim
         for e in self.elements:
-            if frobenius(e - (np.trace(e) / d) * identity(d)) > atol:
+            if frobenius(e - (np.trace(e) / d) * identity(d)) > TRIVIAL_ATOL:
                 return False
         return True
 
@@ -195,13 +197,13 @@ def tensor(a, b) -> np.ndarray:
     """Kronecker product with a dimension cap."""
     a, b = _matrix(a), _matrix(b)
     if a.shape[0] * b.shape[0] > DIM_CAP or a.shape[1] * b.shape[1] > DIM_CAP:
-        raise DimensionTooLarge(
+        raise TooLarge(
             f"tensor dimension {a.shape[0] * b.shape[0]} exceeds cap {DIM_CAP}"
         )
     return np.kron(a, b)
 
 
-def hermitian_eig(m, atol: float = 1e-10):
+def hermitian_eig(m):
     """Eigendecomposition of a Hermitian matrix.
 
     Returns eigenvalues sorted descending and orthonormal eigenvector
@@ -211,7 +213,7 @@ def hermitian_eig(m, atol: float = 1e-10):
     """
     m = _matrix(m)
     defect = frobenius(m - dagger(m))
-    if defect > atol * max(1.0, frobenius(m)):
+    if defect > HERMITICITY_RTOL * max(1.0, frobenius(m)):
         raise NotHermitian(f"Hermiticity defect {defect:.3e}")
     h = (m + dagger(m)) / 2
     w, v = np.linalg.eigh(h)
@@ -261,7 +263,7 @@ def haar_states(dim: int, count: int, rng: Rng) -> np.ndarray:
     return z / np.linalg.norm(z, axis=1, keepdims=True)
 
 
-def validate_povm(p: Povm, atol: float = POSITIVITY_ATOL) -> PovmReport:
+def validate_povm(p: Povm) -> PovmReport:
     """Positivity and completeness check; reports defects, never raises.
 
     Comparisons fail closed: a NaN defect or eigenvalue is a violation.
@@ -278,7 +280,7 @@ def validate_povm(p: Povm, atol: float = POSITIVITY_ATOL) -> PovmReport:
             continue
         lo = float(np.linalg.eigvalsh((e + dagger(e)) / 2)[0])
         min_eigs.append(lo)
-        if not lo >= -atol:
+        if not lo >= -POSITIVITY_ATOL:
             violations.append(f"element {a}: negative eigenvalue {lo:.3e}")
     if not completeness <= COMPLETENESS_ATOL:
         violations.append(f"completeness defect {completeness:.3e}")

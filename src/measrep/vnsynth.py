@@ -23,18 +23,11 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from . import qcore
-from .errors import (
-    DimensionTooLarge,
-    Infeasible,
-    InvalidBounds,
-    SearchSpaceTooLarge,
-    ShapeMismatch,
-    Unachievable,
-)
+from .errors import Infeasible, InvalidBounds, ShapeMismatch, TooLarge, Unachievable
 from .qcore import Povm, Rng, dagger, identity, tensor
 
-# Largest outcome-string count that exhaustive_search accepts.
-EXHAUSTIVE_STRING_CAP = 12
+# Most outcome strings exhaustive_search accepts; synthesize hill-climbs beyond.
+_EXHAUSTIVE_STRING_CAP = 12
 
 
 # ---------------------------------------------------------------------------
@@ -56,7 +49,7 @@ class PartitionProtocol:
 def _string_tensors(available: Povm, n_uses: int) -> list:
     """Tensor products M_{a_1} x ... x M_{a_N} in lexicographic string order."""
     if available.dim**n_uses > qcore.DIM_CAP:
-        raise DimensionTooLarge(
+        raise TooLarge(
             f"dim {available.dim}^{n_uses} exceeds cap {qcore.DIM_CAP}"
         )
     tensors = [np.eye(1, dtype=complex)]
@@ -299,19 +292,19 @@ def _inspace_binary(evals, evecs, x, y):
     if exact_y:
         return u0, evecs[:, exact_y[-1]]
     lo_cands = [j for j in free if evals[j] <= y]
-    hi_cands = [j for j in free if evals[j] >= y]
-    if not lo_cands or not hi_cands:
+    if not lo_cands:
         return None
     lo = lo_cands[-1]
-    hi = [j for j in hi_cands if j != lo][-1] if [j for j in hi_cands if j != lo] else None
-    if hi is None:
+    hi_cands = [j for j in free if j != lo and evals[j] >= y]
+    if not hi_cands:
         return None
+    hi = hi_cands[-1]
     u1 = _mix_eigvecs(evecs[:, hi], evals[hi], evecs[:, lo], evals[lo], y)
     return u0, u1
 
 
 def construct_states(protocol: PartitionProtocol, targets) -> StatePrep:
-    """States with prescribed expectations on the coarse POVM.
+    """States whose expectations on Q_0 are the targets (x, y).
 
     Only binary targets (m_target = 2) are supported: the in-space route
     combines disjoint eigenvector pairs of Q_0; when that fails a single
@@ -320,11 +313,7 @@ def construct_states(protocol: PartitionProtocol, targets) -> StatePrep:
     """
     if protocol.m_target != 2:
         raise Unachievable("state construction implemented for binary targets only")
-    targets = np.asarray(targets, dtype=float)
-    if targets.ndim == 1:
-        x, y = float(targets[0]), float(targets[1])
-    else:
-        x, y = float(targets[0, 0]), float(targets[0, 1])
+    x, y = float(targets[0]), float(targets[1])
     evals, evecs = qcore.hermitian_eig(protocol.coarse[0])
     lam_min, lam_max = evals[-1], evals[0]
     slack = 1e-9
@@ -400,9 +389,9 @@ def exhaustive_search(available: Povm, n_uses: int):
     from scratch does, so every Q_0 is bit-identical to it.
     """
     n_strings = available.outcomes**n_uses
-    if n_strings > EXHAUSTIVE_STRING_CAP:
-        raise SearchSpaceTooLarge(
-            f"{n_strings} strings exceeds cap {EXHAUSTIVE_STRING_CAP}; "
+    if n_strings > _EXHAUSTIVE_STRING_CAP:
+        raise TooLarge(
+            f"{n_strings} strings exceeds cap {_EXHAUSTIVE_STRING_CAP}; "
             "use hill_climb_search"
         )
     tensors = _string_tensors(available, n_uses)
@@ -453,7 +442,6 @@ def hill_climb_search(
     n_uses: int,
     restarts: int = 8,
     rng: Optional[Rng] = None,
-    seeds: Optional[Sequence[Sequence[int]]] = None,
 ):
     """Local search over single-string reassignments.
 
@@ -474,11 +462,6 @@ def hill_climb_search(
     cache: dict = {}
 
     starts = [_zero_string_seed(available, n_uses)]
-    for seed in seeds or ():
-        seed = tuple(int(v) for v in seed)
-        if len(seed) != n_strings or not set(seed) <= {0, 1}:
-            raise ShapeMismatch(f"a seed must be {n_strings} targets, each 0 or 1")
-        starts.append(seed)
     g = rng.generator
     for _ in range(restarts):
         starts.append(tuple(int(v) for v in g.integers(0, 2, size=n_strings)))
@@ -523,7 +506,7 @@ def hill_climb_search(
 
 
 # ---------------------------------------------------------------------------
-# Closed-form protocol families
+# Synthesized protocols: searched and closed-form
 # ---------------------------------------------------------------------------
 
 
@@ -532,6 +515,23 @@ class SynthesizedProtocol:
     protocol: PartitionProtocol
     solution: BoxQuadSolution
     prep: StatePrep
+    evaluated: int = 0  # partitions scored; 0 for the closed-form families
+
+
+def synthesize(available: Povm, n_uses: int, rng: Rng) -> SynthesizedProtocol:
+    """The binary protocol for N uses of ``available``, with its states.
+
+    Searches all partitions when there are at most
+    ``_EXHAUSTIVE_STRING_CAP`` outcome strings, and hill-climbs from
+    ``rng`` beyond that.
+    """
+    if available.outcomes**n_uses <= _EXHAUSTIVE_STRING_CAP:
+        result = exhaustive_search(available, n_uses)
+    else:
+        result = hill_climb_search(available, n_uses, rng=rng)
+    sol = result.solution
+    prep = construct_states(result.protocol, (sol.x_star, sol.y_star))
+    return SynthesizedProtocol(result.protocol, sol, prep, result.evaluated)
 
 
 def trine_optimal_protocol(n_uses: int) -> SynthesizedProtocol:
@@ -584,14 +584,6 @@ class NoisyZParams:
     gamma: Optional[float]
 
 
-@dataclass(frozen=True)
-class NoisyZResult:
-    params: NoisyZParams
-    protocol: PartitionProtocol
-    solution: BoxQuadSolution
-    prep: StatePrep
-
-
 def classify_noisy_z(p: float, q: float) -> NoisyZParams:
     if not (0.5 < p <= 1.0 and 0.5 < q <= 1.0):
         raise InvalidBounds(f"(p, q) = ({p}, {q}) outside (1/2, 1]")
@@ -604,11 +596,14 @@ def classify_noisy_z(p: float, q: float) -> NoisyZParams:
     return NoisyZParams(p, q, "trivial", None)
 
 
-def noisy_z_optimal(p: float, q: float) -> NoisyZResult:
-    """Optimal single-use protocol for the asymmetric noisy Z family."""
-    params = classify_noisy_z(p, q)
+def noisy_z_optimal(p: float, q: float) -> SynthesizedProtocol:
+    """Optimal single-use protocol for the asymmetric noisy Z family.
+
+    ``classify_noisy_z`` gives its region and rotation angle.
+    """
+    classify_noisy_z(p, q)  # rejects (p, q) outside (1/2, 1]
     povm = qcore.noisy_z_povm(p, q)
     protocol = build_partition_povm(povm, 1, lambda s: s[0], 2)
     solution = solve_box_quadratic_qubit(1.0 - q, p)
     prep = construct_states(protocol, (solution.x_star, solution.y_star))
-    return NoisyZResult(params=params, protocol=protocol, solution=solution, prep=prep)
+    return SynthesizedProtocol(protocol=protocol, solution=solution, prep=prep)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from measrep import cli, io, qcore
-from oracles import nan_povm_file
+from oracles import nan_povm_file, random_povm
 
 
 def run_cli(capsys, *argv):
@@ -160,10 +160,11 @@ def test_reproduce_paper_override_negative_control(tmp_path, capsys):
     assert "FAIL" in out
 
 
-def test_usage_error_exit_code():
+def test_usage_error_exit_code(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["no-such-command"])
     assert exc.value.code == 2
+    assert "no-such-command" in capsys.readouterr().err
 
 
 def json_rows(capsys, *argv):
@@ -210,6 +211,35 @@ def test_reproduce_paper_override_four_outcomes(tmp_path, capsys):
     assert status["two_use_joint_distribution_deviation"] == "FAIL"
 
 
+@pytest.mark.parametrize("override, dim", [
+    ("vn:3", 3), ("degenerate-qutrit", 3), ("vn:1", 1), ("qutrit-instrument", 3),
+])
+def test_reproduce_paper_override_must_be_a_qubit(tmp_path, capsys, override, dim):
+    if override == "qutrit-instrument":
+        override = str(tmp_path / "inst.json")
+        io.save_measurement(
+            qcore.lueders_instrument(qcore.degenerate_qutrit_povm()), override
+        )
+    code = cli.main(["reproduce-paper", "--samples", "2000", "--override", override])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert len(captured.err.strip().splitlines()) == 1
+    assert override in captured.err
+    assert f"dimension {dim}" in captured.err
+
+
+def test_rms_agrees_with_synth(tmp_path, capsys):
+    # 9 outcome strings: hill climbing alone ends above the optimum here
+    path = tmp_path / "m3.json"
+    io.save_measurement(random_povm(2, 3, qcore.Rng(2)), path)
+    _, synth = json_rows(capsys, "synth", str(path), "--n", "2")
+    _, est = json_rows(capsys, "rms", str(path), "--n", "2", "--samples", "2000")
+    synth_eps = {r["name"]: r["value"] for r in synth["rows"]}["epsilon"]
+    rms_eps = {r["name"]: r["value"] for r in est["rows"]}["epsilon_closed_form"]
+    assert rms_eps == synth_eps
+
+
 @pytest.mark.parametrize("argv", [
     ("synth", "--n", "2"),
     ("rms", "--n", "2", "--samples", "2000"),
@@ -238,10 +268,11 @@ def test_instrument_file_reads_as_its_induced_povm(tmp_path, capsys, argv):
     ("block", "trine", "--tol", "1e-3"),
     ("reproduce-paper", "--max-n", "3"),
 ])
-def test_subcommand_rejects_unread_option(argv):
+def test_subcommand_rejects_unread_option(capsys, argv):
     with pytest.raises(SystemExit) as exc:
         cli.main(list(argv))
     assert exc.value.code == 2
+    assert argv[-2] in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv, option, values", [

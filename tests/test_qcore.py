@@ -3,10 +3,10 @@ import pytest
 
 from measrep import qcore
 from measrep.errors import (
-    DimensionTooLarge,
     InvalidMeasurement,
     NotHermitian,
     ShapeMismatch,
+    TooLarge,
 )
 from measrep.qcore import (
     Instrument,
@@ -103,7 +103,7 @@ def test_tensor_matches_kron():
 
 def test_tensor_dimension_cap():
     big = identity(1024)
-    with pytest.raises(DimensionTooLarge):
+    with pytest.raises(TooLarge):
         tensor(tensor(big, big), big)
 
 

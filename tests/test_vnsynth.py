@@ -10,8 +10,8 @@ from measrep import qcore, vnsynth
 from measrep.errors import (
     Infeasible,
     InvalidBounds,
-    SearchSpaceTooLarge,
     ShapeMismatch,
+    TooLarge,
     Unachievable,
 )
 from measrep.qcore import Rng, identity, trine_povm
@@ -29,6 +29,7 @@ from measrep.vnsynth import (
     qudit_problem_from_protocol,
     solve_box_quadratic_qubit,
     solve_box_quadratic_qudit,
+    synthesize,
     trine_optimal_protocol,
 )
 from oracles import (
@@ -238,7 +239,7 @@ def test_exhaustive_search_two_use_optimum():
 
 
 def test_exhaustive_search_cap():
-    with pytest.raises(SearchSpaceTooLarge):
+    with pytest.raises(TooLarge):
         exhaustive_search(trine_povm(), 3)
 
 
@@ -263,18 +264,26 @@ def test_hill_climb_degenerate_povm():
     assert result.solution.epsilon == pytest.approx(1 / math.sqrt(12), abs=1e-12)
 
 
-def test_hill_climb_seed_partitions():
-    seed = [0 if s[0] == 0 else 1 for s in itertools.product(range(3), repeat=2)]
-    result = hill_climb_search(trine_povm(), 2, restarts=0, seeds=[seed])
-    assert result.solution.epsilon <= 1 / 18 + 1e-12
-    for bad in ([0, 1, 2, 0, 0, 0, 0, 0, 0], [0, 1]):
-        with pytest.raises(ShapeMismatch):
-            hill_climb_search(trine_povm(), 2, restarts=0, seeds=[bad])
-
-
 def test_hill_climb_three_use_matches_closed_form():
     climbed = hill_climb_search(trine_povm(), 3, restarts=2, rng=Rng(5))
     assert climbed.solution.epsilon <= 3.0**-3 / 2 + 1e-12
+
+
+def test_synthesize_picks_search_by_string_count():
+    # 9 strings: every partition is searched
+    syn = synthesize(trine_povm(), 2, Rng(3))
+    exact = exhaustive_search(trine_povm(), 2)
+    assert syn.evaluated == exact.evaluated == 256
+    assert syn.protocol.assignment == exact.protocol.assignment
+    assert syn.solution == exact.solution
+    # 27 strings: hill climbing from the given stream
+    syn = synthesize(trine_povm(), 3, Rng(3))
+    climbed = hill_climb_search(trine_povm(), 3, rng=Rng(3))
+    assert syn.evaluated == climbed.evaluated
+    assert syn.protocol.assignment == climbed.protocol.assignment
+    assert syn.solution == climbed.solution
+    u0, u1 = syn.prep.states
+    assert abs(np.vdot(u0, u1)) < 1e-12
 
 
 # Random qubit POVMs with 2-4 outcomes, searched at N = 1..3 uses.
@@ -286,7 +295,7 @@ use_counts = st.integers(1, 3)
 @settings(max_examples=60)
 @given(seed=povm_seeds, m=outcome_counts, n_uses=use_counts)
 def test_exhaustive_search_matches_from_scratch_scoring(seed, m, n_uses):
-    assume(m**n_uses <= vnsynth.EXHAUSTIVE_STRING_CAP)
+    assume(m**n_uses <= vnsynth._EXHAUSTIVE_STRING_CAP)
     povm = random_povm(2, m, Rng(seed))
     result = exhaustive_search(povm, n_uses)
     bits, sol, ties, count = exhaustive_search_from_scratch(povm, n_uses)
@@ -364,12 +373,13 @@ def test_classify_noisy_z_invalid():
 
 def test_noisy_z_optimal_rotate_zero():
     res = noisy_z_optimal(0.95, 0.6)
-    assert res.params.region == "rotate-zero"
+    params = classify_noisy_z(0.95, 0.6)
+    assert params.region == "rotate-zero"
     assert abs(res.solution.epsilon - (1 - 0.6) / 2) < 1e-12
     # the constructed zero-state overlaps |0> with amplitude gamma
     u0 = res.prep.states[0]
     overlap = abs(u0[0]) if res.prep.ancilla_qubits == 0 else abs(u0[0])
-    assert overlap == pytest.approx(res.params.gamma, abs=1e-10)
+    assert overlap == pytest.approx(params.gamma, abs=1e-10)
 
 
 def test_noisy_z_optimal_trivial_region():
