@@ -102,7 +102,7 @@ def _implemented_error(impl: qcore.Povm) -> float:
 
 def _cmd_validate(args, report: RunReport) -> None:
     try:
-        obj = io.load_measurement(args.measurement)
+        obj, rep = io.load_with_report(args.measurement)
     except InvalidMeasurement as exc:
         if exc.report is None:
             raise
@@ -112,7 +112,6 @@ def _cmd_validate(args, report: RunReport) -> None:
             defect = obj.normalization_defect()
             report.add("normalization_defect", defect, ok=defect <= 1e-9)
             return
-        rep = qcore.validate_povm(obj)
     report.add("completeness_defect", rep.completeness_defect, ok=rep.ok)
     for a, lo in enumerate(rep.min_eigenvalues):
         report.add(f"min_eigenvalue[{a}]", lo)
@@ -139,12 +138,13 @@ def _cmd_synth(args, report: RunReport) -> None:
 
 
 def _cmd_rms(args, report: RunReport) -> None:
-    syn = vnsynth.synthesize(io.load_povm(args.measurement), args.n_uses,
-                             Rng(args.seed))
+    rng = Rng(args.seed)
+    syn = vnsynth.synthesize(io.load_povm(args.measurement), args.n_uses, rng)
     impl = vnsynth.implemented_povm(syn.prep, syn.protocol)
     target = qcore.von_neumann_povm(2)
     report.add("epsilon_closed_form", syn.solution.epsilon)
-    est = rms.rms_monte_carlo_povm(impl, target, args.samples, Rng(args.seed))
+    # the search's restarts read substream 0, the Haar states substream 1
+    est = rms.rms_monte_carlo_povm(impl, target, args.samples, rng.split(1))
     report.add("epsilon_monte_carlo", est.value, est.standard_error)
 
 

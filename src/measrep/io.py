@@ -76,13 +76,13 @@ def _builtin(name: str):
     return None
 
 
-def _validated(povm: Povm, source: str) -> Povm:
+def _validated(povm: Povm, source: str) -> tuple:
     report = qcore.validate_povm(povm)
     if not report.ok:
         raise InvalidMeasurement(
             f"{source}: " + "; ".join(report.violations), report=report
         )
-    return povm
+    return povm, report
 
 
 def _build(cls, parts, source: str):
@@ -100,6 +100,15 @@ def load_measurement(path_or_name: str) -> Union[Povm, Instrument]:
     POVMs, built-in or from a file, are validated on load; a failing one
     is rejected with the validation report attached. A built-in name
     whose parameters do not parse raises ``MalformedName``.
+    """
+    return load_with_report(path_or_name)[0]
+
+
+def load_with_report(path_or_name: str) -> tuple:
+    """``load_measurement``, also returning a POVM's validation report.
+
+    Returns ``(measurement, report)``; the report is None for an
+    instrument, whose check is its Kraus normalisation.
     """
     builtin = _builtin(str(path_or_name))
     if builtin is not None:
@@ -149,7 +158,7 @@ def load_measurement(path_or_name: str) -> Union[Povm, Instrument]:
                 f"{path_or_name}: Kraus normalisation defect {defect:.3e}",
                 report=report,
             )
-        return inst
+        return inst, None
     raise MalformedFile(f"{path_or_name}: unknown kind {kind!r}")
 
 

@@ -11,6 +11,14 @@ The partition searches score candidates incrementally. Q_0 is the sum
 of the string tensors T_s assigned to target 0, so moving one string
 between the targets changes Q_0 by +-T_s: a candidate costs one matrix
 add and one ``eigvalsh``, not a sum over all m^N tensors.
+
+When the POVM's elements commute (every two-outcome POVM does, and so
+do noisy and lossy measurements), all T_s are diagonal in one product
+basis U^(x N). The searches then add the real d^N-vectors of their
+eigenvalues instead, and read the extreme eigenvalues of Q_0 as a
+vector's min and max: a candidate costs two vector passes and no
+``eigvalsh``. The reported protocol and states are still built from
+the dense Q_0.
 """
 
 from __future__ import annotations
@@ -29,6 +37,10 @@ from .qcore import Povm, Rng, dagger, identity, tensor
 # Most outcome strings exhaustive_search accepts; synthesize hill-climbs beyond.
 _EXHAUSTIVE_STRING_CAP = 12
 
+# Largest off-diagonal entry of U^dagger M_a U that still counts as
+# diagonal when testing whether a POVM's elements commute.
+_COMMUTE_ATOL = 1e-14
+
 
 # ---------------------------------------------------------------------------
 # Partition protocols
@@ -46,12 +58,16 @@ class PartitionProtocol:
     coarse: tuple  # Q_i operators on the N-fold space
 
 
-def _string_tensors(available: Povm, n_uses: int) -> list:
-    """Tensor products M_{a_1} x ... x M_{a_N} in lexicographic string order."""
+def _check_dim(available: Povm, n_uses: int) -> None:
     if available.dim**n_uses > qcore.DIM_CAP:
         raise TooLarge(
             f"dim {available.dim}^{n_uses} exceeds cap {qcore.DIM_CAP}"
         )
+
+
+def _string_tensors(available: Povm, n_uses: int) -> list:
+    """Tensor products M_{a_1} x ... x M_{a_N} in lexicographic string order."""
+    _check_dim(available, n_uses)
     tensors = [np.eye(1, dtype=complex)]
     for _ in range(n_uses):
         tensors = [tensor(t, e) for t in tensors for e in available.elements]
@@ -367,11 +383,62 @@ class SearchResult:
     evaluated: int
 
 
+def _search_terms(available: Povm, n_uses: int) -> list:
+    """One term per outcome string, in lexicographic order, for the searches.
+
+    The terms are the eigenvalue vectors t_s = v_{a_1} x ... x v_{a_N}
+    (real, length d^N) when the elements commute, and the dense string
+    tensors T_s otherwise; a Q_0 summed from them is scored by
+    ``_score`` either way. The dimension cap applies to both.
+
+    Commutation is tested once: U diagonalises the fixed combination
+    sum_a (a + 1) M_a, and the elements commute when every U^dagger M_a U
+    has no off-diagonal entry above ``_COMMUTE_ATOL``; v_a is then its
+    real diagonal. An accidental degeneracy of the combination leaves
+    U free inside an eigenspace: if that U misses some M_a, the test
+    fails and the input takes the dense path. Whatever U passes, the
+    bound below holds, so no input gets a wrong spectrum.
+
+    Write U^dagger M_a U = D_a + E_a with E_a the off-diagonal part, so
+    ||E_a|| <= (d - 1) * _COMMUTE_ATOL. Telescoping each string's
+    product, U^(x N)dagger Q_0 U^(x N) differs from diag(q), q the summed
+    vector, by at most N * sum_a ||E_a||: each partial sum of products
+    of the positive D_b and M_b is at most the identity (up to the
+    completeness defect). By Weyl's inequality the k-th largest entry of
+    q is within N * m * (d - 1) * _COMMUTE_ATOL of the k-th eigenvalue
+    of Q_0. That is 2.4e-13 for d = 4, m = 2, N = 4, and it stays below
+    the searches' 1e-12 co-optimal window while N * m * (d - 1) <= 100,
+    which covers every two-outcome POVM with d <= 4 up to the dimension
+    cap. Commuting inputs leave a residual of rounding size, about 2e-15
+    for random two-outcome POVMs with d = 2..4; elements that sum to the
+    identity only within delta leave a residual of order delta.
+    """
+    comb = sum((a + 1) * e for a, e in enumerate(available.elements))
+    _, u = np.linalg.eigh((comb + dagger(comb)) / 2)
+    rotated = [dagger(u) @ e @ u for e in available.elements]
+    for r in rotated:
+        if not np.abs(r - np.diag(np.diag(r))).max() <= _COMMUTE_ATOL:
+            return _string_tensors(available, n_uses)
+    _check_dim(available, n_uses)
+    spectra = [np.diag(r).real.copy() for r in rotated]
+    terms = [np.ones(1)]
+    for _ in range(n_uses):
+        terms = [np.kron(t, v) for t in terms for v in spectra]
+    return terms
+
+
 def _score(q0):
-    """Qubit box program on the extreme eigenvalues of a ready Q_0."""
-    w = np.linalg.eigvalsh((q0 + dagger(q0)) / 2)
-    lam_min = min(max(float(w[0]), 0.0), 1.0)
-    lam_max = min(max(float(w[-1]), 0.0), 1.0)
+    """Qubit box program on the extreme eigenvalues of a ready Q_0.
+
+    A 1-D Q_0 is the eigenvalue vector of ``_search_terms``' spectra path.
+    """
+    if q0.ndim == 1:
+        lo, hi = float(q0.min()), float(q0.max())
+    else:
+        w = np.linalg.eigvalsh((q0 + dagger(q0)) / 2)
+        lo, hi = float(w[0]), float(w[-1])
+    lam_min = min(max(lo, 0.0), 1.0)
+    lam_max = min(max(hi, 0.0), 1.0)
     return solve_box_quadratic_qubit(lam_min, lam_max)
 
 
@@ -384,9 +451,9 @@ def exhaustive_search(available: Povm, n_uses: int):
 
     The 2^(n-1) partitions are walked depth first in lexicographic
     order, deciding one string per level and keeping the partial Q_0
-    of each level, so each partition costs about one matrix add. The
-    partial sums add the tensors in string order, exactly as a sum
-    from scratch does, so every Q_0 is bit-identical to it.
+    of each level, so each partition costs about one add. The partial
+    sums add the terms in string order, exactly as a sum from scratch
+    does, so every Q_0 is bit-identical to it.
     """
     n_strings = available.outcomes**n_uses
     if n_strings > _EXHAUSTIVE_STRING_CAP:
@@ -394,8 +461,7 @@ def exhaustive_search(available: Povm, n_uses: int):
             f"{n_strings} strings exceeds cap {_EXHAUSTIVE_STRING_CAP}; "
             "use hill_climb_search"
         )
-    tensors = _string_tensors(available, n_uses)
-    dim = available.dim**n_uses
+    terms = _search_terms(available, n_uses)
     scored = []
     bits = [0] * n_strings
 
@@ -404,13 +470,13 @@ def exhaustive_search(available: Povm, n_uses: int):
             scored.append((tuple(bits), _score(q0)))
             return
         bits[i] = 0
-        walk(i + 1, q0 + tensors[i])
+        walk(i + 1, q0 + terms[i])
         bits[i] = 1
         walk(i + 1, q0)
 
     # string 0 is always in target 0; 0 + T_0 starts the sum as a sum
     # from scratch does, signed zeros included
-    walk(1, np.zeros((dim, dim), dtype=complex) + tensors[0])
+    walk(1, np.zeros_like(terms[0]) + terms[0])
     best = None
     best_bits = None
     ties = []
@@ -457,8 +523,7 @@ def hill_climb_search(
     """
     rng = rng if rng is not None else Rng(0)
     n_strings = available.outcomes**n_uses
-    tensors = _string_tensors(available, n_uses)
-    dim = available.dim**n_uses
+    terms = _search_terms(available, n_uses)
     cache: dict = {}
 
     starts = [_zero_string_seed(available, n_uses)]
@@ -472,8 +537,8 @@ def hill_climb_search(
         mask = sum(b << i for i, b in enumerate(start))
         if mask & 1:
             mask ^= every
-        q0 = np.zeros((dim, dim), dtype=complex)
-        for i, t in enumerate(tensors):
+        q0 = np.zeros_like(terms[0])
+        for i, t in enumerate(terms):
             if not mask >> i & 1:
                 q0 += t
         if mask not in cache:
@@ -487,7 +552,7 @@ def hill_climb_search(
                 s = cache.get(cand)
                 if s is not None and not s.epsilon < cur.epsilon - 1e-14:
                     continue
-                cand_q0 = q0 + tensors[i] if mask >> i & 1 else q0 - tensors[i]
+                cand_q0 = q0 + terms[i] if mask >> i & 1 else q0 - terms[i]
                 if s is None:
                     s = cache[cand] = _score(cand_q0)
                 if s.epsilon < cur.epsilon - 1e-14:

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from measrep import cli, io, qcore
+from measrep import cli, io, qcore, rms, vnsynth
 from oracles import nan_povm_file, random_povm
 
 
@@ -41,6 +41,17 @@ def test_validate_invalid_builtin_shows_report(capsys):
     assert rows["completeness_defect"]["status"] == "FAIL"
     assert rows["min_eigenvalue[1]"]["value"] == pytest.approx(-0.5, abs=1e-12)
     assert "violation: element 1: negative eigenvalue" in out
+
+
+@pytest.mark.parametrize("name,exit_code", [("trine", 0), ("noisy-z:1.5,0.2", 1)])
+def test_validate_checks_a_povm_once(monkeypatch, capsys, name, exit_code):
+    calls = []
+    check = qcore.validate_povm
+    monkeypatch.setattr(qcore, "validate_povm", lambda p: calls.append(p) or check(p))
+    code, out = run_cli(capsys, "validate", name)
+    assert code == exit_code
+    assert "completeness_defect" in out
+    assert len(calls) == 1
 
 
 def test_synth_invalid_builtin_fails_validation(capsys):
@@ -227,6 +238,22 @@ def test_reproduce_paper_override_must_be_a_qubit(tmp_path, capsys, override, di
     assert len(captured.err.strip().splitlines()) == 1
     assert override in captured.err
     assert f"dimension {dim}" in captured.err
+
+
+def test_rms_monte_carlo_reads_its_own_substream(tmp_path, capsys):
+    # 16 outcome strings: the search hill-climbs from substream 0
+    povm = random_povm(2, 4, qcore.Rng(3))
+    path = tmp_path / "m4.json"
+    io.save_measurement(povm, path)
+    _, out = json_rows(capsys, "rms", str(path), "--n", "2", "--samples", "500",
+                       "--seed", "5")
+    syn = vnsynth.synthesize(io.load_povm(str(path)), 2, qcore.Rng(5))
+    est = rms.rms_monte_carlo_povm(
+        vnsynth.implemented_povm(syn.prep, syn.protocol),
+        qcore.von_neumann_povm(2), 500, qcore.Rng(5, 1),
+    )
+    rows = {r["name"]: r["value"] for r in out["rows"]}
+    assert rows["epsilon_monte_carlo"] == est.value
 
 
 def test_rms_agrees_with_synth(tmp_path, capsys):

@@ -14,7 +14,7 @@ from measrep.errors import (
     TooLarge,
     Unachievable,
 )
-from measrep.qcore import Rng, identity, trine_povm
+from measrep.qcore import Povm, Rng, identity, trine_povm
 from measrep.rms import rms_closed_form_qubit
 from measrep.vnsynth import (
     QuditQpProblem,
@@ -36,6 +36,8 @@ from oracles import (
     exhaustive_search_from_scratch,
     hill_climb_search_from_scratch,
     random_povm,
+    score_from_scratch,
+    string_tensors,
 )
 
 
@@ -317,6 +319,85 @@ def test_hill_climb_matches_from_scratch_scoring(seed, m, n_uses):
     assert result.co_optimal == (bits,)
     assert result.evaluated == count
     assert abs(result.solution.epsilon - sol.epsilon) <= 1e-14
+
+
+def lossy_povm(d, rng):
+    """Three-outcome POVM diagonal in the computational basis."""
+    probs = rng.generator.dirichlet(np.ones(3), size=d)
+    return Povm(tuple(np.diag(probs[:, a]) for a in range(3)))
+
+
+# (outcomes, dimension, uses): two-outcome POVMs at N = 1..4 and lossy
+# three-outcome ones at N = 1..3, all with commuting elements.
+commuting_cases = st.one_of(
+    st.tuples(st.just(2), st.integers(2, 4), st.integers(1, 4)),
+    st.tuples(st.just(3), st.integers(2, 4), st.integers(1, 3)),
+)
+
+
+@settings(max_examples=40)
+@given(seed=povm_seeds, case=commuting_cases)
+def test_commuting_search_on_spectra_matches_dense_scoring(seed, case):
+    m, d, n_uses = case
+    povm = random_povm(d, 2, Rng(seed)) if m == 2 else lossy_povm(d, Rng(seed))
+    assert vnsynth._search_terms(povm, n_uses)[0].ndim == 1
+    if m**n_uses <= vnsynth._EXHAUSTIVE_STRING_CAP:
+        result = exhaustive_search(povm, n_uses)
+        bits, sol, ties, count = exhaustive_search_from_scratch(povm, n_uses)
+    else:
+        result = hill_climb_search(povm, n_uses, restarts=3, rng=Rng(seed))
+        bits, sol, count = hill_climb_search_from_scratch(
+            povm, n_uses, restarts=3, rng=Rng(seed)
+        )
+        ties = (bits,)
+    assert result.evaluated == count
+    assert abs(result.solution.epsilon - sol.epsilon) <= 1e-14
+    # the dense score of the partition the spectra search returned
+    own = score_from_scratch(string_tensors(povm, n_uses), result.protocol.assignment)
+    assert abs(result.solution.lam_min - own.lam_min) <= 1e-14
+    assert abs(result.solution.lam_max - own.lam_max) <= 1e-14
+    if result.protocol.assignment == bits:
+        assert result.co_optimal == ties
+    else:
+        # exactly tied partitions, whose rounding picked a different first
+        assert abs(own.epsilon - sol.epsilon) <= 1e-14
+
+
+def test_noncommuting_povms_search_dense_matrices():
+    assert vnsynth._search_terms(trine_povm(), 2)[0].ndim == 2
+    m0, m1 = random_povm(2, 2, Rng(4)).elements
+    assert vnsynth._search_terms(Povm((m0, m1)), 2)[0].ndim == 1
+    # tilt M_0 alone, so the elements miss commuting by more than the
+    # tolerance while still summing to the identity within 1e-10
+    kick = 100 * vnsynth._COMMUTE_ATOL * np.array([[0, 1], [1, 0]])
+    tilted = Povm((m0 + kick, m1))
+    assert qcore.validate_povm(tilted).ok
+    commutator = tilted.elements[0] @ m1 - m1 @ tilted.elements[0]
+    assert np.abs(commutator).max() > vnsynth._COMMUTE_ATOL
+    assert vnsynth._search_terms(tilted, 2)[0].ndim == 2
+    assert exhaustive_search(tilted, 2).evaluated == 8
+
+
+def test_spectra_search_keeps_the_dimension_cap():
+    # 257^2 > 2^16 with only four terms: the cap must stop the search
+    # before it starts, not the dense protocol built after it
+    half = np.diag(np.linspace(0.0, 1.0, 257))
+    povm = Povm((half, identity(257) - half))
+    assert vnsynth._search_terms(povm, 1)[0].ndim == 1
+    with pytest.raises(TooLarge):
+        vnsynth._search_terms(povm, 2)
+
+
+@settings(max_examples=60)
+@given(seed=povm_seeds, m=outcome_counts, n_uses=st.integers(1, 2))
+def test_implemented_povm_reproduces_the_qp_error(seed, m, n_uses):
+    # partition -> QP -> states -> implemented POVM, on both search paths
+    syn = synthesize(random_povm(2, m, Rng(seed)), n_uses, Rng(seed))
+    m0 = implemented_povm(syn.prep, syn.protocol).elements[0]
+    eps = rms_closed_form_qubit(
+        float(m0[0, 0].real), float(m0[1, 1].real), complex(m0[0, 1])
+    )
+    assert abs(eps - syn.solution.epsilon) <= 1e-12
 
 
 # ---------------------------------------------------------------------------
