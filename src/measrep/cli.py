@@ -10,6 +10,7 @@ rows as CSV; ``--json`` dumps the raw report.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import math
@@ -384,6 +385,7 @@ COMMANDS = {
 }
 
 
+@functools.cache  # parse_args leaves the parser as it was
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="measrep",

@@ -10,7 +10,6 @@ generalised classical cloning in ``subroutines``.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -24,6 +23,7 @@ from .qcore import Povm, Rng, density
 _LOG_ZERO = -1e30  # stands in for log 0: finite, so 0 * _LOG_ZERO is 0
 _CODEBOOK_CAP = 2**16
 _COUNT_VECTOR_CAP = 2 * 10**6
+_DECODE_BYTES = 2**19  # log-likelihood block of random-code decoding
 
 
 # ---------------------------------------------------------------------------
@@ -55,16 +55,16 @@ def _count_vectors(n: int, m: int) -> np.ndarray:
     """All outcome-count vectors summing to n, lexicographic, one per row."""
     if math.comb(n + m - 1, m - 1) > _COUNT_VECTOR_CAP:
         raise TooLarge("count-vector enumeration beyond the supported size")
-    vectors = []
-    for cuts in itertools.combinations(range(n + m - 1), m - 1):
-        prev = -1
-        vec = []
-        for c in cuts:
-            vec.append(c - prev - 1)
-            prev = c
-        vec.append(n + m - 2 - prev)
-        vectors.append(vec)
-    return np.array(vectors, dtype=float)
+    # one column at a time: a row with r still to place becomes r + 1
+    # rows valued 0..r, in order, so the rows stay lexicographic
+    rows = np.zeros((1, 0), dtype=np.intp)
+    rem = np.array([n])
+    for _ in range(m - 1):
+        reps = rem + 1
+        within = np.arange(reps.sum()) - np.repeat(np.cumsum(reps) - reps, reps)
+        rows = np.column_stack((np.repeat(rows, reps, axis=0), within))
+        rem = np.repeat(rem, reps) - within
+    return np.column_stack((rows, rem)).astype(float)
 
 
 def _exact_ml_error(table: np.ndarray, n: int) -> tuple[np.ndarray, int]:
@@ -128,7 +128,10 @@ class ClassicalChannel:
         """Pass an array of input letters through the channel."""
         cum = np.cumsum(self.matrix, axis=1)
         u = rng.generator.random(letters.shape)
-        return (u[..., None] > cum[letters]).sum(axis=-1)
+        out = np.zeros(letters.shape, np.intp)
+        for j in range(self.outputs):
+            out += u > cum[:, j].take(letters)
+        return out
 
 
 def binary_symmetric_channel(flip: float) -> ClassicalChannel:
@@ -254,17 +257,27 @@ class BlockCode:
         outputs = np.asarray(outputs)
         logw = _safe_log(channel.matrix)
         if self.kind == "repetition":
-            batch = outputs.shape[0]
-            grouped = outputs.reshape(batch, self.k, self.copies)
-            # log-likelihood of each input letter for each message symbol
-            ll = logw[:, grouped].sum(axis=-1)  # (d, batch, k)
-            ll = np.moveaxis(ll, 0, -1)  # (batch, k, d)
+            grouped = outputs.reshape(outputs.shape[0], self.k, self.copies)
+            # log-likelihood (batch, k, d) of each input letter for each
+            # message symbol; the copies are added one at a time, in order,
+            # since a pairwise sum rounds differently and can flip ties
+            t = np.ascontiguousarray(logw.T)
+            ll = t.take(grouped[..., 0], axis=0)
+            for c in range(1, self.copies):
+                ll += t.take(grouped[..., c], axis=0)
             return _ml_argmax(ll)
-        # random codebook: full ML over all codewords
-        ll = np.zeros((outputs.shape[0], self.codebook.shape[0]))
-        for j in range(self.n):
-            ll += logw[self.codebook[:, j][None, :], outputs[:, j][:, None]]
-        return _unpack(_ml_argmax(ll), self.d, self.k)
+        # random codebook: full ML over all codewords, in blocks of rows
+        # so the log-likelihood table stays within _DECODE_BYTES
+        n_words = self.codebook.shape[0]
+        rows = max(1, _DECODE_BYTES // (8 * n_words))
+        idx = np.empty(outputs.shape[0], dtype=np.intp)
+        for start in range(0, outputs.shape[0], rows):
+            block = outputs[start : start + rows]
+            ll = np.zeros((block.shape[0], n_words))
+            for j in range(self.n):
+                ll += logw[:, block[:, j]].T.take(self.codebook[:, j], axis=1)
+            idx[start : start + rows] = _ml_argmax(ll)
+        return _unpack(idx, self.d, self.k)
 
 
 def _pack(messages: np.ndarray, d: int) -> np.ndarray:

@@ -58,7 +58,8 @@ class MalformedFile(MeasrepError):
 
 
 class MalformedName(MeasrepError):
-    """Built-in measurement name with unparsable parameters (a usage error)."""
+    """Measurement name that is neither a file nor a built-in, or a
+    built-in with unparsable parameters (a usage error)."""
 
 
 class InvalidMeasurement(MeasrepError):

@@ -99,7 +99,8 @@ def load_measurement(path_or_name: str) -> Union[Povm, Instrument]:
     Built-ins: "trine", "noisy-z:p,q", "vn:d", "degenerate-qutrit".
     POVMs, built-in or from a file, are validated on load; a failing one
     is rejected with the validation report attached. A built-in name
-    whose parameters do not parse raises ``MalformedName``.
+    whose parameters do not parse, or a name that is neither a file nor
+    a built-in, raises ``MalformedName``.
     """
     return load_with_report(path_or_name)[0]
 
@@ -115,7 +116,7 @@ def load_with_report(path_or_name: str) -> tuple:
         return _validated(builtin, str(path_or_name))
     p = Path(path_or_name)
     if not p.exists():
-        raise MalformedFile(f"no such file or built-in: {path_or_name!r}")
+        raise MalformedName(f"no such file or built-in: {path_or_name!r}")
     try:
         doc = json.loads(p.read_text(encoding="utf-8"))
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:

@@ -446,8 +446,9 @@ def exhaustive_search(available: Povm, n_uses: int):
     """Global optimum over all deterministic binary partitions.
 
     Partitions are canonicalised by assigning the lexicographically
-    first string to outcome 0, halving the enumeration; co-optimal
-    partitions (up to that relabelling) are reported alongside.
+    first string to outcome 0, halving the enumeration. ``co_optimal``
+    lists every partition (up to that relabelling) whose epsilon is
+    within 1e-12 of the best one, in walk order.
 
     The 2^(n-1) partitions are walked depth first in lexicographic
     order, deciding one string per level and keeping the partial Q_0
@@ -479,13 +480,10 @@ def exhaustive_search(available: Povm, n_uses: int):
     walk(1, np.zeros_like(terms[0]) + terms[0])
     best = None
     best_bits = None
-    ties = []
     for cand, sol in scored:
         if best is None or sol.epsilon < best.epsilon - 1e-15:
             best, best_bits = sol, cand
-            ties = [cand]
-        elif abs(sol.epsilon - best.epsilon) <= 1e-12:
-            ties.append(cand)
+    ties = [c for c, sol in scored if abs(sol.epsilon - best.epsilon) <= 1e-12]
     protocol = build_partition_povm(available, n_uses, best_bits, 2)
     return SearchResult(
         protocol=protocol,

@@ -10,7 +10,7 @@ import json
 
 import numpy as np
 
-from measrep.coding import associated_channel
+from measrep.coding import _ml_argmax, _safe_log, _unpack, associated_channel
 from measrep.errors import ShapeMismatch, TooLarge
 from measrep.qcore import Instrument, Povm, Rng, dagger, density, identity
 from measrep.vnsynth import solve_box_quadratic_qubit
@@ -34,6 +34,24 @@ def random_povm(dim, m, rng):
         block = u[a * dim : (a + 1) * dim, :dim]
         elems.append(dagger(block) @ block)
     return Povm(tuple(elems))
+
+
+def random_povm_of_ranks(dim, ranks, rng):
+    """Random POVM whose element a has rank ``ranks[a]`` (sum at least dim).
+
+    M_a = S^-1/2 G_a G_a^dagger S^-1/2 with G_a a complex Gaussian
+    dim x rank matrix and S the sum of the G_a G_a^dagger. Rank-deficient
+    elements give eigenvalues 0 and 1, so zero-error partitions occur.
+    """
+    g = rng.generator
+    parts = []
+    for r in ranks:
+        z = g.standard_normal((dim, r)) + 1j * g.standard_normal((dim, r))
+        parts.append(z @ dagger(z))
+    w, v = np.linalg.eigh(sum(parts))
+    s_inv_half = (v / np.sqrt(w)) @ dagger(v)
+    elems = [s_inv_half @ a @ s_inv_half for a in parts]
+    return Povm(tuple((e + dagger(e)) / 2 for e in elems))
 
 
 def von_neumann_instrument(dim):
@@ -169,17 +187,15 @@ def exhaustive_search_from_scratch(available, n_uses):
     """(best bits, solution, co-optimal bits, partitions scored), lexicographic scan."""
     tensors = string_tensors(available, n_uses)
     best = best_bits = None
-    ties = []
-    count = 0
+    scored = []
     for rest in itertools.product((0, 1), repeat=len(tensors) - 1):
         bits = (0,) + rest
         sol = score_from_scratch(tensors, bits)
-        count += 1
+        scored.append((bits, sol))
         if best is None or sol.epsilon < best.epsilon - 1e-15:
-            best, best_bits, ties = sol, bits, [bits]
-        elif abs(sol.epsilon - best.epsilon) <= 1e-12:
-            ties.append(bits)
-    return best_bits, best, tuple(ties), count
+            best, best_bits = sol, bits
+    ties = tuple(b for b, sol in scored if abs(sol.epsilon - best.epsilon) <= 1e-12)
+    return best_bits, best, ties, len(scored)
 
 
 def hill_climb_search_from_scratch(available, n_uses, restarts=8, rng=None):
@@ -218,3 +234,45 @@ def hill_climb_search_from_scratch(available, n_uses, restarts=8, rng=None):
         if best is None or cur.epsilon < best.epsilon - 1e-15:
             best_bits, best = bits, cur
     return best_bits, best, len(cache)
+
+
+# Earlier forms of the block-coding hot paths, kept as references: the
+# library must compute the same bits without their large temporaries.
+
+
+def channel_sample_broadcast(channel, letters, rng):
+    """``ClassicalChannel.sample`` through a (..., outputs) comparison."""
+    cum = np.cumsum(channel.matrix, axis=1)
+    u = rng.generator.random(letters.shape)
+    return (u[..., None] > cum[letters]).sum(axis=-1)
+
+
+def repetition_decode_gather(code, outputs, channel):
+    """Repetition ``decode`` through one mixed fancy-index gather."""
+    logw = _safe_log(channel.matrix)
+    grouped = outputs.reshape(outputs.shape[0], code.k, code.copies)
+    ll = logw[:, grouped].sum(axis=-1)  # (d, batch, k)
+    return _ml_argmax(np.moveaxis(ll, 0, -1))
+
+
+def random_decode_full_table(code, outputs, channel):
+    """Random-code ``decode`` holding the whole trials x d^k table."""
+    logw = _safe_log(channel.matrix)
+    ll = np.zeros((outputs.shape[0], code.codebook.shape[0]))
+    for j in range(code.n):
+        ll += logw[code.codebook[:, j][None, :], outputs[:, j][:, None]]
+    return _unpack(_ml_argmax(ll), code.d, code.k)
+
+
+def count_vectors_from_cuts(n, m):
+    """Outcome-count vectors summing to n, one per choice of m - 1 cuts."""
+    vectors = []
+    for cuts in itertools.combinations(range(n + m - 1), m - 1):
+        prev = -1
+        vec = []
+        for c in cuts:
+            vec.append(c - prev - 1)
+            prev = c
+        vec.append(n + m - 2 - prev)
+        vectors.append(vec)
+    return np.array(vectors, dtype=float)

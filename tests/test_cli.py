@@ -183,6 +183,26 @@ def json_rows(capsys, *argv):
     return code, json.loads(out.splitlines()[-1])
 
 
+@pytest.mark.parametrize("before, before_code, argv", [
+    (("synth", "trine", "--tol", "1e-3"), 2, ("synth", "trine", "--n", "1")),
+    (("synth", "trine", "--n", "3"), 0, ("synth", "trine")),
+])
+def test_main_calls_in_one_process_share_no_state(capsys, before, before_code, argv):
+    def rows():
+        code, report = json_rows(capsys, *argv)
+        return code, [(r["name"], r["value"]) for r in report["rows"]]
+
+    cli._build_parser.cache_clear()
+    first = rows()
+    try:
+        code = cli.main(list(before))
+    except SystemExit as exc:  # argparse rejects an option
+        code = exc.code
+    assert code == before_code
+    capsys.readouterr()
+    assert rows() == first
+
+
 REPRODUCE_PAPER_ROWS = [
     "two_use_cloning_error", "two_use_cloning_error_mc", "two_use_optimal_error",
     "two_use_x_star", "two_use_y_star",

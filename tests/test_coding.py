@@ -2,8 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from measrep import qcore
+from measrep import coding, qcore
 from measrep.coding import (
     BlockCode,
     ClassicalChannel,
@@ -17,8 +19,15 @@ from measrep.coding import (
     simulate_block_protocol,
 )
 from measrep.errors import NotConverged, ShapeMismatch, TooLarge
-from measrep.qcore import Rng, trine_povm, von_neumann_povm
-from oracles import block_protocol_statevector_distribution
+from measrep.qcore import Povm, Rng, trine_povm, von_neumann_povm
+from measrep.subroutines import CloningBasis, cloning_error_rate
+from oracles import (
+    block_protocol_statevector_distribution,
+    channel_sample_broadcast,
+    count_vectors_from_cuts,
+    random_decode_full_table,
+    repetition_decode_gather,
+)
 
 
 def h2(p):
@@ -258,3 +267,106 @@ def test_channel_sampling_statistics():
     letters = np.zeros(50_000, dtype=np.int64)
     out = bsc.sample(letters, Rng(19))
     assert abs(out.mean() - 0.25) < 0.01
+
+
+# ---------------------------------------------------------------------------
+# block-coding hot paths against their first-release forms
+# ---------------------------------------------------------------------------
+
+
+def random_channel(seed, d, m, zeros, mirror):
+    """Random d x m channel, optionally with zero entries (never a zero
+    row) and with row 1 the reverse of row 0, which makes ML ties."""
+    g = Rng(seed).generator
+    mat = g.random((d, m))
+    if zeros:
+        mat[g.random((d, m)) < 0.3] = 0.0
+        mat[:, 0] += mat.sum(axis=1) == 0.0
+    if mirror:
+        mat[1] = mat[0, ::-1]
+    return ClassicalChannel(mat / mat.sum(axis=1, keepdims=True))
+
+
+seeds = st.integers(0, 2**32 - 1)
+channels = st.builds(
+    random_channel, seeds, st.integers(2, 3), st.integers(2, 4),
+    st.booleans(), st.booleans(),
+)
+
+
+def assert_same_array(a, b):
+    assert a.dtype == b.dtype
+    assert np.array_equal(a, b)
+
+
+@settings(max_examples=60)
+@given(channel=channels, trials=st.integers(0, 500), n=st.integers(1, 12), seed=seeds)
+def test_channel_sample_matches_the_broadcast_comparison(channel, trials, n, seed):
+    letters = Rng(seed).generator.integers(0, channel.inputs, size=(trials, n))
+    assert_same_array(
+        channel.sample(letters, Rng(seed, 1)),
+        channel_sample_broadcast(channel, letters, Rng(seed, 1)),
+    )
+
+
+# copies 1..20 covers both sides of 8, where a contiguous sum over the
+# copies would switch to pairwise summation
+@settings(max_examples=80)
+@given(channel=channels, k=st.integers(1, 3), copies=st.integers(1, 20),
+       trials=st.integers(0, 300), seed=seeds)
+def test_repetition_decode_matches_the_gather(channel, k, copies, trials, seed):
+    code = repetition_code(k, copies, channel.inputs)
+    outputs = Rng(seed).generator.integers(0, channel.outputs, size=(trials, code.n))
+    assert_same_array(
+        code.decode(outputs, channel), repetition_decode_gather(code, outputs, channel)
+    )
+
+
+# trials = blocks * rows + extra: none, part of one row block, whole
+# blocks, and whole blocks plus a part
+@settings(max_examples=60)
+@given(channel=channels, k=st.integers(1, 8), extra_n=st.integers(0, 3),
+       blocks=st.integers(0, 2), extra=st.integers(0, 300), seed=seeds)
+def test_random_decode_in_row_blocks_matches_the_full_table(
+    channel, k, extra_n, blocks, extra, seed
+):
+    d = channel.inputs
+    assume(d**k <= 256)
+    code = random_codebook(k, k + extra_n, d, Rng(seed))
+    rows = max(1, coding._DECODE_BYTES // (8 * d**k))
+    trials = blocks * rows + extra % rows
+    outputs = Rng(seed, 1).generator.integers(0, channel.outputs, size=(trials, code.n))
+    assert_same_array(
+        code.decode(outputs, channel), random_decode_full_table(code, outputs, channel)
+    )
+
+
+@settings(max_examples=80)
+@given(n=st.integers(0, 60), m=st.integers(1, 6))
+def test_count_vectors_match_the_cut_enumeration(n, m):
+    size = math.comb(n + m - 1, m - 1)
+    if size > coding._COUNT_VECTOR_CAP:
+        with pytest.raises(TooLarge):
+            coding._count_vectors(n, m)
+        return
+    assume(size <= 300_000)  # keeps the Python-loop oracle fast
+    assert_same_array(coding._count_vectors(n, m), count_vectors_from_cuts(n, m))
+
+
+@settings(max_examples=30)
+@given(channel=channels, n_uses=st.integers(1, 8), seed=seeds)
+def test_cloning_error_exact_and_sampled_agree(channel, n_uses, seed):
+    # a diagonal POVM whose computational-basis rows are the table
+    table = channel.matrix
+    povm = Povm(tuple(np.diag(table[:, a]) for a in range(table.shape[1])))
+    basis = CloningBasis(states=tuple(np.eye(table.shape[0])), table=table)
+    exact = cloning_error_rate(povm, basis, n_uses, mode="exact")
+    trials = 20_000
+    sampled = cloning_error_rate(
+        povm, basis, n_uses, mode="sampled", trials=trials, rng=Rng(seed)
+    )
+    # standard deviation of the sampled average under the exact rates,
+    # which may overshoot [0, 1] by rounding
+    p = np.clip(exact.per_state, 0.0, 1.0)
+    sigma = math.sqrt(np.sum(p * (1.0 - p)) / trials) / p.size
+    assert abs(sampled.average - exact.average) <= 4.0 * sigma + 1e-12

@@ -77,7 +77,7 @@ def test_unknown_kind(tmp_path):
 
 
 def test_nonexistent_path():
-    with pytest.raises(MalformedFile):
+    with pytest.raises(MalformedName):
         io.load_measurement("/no/such/file.json")
 
 

@@ -36,6 +36,7 @@ from oracles import (
     exhaustive_search_from_scratch,
     hill_climb_search_from_scratch,
     random_povm,
+    random_povm_of_ranks,
     score_from_scratch,
     string_tensors,
 )
@@ -305,6 +306,17 @@ def test_exhaustive_search_matches_from_scratch_scoring(seed, m, n_uses):
     assert result.co_optimal == ties
     assert result.evaluated == count
     assert abs(result.solution.epsilon - sol.epsilon) <= 1e-14
+
+
+def test_exhaustive_search_keeps_every_tie_of_a_zero_error_input():
+    # ranks 3 and 1 at d = 4: all partitions but the all-zero one reach
+    # zero error, with epsilon round-off of up to about 1e-15 among them
+    povm = random_povm_of_ranks(4, (3, 1), Rng(21))
+    result = exhaustive_search(povm, 3)
+    bits, sol, ties, count = exhaustive_search_from_scratch(povm, 3)
+    assert result.solution.epsilon <= 1e-15
+    assert len(ties) == count - 1
+    assert result.co_optimal == ties
 
 
 @settings(max_examples=60)
