@@ -22,7 +22,8 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from . import coding, io, qcore, rms, subroutines, vnsynth
-from .errors import InvalidMeasurement, MalformedName, MeasrepError, ShapeMismatch
+from .errors import (InvalidMeasurement, MalformedName, MeasrepError,
+                     ShapeMismatch, TooFewSamples)
 from .qcore import Rng
 
 
@@ -150,6 +151,8 @@ def _cmd_rms(args, report: RunReport) -> None:
 
 
 def _cmd_postmeas(args, report: RunReport) -> None:
+    if args.samples < 1:
+        raise TooFewSamples(f"{args.samples} < 1 samples")
     obj = io.load_measurement(args.measurement)
     inst = obj if isinstance(obj, qcore.Instrument) else qcore.lueders_instrument(obj)
     rng = Rng(args.seed)

@@ -17,13 +17,15 @@ from typing import Optional, Sequence
 import numpy as np
 from scipy.special import gammaln
 
-from .errors import NotConverged, ShapeMismatch, TooLarge
+from .errors import NotConverged, ShapeMismatch, TooFewSamples, TooLarge
 from .qcore import Povm, Rng, density
 
 _LOG_ZERO = -1e30  # stands in for log 0: finite, so 0 * _LOG_ZERO is 0
 _CODEBOOK_CAP = 2**16
 _COUNT_VECTOR_CAP = 2 * 10**6
-_DECODE_BYTES = 2**19  # log-likelihood block of random-code decoding
+# bytes of one row block: the random-code log-likelihood table, and each
+# (trials, n) array of the block-protocol simulation
+_DECODE_BYTES = 2**19
 
 
 # ---------------------------------------------------------------------------
@@ -350,9 +352,17 @@ def simulate_block_protocol(
     |alpha_i|^2: the encoding unitary sends basis states to codeword
     product states, so the outcome statistics factor through the
     classical channel.
+
+    All message indices are drawn first; the trials are then encoded,
+    sent and decoded in blocks of rows whose (rows, n) arrays stay
+    within ``_DECODE_BYTES``. The channel's uniforms are drawn block by
+    block in C order, which reads the generator's stream exactly as one
+    (trials, n) draw does, so the result does not depend on the blocks.
     """
     if code.d != channel.inputs:
         raise ShapeMismatch("code alphabet does not match the channel input")
+    if trials < 1:
+        raise TooFewSamples(f"{trials} < 1 trials")
     n_msgs = code.d**code.k
     if amplitudes is None:
         weights = np.full(n_msgs, 1.0 / n_msgs)
@@ -364,15 +374,18 @@ def simulate_block_protocol(
         weights /= weights.sum()
     g = rng.generator
     msg_idx = g.choice(n_msgs, size=trials, p=weights)
-    messages = _unpack(msg_idx, code.d, code.k)
-    codewords = code.encode(messages)
-    outputs = channel.sample(codewords, rng)
-    decoded = code.decode(outputs, channel)
-    errors = np.any(decoded != messages, axis=1)
-    rate = float(np.mean(errors))
+    rows = max(1, _DECODE_BYTES // (8 * code.n))
+    n_errors = 0
+    counts = np.zeros(n_msgs, dtype=np.intp)
+    for start in range(0, trials, rows):
+        messages = _unpack(msg_idx[start : start + rows], code.d, code.k)
+        outputs = channel.sample(code.encode(messages), rng)
+        decoded = code.decode(outputs, channel)
+        n_errors += int(np.count_nonzero(np.any(decoded != messages, axis=1)))
+        counts += np.bincount(_pack(decoded, code.d), minlength=n_msgs)
+    rate = n_errors / trials
     se = math.sqrt(max(rate * (1.0 - rate), 0.0) / trials)
-    dec_idx = _pack(decoded, code.d)
-    dist = np.bincount(dec_idx, minlength=n_msgs).astype(float) / trials
+    dist = counts.astype(float) / trials
     return BlockRunResult(
         error_rate=rate,
         standard_error=se,

@@ -59,19 +59,32 @@ class PartitionProtocol:
 
 
 def _check_dim(available: Povm, n_uses: int) -> None:
+    """Reject a use count below 1 or an N-fold space beyond the cap."""
+    if n_uses < 1:
+        raise ShapeMismatch("n_uses must be >= 1")
     if available.dim**n_uses > qcore.DIM_CAP:
         raise TooLarge(
             f"dim {available.dim}^{n_uses} exceeds cap {qcore.DIM_CAP}"
         )
 
 
-def _string_tensors(available: Povm, n_uses: int) -> list:
-    """Tensor products M_{a_1} x ... x M_{a_N} in lexicographic string order."""
-    _check_dim(available, n_uses)
-    tensors = [np.eye(1, dtype=complex)]
-    for _ in range(n_uses):
-        tensors = [tensor(t, e) for t in tensors for e in available.elements]
-    return tensors
+def _string_tensors(available: Povm, n_uses: int):
+    """Yield M_{a_1} x ... x M_{a_N} in lexicographic string order.
+
+    The walk is depth first and holds one prefix product per level, so
+    memory is O(N D^2), not m^N D^2; each prefix is one ``tensor`` call.
+    Needs n_uses >= 1 (``_check_dim``).
+    """
+
+    def walk(prefix, level):
+        for e in available.elements:
+            t = tensor(prefix, e)
+            if level == n_uses:
+                yield t
+            else:
+                yield from walk(t, level + 1)
+
+    return walk(np.eye(1, dtype=complex), 1)
 
 
 def build_partition_povm(
@@ -80,7 +93,12 @@ def build_partition_povm(
     f: Callable[[tuple], int] | Sequence[int],
     m_target: int,
 ) -> PartitionProtocol:
-    """Coarse-grain N parallel uses of ``available`` through the map f."""
+    """Coarse-grain N parallel uses of ``available`` through the map f.
+
+    Each string tensor is added into its coarse element as it is built,
+    so memory is O((m_target + N) D^2) rather than m^N D^2.
+    """
+    _check_dim(available, n_uses)
     if m_target < 2:
         raise ShapeMismatch("m_target must be >= 2")
     strings = list(itertools.product(range(available.outcomes), repeat=n_uses))
@@ -94,10 +112,9 @@ def build_partition_povm(
             )
     if any(v < 0 or v >= m_target for v in assignment):
         raise ShapeMismatch("assignment value outside target outcome range")
-    tensors = _string_tensors(available, n_uses)
     dim = available.dim**n_uses
     coarse = [np.zeros((dim, dim), dtype=complex) for _ in range(m_target)]
-    for t, v in zip(tensors, assignment):
+    for t, v in zip(_string_tensors(available, n_uses), assignment):
         coarse[v] += t
     return PartitionProtocol(
         available=available,
@@ -389,7 +406,7 @@ def _search_terms(available: Povm, n_uses: int) -> list:
     The terms are the eigenvalue vectors t_s = v_{a_1} x ... x v_{a_N}
     (real, length d^N) when the elements commute, and the dense string
     tensors T_s otherwise; a Q_0 summed from them is scored by
-    ``_score`` either way. The dimension cap applies to both.
+    ``_score`` either way. ``_check_dim`` applies to both.
 
     Commutation is tested once: U diagonalises the fixed combination
     sum_a (a + 1) M_a, and the elements commute when every U^dagger M_a U
@@ -413,13 +430,14 @@ def _search_terms(available: Povm, n_uses: int) -> list:
     for random two-outcome POVMs with d = 2..4; elements that sum to the
     identity only within delta leave a residual of order delta.
     """
+    _check_dim(available, n_uses)
     comb = sum((a + 1) * e for a, e in enumerate(available.elements))
     _, u = np.linalg.eigh((comb + dagger(comb)) / 2)
     rotated = [dagger(u) @ e @ u for e in available.elements]
     for r in rotated:
         if not np.abs(r - np.diag(np.diag(r))).max() <= _COMMUTE_ATOL:
-            return _string_tensors(available, n_uses)
-    _check_dim(available, n_uses)
+            # the searches index the terms, so all m^N are held
+            return list(_string_tensors(available, n_uses))
     spectra = [np.diag(r).real.copy() for r in rotated]
     terms = [np.ones(1)]
     for _ in range(n_uses):
@@ -604,8 +622,6 @@ def trine_optimal_protocol(n_uses: int) -> SynthesizedProtocol:
     outcome 0; the error is 3^-N / 2 and the prepared states are the
     nearly-cloned pair with the last qubit slightly rotated.
     """
-    if n_uses < 1:
-        raise ShapeMismatch("n_uses must be >= 1")
     trine = qcore.trine_povm()
     protocol = build_partition_povm(
         trine, n_uses, lambda s: 0 if 0 in s else 1, 2

@@ -7,12 +7,13 @@ random or textbook inputs. None of this is library API.
 import functools
 import itertools
 import json
+import math
 
 import numpy as np
 
-from measrep.coding import _ml_argmax, _safe_log, _unpack, associated_channel
+from measrep.coding import _ml_argmax, _pack, _safe_log, _unpack, associated_channel
 from measrep.errors import ShapeMismatch, TooLarge
-from measrep.qcore import Instrument, Povm, Rng, dagger, density, identity
+from measrep.qcore import Instrument, Povm, Rng, dagger, density, identity, tensor
 from measrep.vnsynth import solve_box_quadratic_qubit
 
 
@@ -170,6 +171,19 @@ def string_tensors(available, n_uses):
     ]
 
 
+def partition_povm_from_list(available, n_uses, assignment, m_target):
+    """Coarse elements of ``build_partition_povm`` from a list of all m^N
+    string tensors, each built level by level with ``tensor``."""
+    tensors = [np.eye(1, dtype=complex)]
+    for _ in range(n_uses):
+        tensors = [tensor(t, e) for t in tensors for e in available.elements]
+    dim = available.dim**n_uses
+    coarse = [np.zeros((dim, dim), dtype=complex) for _ in range(m_target)]
+    for t, v in zip(tensors, assignment):
+        coarse[v] += t
+    return coarse
+
+
 def score_from_scratch(tensors, bits):
     """Qubit box program for a partition, summing Q_0 over every string."""
     dim = tensors[0].shape[0]
@@ -262,6 +276,25 @@ def random_decode_full_table(code, outputs, channel):
     for j in range(code.n):
         ll += logw[code.codebook[:, j][None, :], outputs[:, j][:, None]]
     return _unpack(_ml_argmax(ll), code.d, code.k)
+
+
+def block_protocol_whole_arrays(channel, code, amplitudes, trials, rng):
+    """(error rate, standard error, decoded distribution) of
+    ``simulate_block_protocol``, holding every (trials, n) array at once."""
+    n_msgs = code.d**code.k
+    if amplitudes is None:
+        weights = np.full(n_msgs, 1.0 / n_msgs)
+    else:
+        weights = np.abs(np.asarray(amplitudes, dtype=complex)) ** 2
+        weights /= weights.sum()
+    msg_idx = rng.generator.choice(n_msgs, size=trials, p=weights)
+    messages = _unpack(msg_idx, code.d, code.k)
+    outputs = channel.sample(code.encode(messages), rng)
+    decoded = code.decode(outputs, channel)
+    rate = float(np.mean(np.any(decoded != messages, axis=1)))
+    se = math.sqrt(max(rate * (1.0 - rate), 0.0) / trials)
+    dist = np.bincount(_pack(decoded, code.d), minlength=n_msgs).astype(float) / trials
+    return rate, se, dist
 
 
 def count_vectors_from_cuts(n, m):

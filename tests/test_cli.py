@@ -99,6 +99,23 @@ def test_postmeas_command(capsys):
     assert "PASS" in out
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("block", "trine", "--trials", "0"), "0 < 1 trials"),
+    (("block", "trine", "--trials", "-5"), "-5 < 1 trials"),
+    (("postmeas", "trine", "--samples", "0"), "0 < 1 samples"),
+    (("postmeas", "trine", "--samples", "-3"), "-3 < 1 samples"),
+    (("synth", "trine", "--n", "0"), "n_uses must be >= 1"),
+    (("synth", "trine", "--n", "-1"), "n_uses must be >= 1"),
+    (("rms", "trine", "--n", "0"), "n_uses must be >= 1"),
+    (("rms", "trine", "--n", "-1"), "n_uses must be >= 1"),
+])
+def test_counts_below_one_fail_with_a_typed_error(capsys, argv, message):
+    assert cli.main(list(argv)) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
 def test_clone_command(capsys):
     code, out = run_cli(capsys, "clone", "trine", "--max-n", "3")
     assert code == 0

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from measrep.qcore import Povm, Rng, trine_povm, von_neumann_povm
 from measrep.subroutines import CloningBasis, cloning_error_rate
 from oracles import (
     block_protocol_statevector_distribution,
+    block_protocol_whole_arrays,
     channel_sample_broadcast,
     count_vectors_from_cuts,
     random_decode_full_table,
@@ -339,6 +341,56 @@ def test_random_decode_in_row_blocks_matches_the_full_table(
     assert_same_array(
         code.decode(outputs, channel), random_decode_full_table(code, outputs, channel)
     )
+
+
+def random_amplitudes(seed, n):
+    """n complex amplitudes, about a third of them zero (never all)."""
+    g = Rng(seed).generator
+    amps = g.standard_normal(n) + 1j * g.standard_normal(n)
+    amps[g.random(n) < 0.3] = 0.0
+    amps[0] += np.all(amps == 0.0)
+    return amps
+
+
+# trials around the row block: 1, one short of it, exactly it, one over,
+# and several blocks plus a part
+@settings(max_examples=40)
+@given(channel=channels, random_code=st.booleans(), k=st.integers(1, 4),
+       extra=st.integers(0, 8), amplitudes=st.booleans(),
+       which=st.sampled_from(["one", "short", "block", "over", "blocks"]),
+       blocks=st.integers(2, 3), part=st.integers(1, 10**6), seed=seeds)
+def test_block_simulation_in_row_blocks_matches_the_whole_arrays(
+    channel, random_code, k, extra, amplitudes, which, blocks, part, seed
+):
+    d = channel.inputs
+    if random_code:
+        code = random_codebook(k, k + extra, d, Rng(seed))
+    else:
+        code = repetition_code(k, 1 + extra, d)
+    rows = max(1, coding._DECODE_BYTES // (8 * code.n))
+    trials = {"one": 1, "short": rows - 1, "block": rows, "over": rows + 1,
+              "blocks": blocks * rows + 1 + part % (rows - 1)}[which]
+    amps = random_amplitudes(seed, d**k) if amplitudes else None
+    run = simulate_block_protocol(channel, code, amps, trials, Rng(seed, 1))
+    rate, se, dist = block_protocol_whole_arrays(channel, code, amps, trials,
+                                                 Rng(seed, 1))
+    assert run.trials == trials
+    assert_same_array(np.float64([run.error_rate, run.standard_error]).view(np.uint64),
+                      np.float64([rate, se]).view(np.uint64))
+    assert_same_array(run.decoded_distribution.view(np.uint64), dist.view(np.uint64))
+
+
+def test_block_simulation_holds_no_trials_by_n_arrays():
+    # each 100k x 36 array of the whole-array form takes 29 MB
+    channel = associated_channel(trine_povm())
+    code = repetition_code(4, 9, 2)
+    tracemalloc.start()
+    try:
+        simulate_block_protocol(channel, code, None, 100_000, Rng(3))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
 
 
 @settings(max_examples=80)

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -35,6 +36,7 @@ from measrep.vnsynth import (
 from oracles import (
     exhaustive_search_from_scratch,
     hill_climb_search_from_scratch,
+    partition_povm_from_list,
     random_povm,
     random_povm_of_ranks,
     score_from_scratch,
@@ -74,6 +76,46 @@ def test_partition_povm_bad_assignment():
         build_partition_povm(trine, 1, [0, 1], 2)
     with pytest.raises(ShapeMismatch):
         build_partition_povm(trine, 1, [0, 1, 5], 2)
+
+
+@pytest.mark.parametrize("n_uses", [0, -1])
+@pytest.mark.parametrize("build", [
+    lambda n: build_partition_povm(trine_povm(), n, lambda s: 0, 2),
+    lambda n: synthesize(trine_povm(), n, Rng(0)),
+])
+def test_fewer_than_one_use_is_rejected(build, n_uses):
+    with pytest.raises(ShapeMismatch, match="n_uses must be >= 1"):
+        build(n_uses)
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+@settings(max_examples=40)
+@given(dim=st.integers(2, 3), ranks=st.lists(st.integers(1, 3), min_size=2, max_size=4),
+       n_uses=st.integers(1, 5), m_target=st.integers(2, 3),
+       seed=st.integers(0, 2**32 - 1))
+def test_streamed_partition_povm_matches_the_tensor_list(dim, ranks, n_uses, m_target,
+                                                         seed):
+    assume(sum(ranks) >= dim and max(ranks) <= dim)
+    assume(dim**n_uses <= 243 and len(ranks) ** n_uses <= 256)
+    povm = random_povm_of_ranks(dim, ranks, Rng(seed))
+    assignment = Rng(seed, 1).generator.integers(0, m_target, size=len(ranks) ** n_uses)
+    proto = build_partition_povm(povm, n_uses, assignment, m_target)
+    ref = partition_povm_from_list(povm, n_uses, assignment, m_target)
+    assert all(same_bits(q, r) for q, r in zip(proto.coarse, ref, strict=True))
+
+
+def test_partition_povm_holds_no_list_of_string_tensors():
+    # 729 tensors of 64 x 64 would take 48 MB
+    tracemalloc.start()
+    try:
+        build_partition_povm(trine_povm(), 6, lambda s: 0 if 0 in s else 1, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
 
 
 # ---------------------------------------------------------------------------
