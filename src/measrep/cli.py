@@ -173,6 +173,8 @@ def _cmd_postmeas(args, report: RunReport) -> None:
 
 
 def _cmd_clone(args, report: RunReport) -> None:
+    if args.max_n < 1:
+        raise TooFewSamples(f"{args.max_n} < 1 uses")
     available = io.load_povm(args.measurement)
     basis = subroutines.select_cloning_basis(available)
     d = available.dim

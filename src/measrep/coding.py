@@ -298,19 +298,28 @@ def _unpack(idx: np.ndarray, d: int, k: int) -> np.ndarray:
     return out
 
 
+def _check_messages(k: int, d: int) -> None:
+    """Reject more than ``_CODEBOOK_CAP`` messages: the block simulation
+    keeps vectors over all d^k of them."""
+    if d**k > _CODEBOOK_CAP:
+        raise TooLarge(f"codebook with {d**k} messages exceeds the cap")
+
+
 def repetition_code(k: int, copies: int, d: int) -> BlockCode:
     """Each message symbol repeated ``copies`` times; per-symbol ML decode."""
     if k < 1 or copies < 1 or d < 2:
         raise ShapeMismatch("need k >= 1, copies >= 1, d >= 2")
+    _check_messages(k, d)
     return BlockCode(kind="repetition", k=k, n=k * copies, d=d, copies=copies)
 
 
 def random_codebook(k: int, n: int, d: int, rng: Rng) -> BlockCode:
     """Uniformly random distinct codewords with full-ML decoding."""
+    _check_messages(k, d)
     n_msgs = d**k
     n_words = d**n
-    if n_msgs > _CODEBOOK_CAP or n_words > 2**62:
-        raise TooLarge(f"codebook with {n_msgs} messages exceeds the cap")
+    if n_words > 2**62:
+        raise TooLarge(f"codewords of length {n} over {d} letters exceed the cap")
     if n_msgs > n_words:
         raise TooLarge("more messages than available codewords")
     g = rng.generator

@@ -17,12 +17,15 @@ do noisy and lossy measurements), all T_s are diagonal in one product
 basis U^(x N). The searches then add the real d^N-vectors of their
 eigenvalues instead, and read the extreme eigenvalues of Q_0 as a
 vector's min and max: a candidate costs two vector passes and no
-``eigvalsh``. The reported protocol and states are still built from
-the dense Q_0.
+``eigvalsh``. The protocol keeps its coarse elements as such vectors
+too, and its prepared states and implemented POVM are built from them
+and U: no d^N x d^N operator is formed unless a caller reads
+``PartitionProtocol.coarse``.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -37,9 +40,10 @@ from .qcore import Povm, Rng, dagger, identity, tensor
 # Most outcome strings exhaustive_search accepts; synthesize hill-climbs beyond.
 _EXHAUSTIVE_STRING_CAP = 12
 
-# Largest off-diagonal entry of U^dagger M_a U that still counts as
-# diagonal when testing whether a POVM's elements commute.
-_COMMUTE_ATOL = 1e-14
+# Epsilons within this of the best one tie in exhaustive_search. It also
+# bounds how far an input admitted as commuting may move the eigenvalues
+# the searches score (``_search_terms``).
+_TIE_WINDOW = 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -49,13 +53,34 @@ _COMMUTE_ATOL = 1e-14
 
 @dataclass(frozen=True)
 class PartitionProtocol:
-    """Outcome-string partition plus the coarse-grained POVM it induces."""
+    """Outcome-string partition plus the coarse-grained POVM it induces.
+
+    When the available elements commute, ``basis`` is U and ``spectra``
+    holds each coarse element Q_a as its real d^N eigenvalue vector q_a,
+    so that Q_a = U^(x N) diag(q_a) U^(x N)^dagger; both are None otherwise.
+    """
 
     available: Povm
     n_uses: int
     assignment: tuple  # target outcome per lexicographic outcome string
     m_target: int
-    coarse: tuple  # Q_i operators on the N-fold space
+    basis: Optional[np.ndarray] = None
+    spectra: Optional[tuple] = None
+
+    @functools.cached_property
+    def coarse(self) -> tuple:
+        """Q_a operators on the N-fold space, summed from the string tensors.
+
+        Each tensor is added into its coarse element as it is built, so
+        memory is O((m_target + N) D^2) rather than m^N D^2. A protocol
+        held on spectra builds them only when this is first read.
+        """
+        dim = self.available.dim**self.n_uses
+        coarse = [np.zeros((dim, dim), dtype=complex) for _ in range(self.m_target)]
+        strings = _string_products(self.available.elements, self.n_uses)
+        for t, v in zip(strings, self.assignment):
+            coarse[v] += t
+        return tuple(coarse)
 
 
 def _check_dim(available: Povm, n_uses: int) -> None:
@@ -68,23 +93,51 @@ def _check_dim(available: Povm, n_uses: int) -> None:
         )
 
 
-def _string_tensors(available: Povm, n_uses: int):
-    """Yield M_{a_1} x ... x M_{a_N} in lexicographic string order.
+def _common_eigenbasis(available: Povm, n_uses: int):
+    """(U, spectra) when the elements commute for N uses, else None.
 
-    The walk is depth first and holds one prefix product per level, so
-    memory is O(N D^2), not m^N D^2; each prefix is one ``tensor`` call.
-    Needs n_uses >= 1 (``_check_dim``).
+    U diagonalises the fixed combination sum_a (a + 1) M_a, and
+    spectra[a] is the real diagonal of U^dagger M_a U. The elements count
+    as commuting when N * sum_a ||E_a||_2 <= ``_TIE_WINDOW``, E_a the
+    off-diagonal part of U^dagger M_a U; ``_search_terms`` shows what
+    that bound guarantees.
     """
+    comb = sum((a + 1) * e for a, e in enumerate(available.elements))
+    _, u = np.linalg.eigh((comb + dagger(comb)) / 2)
+    rotated = [dagger(u) @ e @ u for e in available.elements]
+    off = sum(np.linalg.norm(r - np.diag(np.diag(r)), 2) for r in rotated)
+    if not n_uses * off <= _TIE_WINDOW:
+        return None
+    return u, [np.diag(r).real.copy() for r in rotated]
+
+
+def _vector_kron(a, b):
+    """``np.kron`` of two vectors (the same products), minus its
+    general-shape overhead."""
+    return np.multiply.outer(a, b).ravel()
+
+
+def _string_products(factors, n_uses: int):
+    """Yield f_{a_1} x ... x f_{a_N} in lexicographic string order.
+
+    The factors are the POVM elements, giving the string tensors T_s,
+    or their eigenvalue vectors. The walk is depth first and holds one
+    prefix product per level, so memory is O(N D^2), not m^N D^2; each
+    prefix is one ``tensor`` call for matrices and one ``_vector_kron``
+    for vectors. Needs n_uses >= 1 (``_check_dim``).
+    """
+    ndim = factors[0].ndim
+    kron = tensor if ndim == 2 else _vector_kron
 
     def walk(prefix, level):
-        for e in available.elements:
-            t = tensor(prefix, e)
+        for f in factors:
+            t = kron(prefix, f)
             if level == n_uses:
                 yield t
             else:
                 yield from walk(t, level + 1)
 
-    return walk(np.eye(1, dtype=complex), 1)
+    return walk(np.ones((1,) * ndim, dtype=factors[0].dtype), 1)
 
 
 def build_partition_povm(
@@ -95,8 +148,9 @@ def build_partition_povm(
 ) -> PartitionProtocol:
     """Coarse-grain N parallel uses of ``available`` through the map f.
 
-    Each string tensor is added into its coarse element as it is built,
-    so memory is O((m_target + N) D^2) rather than m^N D^2.
+    Commuting elements give a protocol held on spectra: each coarse
+    element is summed as a d^N vector, string by string. Otherwise the
+    dense Q_a are summed at once (``PartitionProtocol.coarse``).
     """
     _check_dim(available, n_uses)
     if m_target < 2:
@@ -112,17 +166,16 @@ def build_partition_povm(
             )
     if any(v < 0 or v >= m_target for v in assignment):
         raise ShapeMismatch("assignment value outside target outcome range")
-    dim = available.dim**n_uses
-    coarse = [np.zeros((dim, dim), dtype=complex) for _ in range(m_target)]
-    for t, v in zip(_string_tensors(available, n_uses), assignment):
-        coarse[v] += t
-    return PartitionProtocol(
-        available=available,
-        n_uses=n_uses,
-        assignment=assignment,
-        m_target=m_target,
-        coarse=tuple(coarse),
-    )
+    common = _common_eigenbasis(available, n_uses)
+    if common is None:
+        protocol = PartitionProtocol(available, n_uses, assignment, m_target)
+        protocol.coarse  # a dense protocol is summed here, not on first read
+        return protocol
+    u, spectra = common
+    q = [np.zeros(available.dim**n_uses) for _ in range(m_target)]
+    for t, v in zip(_string_products(spectra, n_uses), assignment):
+        q[v] += t
+    return PartitionProtocol(available, n_uses, assignment, m_target, u, tuple(q))
 
 
 # ---------------------------------------------------------------------------
@@ -302,28 +355,31 @@ def _mix_eigvecs(vec_hi, mu_hi, vec_lo, mu_lo, target):
     return math.sqrt(c2) * vec_hi + math.sqrt(1.0 - c2) * vec_lo
 
 
-def _inspace_binary(evals, evecs, x, y):
-    """Try orthogonal states from disjoint eigenvector pairs; None on failure."""
+def _inspace_binary(evals, column, x, y):
+    """Try orthogonal states from disjoint eigenvector pairs; None on failure.
+
+    ``column(j)`` is the eigenvector of ``evals[j]``.
+    """
     n = evals.size
     tol = 1e-12
     used = set()
 
     exact_x = [j for j in range(n) if abs(evals[j] - x) <= tol]
     if exact_x:
-        u0 = evecs[:, exact_x[0]]
+        u0 = column(exact_x[0])
         used.add(exact_x[0])
     else:
         partners = [j for j in range(1, n) if evals[j] <= x]
         if evals[0] < x or not partners:
             return None
         p = partners[0]
-        u0 = _mix_eigvecs(evecs[:, 0], evals[0], evecs[:, p], evals[p], x)
+        u0 = _mix_eigvecs(column(0), evals[0], column(p), evals[p], x)
         used.update({0, p})
 
     free = [j for j in range(n) if j not in used]
     exact_y = [j for j in free if abs(evals[j] - y) <= tol]
     if exact_y:
-        return u0, evecs[:, exact_y[-1]]
+        return u0, column(exact_y[-1])
     lo_cands = [j for j in free if evals[j] <= y]
     if not lo_cands:
         return None
@@ -332,7 +388,7 @@ def _inspace_binary(evals, evecs, x, y):
     if not hi_cands:
         return None
     hi = hi_cands[-1]
-    u1 = _mix_eigvecs(evecs[:, hi], evals[hi], evecs[:, lo], evals[lo], y)
+    u1 = _mix_eigvecs(column(hi), evals[hi], column(lo), evals[lo], y)
     return u0, u1
 
 
@@ -343,11 +399,28 @@ def construct_states(protocol: PartitionProtocol, targets) -> StatePrep:
     combines disjoint eigenvector pairs of Q_0; when that fails a single
     unmeasured ancilla qubit tags the states |u_i>|i> to restore
     orthogonality.
+
+    A protocol held on spectra takes its eigenvalues as q_0 sorted
+    descending, ties in index order, and builds an eigenvector only when
+    it is used: the Kronecker product of the columns of U that the
+    product-basis index picks.
     """
     if protocol.m_target != 2:
         raise Unachievable("state construction implemented for binary targets only")
     x, y = float(targets[0]), float(targets[1])
-    evals, evecs = qcore.hermitian_eig(protocol.coarse[0])
+    if protocol.spectra is None:
+        evals, evecs = qcore.hermitian_eig(protocol.coarse[0])
+
+        def column(j):
+            return evecs[:, j]
+    else:
+        u = protocol.basis
+        order = np.argsort(-protocol.spectra[0], kind="stable")
+        evals = protocol.spectra[0][order]
+
+        def column(j):
+            digits = np.unravel_index(order[j], (u.shape[0],) * protocol.n_uses)
+            return functools.reduce(_vector_kron, [u[:, i] for i in digits])
     lam_min, lam_max = evals[-1], evals[0]
     slack = 1e-9
     if not (lam_min - slack <= x <= lam_max + slack) or not (
@@ -359,14 +432,14 @@ def construct_states(protocol: PartitionProtocol, targets) -> StatePrep:
     x = min(max(x, lam_min), lam_max)
     y = min(max(y, lam_min), lam_max)
 
-    pair = _inspace_binary(evals, evecs, x, y)
+    pair = _inspace_binary(evals, column, x, y)
     if pair is not None:
         u0, u1 = pair
         return StatePrep(
             n_measured=protocol.n_uses, ancilla_qubits=0, states=(u0, u1)
         )
 
-    v_hi, v_lo = evecs[:, 0], evecs[:, -1]
+    v_hi, v_lo = column(0), column(evals.size - 1)
     u0 = _mix_eigvecs(v_hi, lam_max, v_lo, lam_min, x)
     u1 = _mix_eigvecs(v_hi, lam_max, v_lo, lam_min, y)
     e = np.eye(2, dtype=complex)
@@ -375,9 +448,24 @@ def construct_states(protocol: PartitionProtocol, targets) -> StatePrep:
 
 
 def implemented_povm(prep: StatePrep, protocol: PartitionProtocol) -> Povm:
-    """Effective POVM on the original system, via the prepared-state isometry."""
+    """Effective POVM on the original system, via the prepared-state isometry.
+
+    For a protocol held on spectra the states V are rotated into the
+    eigenbasis, V' = ((U^dagger)^(x N) x I) V, one tensor factor at a time,
+    and element a is V'^dagger diag(q_a x 1) V'.
+    """
     anc = 2**prep.ancilla_qubits
     vmat = np.column_stack(prep.states)
+    if protocol.spectra is not None:
+        if protocol.spectra[0].size * anc != vmat.shape[0]:
+            raise ShapeMismatch("state and coarse POVM dimensions disagree")
+        u_dag = dagger(protocol.basis)
+        d = u_dag.shape[0]
+        rot = vmat
+        for k in range(protocol.n_uses):
+            rot = (u_dag @ rot.reshape(d**k, d, -1)).reshape(vmat.shape)
+        return Povm(tuple(dagger(rot) @ (np.repeat(q, anc)[:, None] * rot)
+                          for q in protocol.spectra))
     elems = []
     for q in protocol.coarse:
         big = tensor(q, identity(anc)) if anc > 1 else q
@@ -408,41 +496,35 @@ def _search_terms(available: Povm, n_uses: int) -> list:
     tensors T_s otherwise; a Q_0 summed from them is scored by
     ``_score`` either way. ``_check_dim`` applies to both.
 
-    Commutation is tested once: U diagonalises the fixed combination
-    sum_a (a + 1) M_a, and the elements commute when every U^dagger M_a U
-    has no off-diagonal entry above ``_COMMUTE_ATOL``; v_a is then its
-    real diagonal. An accidental degeneracy of the combination leaves
-    U free inside an eigenspace: if that U misses some M_a, the test
-    fails and the input takes the dense path. Whatever U passes, the
-    bound below holds, so no input gets a wrong spectrum.
+    Commutation is tested once, by ``_common_eigenbasis``: U
+    diagonalises the fixed combination sum_a (a + 1) M_a, and v_a is the
+    real diagonal of U^dagger M_a U. An accidental degeneracy of the
+    combination leaves U free inside an eigenspace: if that U misses
+    some M_a, the test fails and the input takes the dense path.
+    Whatever U passes, the bound below holds, so no input gets a wrong
+    spectrum.
 
-    Write U^dagger M_a U = D_a + E_a with E_a the off-diagonal part, so
-    ||E_a|| <= (d - 1) * _COMMUTE_ATOL. Telescoping each string's
-    product, U^(x N)dagger Q_0 U^(x N) differs from diag(q), q the summed
-    vector, by at most N * sum_a ||E_a||: each partial sum of products
-    of the positive D_b and M_b is at most the identity (up to the
-    completeness defect). By Weyl's inequality the k-th largest entry of
-    q is within N * m * (d - 1) * _COMMUTE_ATOL of the k-th eigenvalue
-    of Q_0. That is 2.4e-13 for d = 4, m = 2, N = 4, and it stays below
-    the searches' 1e-12 co-optimal window while N * m * (d - 1) <= 100,
-    which covers every two-outcome POVM with d <= 4 up to the dimension
-    cap. Commuting inputs leave a residual of rounding size, about 2e-15
-    for random two-outcome POVMs with d = 2..4; elements that sum to the
-    identity only within delta leave a residual of order delta.
+    Write U^dagger M_a U = D_a + E_a with E_a the off-diagonal part.
+    Telescoping each string's product, U^(x N)dagger Q_0 U^(x N) differs
+    from diag(q), q the summed vector, by at most N * sum_a ||E_a||_2:
+    each partial sum of products of the positive D_b and M_b is at most
+    the identity (up to the completeness defect). By Weyl's inequality
+    the k-th largest entry of q is within that bound of the k-th
+    eigenvalue of Q_0, and so is every coarse element a protocol keeps
+    as a vector, as is the POVM implemented from it. An input counts as
+    commuting only when the bound is at most ``_TIE_WINDOW``, the
+    searches' co-optimal window, for the N it is used at. Commuting
+    inputs leave a residual of rounding size, about 2e-15 for random
+    two-outcome POVMs with d = 2..4; elements that sum to the identity
+    only within delta leave a residual of order delta, up to 9.1e-13 at
+    N = 3, 4 for two-outcome qutrit and ququart POVMs normalised through
+    S^(-1/2), which sum to the identity within about 1e-13.
     """
     _check_dim(available, n_uses)
-    comb = sum((a + 1) * e for a, e in enumerate(available.elements))
-    _, u = np.linalg.eigh((comb + dagger(comb)) / 2)
-    rotated = [dagger(u) @ e @ u for e in available.elements]
-    for r in rotated:
-        if not np.abs(r - np.diag(np.diag(r))).max() <= _COMMUTE_ATOL:
-            # the searches index the terms, so all m^N are held
-            return list(_string_tensors(available, n_uses))
-    spectra = [np.diag(r).real.copy() for r in rotated]
-    terms = [np.ones(1)]
-    for _ in range(n_uses):
-        terms = [np.kron(t, v) for t in terms for v in spectra]
-    return terms
+    common = _common_eigenbasis(available, n_uses)
+    factors = available.elements if common is None else common[1]
+    # the searches index the terms, so all m^N are held
+    return list(_string_products(factors, n_uses))
 
 
 def _score(q0):
@@ -501,7 +583,7 @@ def exhaustive_search(available: Povm, n_uses: int):
     for cand, sol in scored:
         if best is None or sol.epsilon < best.epsilon - 1e-15:
             best, best_bits = sol, cand
-    ties = [c for c, sol in scored if abs(sol.epsilon - best.epsilon) <= 1e-12]
+    ties = [c for c, sol in scored if abs(sol.epsilon - best.epsilon) <= _TIE_WINDOW]
     protocol = build_partition_povm(available, n_uses, best_bits, 2)
     return SearchResult(
         protocol=protocol,

@@ -108,12 +108,25 @@ def test_postmeas_command(capsys):
     (("synth", "trine", "--n", "-1"), "n_uses must be >= 1"),
     (("rms", "trine", "--n", "0"), "n_uses must be >= 1"),
     (("rms", "trine", "--n", "-1"), "n_uses must be >= 1"),
+    (("clone", "trine", "--max-n", "0"), "0 < 1 uses"),
+    (("clone", "trine", "--max-n", "-2"), "-2 < 1 uses"),
 ])
 def test_counts_below_one_fail_with_a_typed_error(capsys, argv, message):
     assert cli.main(list(argv)) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("k", ["17", "45", "70"])
+def test_block_beyond_the_codebook_cap_fails_with_a_typed_error(capsys, k):
+    # 2^17 messages exceed the cap; 2^45 once ended in a 256 TiB
+    # allocation and 2^70 in a numpy ValueError
+    argv = ["block", "trine", "--k", k, "--copies", "1", "--trials", "10"]
+    assert cli.main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: codebook with {2**int(k)} messages exceeds the cap\n"
 
 
 def test_clone_command(capsys):

@@ -417,17 +417,71 @@ def test_commuting_search_on_spectra_matches_dense_scoring(seed, case):
         assert abs(own.epsilon - sol.epsilon) <= 1e-14
 
 
+@settings(max_examples=40)
+@given(seed=povm_seeds, case=commuting_cases)
+def test_commuting_protocol_on_spectra_implements_the_qp_error(seed, case):
+    m, d, n_uses = case
+    povm = random_povm(d, 2, Rng(seed)) if m == 2 else lossy_povm(d, Rng(seed))
+    syn = synthesize(povm, n_uses, Rng(seed))
+    proto = syn.protocol
+    assert proto.spectra is not None
+    # the eigenvalues construct_states reads off q_0 against the dense Q_0's
+    dense = partition_povm_from_list(povm, n_uses, proto.assignment, 2)
+    evals, _ = qcore.hermitian_eig(dense[0])
+    assert np.abs(np.sort(proto.spectra[0])[::-1] - evals).max() <= 1e-14
+    u0, u1 = syn.prep.states
+    gram = np.array([[np.vdot(a, b) for b in (u0, u1)] for a in (u0, u1)])
+    assert np.abs(gram - np.eye(2)).max() <= 1e-12
+    m0 = implemented_povm(syn.prep, proto).elements[0]
+    eps = rms_closed_form_qubit(
+        float(m0[0, 0].real), float(m0[1, 1].real), complex(m0[0, 1])
+    )
+    assert abs(eps - syn.solution.epsilon) <= 1e-12
+
+
+def test_commuting_synthesis_builds_no_dense_operator():
+    # one 256 x 256 complex matrix takes 1 MiB
+    povm = random_povm(4, 2, Rng(7))
+    tracemalloc.start()
+    try:
+        syn = synthesize(povm, 4, Rng(7))
+        implemented_povm(syn.prep, syn.protocol)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert syn.protocol.spectra is not None
+    assert peak < 2**20
+
+
+def test_near_commuting_povm_takes_the_spectra_path():
+    # normalised through S^(-1/2), it sums to the identity only within
+    # about 1e-13, so U^dagger M_a U keeps off-diagonal entries of 1e-13;
+    # N * sum_a ||E_a||_2 is still 6e-13 at N = 4
+    povm = random_povm_of_ranks(3, (1, 2), Rng(169))
+    assert np.abs(sum(povm.elements) - identity(3)).max() > 5e-14
+    assert vnsynth._search_terms(povm, 4)[0].ndim == 1
+    syn = synthesize(povm, 4, Rng(169))
+    assert syn.protocol.spectra is not None
+    own = score_from_scratch(string_tensors(povm, 4), syn.protocol.assignment)
+    assert abs(syn.solution.epsilon - own.epsilon) <= 1e-14
+    m0 = implemented_povm(syn.prep, syn.protocol).elements[0]
+    eps = rms_closed_form_qubit(
+        float(m0[0, 0].real), float(m0[1, 1].real), complex(m0[0, 1])
+    )
+    assert abs(eps - syn.solution.epsilon) <= 1e-12
+
+
 def test_noncommuting_povms_search_dense_matrices():
     assert vnsynth._search_terms(trine_povm(), 2)[0].ndim == 2
     m0, m1 = random_povm(2, 2, Rng(4)).elements
     assert vnsynth._search_terms(Povm((m0, m1)), 2)[0].ndim == 1
     # tilt M_0 alone, so the elements miss commuting by more than the
-    # tolerance while still summing to the identity within 1e-10
-    kick = 100 * vnsynth._COMMUTE_ATOL * np.array([[0, 1], [1, 0]])
+    # admission budget while still summing to the identity within 1e-10
+    kick = 10 * vnsynth._TIE_WINDOW * np.array([[0, 1], [1, 0]])
     tilted = Povm((m0 + kick, m1))
     assert qcore.validate_povm(tilted).ok
     commutator = tilted.elements[0] @ m1 - m1 @ tilted.elements[0]
-    assert np.abs(commutator).max() > vnsynth._COMMUTE_ATOL
+    assert np.abs(commutator).max() > vnsynth._TIE_WINDOW
     assert vnsynth._search_terms(tilted, 2)[0].ndim == 2
     assert exhaustive_search(tilted, 2).evaluated == 8
 
