@@ -7,20 +7,23 @@ minimise the reproduction error over achievable expectation values
 prepared states realising the optimum, with a single unmeasured
 ancilla qubit when no in-space solution exists.
 
-The partition searches score candidates incrementally. Q_0 is the sum
-of the string tensors T_s assigned to target 0, so moving one string
-between the targets changes Q_0 by +-T_s: a candidate costs one matrix
-add and one ``eigvalsh``, not a sum over all m^N tensors.
+The partition searches score candidates on partial sums. Q_0 is the
+sum of the string tensors T_s assigned to target 0, so each candidate
+differs from one already summed by +-T_s. The exhaustive search builds
+the Q_0 of all partitions level by level as one stacked array and
+reads their extreme eigenvalues from one batched ``eigvalsh``; the
+hill climb moves one string at a time. Each candidate then costs one
+call of the box program's core on two floats, and only the winner
+becomes a ``BoxQuadSolution``.
 
 When the POVM's elements commute (every two-outcome POVM does, and so
 do noisy and lossy measurements), all T_s are diagonal in one product
 basis U^(x N). The searches then add the real d^N-vectors of their
 eigenvalues instead, and read the extreme eigenvalues of Q_0 as a
-vector's min and max: a candidate costs two vector passes and no
-``eigvalsh``. The protocol keeps its coarse elements as such vectors
-too, and its prepared states and implemented POVM are built from them
-and U: no d^N x d^N operator is formed unless a caller reads
-``PartitionProtocol.coarse``.
+vector's min and max, with no ``eigvalsh``. The protocol keeps its
+coarse elements as such vectors too, and its prepared states and
+implemented POVM are built from them and U: no d^N x d^N operator is
+formed unless a caller reads ``PartitionProtocol.coarse``.
 """
 
 from __future__ import annotations
@@ -44,6 +47,13 @@ _EXHAUSTIVE_STRING_CAP = 12
 # bounds how far an input admitted as commuting may move the eigenvalues
 # the searches score (``_search_terms``).
 _TIE_WINDOW = 1e-12
+
+# Bytes the searches may hold in terms, one per outcome string: trine at
+# N = 7 (2,187 dense 128 x 128 tensors, 573 MB) fits, N = 8 does not.
+_TERMS_BYTES = 2**30
+
+# Bytes of one stack of partial sums that exhaustive_search scores at once.
+_STACK_BYTES = 2**21
 
 
 # ---------------------------------------------------------------------------
@@ -83,31 +93,28 @@ class PartitionProtocol:
         return tuple(coarse)
 
 
-def _check_dim(available: Povm, n_uses: int) -> None:
-    """Reject a use count below 1 or an N-fold space beyond the cap."""
+def _common_eigenbasis(available: Povm, n_uses: int):
+    """(U, spectra) when the elements commute for N uses, else (None, None).
+
+    It first rejects a use count below 1 (``ShapeMismatch``) or an
+    N-fold space beyond ``qcore.DIM_CAP`` (``TooLarge``). U diagonalises
+    the fixed combination sum_a (a + 1) M_a, and spectra[a] is the real
+    diagonal of U^dagger M_a U. The elements count as commuting when
+    N * sum_a ||E_a||_2 <= ``_TIE_WINDOW``, E_a the off-diagonal part of
+    U^dagger M_a U; ``_search_terms`` shows what that bound guarantees.
+    """
     if n_uses < 1:
         raise ShapeMismatch("n_uses must be >= 1")
     if available.dim**n_uses > qcore.DIM_CAP:
         raise TooLarge(
             f"dim {available.dim}^{n_uses} exceeds cap {qcore.DIM_CAP}"
         )
-
-
-def _common_eigenbasis(available: Povm, n_uses: int):
-    """(U, spectra) when the elements commute for N uses, else None.
-
-    U diagonalises the fixed combination sum_a (a + 1) M_a, and
-    spectra[a] is the real diagonal of U^dagger M_a U. The elements count
-    as commuting when N * sum_a ||E_a||_2 <= ``_TIE_WINDOW``, E_a the
-    off-diagonal part of U^dagger M_a U; ``_search_terms`` shows what
-    that bound guarantees.
-    """
     comb = sum((a + 1) * e for a, e in enumerate(available.elements))
     _, u = np.linalg.eigh((comb + dagger(comb)) / 2)
     rotated = [dagger(u) @ e @ u for e in available.elements]
     off = sum(np.linalg.norm(r - np.diag(np.diag(r)), 2) for r in rotated)
     if not n_uses * off <= _TIE_WINDOW:
-        return None
+        return None, None
     return u, [np.diag(r).real.copy() for r in rotated]
 
 
@@ -124,7 +131,7 @@ def _string_products(factors, n_uses: int):
     or their eigenvalue vectors. The walk is depth first and holds one
     prefix product per level, so memory is O(N D^2), not m^N D^2; each
     prefix is one ``tensor`` call for matrices and one ``_vector_kron``
-    for vectors. Needs n_uses >= 1 (``_check_dim``).
+    for vectors. Needs n_uses >= 1 (``_common_eigenbasis``).
     """
     ndim = factors[0].ndim
     kron = tensor if ndim == 2 else _vector_kron
@@ -152,7 +159,7 @@ def build_partition_povm(
     element is summed as a d^N vector, string by string. Otherwise the
     dense Q_a are summed at once (``PartitionProtocol.coarse``).
     """
-    _check_dim(available, n_uses)
+    common = _common_eigenbasis(available, n_uses)
     if m_target < 2:
         raise ShapeMismatch("m_target must be >= 2")
     strings = list(itertools.product(range(available.outcomes), repeat=n_uses))
@@ -166,12 +173,17 @@ def build_partition_povm(
             )
     if any(v < 0 or v >= m_target for v in assignment):
         raise ShapeMismatch("assignment value outside target outcome range")
-    common = _common_eigenbasis(available, n_uses)
-    if common is None:
+    return _partition_protocol(available, n_uses, assignment, m_target, common)
+
+
+def _partition_protocol(available, n_uses, assignment, m_target, common):
+    """``build_partition_povm`` for a checked assignment (a tuple of ints)
+    and the ``_common_eigenbasis`` of ``available`` at ``n_uses``."""
+    u, spectra = common
+    if u is None:
         protocol = PartitionProtocol(available, n_uses, assignment, m_target)
         protocol.coarse  # a dense protocol is summed here, not on first read
         return protocol
-    u, spectra = common
     q = [np.zeros(available.dim**n_uses) for _ in range(m_target)]
     for t, v in zip(_string_products(spectra, n_uses), assignment):
         q[v] += t
@@ -200,39 +212,50 @@ def _qubit_objective(x, y):
     return ((1.0 - x - y) ** 2 + (1.0 - x) * y) / 3.0
 
 
-def solve_box_quadratic_qubit(lam_min: float, lam_max: float) -> BoxQuadSolution:
-    """Minimise the qubit reproduction error over the eigenvalue box.
+def _box_minimiser(lo: float, hi: float):
+    """(x, y, value): the minimiser of ``_qubit_objective`` over [lo, hi]^2.
 
     Convex quadratic on a square, so the minimiser is either the
     unconstrained optimum (1, 0), the 1-D optimum along one edge, or a
-    corner; all candidates are enumerated. For ordinary eigenvalue
-    boxes this lands in one of three regions: x pinned at lambda_max
-    with interior y, both pinned at a corner, or y pinned at lambda_min
-    with interior x.
+    corner. The candidates are tried in a fixed order, (1, 0) when the
+    box holds it and then the optimum along the edges x = hi, y = lo,
+    x = lo and y = hi clamped into the box (which reaches the corners),
+    and the first one of smallest value wins.
+    """
+    x = y = value = None
+    if lo <= 1.0 <= hi and lo <= 0.0 <= hi:
+        x, y, value = 1.0, 0.0, _qubit_objective(1.0, 0.0)
+    for c, edge, free_x in (((1.0 - hi) / 2.0, hi, False), (1.0 - lo / 2.0, lo, True),
+                            ((1.0 - lo) / 2.0, lo, False), (1.0 - hi / 2.0, hi, True)):
+        # min(max(c, lo), hi) without two builtin calls per candidate
+        c = lo if lo > c else c
+        c = hi if hi < c else c
+        cx, cy = (c, edge) if free_x else (edge, c)
+        v = _qubit_objective(cx, cy)
+        if value is None or v < value:
+            x, y, value = cx, cy, v
+    return x, y, value
+
+
+def solve_box_quadratic_qubit(lam_min: float, lam_max: float) -> BoxQuadSolution:
+    """Minimise the qubit reproduction error over the eigenvalue box.
+
+    ``_box_minimiser`` enumerates the candidates. For ordinary eigenvalue
+    boxes the minimiser lands in one of three regions: x pinned at
+    lambda_max with interior y, both pinned at a corner, or y pinned at
+    lambda_min with interior x.
     """
     if not (0.0 <= lam_min <= lam_max <= 1.0):
         raise InvalidBounds(f"bounds ({lam_min}, {lam_max}) outside [0,1]")
     lo, hi = lam_min, lam_max
-
-    def clamp(v):
-        return min(max(v, lo), hi)
-
-    candidates = []
-    if lo <= 1.0 <= hi and lo <= 0.0 <= hi:
-        candidates.append((1.0, 0.0))
-    candidates.append((hi, clamp((1.0 - hi) / 2.0)))  # edge x = lambda_max
-    candidates.append((clamp(1.0 - lo / 2.0), lo))  # edge y = lambda_min
-    candidates.append((lo, clamp((1.0 - lo) / 2.0)))
-    candidates.append((clamp(1.0 - hi / 2.0), hi))
-    x, y = min(candidates, key=lambda c: _qubit_objective(*c))
+    x, y, value = _box_minimiser(lo, hi)
     if abs(x - hi) <= 1e-15 and abs(y - (1.0 - hi) / 2.0) <= 1e-15:
         region = "left"
     elif abs(x - (1.0 - lo / 2.0)) <= 1e-15 and abs(y - lo) <= 1e-15:
         region = "right"
     else:
         region = "corner"
-    eps = math.sqrt(max(_qubit_objective(x, y), 0.0))
-    return BoxQuadSolution(lam_min, lam_max, x, y, eps, region)
+    return BoxQuadSolution(lam_min, lam_max, x, y, math.sqrt(max(value, 0.0)), region)
 
 
 @dataclass(frozen=True)
@@ -488,13 +511,16 @@ class SearchResult:
     evaluated: int
 
 
-def _search_terms(available: Povm, n_uses: int) -> list:
+def _search_terms(available: Povm, n_uses: int, common=None) -> list:
     """One term per outcome string, in lexicographic order, for the searches.
 
     The terms are the eigenvalue vectors t_s = v_{a_1} x ... x v_{a_N}
     (real, length d^N) when the elements commute, and the dense string
-    tensors T_s otherwise; a Q_0 summed from them is scored by
-    ``_score`` either way. ``_check_dim`` applies to both.
+    tensors T_s otherwise; Q_0 summed from them are scored by
+    ``_scores`` either way. ``common`` is the ``_common_eigenbasis`` of
+    ``available`` at ``n_uses``, worked out here when not given, which
+    also checks N and the dimension cap. All m^N terms are held, so
+    their bytes are checked against ``_TERMS_BYTES`` before any is built.
 
     Commutation is tested once, by ``_common_eigenbasis``: U
     diagonalises the fixed combination sum_a (a + 1) M_a, and v_a is the
@@ -520,26 +546,41 @@ def _search_terms(available: Povm, n_uses: int) -> list:
     N = 3, 4 for two-outcome qutrit and ququart POVMs normalised through
     S^(-1/2), which sum to the identity within about 1e-13.
     """
-    _check_dim(available, n_uses)
-    common = _common_eigenbasis(available, n_uses)
-    factors = available.elements if common is None else common[1]
+    u, spectra = common if common is not None else _common_eigenbasis(available, n_uses)
+    factors = available.elements if u is None else spectra
+    n_strings = available.outcomes**n_uses
+    size = n_strings * factors[0].itemsize * (available.dim**n_uses) ** factors[0].ndim
+    if size > _TERMS_BYTES:
+        raise TooLarge(
+            f"search terms of {available.outcomes}^{n_uses} outcome strings take "
+            f"{size} bytes, over the budget of {_TERMS_BYTES}"
+        )
     # the searches index the terms, so all m^N are held
     return list(_string_products(factors, n_uses))
 
 
-def _score(q0):
-    """Qubit box program on the extreme eigenvalues of a ready Q_0.
+def _scores(stack) -> list:
+    """(epsilon, lam_min, lam_max) of the qubit box program for each Q_0
+    in a stack, lam_min and lam_max its extreme eigenvalues clamped into
+    [0, 1].
 
-    A 1-D Q_0 is the eigenvalue vector of ``_search_terms``' spectra path.
+    A stack of vectors holds the eigenvalue vectors of ``_search_terms``'
+    spectra path, whose extremes are each row's min and max; a stack of
+    matrices is diagonalised by one batched ``eigvalsh``.
     """
-    if q0.ndim == 1:
-        lo, hi = float(q0.min()), float(q0.max())
+    if stack.ndim == 2:
+        lows, highs = stack.min(axis=1).tolist(), stack.max(axis=1).tolist()
     else:
-        w = np.linalg.eigvalsh((q0 + dagger(q0)) / 2)
-        lo, hi = float(w[0]), float(w[-1])
-    lam_min = min(max(lo, 0.0), 1.0)
-    lam_max = min(max(hi, 0.0), 1.0)
-    return solve_box_quadratic_qubit(lam_min, lam_max)
+        w = np.linalg.eigvalsh((stack + np.conj(np.swapaxes(stack, 1, 2))) / 2)
+        lows, highs = w[:, 0].tolist(), w[:, -1].tolist()
+    scores = []
+    for lo, hi in zip(lows, highs):
+        # min(max(v, 0.0), 1.0), written out as in _box_minimiser
+        lam_min = 0.0 if lo < 0.0 else 1.0 if lo > 1.0 else lo
+        lam_max = 0.0 if hi < 0.0 else 1.0 if hi > 1.0 else hi
+        value = _box_minimiser(lam_min, lam_max)[2]
+        scores.append((math.sqrt(max(value, 0.0)), lam_min, lam_max))
+    return scores
 
 
 def exhaustive_search(available: Povm, n_uses: int):
@@ -548,13 +589,17 @@ def exhaustive_search(available: Povm, n_uses: int):
     Partitions are canonicalised by assigning the lexicographically
     first string to outcome 0, halving the enumeration. ``co_optimal``
     lists every partition (up to that relabelling) whose epsilon is
-    within 1e-12 of the best one, in walk order.
+    within 1e-12 of the best one, in lexicographic order.
 
-    The 2^(n-1) partitions are walked depth first in lexicographic
-    order, deciding one string per level and keeping the partial Q_0
-    of each level, so each partition costs about one add. The partial
-    sums add the terms in string order, exactly as a sum from scratch
-    does, so every Q_0 is bit-identical to it.
+    The Q_0 of all 2^(n-1) partitions are built level by level, one
+    string per level, as one stacked array: deciding string i turns the
+    stack S into stack(S + T_i, S), so the rows stay in lexicographic
+    order (string i in target 0 first) and each partial sum adds the
+    terms in string order, exactly as a sum from scratch does. Every Q_0
+    is bit-identical to it, and one batched ``eigvalsh`` (or a row min
+    and max on spectra) gives every partition's extreme eigenvalues.
+    When the stack would pass ``_STACK_BYTES``, the leading strings are
+    decided depth first and only the last levels are stacked.
     """
     n_strings = available.outcomes**n_uses
     if n_strings > _EXHAUSTIVE_STRING_CAP:
@@ -562,32 +607,41 @@ def exhaustive_search(available: Povm, n_uses: int):
             f"{n_strings} strings exceeds cap {_EXHAUSTIVE_STRING_CAP}; "
             "use hill_climb_search"
         )
-    terms = _search_terms(available, n_uses)
-    scored = []
-    bits = [0] * n_strings
+    common = _common_eigenbasis(available, n_uses)
+    terms = _search_terms(available, n_uses, common)
+    # strings lead..n-1 are stacked, 2^(n - lead) rows within the budget
+    rows = max(_STACK_BYTES // terms[0].nbytes, 1)
+    lead = max(n_strings - rows.bit_length() + 1, 1)
 
-    def walk(i, q0):
-        if i == n_strings:
-            scored.append((tuple(bits), _score(q0)))
-            return
-        bits[i] = 0
-        walk(i + 1, q0 + terms[i])
-        bits[i] = 1
-        walk(i + 1, q0)
+    def prefixes(i, q0):
+        if i == lead:
+            yield q0
+        else:
+            yield from prefixes(i + 1, q0 + terms[i])
+            yield from prefixes(i + 1, q0)
 
+    scored = []  # (epsilon, lam_min, lam_max) per partition, in order
     # string 0 is always in target 0; 0 + T_0 starts the sum as a sum
     # from scratch does, signed zeros included
-    walk(1, np.zeros_like(terms[0]) + terms[0])
-    best = None
-    best_bits = None
-    for cand, sol in scored:
-        if best is None or sol.epsilon < best.epsilon - 1e-15:
-            best, best_bits = sol, cand
-    ties = [c for c, sol in scored if abs(sol.epsilon - best.epsilon) <= _TIE_WINDOW]
-    protocol = build_partition_povm(available, n_uses, best_bits, 2)
+    for prefix in prefixes(1, np.zeros_like(terms[0]) + terms[0]):
+        stack = prefix[None]
+        for t in terms[lead:]:
+            stack = np.stack((stack + t, stack), axis=1).reshape(-1, *t.shape)
+        scored += _scores(stack)
+    best = 0
+    for j, score in enumerate(scored):
+        if score[0] < scored[best][0] - 1e-15:
+            best = j
+    eps = scored[best][0]
+
+    def bits(j):
+        return (0,) + tuple(j >> k & 1 for k in range(n_strings - 2, -1, -1))
+
+    ties = [bits(j) for j, score in enumerate(scored)
+            if abs(score[0] - eps) <= _TIE_WINDOW]
     return SearchResult(
-        protocol=protocol,
-        solution=best,
+        protocol=_partition_protocol(available, n_uses, bits(best), 2, common),
+        solution=solve_box_quadratic_qubit(*scored[best][1:]),
         co_optimal=tuple(ties),
         evaluated=len(scored),
     )
@@ -616,12 +670,13 @@ def hill_climb_search(
     keeps the running Q_0 of its current partition and scores a
     neighbour as Q_0 +- T_i; Q_0 is rebuilt from scratch at each start,
     so round-off does not carry over from one start to the next. Scores
-    are cached per partition, and ``evaluated`` counts the distinct
-    partitions scored.
+    are cached per partition as (epsilon, lam_min, lam_max), and
+    ``evaluated`` counts the distinct partitions scored.
     """
     rng = rng if rng is not None else Rng(0)
     n_strings = available.outcomes**n_uses
-    terms = _search_terms(available, n_uses)
+    common = _common_eigenbasis(available, n_uses)
+    terms = _search_terms(available, n_uses, common)
     cache: dict = {}
 
     starts = [_zero_string_seed(available, n_uses)]
@@ -630,39 +685,39 @@ def hill_climb_search(
         starts.append(tuple(int(v) for v in g.integers(0, 2, size=n_strings)))
 
     every = (1 << n_strings) - 1
+    flips = [1 << i for i in range(n_strings)]
     best_mask, best = None, None
     for start in starts:
         mask = sum(b << i for i, b in enumerate(start))
         if mask & 1:
             mask ^= every
         q0 = np.zeros_like(terms[0])
-        for i, t in enumerate(terms):
-            if not mask >> i & 1:
+        for t, flip in zip(terms, flips):
+            if not mask & flip:
                 q0 += t
-        if mask not in cache:
-            cache[mask] = _score(q0)
-        cur = cache[mask]
+        cur = cache.get(mask)
+        if cur is None:
+            cur = cache[mask] = _scores(q0[None])[0]
         improved = True
         while improved:
             improved = False
             for i in range(1, n_strings):
-                cand = mask ^ (1 << i)
+                cand = mask ^ flips[i]
                 s = cache.get(cand)
-                if s is not None and not s.epsilon < cur.epsilon - 1e-14:
+                if s is not None and not s[0] < cur[0] - 1e-14:
                     continue
-                cand_q0 = q0 + terms[i] if mask >> i & 1 else q0 - terms[i]
+                cand_q0 = q0 + terms[i] if mask & flips[i] else q0 - terms[i]
                 if s is None:
-                    s = cache[cand] = _score(cand_q0)
-                if s.epsilon < cur.epsilon - 1e-14:
+                    s = cache[cand] = _scores(cand_q0[None])[0]
+                if s[0] < cur[0] - 1e-14:
                     mask, cur, q0 = cand, s, cand_q0
                     improved = True
-        if best is None or cur.epsilon < best.epsilon - 1e-15:
+        if best is None or cur[0] < best[0] - 1e-15:
             best_mask, best = mask, cur
     best_bits = tuple(best_mask >> i & 1 for i in range(n_strings))
-    protocol = build_partition_povm(available, n_uses, best_bits, 2)
     return SearchResult(
-        protocol=protocol,
-        solution=best,
+        protocol=_partition_protocol(available, n_uses, best_bits, 2, common),
+        solution=solve_box_quadratic_qubit(*best[1:]),
         co_optimal=(best_bits,),
         evaluated=len(cache),
     )

@@ -14,7 +14,12 @@ import numpy as np
 from measrep.coding import _ml_argmax, _pack, _safe_log, _unpack, associated_channel
 from measrep.errors import ShapeMismatch, TooLarge
 from measrep.qcore import Instrument, Povm, Rng, dagger, density, identity, tensor
-from measrep.vnsynth import solve_box_quadratic_qubit
+from measrep.vnsynth import (
+    BoxQuadSolution,
+    _qubit_objective,
+    _search_terms,
+    solve_box_quadratic_qubit,
+)
 
 
 def haar_unitary(dim, rng):
@@ -248,6 +253,73 @@ def hill_climb_search_from_scratch(available, n_uses, restarts=8, rng=None):
         if best is None or cur.epsilon < best.epsilon - 1e-15:
             best_bits, best = bits, cur
     return best_bits, best, len(cache)
+
+
+# Earlier forms of the partition searches' scoring, kept as references:
+# the library must compute the same bits without their per-candidate
+# closures, dataclasses and recursion.
+
+
+def box_quadratic_qubit_closures(lam_min, lam_max):
+    """``solve_box_quadratic_qubit`` as a closure-built candidate list and
+    a keyed ``min``."""
+    lo, hi = lam_min, lam_max
+
+    def clamp(v):
+        return min(max(v, lo), hi)
+
+    candidates = []
+    if lo <= 1.0 <= hi and lo <= 0.0 <= hi:
+        candidates.append((1.0, 0.0))
+    candidates.append((hi, clamp((1.0 - hi) / 2.0)))
+    candidates.append((clamp(1.0 - lo / 2.0), lo))
+    candidates.append((lo, clamp((1.0 - lo) / 2.0)))
+    candidates.append((clamp(1.0 - hi / 2.0), hi))
+    x, y = min(candidates, key=lambda c: _qubit_objective(*c))
+    if abs(x - hi) <= 1e-15 and abs(y - (1.0 - hi) / 2.0) <= 1e-15:
+        region = "left"
+    elif abs(x - (1.0 - lo / 2.0)) <= 1e-15 and abs(y - lo) <= 1e-15:
+        region = "right"
+    else:
+        region = "corner"
+    eps = math.sqrt(max(_qubit_objective(x, y), 0.0))
+    return BoxQuadSolution(lam_min, lam_max, x, y, eps, region)
+
+
+def exhaustive_search_depth_first(available, n_uses):
+    """(best bits, solution, co-optimal bits, partitions scored) of
+    ``exhaustive_search`` as a recursive walk that keeps one partial Q_0
+    per level and scores each leaf on its own."""
+    terms = _search_terms(available, n_uses)
+    n_strings = len(terms)
+    scored = []
+    bits = [0] * n_strings
+
+    def score(q0):
+        if q0.ndim == 1:
+            lo, hi = float(q0.min()), float(q0.max())
+        else:
+            w = np.linalg.eigvalsh((q0 + dagger(q0)) / 2)
+            lo, hi = float(w[0]), float(w[-1])
+        return box_quadratic_qubit_closures(min(max(lo, 0.0), 1.0),
+                                            min(max(hi, 0.0), 1.0))
+
+    def walk(i, q0):
+        if i == n_strings:
+            scored.append((tuple(bits), score(q0)))
+            return
+        bits[i] = 0
+        walk(i + 1, q0 + terms[i])
+        bits[i] = 1
+        walk(i + 1, q0)
+
+    walk(1, np.zeros_like(terms[0]) + terms[0])
+    best = best_bits = None
+    for cand, sol in scored:
+        if best is None or sol.epsilon < best.epsilon - 1e-15:
+            best, best_bits = sol, cand
+    ties = tuple(c for c, sol in scored if abs(sol.epsilon - best.epsilon) <= 1e-12)
+    return best_bits, best, ties, len(scored)
 
 
 # Earlier forms of the block-coding hot paths, kept as references: the

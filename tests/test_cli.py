@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -116,6 +117,24 @@ def test_counts_below_one_fail_with_a_typed_error(capsys, argv, message):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("command", ["synth", "rms"])
+def test_search_beyond_the_terms_budget_fails_with_a_typed_error(capsys, command):
+    # 3^9 dense 512 x 512 string tensors would take 82 GB
+    tracemalloc.start()
+    try:
+        code = cli.main([command, "trine", "--n", "9"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == (
+        "error: search terms of 3^9 outcome strings take 82556485632 bytes, "
+        f"over the budget of {vnsynth._TERMS_BYTES}\n")
+    assert peak < 2**20
 
 
 @pytest.mark.parametrize("k", ["17", "45", "70"])

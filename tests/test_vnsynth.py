@@ -1,6 +1,7 @@
 import itertools
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -34,6 +35,8 @@ from measrep.vnsynth import (
     trine_optimal_protocol,
 )
 from oracles import (
+    box_quadratic_qubit_closures,
+    exhaustive_search_depth_first,
     exhaustive_search_from_scratch,
     hill_climb_search_from_scratch,
     partition_povm_from_list,
@@ -168,6 +171,40 @@ def test_qubit_qp_against_grid():
         t = 1.0 - xs[:, None] - xs[None, :]
         f = (t**2 + (1.0 - xs[:, None]) * xs[None, :]) / 3.0
         assert sol.epsilon**2 <= f.min() + 1e-9
+
+
+def same_floats(a, b):
+    return same_bits(np.array(a, dtype=float), np.array(b, dtype=float))
+
+
+def same_solution(sol, ref):
+    fields = ("lam_min", "lam_max", "x_star", "y_star", "epsilon")
+    return sol.region == ref.region and same_floats(
+        [getattr(sol, f) for f in fields], [getattr(ref, f) for f in fields])
+
+
+unit_floats = st.floats(0.0, 1.0)
+box_edges = st.sampled_from([0.0, -0.0, 1.0, 0.5, 1 / 3, 2 / 3, 8 / 9])
+
+
+@settings(max_examples=300)
+@given(a=st.one_of(unit_floats, box_edges), b=st.one_of(unit_floats, box_edges))
+def test_qubit_qp_core_matches_the_closure_form(a, b):
+    lo, hi = (a, b) if a <= b else (b, a)
+    assert same_solution(solve_box_quadratic_qubit(lo, hi),
+                         box_quadratic_qubit_closures(lo, hi))
+
+
+@pytest.mark.parametrize("lo, hi", [
+    (0.0, 1.0), (-0.0, 1.0), (0.0, 0.0), (-0.0, -0.0), (-0.0, 0.0), (1.0, 1.0),
+    (0.25, 0.25), (0.0, 0.5), (-0.0, 0.5), (0.5, 1.0), (0.0, 8 / 9),
+])
+def test_qubit_qp_core_matches_the_closure_form_on_edge_boxes(lo, hi):
+    sol = solve_box_quadratic_qubit(lo, hi)
+    assert same_solution(sol, box_quadratic_qubit_closures(lo, hi))
+    x, y, value = vnsynth._box_minimiser(lo, hi)
+    assert same_floats([x, y, math.sqrt(max(value, 0.0))],
+                       [sol.x_star, sol.y_star, sol.epsilon])
 
 
 # ---------------------------------------------------------------------------
@@ -494,6 +531,99 @@ def test_spectra_search_keeps_the_dimension_cap():
     assert vnsynth._search_terms(povm, 1)[0].ndim == 1
     with pytest.raises(TooLarge):
         vnsynth._search_terms(povm, 2)
+
+
+def assert_same_search(povm, n_uses):
+    result = exhaustive_search(povm, n_uses)
+    bits, sol, ties, count = exhaustive_search_depth_first(povm, n_uses)
+    assert result.protocol.assignment == bits
+    assert result.co_optimal == ties
+    assert result.evaluated == count
+    assert same_solution(result.solution, sol)
+
+
+# Stack budgets: the default, one term (no level stacked) and four terms.
+stack_budgets = st.sampled_from([None, 1, 4])
+
+
+def stack_budget(povm, n_uses, terms):
+    if terms is None:
+        return vnsynth._STACK_BYTES
+    return terms * vnsynth._search_terms(povm, n_uses)[0].nbytes
+
+
+@settings(max_examples=40)
+@given(seed=povm_seeds, m=outcome_counts, n_uses=use_counts, terms=stack_budgets)
+def test_stacked_search_matches_the_depth_first_walk(seed, m, n_uses, terms):
+    assume(m**n_uses <= vnsynth._EXHAUSTIVE_STRING_CAP)
+    povm = random_povm(2, m, Rng(seed))
+    with mock.patch.object(vnsynth, "_STACK_BYTES", stack_budget(povm, n_uses, terms)):
+        assert_same_search(povm, n_uses)
+
+
+@settings(max_examples=40)
+@given(seed=povm_seeds, case=commuting_cases, terms=stack_budgets)
+def test_stacked_search_on_spectra_matches_the_depth_first_walk(seed, case, terms):
+    m, d, n_uses = case
+    assume(m**n_uses <= vnsynth._EXHAUSTIVE_STRING_CAP)
+    povm = random_povm(d, 2, Rng(seed)) if m == 2 else lossy_povm(d, Rng(seed))
+    assert vnsynth._search_terms(povm, n_uses)[0].ndim == 1
+    with mock.patch.object(vnsynth, "_STACK_BYTES", stack_budget(povm, n_uses, terms)):
+        assert_same_search(povm, n_uses)
+
+
+@pytest.mark.parametrize("terms", [None, 1, 4])
+@pytest.mark.parametrize("povm, n_uses", [
+    # zero-error ties on spectra; the optimum's largest eigenvalue
+    # rounds to 1 + 7.6e-14 and is clamped to 1
+    (random_povm_of_ranks(4, (3, 1), Rng(21)), 3),
+    # dense; the optimum's smallest eigenvalue rounds to -3.1e-17 and is
+    # clamped to 0
+    (random_povm_of_ranks(2, (1, 1, 1), Rng(0)), 2),
+])
+def test_stacked_search_matches_the_walk_on_rank_deficient_inputs(povm, n_uses, terms):
+    with mock.patch.object(vnsynth, "_STACK_BYTES", stack_budget(povm, n_uses, terms)):
+        assert_same_search(povm, n_uses)
+
+
+def test_stacked_search_stays_within_its_byte_budget():
+    # 256 partitions of 64 x 64 complex: the whole stack takes 16 MiB,
+    # and building it at once peaks at 33 MiB
+    povm = random_povm(8, 3, Rng(2))
+    assert 256 * 64 * 64 * 16 > vnsynth._STACK_BYTES
+    tracemalloc.start()
+    try:
+        result = exhaustive_search(povm, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.evaluated == 256
+    assert peak < 8 * 2**20
+
+
+def test_search_terms_fail_closed_beyond_their_byte_budget():
+    # trine at N = 2: nine dense 4 x 4 complex tensors, 2,304 bytes
+    with mock.patch.object(vnsynth, "_TERMS_BYTES", 9 * 16 * 16):
+        assert len(vnsynth._search_terms(trine_povm(), 2)) == 9
+    with mock.patch.object(vnsynth, "_TERMS_BYTES", 9 * 16 * 16 - 1):
+        with pytest.raises(TooLarge, match="over the budget"):
+            vnsynth._search_terms(trine_povm(), 2)
+        with pytest.raises(TooLarge, match="over the budget"):
+            synthesize(trine_povm(), 2, Rng(0))
+
+
+@pytest.mark.parametrize("povm, n_uses", [
+    (trine_povm(), 2),  # dense, exhaustive
+    (trine_povm(), 3),  # dense, hill climb
+    (random_povm(3, 2, Rng(5)), 3),  # spectra, exhaustive
+    (random_povm(3, 2, Rng(5)), 4),  # spectra, hill climb
+])
+def test_synthesis_finds_the_common_eigenbasis_once(povm, n_uses):
+    with mock.patch.object(vnsynth, "_common_eigenbasis",
+                           wraps=vnsynth._common_eigenbasis) as common:
+        syn = synthesize(povm, n_uses, Rng(1))
+    assert common.call_count == 1
+    assert (syn.protocol.spectra is None) == (povm.outcomes == 3)
 
 
 @settings(max_examples=60)
