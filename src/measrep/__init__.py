@@ -1,7 +1,7 @@
 """Reproduce one quantum measurement with repeated uses of another.
 
 Synthesize partition protocols, optimize the achievable statistics with
-box-constrained quadratic programs, construct the prepared states, and
+a box-constrained quadratic program, construct the prepared states, and
 quantify the reproduction error exactly and by Haar Monte Carlo. The
 ``subroutines`` module covers post-measurement realisation and
 generalised classical cloning; ``coding`` covers the finite-rate
@@ -40,7 +40,7 @@ from .qcore import (
 )
 from .rms import (
     RmsEstimate,
-    rms_closed_form_qubit,
+    rms_exact_povm,
     rms_monte_carlo_instrument,
     rms_monte_carlo_povm,
 )
@@ -62,7 +62,6 @@ from .vnsynth import (
     implemented_povm,
     noisy_z_optimal,
     solve_box_quadratic_qubit,
-    solve_box_quadratic_qudit,
     synthesize,
     trine_optimal_protocol,
 )

@@ -94,14 +94,6 @@ def _print_report(report: RunReport, args) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _implemented_error(impl: qcore.Povm) -> float:
-    """Closed-form error of an implemented qubit POVM's outcome-0 element."""
-    m0 = impl.elements[0]
-    return rms.rms_closed_form_qubit(
-        float(m0[0, 0].real), float(m0[1, 1].real), complex(m0[0, 1])
-    )
-
-
 def _cmd_validate(args, report: RunReport) -> None:
     try:
         obj, rep = io.load_with_report(args.measurement)
@@ -136,7 +128,8 @@ def _cmd_synth(args, report: RunReport) -> None:
     report.add("lambda_max", sol.lam_max)
     report.add("ancilla_qubits", syn.prep.ancilla_qubits)
     impl = vnsynth.implemented_povm(syn.prep, syn.protocol)
-    report.add("epsilon_implemented", _implemented_error(impl))
+    report.add("epsilon_implemented",
+               rms.rms_exact_povm(impl, qcore.von_neumann_povm(2)))
 
 
 def _cmd_rms(args, report: RunReport) -> None:
@@ -144,6 +137,7 @@ def _cmd_rms(args, report: RunReport) -> None:
     syn = vnsynth.synthesize(io.load_povm(args.measurement), args.n_uses, rng)
     impl = vnsynth.implemented_povm(syn.prep, syn.protocol)
     target = qcore.von_neumann_povm(2)
+    report.add("partitions_evaluated", syn.evaluated)
     report.add("epsilon_closed_form", syn.solution.epsilon)
     # the search's restarts read substream 0, the Haar states substream 1
     est = rms.rms_monte_carlo_povm(impl, target, args.samples, rng.split(1))
@@ -249,14 +243,14 @@ def _paper_rows(trine: qcore.Povm, samples: int, rng: Rng):
         n_measured=2, ancilla_qubits=0, states=(e[:, 0], e[:, 3])
     )
     impl_clone = vnsynth.implemented_povm(prep_clone, proto2)
-    yield ("two_use_cloning_error", _implemented_error(impl_clone), clone_error,
-           1e-12, None)
     target = qcore.von_neumann_povm(2)
+    yield ("two_use_cloning_error", rms.rms_exact_povm(impl_clone, target),
+           clone_error, 1e-12, None)
     est = rms.rms_monte_carlo_povm(impl_clone, target, samples, rng.split(1))
     yield ("two_use_cloning_error_mc", est.value, clone_error, None,
            est.standard_error)
 
-    # two-use optimum
+    # two-use optimum over deterministic partitions
     sol2 = vnsynth.solve_box_quadratic_qubit(0.0, 1.0 - 3.0**-2)
     yield "two_use_optimal_error", sol2.epsilon, 1.0 / 18.0, 1e-12, None
     yield "two_use_x_star", sol2.x_star, 8.0 / 9.0, 1e-12, None
@@ -283,7 +277,8 @@ def _paper_rows(trine: qcore.Povm, samples: int, rng: Rng):
         impls[0].elements[0] - np.diag([2.0 / 3.0, 1.0 / 6.0]).astype(complex)
     )
     yield "single_use_element_deviation", dev1, 0.0, 1e-10, None
-    yield ("single_use_naive_error", rms.rms_closed_form_qubit(2.0 / 3.0, 0.0),
+    naive = qcore.Povm((np.diag([2.0 / 3.0, 0.0]), np.diag([1.0 / 3.0, 1.0])))
+    yield ("single_use_naive_error", rms.rms_exact_povm(naive, target),
            1.0 / (3.0 * math.sqrt(3.0)), 1e-12, None)
 
     # noisy-Z regions: boundary classification plus the rotation angle

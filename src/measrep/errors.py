@@ -17,10 +17,6 @@ class InvalidBounds(MeasrepError):
     """Eigenvalue bounds or noise parameters outside their admissible range."""
 
 
-class Infeasible(MeasrepError):
-    """Quadratic-program constraints admit no feasible point."""
-
-
 class Unachievable(MeasrepError):
     """Requested expectation values cannot be realised by any state."""
 

@@ -1,9 +1,10 @@
 """Reproduction-error figures of merit.
 
-The closed form for a qubit implementation, the Frobenius figure of
-merit for instruments, and Haar Monte Carlo estimators that cross-check
-both. Estimates live at the squared-error level; reported values are
-the square roots with delta-method standard errors.
+The exact Haar-averaged error between an implemented and a target POVM
+in any dimension, the Frobenius figure of merit for instruments, and
+Haar Monte Carlo estimators that cross-check both. Estimates live at
+the squared-error level; reported values are the square roots with
+delta-method standard errors.
 """
 
 from __future__ import annotations
@@ -16,11 +17,6 @@ import numpy as np
 
 from .errors import ShapeMismatch, TooFewSamples
 from .qcore import Instrument, Povm, Rng, haar_states
-from .vnsynth import _qubit_objective
-
-# How far rounding may carry an implemented element's diagonal outside
-# [0, 1]; excursions up to this are clamped, larger ones rejected.
-_ROUNDING_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -31,14 +27,25 @@ class RmsEstimate:
     seed: Optional[int]
 
 
-def rms_closed_form_qubit(x: float, y: float, z: complex = 0.0) -> float:
-    """Error of a qubit implementation diagonal up to the off-diagonal z."""
-    lo, hi = -_ROUNDING_TOL, 1.0 + _ROUNDING_TOL
-    if not (lo <= x <= hi and lo <= y <= hi):
-        raise ShapeMismatch("x, y must lie in [0, 1]")
-    x = min(max(x, 0.0), 1.0)
-    y = min(max(y, 0.0), 1.0)
-    return math.sqrt(max(_qubit_objective(x, y) + abs(z) ** 2 / 3.0, 0.0))
+def _check_povm_shapes(impl: Povm, target: Povm) -> None:
+    if impl.dim != target.dim or impl.outcomes != target.outcomes:
+        raise ShapeMismatch("implemented and target POVMs must match in shape")
+
+
+def rms_exact_povm(impl: Povm, target: Povm) -> float:
+    """Exact Haar-averaged outcome-statistics error, in any dimension.
+
+    For Hermitian D in dimension d and Haar-random psi,
+    E <psi|D|psi>^2 = ((Tr D)^2 + ||D||_F^2) / (d (d+1)); the error is
+    the root of its mean over the outcomes, D_a = impl_a - target_a.
+    """
+    _check_povm_shapes(impl, target)
+    d = impl.dim
+    sq = 0.0
+    for mi, ti in zip(impl.elements, target.elements):
+        diff = mi - ti
+        sq += float(np.trace(diff).real) ** 2 + float(np.vdot(diff, diff).real)
+    return math.sqrt(sq / (impl.outcomes * d * (d + 1)))
 
 
 def _expectations(psi: np.ndarray, op: np.ndarray) -> np.ndarray:
@@ -63,8 +70,7 @@ def rms_monte_carlo_povm(
     impl: Povm, target: Povm, samples: int, rng: Rng
 ) -> RmsEstimate:
     """Haar Monte Carlo estimate of the outcome-statistics error."""
-    if impl.dim != target.dim or impl.outcomes != target.outcomes:
-        raise ShapeMismatch("implemented and target POVMs must match in shape")
+    _check_povm_shapes(impl, target)
     if samples < 100:
         raise TooFewSamples(f"{samples} < 100 samples")
     psi = haar_states(impl.dim, samples, rng)

@@ -37,7 +37,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from . import qcore
-from .errors import Infeasible, InvalidBounds, ShapeMismatch, TooLarge, Unachievable
+from .errors import InvalidBounds, ShapeMismatch, TooLarge, Unachievable
 from .qcore import Povm, Rng, dagger, identity, tensor
 
 # Most outcome strings exhaustive_search accepts; synthesize hill-climbs beyond.
@@ -191,7 +191,7 @@ def _partition_protocol(available, n_uses, assignment, m_target, common):
 
 
 # ---------------------------------------------------------------------------
-# Box quadratic programs
+# Box quadratic program
 # ---------------------------------------------------------------------------
 
 
@@ -256,103 +256,6 @@ def solve_box_quadratic_qubit(lam_min: float, lam_max: float) -> BoxQuadSolution
     else:
         region = "corner"
     return BoxQuadSolution(lam_min, lam_max, x, y, math.sqrt(max(value, 0.0)), region)
-
-
-@dataclass(frozen=True)
-class QuditQpProblem:
-    """Bounds for the d-outcome generalisation of the box program."""
-
-    d: int
-    lower: tuple  # per-outcome smallest eigenvalue of Q_a
-    upper: tuple  # per-outcome largest eigenvalue of Q_a
-
-    @property
-    def m(self) -> int:
-        return len(self.lower)
-
-
-@dataclass(frozen=True)
-class QuditQpSolution:
-    problem: QuditQpProblem
-    x: np.ndarray  # (m, d) table of expectation values
-    epsilon: float
-    kkt_residual: float
-    iterations: int
-
-
-def qudit_objective(x: np.ndarray, d: int) -> float:
-    """Unnormalised quadratic; epsilon**2 = value / (m d (d+1))."""
-    x = np.asarray(x, dtype=float)
-    m = x.shape[0]
-    row = x.sum(axis=1)
-    val = float(np.sum((row - 1.0) ** 2) + np.sum(x**2))
-    diag = min(m, d)
-    val += float(-2.0 * np.trace(x[:diag, :diag]) + diag)
-    return val
-
-
-def _project_columns(v, lower, upper):
-    """Project each column onto {l <= x <= u, sum x = 1} by dual bisection."""
-    lower = lower[:, None]
-    upper = upper[:, None]
-    lo = np.min(v - upper, axis=0) - 1.0
-    hi = np.max(v - lower, axis=0) + 1.0
-    for _ in range(200):
-        tau = (lo + hi) / 2.0
-        s = np.clip(v - tau[None, :], lower, upper).sum(axis=0)
-        # s is non-increasing in tau: move the bracket end that keeps
-        # the root inside
-        lo = np.where(s >= 1.0, tau, lo)
-        hi = np.where(s < 1.0, tau, hi)
-    tau = (lo + hi) / 2.0
-    return np.clip(v - tau[None, :], lower, upper)
-
-
-def solve_box_quadratic_qudit(
-    problem: QuditQpProblem,
-    tol: float = 1e-10,
-    max_iter: int = 10_000,
-) -> QuditQpSolution:
-    """Projected-gradient solve of the qudit box quadratic program."""
-    m, d = problem.m, problem.d
-    lower = np.asarray(problem.lower, dtype=float)
-    upper = np.asarray(problem.upper, dtype=float)
-    if np.any(lower > upper + 1e-12):
-        raise Infeasible("lower bound above upper bound")
-    if lower.sum() > 1.0 + 1e-9 or upper.sum() < 1.0 - 1e-9:
-        raise Infeasible("column sums cannot reach 1 inside the boxes")
-    delta = np.zeros((m, d))
-    diag = min(m, d)
-    delta[np.arange(diag), np.arange(diag)] = 1.0
-    lip = 2.0 * (d + 1)
-    x = _project_columns(np.full((m, d), 1.0 / m), lower, upper)
-    residual = np.inf
-    it = 0
-    for it in range(1, max_iter + 1):
-        row = x.sum(axis=1)
-        grad = 2.0 * (row - 1.0)[:, None] + 2.0 * x - 2.0 * delta
-        x_new = _project_columns(x - grad / lip, lower, upper)
-        residual = float(np.linalg.norm(x_new - x))
-        x = x_new
-        if residual <= tol:
-            break
-    eps = math.sqrt(max(qudit_objective(x, d), 0.0) / (m * d * (d + 1)))
-    return QuditQpSolution(
-        problem=problem,
-        x=x,
-        epsilon=eps,
-        kkt_residual=residual * lip,
-        iterations=it,
-    )
-
-
-def qudit_problem_from_protocol(protocol: PartitionProtocol) -> QuditQpProblem:
-    lower, upper = [], []
-    for q in protocol.coarse:
-        w = np.linalg.eigvalsh((q + dagger(q)) / 2)
-        lower.append(float(np.clip(w[0], 0.0, 1.0)))
-        upper.append(float(np.clip(w[-1], 0.0, 1.0)))
-    return QuditQpProblem(d=protocol.m_target, lower=tuple(lower), upper=tuple(upper))
 
 
 # ---------------------------------------------------------------------------
@@ -753,7 +656,7 @@ def synthesize(available: Povm, n_uses: int, rng: Rng) -> SynthesizedProtocol:
 
 
 def trine_optimal_protocol(n_uses: int) -> SynthesizedProtocol:
-    """The optimal N-use trine partition with its closed-form states.
+    """The N-use trine partition optimal over deterministic partitions.
 
     Target outcome 1 is declared exactly when no single use returned
     outcome 0; the error is 3^-N / 2 and the prepared states are the
@@ -813,9 +716,9 @@ def classify_noisy_z(p: float, q: float) -> NoisyZParams:
 
 
 def noisy_z_optimal(p: float, q: float) -> SynthesizedProtocol:
-    """Optimal single-use protocol for the asymmetric noisy Z family.
+    """Asymmetric noisy-Z protocol, optimal over deterministic partitions.
 
-    ``classify_noisy_z`` gives its region and rotation angle.
+    One use; ``classify_noisy_z`` gives its region and rotation angle.
     """
     classify_noisy_z(p, q)  # rejects (p, q) outside (1/2, 1]
     povm = qcore.noisy_z_povm(p, q)

@@ -28,10 +28,7 @@ def test_criterion_01_two_use_cloning_error():
     e = np.eye(4, dtype=complex)
     prep = vnsynth.StatePrep(n_measured=2, ancilla_qubits=0, states=(e[:, 0], e[:, 3]))
     impl = vnsynth.implemented_povm(prep, proto)
-    m0 = impl.elements[0]
-    closed = rms.rms_closed_form_qubit(
-        float(m0[0, 0].real), float(m0[1, 1].real), complex(m0[0, 1])
-    )
+    closed = rms.rms_exact_povm(impl, von_neumann_povm(2))
     ref = 1.0 / (9.0 * math.sqrt(3.0))
     ok_closed = abs(closed - ref) < 1e-12
     est = rms.rms_monte_carlo_povm(impl, von_neumann_povm(2), 10**6, Rng(101))

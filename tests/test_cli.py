@@ -331,9 +331,11 @@ def test_rms_agrees_with_synth(tmp_path, capsys):
     io.save_measurement(random_povm(2, 3, qcore.Rng(2)), path)
     _, synth = json_rows(capsys, "synth", str(path), "--n", "2")
     _, est = json_rows(capsys, "rms", str(path), "--n", "2", "--samples", "2000")
-    synth_eps = {r["name"]: r["value"] for r in synth["rows"]}["epsilon"]
-    rms_eps = {r["name"]: r["value"] for r in est["rows"]}["epsilon_closed_form"]
-    assert rms_eps == synth_eps
+    synth_rows = {r["name"]: r["value"] for r in synth["rows"]}
+    rms_rows = {r["name"]: r["value"] for r in est["rows"]}
+    assert rms_rows["epsilon_closed_form"] == synth_rows["epsilon"]
+    # both searched all 2^8 partitions of the 9 strings
+    assert rms_rows["partitions_evaluated"] == synth_rows["partitions_evaluated"] == 256
 
 
 @pytest.mark.parametrize("argv", [

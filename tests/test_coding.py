@@ -147,6 +147,29 @@ def test_blahut_arimoto_not_converged_carries_bounds():
     assert exc.value.upper >= exc.value.lower
 
 
+# tol 1e-3 stops BA well below the capacity, so that the grid exposes an
+# upper bound set too low
+@settings(max_examples=50)
+@given(seed=st.integers(0, 2**32 - 1), m=st.integers(2, 4), zeros=st.booleans(),
+       mirror=st.booleans(), tol=st.sampled_from([1e-3, 1e-8]))
+def test_blahut_arimoto_bounds_bracket_the_grid_capacity(seed, m, zeros, mirror, tol):
+    # two inputs only: a 2-D grid over three inputs costs ~0.4 s per example
+    channel = random_channel(seed, 2, m, zeros, mirror)
+    try:
+        cap = blahut_arimoto(channel, tol=tol, max_iter=10_000)
+        lower, upper = cap.capacity, cap.upper_bound
+    except NotConverged as exc:
+        lower, upper = exc.lower, exc.upper
+    f = np.array([mutual_information([p, 1 - p], channel)
+                  for p in np.linspace(0.0, 1.0, 1001)])
+    # both ends give I = 0, so an interior point attains the grid maximum
+    k = int(np.argmax(f[1:-1])) + 1
+    assert f[k] <= upper + 1e-12
+    # I is concave in p, so the capacity lies within one grid step of
+    # point k and exceeds f[k] by at most its larger drop to a neighbour
+    assert lower <= f[k] + max(f[k] - f[k - 1], f[k] - f[k + 1]) + 1e-12
+
+
 # ---------------------------------------------------------------------------
 # codes
 # ---------------------------------------------------------------------------

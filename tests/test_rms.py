@@ -13,58 +13,65 @@ from measrep.qcore import (
     von_neumann_povm,
 )
 from measrep.rms import (
-    rms_closed_form_qubit,
+    rms_exact_povm,
     rms_monte_carlo_instrument,
     rms_monte_carlo_povm,
 )
-from oracles import symmetric_subspace_projector, von_neumann_instrument
+from oracles import random_povm, symmetric_subspace_projector, von_neumann_instrument
+
+
+def qubit_implementation(x, y, z=0.0):
+    """Two-outcome qubit POVM whose element 0 has diagonal (x, y) and
+    off-diagonal z."""
+    m0 = np.array([[x, z], [np.conj(z), y]], dtype=complex)
+    return qcore.Povm((m0, identity(2) - m0))
 
 
 def test_closed_form_known_values():
-    assert rms_closed_form_qubit(1.0, 0.0) == 0.0
-    assert rms_closed_form_qubit(2 / 3, 0.0) == pytest.approx(
+    target = von_neumann_povm(2)
+    assert rms_exact_povm(qubit_implementation(1.0, 0.0), target) == 0.0
+    assert rms_exact_povm(qubit_implementation(2 / 3, 0.0), target) == pytest.approx(
         1 / (3 * math.sqrt(3)), abs=1e-15
     )
-    assert rms_closed_form_qubit(8 / 9, 1 / 18) == pytest.approx(1 / 18, abs=1e-15)
+    assert rms_exact_povm(qubit_implementation(8 / 9, 1 / 18), target) == pytest.approx(
+        1 / 18, abs=1e-15
+    )
 
 
 def test_closed_form_off_diagonal_term():
-    base = rms_closed_form_qubit(0.9, 0.1)
-    with_z = rms_closed_form_qubit(0.9, 0.1, z=0.1j)
+    target = von_neumann_povm(2)
+    base = rms_exact_povm(qubit_implementation(0.9, 0.1), target)
+    with_z = rms_exact_povm(qubit_implementation(0.9, 0.1, 0.1j), target)
     assert with_z > base
     assert with_z**2 == pytest.approx(base**2 + 0.01 / 3, abs=1e-15)
 
 
-def test_closed_form_rejects_out_of_range():
-    with pytest.raises(ShapeMismatch):
-        rms_closed_form_qubit(1.2, 0.0)
-
-
-def _qudit_closed_form(table, d):
-    # qudit closed form: epsilon**2 = qudit_objective / (m d (d+1))
-    m = table.shape[0]
-    return math.sqrt(max(vnsynth.qudit_objective(table, d) / (m * d * (d + 1)), 0.0))
-
-
-def test_qudit_closed_form_reduces_to_qubit():
+def test_closed_form_reduces_to_the_qubit_quadratic():
+    # two outcomes in dimension 2: ((1 - x - y)^2 + (1 - x) y) / 3
     for a, b in [(0.9, 0.05), (2 / 3, 0.0), (0.5, 0.5)]:
-        table = np.array([[a, b], [1 - a, 1 - b]])
-        assert _qudit_closed_form(table, 2) == pytest.approx(
-            rms_closed_form_qubit(a, b), abs=1e-14
-        )
+        ref = math.sqrt(((1 - a - b) ** 2 + (1 - a) * b) / 3.0)
+        eps = rms_exact_povm(qubit_implementation(a, b), von_neumann_povm(2))
+        assert eps == pytest.approx(ref, abs=1e-15)
 
 
-def test_qudit_closed_form_identity_table():
-    assert _qudit_closed_form(np.eye(3), 3) == 0.0
+def test_closed_form_zero_for_identical():
+    for povm in (von_neumann_povm(3), trine_povm(), qcore.degenerate_qutrit_povm()):
+        assert rms_exact_povm(povm, povm) == 0.0
 
 
-def test_closed_form_clamps_rounding_excursions():
-    # a diagonal a few ulps above 1 is rounding in the implemented
-    # element, not an invalid input
-    assert rms_closed_form_qubit(1.0 + 2.2e-15, 0.0) == rms_closed_form_qubit(1.0, 0.0)
-    assert rms_closed_form_qubit(0.5, -2.2e-15) == rms_closed_form_qubit(0.5, 0.0)
+def test_closed_form_shape_checks():
     with pytest.raises(ShapeMismatch):
-        rms_closed_form_qubit(1.0 + 1e-11, 0.0)
+        rms_exact_povm(trine_povm(), von_neumann_povm(2))
+    with pytest.raises(ShapeMismatch):
+        rms_exact_povm(von_neumann_povm(3), von_neumann_povm(2))
+
+
+@pytest.mark.parametrize("d, m, seed", [(3, 3, 11), (4, 2, 12)])
+def test_closed_form_matches_monte_carlo_beyond_the_qubit(d, m, seed):
+    impl = random_povm(d, m, Rng(seed))
+    target = random_povm(d, m, Rng(seed + 100))
+    est = rms_monte_carlo_povm(impl, target, 200_000, Rng(seed + 200))
+    assert abs(rms_exact_povm(impl, target) - est.value) <= 4 * est.standard_error
 
 
 def test_monte_carlo_matches_closed_form():

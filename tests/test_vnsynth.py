@@ -10,16 +10,14 @@ from hypothesis import strategies as st
 
 from measrep import qcore, vnsynth
 from measrep.errors import (
-    Infeasible,
     InvalidBounds,
     ShapeMismatch,
     TooLarge,
     Unachievable,
 )
-from measrep.qcore import Povm, Rng, identity, trine_povm
-from measrep.rms import rms_closed_form_qubit
+from measrep.qcore import Povm, Rng, identity, trine_povm, von_neumann_povm
+from measrep.rms import rms_exact_povm
 from measrep.vnsynth import (
-    QuditQpProblem,
     build_partition_povm,
     classify_noisy_z,
     construct_states,
@@ -27,10 +25,7 @@ from measrep.vnsynth import (
     hill_climb_search,
     implemented_povm,
     noisy_z_optimal,
-    qudit_objective,
-    qudit_problem_from_protocol,
     solve_box_quadratic_qubit,
-    solve_box_quadratic_qudit,
     synthesize,
     trine_optimal_protocol,
 )
@@ -205,64 +200,6 @@ def test_qubit_qp_core_matches_the_closure_form_on_edge_boxes(lo, hi):
     x, y, value = vnsynth._box_minimiser(lo, hi)
     assert same_floats([x, y, math.sqrt(max(value, 0.0))],
                        [sol.x_star, sol.y_star, sol.epsilon])
-
-
-# ---------------------------------------------------------------------------
-# qudit box program
-# ---------------------------------------------------------------------------
-
-
-def test_qudit_qp_reduces_to_qubit():
-    for lo, hi in [(0.0, 8 / 9), (0.5, 0.5), (0.4, 0.95), (0.1, 0.7)]:
-        qubit = solve_box_quadratic_qubit(lo, hi)
-        problem = QuditQpProblem(d=2, lower=(lo, 1 - hi), upper=(hi, 1 - lo))
-        qudit = solve_box_quadratic_qudit(problem)
-        assert abs(qudit.epsilon - qubit.epsilon) < 1e-7
-        assert abs(qudit.x[0, 0] - qubit.x_star) < 1e-5
-        assert abs(qudit.x[0, 1] - qubit.y_star) < 1e-5
-
-
-def test_qudit_qp_feasible_solution():
-    problem = QuditQpProblem(
-        d=3, lower=(0.0, 0.0, 0.1), upper=(0.9, 0.8, 0.7)
-    )
-    sol = solve_box_quadratic_qudit(problem)
-    x = sol.x
-    assert np.all(x >= np.array(problem.lower)[:, None] - 1e-9)
-    assert np.all(x <= np.array(problem.upper)[:, None] + 1e-9)
-    assert np.allclose(x.sum(axis=0), 1.0, atol=1e-9)
-    assert sol.kkt_residual < 1e-6
-
-
-def test_qudit_qp_achieves_exact_when_identity_feasible():
-    problem = QuditQpProblem(d=2, lower=(0.0, 0.0), upper=(1.0, 1.0))
-    sol = solve_box_quadratic_qudit(problem)
-    assert sol.epsilon < 1e-7
-
-
-def test_qudit_qp_infeasible():
-    with pytest.raises(Infeasible):
-        solve_box_quadratic_qudit(QuditQpProblem(d=2, lower=(0.6, 0.6), upper=(0.7, 0.7)))
-
-
-def test_qudit_objective_matches_qubit_closed_form():
-    # binary table with unit column sums: the normalised qudit objective
-    # collapses to the qubit closed form on the first row
-    for a, b in [(0.8, 0.1), (0.9, 0.05), (2 / 3, 0.0), (0.5, 0.5)]:
-        x = np.array([[a, b], [1 - a, 1 - b]])
-        val = qudit_objective(x, 2) / (2 * 2 * 3)
-        ref = ((1 - a - b) ** 2 + (1 - a) * b) / 3.0
-        assert val == pytest.approx(ref, abs=1e-12)
-        assert math.sqrt(val) == pytest.approx(rms_closed_form_qubit(a, b), abs=1e-14)
-    # the identity table is an exact reproduction
-    assert qudit_objective(np.eye(3), 3) == 0.0
-
-
-def test_qudit_problem_from_protocol():
-    proto = build_partition_povm(trine_povm(), 2, lambda s: 0 if 0 in s else 1, 2)
-    problem = qudit_problem_from_protocol(proto)
-    assert problem.lower[0] == pytest.approx(0.0, abs=1e-12)
-    assert problem.upper[0] == pytest.approx(8 / 9, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -469,10 +406,7 @@ def test_commuting_protocol_on_spectra_implements_the_qp_error(seed, case):
     u0, u1 = syn.prep.states
     gram = np.array([[np.vdot(a, b) for b in (u0, u1)] for a in (u0, u1)])
     assert np.abs(gram - np.eye(2)).max() <= 1e-12
-    m0 = implemented_povm(syn.prep, proto).elements[0]
-    eps = rms_closed_form_qubit(
-        float(m0[0, 0].real), float(m0[1, 1].real), complex(m0[0, 1])
-    )
+    eps = rms_exact_povm(implemented_povm(syn.prep, proto), von_neumann_povm(2))
     assert abs(eps - syn.solution.epsilon) <= 1e-12
 
 
@@ -501,10 +435,8 @@ def test_near_commuting_povm_takes_the_spectra_path():
     assert syn.protocol.spectra is not None
     own = score_from_scratch(string_tensors(povm, 4), syn.protocol.assignment)
     assert abs(syn.solution.epsilon - own.epsilon) <= 1e-14
-    m0 = implemented_povm(syn.prep, syn.protocol).elements[0]
-    eps = rms_closed_form_qubit(
-        float(m0[0, 0].real), float(m0[1, 1].real), complex(m0[0, 1])
-    )
+    impl = implemented_povm(syn.prep, syn.protocol)
+    eps = rms_exact_povm(impl, von_neumann_povm(2))
     assert abs(eps - syn.solution.epsilon) <= 1e-12
 
 
@@ -627,14 +559,12 @@ def test_synthesis_finds_the_common_eigenbasis_once(povm, n_uses):
 
 
 @settings(max_examples=60)
-@given(seed=povm_seeds, m=outcome_counts, n_uses=st.integers(1, 2))
-def test_implemented_povm_reproduces_the_qp_error(seed, m, n_uses):
+@given(seed=povm_seeds, d=st.integers(2, 3), m=outcome_counts, n_uses=st.integers(1, 2))
+def test_implemented_povm_reproduces_the_qp_error(seed, d, m, n_uses):
     # partition -> QP -> states -> implemented POVM, on both search paths
-    syn = synthesize(random_povm(2, m, Rng(seed)), n_uses, Rng(seed))
-    m0 = implemented_povm(syn.prep, syn.protocol).elements[0]
-    eps = rms_closed_form_qubit(
-        float(m0[0, 0].real), float(m0[1, 1].real), complex(m0[0, 1])
-    )
+    syn = synthesize(random_povm(d, m, Rng(seed)), n_uses, Rng(seed))
+    impl = implemented_povm(syn.prep, syn.protocol)
+    eps = rms_exact_povm(impl, von_neumann_povm(2))
     assert abs(eps - syn.solution.epsilon) <= 1e-12
 
 
