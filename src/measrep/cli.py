@@ -26,6 +26,8 @@ from .errors import (InvalidMeasurement, MalformedName, MeasrepError,
                      ShapeMismatch, TooFewSamples)
 from .qcore import Rng
 
+_QUBIT_VN = qcore.von_neumann_povm(2)
+
 
 @dataclass
 class RunReport:
@@ -128,19 +130,17 @@ def _cmd_synth(args, report: RunReport) -> None:
     report.add("lambda_max", sol.lam_max)
     report.add("ancilla_qubits", syn.prep.ancilla_qubits)
     impl = vnsynth.implemented_povm(syn.prep, syn.protocol)
-    report.add("epsilon_implemented",
-               rms.rms_exact_povm(impl, qcore.von_neumann_povm(2)))
+    report.add("epsilon_implemented", rms.rms_exact_povm(impl, _QUBIT_VN))
 
 
 def _cmd_rms(args, report: RunReport) -> None:
     rng = Rng(args.seed)
     syn = vnsynth.synthesize(io.load_povm(args.measurement), args.n_uses, rng)
     impl = vnsynth.implemented_povm(syn.prep, syn.protocol)
-    target = qcore.von_neumann_povm(2)
     report.add("partitions_evaluated", syn.evaluated)
     report.add("epsilon_closed_form", syn.solution.epsilon)
     # the search's restarts read substream 0, the Haar states substream 1
-    est = rms.rms_monte_carlo_povm(impl, target, args.samples, rng.split(1))
+    est = rms.rms_monte_carlo_povm(impl, _QUBIT_VN, args.samples, rng.split(1))
     report.add("epsilon_monte_carlo", est.value, est.standard_error)
 
 
@@ -181,8 +181,10 @@ def _cmd_clone(args, report: RunReport) -> None:
         for j in range(i + 1, d)
     )
     report.add("chernoff_exponent_nats", exponent)
-    for n in range(1, args.max_n + 1):
-        err = subroutines.cloning_error_rate(available, basis, n, mode="exact")
+    # largest n first, so a sweep past the count-vector limits fails at once
+    errs = [subroutines.cloning_error_rate(available, basis, n, mode="exact")
+            for n in range(args.max_n, 0, -1)]
+    for n, err in enumerate(reversed(errs), 1):
         report.add(f"error_n={n}", err.average)
 
 
@@ -243,10 +245,9 @@ def _paper_rows(trine: qcore.Povm, samples: int, rng: Rng):
         n_measured=2, ancilla_qubits=0, states=(e[:, 0], e[:, 3])
     )
     impl_clone = vnsynth.implemented_povm(prep_clone, proto2)
-    target = qcore.von_neumann_povm(2)
-    yield ("two_use_cloning_error", rms.rms_exact_povm(impl_clone, target),
+    yield ("two_use_cloning_error", rms.rms_exact_povm(impl_clone, _QUBIT_VN),
            clone_error, 1e-12, None)
-    est = rms.rms_monte_carlo_povm(impl_clone, target, samples, rng.split(1))
+    est = rms.rms_monte_carlo_povm(impl_clone, _QUBIT_VN, samples, rng.split(1))
     yield ("two_use_cloning_error_mc", est.value, clone_error, None,
            est.standard_error)
 
@@ -278,7 +279,7 @@ def _paper_rows(trine: qcore.Povm, samples: int, rng: Rng):
     )
     yield "single_use_element_deviation", dev1, 0.0, 1e-10, None
     naive = qcore.Povm((np.diag([2.0 / 3.0, 0.0]), np.diag([1.0 / 3.0, 1.0])))
-    yield ("single_use_naive_error", rms.rms_exact_povm(naive, target),
+    yield ("single_use_naive_error", rms.rms_exact_povm(naive, _QUBIT_VN),
            1.0 / (3.0 * math.sqrt(3.0)), 1e-12, None)
 
     # noisy-Z regions: boundary classification plus the rotation angle

@@ -18,7 +18,7 @@ import numpy as np
 from scipy.special import gammaln
 
 from .errors import NotConverged, ShapeMismatch, TooFewSamples, TooLarge
-from .qcore import Povm, Rng, density
+from .qcore import Povm, Rng, _check_bytes, density
 
 _LOG_ZERO = -1e30  # stands in for log 0: finite, so 0 * _LOG_ZERO is 0
 _CODEBOOK_CAP = 2**16
@@ -55,8 +55,11 @@ def _ml_decode_counts(counts: np.ndarray, logp: np.ndarray) -> np.ndarray:
 
 def _count_vectors(n: int, m: int) -> np.ndarray:
     """All outcome-count vectors summing to n, lexicographic, one per row."""
-    if math.comb(n + m - 1, m - 1) > _COUNT_VECTOR_CAP:
-        raise TooLarge("count-vector enumeration beyond the supported size")
+    rows = math.comb(n + m - 1, m - 1)
+    if rows > _COUNT_VECTOR_CAP:
+        raise TooLarge(
+            f"count vectors for n = {n} exceed the cap of {_COUNT_VECTOR_CAP}")
+    _check_bytes("the count vectors", 8 * rows * m)
     # one column at a time: a row with r still to place becomes r + 1
     # rows valued 0..r, in order, so the rows stay lexicographic
     rows = np.zeros((1, 0), dtype=np.intp)
@@ -188,7 +191,7 @@ def blahut_arimoto(
     current input distribution and their maximum an upper bound; the
     iteration stops when the gap (in bits) is at most tol.
     """
-    if tol <= 0.0:
+    if not tol > 0.0:  # NaN included
         raise ShapeMismatch("tol must be positive")
     w = channel.matrix
     n_in = channel.inputs
@@ -300,9 +303,10 @@ def _unpack(idx: np.ndarray, d: int, k: int) -> np.ndarray:
 
 def _check_messages(k: int, d: int) -> None:
     """Reject more than ``_CODEBOOK_CAP`` messages: the block simulation
-    keeps vectors over all d^k of them."""
-    if d**k > _CODEBOOK_CAP:
-        raise TooLarge(f"codebook with {d**k} messages exceeds the cap")
+    keeps vectors over all d^k of them. A large k computes no d^k: the
+    exponent is held at 17, where 2^k is past the cap already."""
+    if d ** min(k, _CODEBOOK_CAP.bit_length()) > _CODEBOOK_CAP:
+        raise TooLarge(f"{d}^{k} messages exceed the codebook cap of {_CODEBOOK_CAP}")
 
 
 def repetition_code(k: int, copies: int, d: int) -> BlockCode:
@@ -317,7 +321,7 @@ def random_codebook(k: int, n: int, d: int, rng: Rng) -> BlockCode:
     """Uniformly random distinct codewords with full-ML decoding."""
     _check_messages(k, d)
     n_msgs = d**k
-    n_words = d**n
+    n_words = d ** min(n, 63)  # = d^n whenever that is within the cap
     if n_words > 2**62:
         raise TooLarge(f"codewords of length {n} over {d} letters exceed the cap")
     if n_msgs > n_words:
@@ -372,6 +376,7 @@ def simulate_block_protocol(
         raise ShapeMismatch("code alphabet does not match the channel input")
     if trials < 1:
         raise TooFewSamples(f"{trials} < 1 trials")
+    _check_bytes("the trials' messages and a codeword", 8 * (trials + code.n))
     n_msgs = code.d**code.k
     if amplitudes is None:
         weights = np.full(n_msgs, 1.0 / n_msgs)

@@ -46,7 +46,7 @@ class NotConverged(MeasrepError):
 
 
 class TooLarge(MeasrepError):
-    """Dimension, search space, codebook or enumeration beyond its cap."""
+    """Input past the byte budget or a search, codebook or enumeration cap."""
 
 
 class MalformedFile(MeasrepError):

@@ -15,8 +15,8 @@ import numpy as np
 
 from .errors import InvalidMeasurement, NotHermitian, ShapeMismatch, TooLarge
 
-# Hard cap on operator dimension (rows of any matrix we will build).
-DIM_CAP = 2**16
+# Bytes any one array whose size comes from the input may take.
+_BYTE_BUDGET = 2**30
 
 # Default tolerances, matching what tensor products of validated
 # objects accumulate in double precision.
@@ -193,13 +193,21 @@ class Instrument:
 # ---------------------------------------------------------------------------
 
 
-def tensor(a, b) -> np.ndarray:
-    """Kronecker product with a dimension cap."""
-    a, b = _matrix(a), _matrix(b)
-    if a.shape[0] * b.shape[0] > DIM_CAP or a.shape[1] * b.shape[1] > DIM_CAP:
+def _check_bytes(what: str, nbytes: int, base: int = 1, exponent: int = 1) -> None:
+    """Raise ``TooLarge`` unless ``what``, nbytes * base^exponent bytes
+    (nbytes >= 1), fits the budget. A power the exponent alone puts past
+    2^64 is not computed, and no size from 2^64 up is printed."""
+    size = nbytes * base**exponent if base < 2 or exponent < 64 else 2**64
+    if size > _BYTE_BUDGET:
+        shown = size if size < 2**64 else "at least 2^64"
         raise TooLarge(
-            f"tensor dimension {a.shape[0] * b.shape[0]} exceeds cap {DIM_CAP}"
-        )
+            f"{what} would take {shown} bytes, over the budget of {_BYTE_BUDGET}")
+
+
+def tensor(a, b) -> np.ndarray:
+    """Kronecker product, within the byte budget."""
+    a, b = _matrix(a), _matrix(b)
+    _check_bytes("a tensor product", 16 * a.size * b.size)
     return np.kron(a, b)
 
 
@@ -258,6 +266,7 @@ def haar_states(dim: int, count: int, rng: Rng) -> np.ndarray:
     """Batch of Haar-random pure states, one per row."""
     if dim < 1:
         raise ShapeMismatch("dim must be >= 1")
+    _check_bytes("the Haar states", 16 * count * dim)
     g = rng.generator
     z = g.standard_normal((count, dim)) + 1j * g.standard_normal((count, dim))
     return z / np.linalg.norm(z, axis=1, keepdims=True)
@@ -328,6 +337,7 @@ def noisy_z_povm(p: float, q: float) -> Povm:
 
 def von_neumann_povm(dim: int) -> Povm:
     """Projective measurement onto the computational basis."""
+    _check_bytes("the von Neumann elements", 16 * dim**3)
     return Povm(tuple(density(np.eye(dim, dtype=complex)[i]) for i in range(dim)))
 
 

@@ -48,10 +48,6 @@ _EXHAUSTIVE_STRING_CAP = 12
 # the searches score (``_search_terms``).
 _TIE_WINDOW = 1e-12
 
-# Bytes the searches may hold in terms, one per outcome string: trine at
-# N = 7 (2,187 dense 128 x 128 tensors, 573 MB) fits, N = 8 does not.
-_TERMS_BYTES = 2**30
-
 # Bytes of one stack of partial sums that exhaustive_search scores at once.
 _STACK_BYTES = 2**21
 
@@ -85,6 +81,8 @@ class PartitionProtocol:
         memory is O((m_target + N) D^2) rather than m^N D^2. A protocol
         held on spectra builds them only when this is first read.
         """
+        qcore._check_bytes("the dense coarse elements", 16 * self.m_target,
+                           self.available.dim**2, self.n_uses)
         dim = self.available.dim**self.n_uses
         coarse = [np.zeros((dim, dim), dtype=complex) for _ in range(self.m_target)]
         strings = _string_products(self.available.elements, self.n_uses)
@@ -96,19 +94,19 @@ class PartitionProtocol:
 def _common_eigenbasis(available: Povm, n_uses: int):
     """(U, spectra) when the elements commute for N uses, else (None, None).
 
-    It first rejects a use count below 1 (``ShapeMismatch``) or an
-    N-fold space beyond ``qcore.DIM_CAP`` (``TooLarge``). U diagonalises
-    the fixed combination sum_a (a + 1) M_a, and spectra[a] is the real
-    diagonal of U^dagger M_a U. The elements count as commuting when
-    N * sum_a ||E_a||_2 <= ``_TIE_WINDOW``, E_a the off-diagonal part of
-    U^dagger M_a U; ``_search_terms`` shows what that bound guarantees.
+    It first rejects a use count below 1 (``ShapeMismatch``) and an m^N
+    whose assignment, 8 bytes a string, would pass the byte budget
+    (``TooLarge``), so N is bounded before any caller computes m^N.
+    U diagonalises the fixed combination sum_a (a + 1) M_a, and
+    spectra[a] is the real diagonal of U^dagger M_a U. The elements count
+    as commuting when N * sum_a ||E_a||_2 <= ``_TIE_WINDOW``, E_a the
+    off-diagonal part of U^dagger M_a U; ``_search_terms`` shows what
+    that bound guarantees.
     """
     if n_uses < 1:
         raise ShapeMismatch("n_uses must be >= 1")
-    if available.dim**n_uses > qcore.DIM_CAP:
-        raise TooLarge(
-            f"dim {available.dim}^{n_uses} exceeds cap {qcore.DIM_CAP}"
-        )
+    qcore._check_bytes(f"an assignment of {available.outcomes}^{n_uses} outcome "
+                       "strings", 8, available.outcomes, n_uses)
     comb = sum((a + 1) * e for a, e in enumerate(available.elements))
     _, u = np.linalg.eigh((comb + dagger(comb)) / 2)
     rotated = [dagger(u) @ e @ u for e in available.elements]
@@ -162,15 +160,13 @@ def build_partition_povm(
     common = _common_eigenbasis(available, n_uses)
     if m_target < 2:
         raise ShapeMismatch("m_target must be >= 2")
-    strings = list(itertools.product(range(available.outcomes), repeat=n_uses))
+    n_strings = available.outcomes**n_uses
     if callable(f):
-        assignment = tuple(int(f(s)) for s in strings)
-    else:
-        assignment = tuple(int(v) for v in f)
-        if len(assignment) != len(strings):
-            raise ShapeMismatch(
-                f"assignment length {len(assignment)} != {len(strings)} strings"
-            )
+        f = map(f, itertools.product(range(available.outcomes), repeat=n_uses))
+    assignment = tuple(int(v) for v in f)
+    if len(assignment) != n_strings:
+        raise ShapeMismatch(
+            f"assignment length {len(assignment)} != {n_strings} strings")
     if any(v < 0 or v >= m_target for v in assignment):
         raise ShapeMismatch("assignment value outside target outcome range")
     return _partition_protocol(available, n_uses, assignment, m_target, common)
@@ -184,6 +180,7 @@ def _partition_protocol(available, n_uses, assignment, m_target, common):
         protocol = PartitionProtocol(available, n_uses, assignment, m_target)
         protocol.coarse  # a dense protocol is summed here, not on first read
         return protocol
+    qcore._check_bytes("the coarse spectra", 8 * m_target, available.dim, n_uses)
     q = [np.zeros(available.dim**n_uses) for _ in range(m_target)]
     for t, v in zip(_string_products(spectra, n_uses), assignment):
         q[v] += t
@@ -422,8 +419,10 @@ def _search_terms(available: Povm, n_uses: int, common=None) -> list:
     tensors T_s otherwise; Q_0 summed from them are scored by
     ``_scores`` either way. ``common`` is the ``_common_eigenbasis`` of
     ``available`` at ``n_uses``, worked out here when not given, which
-    also checks N and the dimension cap. All m^N terms are held, so
-    their bytes are checked against ``_TERMS_BYTES`` before any is built.
+    also checks N. All m^N terms are held, so their bytes are checked
+    against the byte budget before any is built. Dense elements are
+    symmetrised first, so that every product and partial sum is exactly
+    Hermitian (rounding commutes with conjugation) for ``_scores``.
 
     Commutation is tested once, by ``_common_eigenbasis``: U
     diagonalises the fixed combination sum_a (a + 1) M_a, and v_a is the
@@ -451,14 +450,11 @@ def _search_terms(available: Povm, n_uses: int, common=None) -> list:
     """
     u, spectra = common if common is not None else _common_eigenbasis(available, n_uses)
     factors = available.elements if u is None else spectra
-    n_strings = available.outcomes**n_uses
-    size = n_strings * factors[0].itemsize * (available.dim**n_uses) ** factors[0].ndim
-    if size > _TERMS_BYTES:
-        raise TooLarge(
-            f"search terms of {available.outcomes}^{n_uses} outcome strings take "
-            f"{size} bytes, over the budget of {_TERMS_BYTES}"
-        )
-    # the searches index the terms, so all m^N are held
+    qcore._check_bytes(f"search terms of {available.outcomes}^{n_uses} strings",
+                       factors[0].itemsize, available.outcomes * factors[0].size,
+                       n_uses)
+    if u is None:
+        factors = [(e + dagger(e)) / 2 for e in factors]
     return list(_string_products(factors, n_uses))
 
 
@@ -469,12 +465,12 @@ def _scores(stack) -> list:
 
     A stack of vectors holds the eigenvalue vectors of ``_search_terms``'
     spectra path, whose extremes are each row's min and max; a stack of
-    matrices is diagonalised by one batched ``eigvalsh``.
+    exactly Hermitian matrices is diagonalised by one batched ``eigvalsh``.
     """
     if stack.ndim == 2:
         lows, highs = stack.min(axis=1).tolist(), stack.max(axis=1).tolist()
     else:
-        w = np.linalg.eigvalsh((stack + np.conj(np.swapaxes(stack, 1, 2))) / 2)
+        w = np.linalg.eigvalsh(stack)
         lows, highs = w[:, 0].tolist(), w[:, -1].tolist()
     scores = []
     for lo, hi in zip(lows, highs):
@@ -504,13 +500,13 @@ def exhaustive_search(available: Povm, n_uses: int):
     When the stack would pass ``_STACK_BYTES``, the leading strings are
     decided depth first and only the last levels are stacked.
     """
+    common = _common_eigenbasis(available, n_uses)
     n_strings = available.outcomes**n_uses
     if n_strings > _EXHAUSTIVE_STRING_CAP:
         raise TooLarge(
             f"{n_strings} strings exceeds cap {_EXHAUSTIVE_STRING_CAP}; "
             "use hill_climb_search"
         )
-    common = _common_eigenbasis(available, n_uses)
     terms = _search_terms(available, n_uses, common)
     # strings lead..n-1 are stacked, 2^(n - lead) rows within the budget
     rows = max(_STACK_BYTES // terms[0].nbytes, 1)
@@ -550,14 +546,6 @@ def exhaustive_search(available: Povm, n_uses: int):
     )
 
 
-def _zero_string_seed(available: Povm, n_uses: int) -> tuple:
-    """Partition mapping strings containing outcome 0 to target 0."""
-    return tuple(
-        0 if 0 in s else 1
-        for s in itertools.product(range(available.outcomes), repeat=n_uses)
-    )
-
-
 def hill_climb_search(
     available: Povm,
     n_uses: int,
@@ -577,12 +565,13 @@ def hill_climb_search(
     ``evaluated`` counts the distinct partitions scored.
     """
     rng = rng if rng is not None else Rng(0)
-    n_strings = available.outcomes**n_uses
     common = _common_eigenbasis(available, n_uses)
+    n_strings = available.outcomes**n_uses
     terms = _search_terms(available, n_uses, common)
     cache: dict = {}
 
-    starts = [_zero_string_seed(available, n_uses)]
+    strings = itertools.product(range(available.outcomes), repeat=n_uses)
+    starts = [tuple(0 if 0 in s else 1 for s in strings)]
     g = rng.generator
     for _ in range(restarts):
         starts.append(tuple(int(v) for v in g.integers(0, 2, size=n_strings)))
@@ -646,7 +635,8 @@ def synthesize(available: Povm, n_uses: int, rng: Rng) -> SynthesizedProtocol:
     ``_EXHAUSTIVE_STRING_CAP`` outcome strings, and hill-climbs from
     ``rng`` beyond that.
     """
-    if available.outcomes**n_uses <= _EXHAUSTIVE_STRING_CAP:
+    cap = _EXHAUSTIVE_STRING_CAP  # 2^12 > cap: a large N computes no m^N
+    if available.outcomes ** min(n_uses, cap) <= cap:
         result = exhaustive_search(available, n_uses)
     else:
         result = hill_climb_search(available, n_uses, rng=rng)
@@ -680,17 +670,11 @@ def trine_optimal_protocol(n_uses: int) -> SynthesizedProtocol:
             states=(np.kron(u0, e[:, 0]), np.kron(u1, e[:, 1])),
         )
     else:
-        zero = np.array([1.0, 0.0], dtype=complex)
-        one = np.array([0.0, 1.0], dtype=complex)
-        psi0 = zero
-        for _ in range(n_uses - 1):
-            psi0 = np.kron(psi0, zero)
+        # |0...0>, and |1...1> with the last qubit turned to (amp0, .)
+        psi0, psi1 = np.zeros((2, 2**n_uses), dtype=complex)
+        psi0[0] = 1.0
         amp0 = 0.5 * 3.0 ** (-(n_uses - 1) / 2.0)
-        phi = np.array([amp0, math.sqrt(1.0 - amp0**2)], dtype=complex)
-        psi1 = one
-        for _ in range(n_uses - 2):
-            psi1 = np.kron(psi1, one)
-        psi1 = np.kron(psi1, phi)
+        psi1[-2:] = amp0, math.sqrt(1.0 - amp0**2)
         prep = StatePrep(n_measured=n_uses, ancilla_qubits=0, states=(psi0, psi1))
     return SynthesizedProtocol(protocol=protocol, solution=solution, prep=prep)
 

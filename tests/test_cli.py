@@ -1,4 +1,5 @@
 import json
+import time
 import tracemalloc
 
 import numpy as np
@@ -132,20 +133,71 @@ def test_search_beyond_the_terms_budget_fails_with_a_typed_error(capsys, command
     assert code == 1
     assert captured.out == ""
     assert captured.err == (
-        "error: search terms of 3^9 outcome strings take 82556485632 bytes, "
-        f"over the budget of {vnsynth._TERMS_BYTES}\n")
+        "error: search terms of 3^9 strings would take 82556485632 bytes, "
+        "over the budget of 1073741824\n")
     assert peak < 2**20
 
 
-@pytest.mark.parametrize("k", ["17", "45", "70"])
+@pytest.mark.parametrize("k", ["17", "45", "70", "20000"])
 def test_block_beyond_the_codebook_cap_fails_with_a_typed_error(capsys, k):
     # 2^17 messages exceed the cap; 2^45 once ended in a 256 TiB
-    # allocation and 2^70 in a numpy ValueError
+    # allocation, 2^70 in a numpy ValueError, and 2^20000 in a ValueError
+    # from printing a number of over 4,300 digits
     argv = ["block", "trine", "--k", k, "--copies", "1", "--trials", "10"]
     assert cli.main(argv) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == f"error: codebook with {2**int(k)} messages exceeds the cap\n"
+    assert captured.err == f"error: 2^{k} messages exceed the codebook cap of 65536\n"
+
+
+BUDGET = "bytes, over the budget of 1073741824"
+
+
+# each once ended in a traceback, or ran for minutes before failing
+@pytest.mark.parametrize("argv, message", [
+    (("validate", "vn:20000"),
+     f"the von Neumann elements would take 128000000000000 {BUDGET}"),
+    (("rms", "trine", "--samples", str(10**15)),
+     f"the Haar states would take 32000000000000000 {BUDGET}"),
+    (("reproduce-paper", "--samples", str(10**15)),
+     f"the Haar states would take 32000000000000000 {BUDGET}"),
+    (("block", "trine", "--trials", str(10**15)),
+     f"the trials' messages and a codeword would take 8000000000000040 {BUDGET}"),
+    (("block", "trine", "--copies", str(10**9), "--trials", "1"),
+     f"the trials' messages and a codeword would take 8000000008 {BUDGET}"),
+    (("block", "trine", "--k", "20000"),
+     "2^20000 messages exceed the codebook cap of 65536"),
+    *((("synth", "trine", "--n", str(n)),
+       f"an assignment of 3^{n} outcome strings would take at least 2^64 {BUDGET}")
+      for n in (10**7, 3 * 10**7, 10**8)),
+    (("clone", "trine", "--max-n", "100000"),
+     "count vectors for n = 100000 exceed the cap of 2000000"),
+])
+def test_oversized_inputs_fail_at_once_with_one_typed_error(capsys, argv, message):
+    tracemalloc.start()
+    start = time.perf_counter()
+    try:
+        code = cli.main(list(argv))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    elapsed = time.perf_counter() - start
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+    assert elapsed < 2.0
+    assert peak < 2**20
+
+
+def test_capacity_rejects_a_nan_tolerance_at_once(capsys):
+    # it once ran all 100,000 Blahut-Arimoto iterations first
+    start = time.perf_counter()
+    assert cli.main(["capacity", "trine", "--tol", "nan"]) == 1
+    assert time.perf_counter() - start < 0.5
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: tol must be positive\n"
 
 
 def test_clone_command(capsys):

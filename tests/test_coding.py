@@ -93,6 +93,13 @@ def test_mutual_information_bsc():
 # ---------------------------------------------------------------------------
 
 
+@pytest.mark.parametrize("tol", [0.0, -1e-6, float("nan")])
+def test_blahut_arimoto_rejects_a_tolerance_that_is_not_positive(tol):
+    # a NaN tol once ran all max_iter iterations and then reported the gap
+    with pytest.raises(ShapeMismatch, match="tol must be positive"):
+        blahut_arimoto(binary_symmetric_channel(0.1), tol=tol)
+
+
 def test_blahut_arimoto_noiseless():
     cap = blahut_arimoto(ClassicalChannel(np.eye(3)))
     assert cap.capacity == pytest.approx(math.log2(3), abs=1e-6)
@@ -426,6 +433,20 @@ def test_count_vectors_match_the_cut_enumeration(n, m):
         return
     assume(size <= 300_000)  # keeps the Python-loop oracle fast
     assert_same_array(coding._count_vectors(n, m), count_vectors_from_cuts(n, m))
+
+
+def test_count_vectors_within_their_cap_still_fit_the_byte_budget():
+    # n = 2, m = 1000: 500,500 rows pass the row cap, but the array would
+    # take 4 GB
+    assert math.comb(1001, 999) <= coding._COUNT_VECTOR_CAP
+    tracemalloc.start()
+    try:
+        with pytest.raises(TooLarge, match="4004000000 bytes, over the budget"):
+            coding._count_vectors(2, 1000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 @settings(max_examples=30)

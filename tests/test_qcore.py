@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 
@@ -102,9 +104,28 @@ def test_tensor_matches_kron():
 
 
 def test_tensor_dimension_cap():
-    big = identity(1024)
-    with pytest.raises(TooLarge):
-        tensor(tensor(big, big), big)
+    # rows * cols * 16 bytes, checked against the byte budget
+    a, b = np.ones((2, 3)), np.ones((3, 2))
+    with mock.patch.object(qcore, "_BYTE_BUDGET", 36 * 16):
+        assert tensor(a, b).shape == (6, 6)
+    with mock.patch.object(qcore, "_BYTE_BUDGET", 36 * 16 - 1):
+        with pytest.raises(TooLarge, match="576 bytes, over the budget of 575$"):
+            tensor(a, b)
+
+
+def test_byte_budget_admits_trine_search_terms_at_seven_uses_not_eight():
+    # 3^N dense 2^N x 2^N complex tensors: 573 MB at N = 7, 6.9 GB at N = 8
+    qcore._check_bytes("terms", 16, 3 * 4, 7)
+    with pytest.raises(TooLarge, match="^terms would take 6879707136 bytes, "
+                       "over the budget of 1073741824$"):
+        qcore._check_bytes("terms", 16, 3 * 4, 8)
+    # a size from 2^64 up is neither printed nor, for a huge exponent,
+    # computed; 1^N stays 1 whatever N is
+    with pytest.raises(TooLarge, match="^terms would take at least 2\\^64 bytes"):
+        qcore._check_bytes("terms", 16, 3 * 4, 10**100)
+    with pytest.raises(TooLarge, match="^terms would take at least 2\\^64 bytes"):
+        qcore._check_bytes("terms", 2**64)
+    qcore._check_bytes("terms", 16, 1, 10**100)
 
 
 def test_hermitian_eig_reconstructs():

@@ -455,14 +455,28 @@ def test_noncommuting_povms_search_dense_matrices():
     assert exhaustive_search(tilted, 2).evaluated == 8
 
 
-def test_spectra_search_keeps_the_dimension_cap():
-    # 257^2 > 2^16 with only four terms: the cap must stop the search
-    # before it starts, not the dense protocol built after it
+def test_spectra_search_runs_past_the_dense_byte_budget():
+    # D = 257^2: the four terms and the protocol are vectors of 0.5 MB,
+    # while the two dense coarse elements would take 140 GB
     half = np.diag(np.linspace(0.0, 1.0, 257))
     povm = Povm((half, identity(257) - half))
-    assert vnsynth._search_terms(povm, 1)[0].ndim == 1
-    with pytest.raises(TooLarge):
-        vnsynth._search_terms(povm, 2)
+    result = exhaustive_search(povm, 2)
+    assert result.protocol.spectra[0].shape == (257**2,)
+    with pytest.raises(TooLarge, match="dense coarse elements would take "
+                       "139599052832 bytes, over the budget of 1073741824"):
+        result.protocol.coarse
+
+
+def test_protocols_check_their_coarse_elements_against_the_byte_budget():
+    # N = 3: noisy-Z keeps two 8-entry spectra (128 bytes), the trine two
+    # dense 8 x 8 complex elements (2,048 bytes)
+    for povm, size in ((qcore.noisy_z_povm(0.9, 0.8), 2 * 8 * 8),
+                       (trine_povm(), 2 * 64 * 16)):
+        with mock.patch.object(qcore, "_BYTE_BUDGET", size):
+            build_partition_povm(povm, 3, lambda s: s[0] % 2, 2)
+        with mock.patch.object(qcore, "_BYTE_BUDGET", size - 1):
+            with pytest.raises(TooLarge, match=f"coarse .*would take {size} bytes"):
+                build_partition_povm(povm, 3, lambda s: s[0] % 2, 2)
 
 
 def assert_same_search(povm, n_uses):
@@ -535,13 +549,30 @@ def test_stacked_search_stays_within_its_byte_budget():
 
 def test_search_terms_fail_closed_beyond_their_byte_budget():
     # trine at N = 2: nine dense 4 x 4 complex tensors, 2,304 bytes
-    with mock.patch.object(vnsynth, "_TERMS_BYTES", 9 * 16 * 16):
+    with mock.patch.object(qcore, "_BYTE_BUDGET", 9 * 16 * 16):
         assert len(vnsynth._search_terms(trine_povm(), 2)) == 9
-    with mock.patch.object(vnsynth, "_TERMS_BYTES", 9 * 16 * 16 - 1):
+    with mock.patch.object(qcore, "_BYTE_BUDGET", 9 * 16 * 16 - 1):
         with pytest.raises(TooLarge, match="over the budget"):
             vnsynth._search_terms(trine_povm(), 2)
         with pytest.raises(TooLarge, match="over the budget"):
             synthesize(trine_povm(), 2, Rng(0))
+
+
+def test_dense_search_terms_are_exactly_hermitian():
+    povm = random_povm(3, 3, Rng(7))
+    assert not any(np.array_equal(e, qcore.dagger(e)) for e in povm.elements)
+    terms = vnsynth._search_terms(povm, 2)
+    assert all(np.array_equal(t, qcore.dagger(t)) for t in terms)
+
+
+@pytest.mark.parametrize("n_uses", [10**7, 10**100], ids=["1e7", "1e100"])
+def test_a_huge_use_count_fails_before_m_to_the_n_is_computed(n_uses):
+    # 3^(10^100) could not be computed at all
+    message = rf"of 3\^{n_uses} outcome strings would take at least 2\^64 bytes"
+    with pytest.raises(TooLarge, match=message):
+        synthesize(trine_povm(), n_uses, Rng(0))
+    with pytest.raises(TooLarge, match=message):
+        build_partition_povm(trine_povm(), n_uses, lambda s: 0, 2)
 
 
 @pytest.mark.parametrize("povm, n_uses", [
