@@ -149,12 +149,13 @@ def _cmd_postmeas(args, report: RunReport) -> None:
         raise TooFewSamples(f"{args.samples} < 1 samples")
     obj = io.load_measurement(args.measurement)
     inst = obj if isinstance(obj, qcore.Instrument) else qcore.lueders_instrument(obj)
+    iso = subroutines.build_measurement_isometry(inst)
     rng = Rng(args.seed)
     worst_p = worst_s = 0.0
     for _ in range(min(args.samples, 200)):
         psi = qcore.haar_state(inst.dim_in, rng)
         rho = qcore.density(psi)
-        for a, prob, post in subroutines.run_post_measurement(inst, psi):
+        for a, prob, post in iso.apply(psi):
             out = np.zeros((inst.dim_out, inst.dim_out), dtype=complex)
             for k in inst.kraus[a]:
                 out += k @ rho @ qcore.dagger(k)

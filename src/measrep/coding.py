@@ -133,10 +133,11 @@ class ClassicalChannel:
         """Pass an array of input letters through the channel."""
         cum = np.cumsum(self.matrix, axis=1)
         u = rng.generator.random(letters.shape)
-        out = np.zeros(letters.shape, np.intp)
+        # counted in the smallest unsigned type that holds every output
+        out = np.zeros(letters.shape, np.min_scalar_type(self.outputs))
         for j in range(self.outputs):
             out += u > cum[:, j].take(letters)
-        return out
+        return out.astype(np.intp)
 
 
 def binary_symmetric_channel(flip: float) -> ClassicalChannel:
@@ -272,15 +273,22 @@ class BlockCode:
                 ll += t.take(grouped[..., c], axis=0)
             return _ml_argmax(ll)
         # random codebook: full ML over all codewords, in blocks of rows
-        # so the log-likelihood table stays within _DECODE_BYTES
+        # so the log-likelihood table stays within _DECODE_BYTES. One
+        # table per codeword position, tables[j, y, w] = log W(y | c_w[j]),
+        # turns each position's addend into one row gather; the addends
+        # are added in position order, as one (trials, n) sum would be.
         n_words = self.codebook.shape[0]
+        _check_bytes("the decode tables", 8 * self.n * channel.outputs * n_words)
+        tables = np.ascontiguousarray(logw.T[:, self.codebook.T].swapaxes(0, 1))
         rows = max(1, _DECODE_BYTES // (8 * n_words))
         idx = np.empty(outputs.shape[0], dtype=np.intp)
         for start in range(0, outputs.shape[0], rows):
             block = outputs[start : start + rows]
-            ll = np.zeros((block.shape[0], n_words))
-            for j in range(self.n):
-                ll += logw[:, block[:, j]].T.take(self.codebook[:, j], axis=1)
+            # _safe_log never gives -0.0, so starting from position 0's
+            # addend is the same bits as adding it to zeros
+            ll = tables[0].take(block[:, 0], axis=0)
+            for j in range(1, self.n):
+                ll += tables[j].take(block[:, j], axis=0)
             idx[start : start + rows] = _ml_argmax(ll)
         return _unpack(idx, self.d, self.k)
 

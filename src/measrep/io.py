@@ -69,10 +69,17 @@ def _builtin(name: str):
             ) from None
         return qcore.noisy_z_povm(p, q)
     if name.startswith("vn:"):
-        d = name.split(":", 1)[1]
-        if not d.isdigit() or int(d) < 1:
+        d = name.split(":", 1)[1].lstrip("0")
+        # ASCII only: str.isdigit also admits "²", which int() refuses,
+        # and "٣", which it reads as 3
+        if not (d.isascii() and d.isdigit()):
             raise MalformedName(f"expected vn:d with an integer d >= 1, got {name!r}")
-        return qcore.von_neumann_povm(int(d))
+        try:
+            dim = int(d)
+        except ValueError:  # past int()'s digit limit: d^3 >= 10^(3 (len - 1))
+            qcore._check_bytes("the von Neumann elements", 16, 10, 3 * (len(d) - 1))
+            raise
+        return qcore.von_neumann_povm(dim)
     return None
 
 

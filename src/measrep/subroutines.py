@@ -44,6 +44,25 @@ class MeasurementIsometry:
     r: int
     matrix: np.ndarray  # (d_out * m * r, d_in)
 
+    def apply(self, psi):
+        """Run the sub-routine on |psi>; returns (outcome, probability,
+        post-state) per outcome, the post-state None for an outcome of
+        negligible probability."""
+        psi = np.asarray(psi, dtype=complex)
+        if psi.shape != (self.d_in,):
+            raise ShapeMismatch("state dimension does not match the instrument")
+        out = (self.matrix @ psi).reshape(self.d_out, self.m, self.r)
+        results = []
+        for a in range(self.m):
+            block = out[:, a, :]  # d_out x r
+            prob = float(np.sum(np.abs(block) ** 2))
+            if prob > 1e-14:
+                post = (block @ dagger(block)) / prob
+            else:
+                post = None
+            results.append((a, prob, post))
+        return results
+
 
 def build_measurement_isometry(target: Instrument) -> MeasurementIsometry:
     defect = target.normalization_defect()
@@ -61,25 +80,10 @@ def build_measurement_isometry(target: Instrument) -> MeasurementIsometry:
 
 
 def run_post_measurement(target: Instrument, psi):
-    """Execute the sub-routine; returns (outcome, probability, post-state).
-
-    Post-states are None for outcomes of negligible probability.
-    """
-    psi = np.asarray(psi, dtype=complex)
-    if psi.shape != (target.dim_in,):
-        raise ShapeMismatch("state dimension does not match the instrument")
-    iso = build_measurement_isometry(target)
-    out = (iso.matrix @ psi).reshape(iso.d_out, iso.m, iso.r)
-    results = []
-    for a in range(iso.m):
-        block = out[:, a, :]  # d_out x r
-        prob = float(np.sum(np.abs(block) ** 2))
-        if prob > 1e-14:
-            post = (block @ dagger(block)) / prob
-        else:
-            post = None
-        results.append((a, prob, post))
-    return results
+    """Execute the sub-routine once; returns (outcome, probability,
+    post-state) as ``MeasurementIsometry.apply`` does. To run many
+    states, build the isometry once and apply it to each."""
+    return build_measurement_isometry(target).apply(psi)
 
 
 # ---------------------------------------------------------------------------

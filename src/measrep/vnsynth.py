@@ -81,14 +81,24 @@ class PartitionProtocol:
         memory is O((m_target + N) D^2) rather than m^N D^2. A protocol
         held on spectra builds them only when this is first read.
         """
-        qcore._check_bytes("the dense coarse elements", 16 * self.m_target,
-                           self.available.dim**2, self.n_uses)
+        _check_coarse_bytes(self.available, self.n_uses, self.m_target, False)
         dim = self.available.dim**self.n_uses
         coarse = [np.zeros((dim, dim), dtype=complex) for _ in range(self.m_target)]
         strings = _string_products(self.available.elements, self.n_uses)
         for t, v in zip(strings, self.assignment):
             coarse[v] += t
         return tuple(coarse)
+
+
+def _check_coarse_bytes(available, n_uses, m_target, on_spectra) -> None:
+    """Raise ``TooLarge`` unless a protocol's m_target coarse elements fit
+    the byte budget: real d^N vectors on spectra, else D x D operators."""
+    if on_spectra:
+        qcore._check_bytes("the coarse spectra", 8 * m_target, available.dim,
+                           n_uses)
+    else:
+        qcore._check_bytes("the dense coarse elements", 16 * m_target,
+                           available.dim**2, n_uses)
 
 
 def _common_eigenbasis(available: Povm, n_uses: int):
@@ -129,20 +139,25 @@ def _string_products(factors, n_uses: int):
     or their eigenvalue vectors. The walk is depth first and holds one
     prefix product per level, so memory is O(N D^2), not m^N D^2; each
     prefix is one ``tensor`` call for matrices and one ``_vector_kron``
-    for vectors. Needs n_uses >= 1 (``_common_eigenbasis``).
+    for vectors. It keeps its levels on an explicit stack, so no N is
+    too deep for it. Needs n_uses >= 1 (``_common_eigenbasis``).
     """
     ndim = factors[0].ndim
     kron = tensor if ndim == 2 else _vector_kron
-
-    def walk(prefix, level):
-        for f in factors:
-            t = kron(prefix, f)
-            if level == n_uses:
-                yield t
-            else:
-                yield from walk(t, level + 1)
-
-    return walk(np.ones((1,) * ndim, dtype=factors[0].dtype), 1)
+    # level i holds the product of i factors and the factors left to
+    # extend it with
+    prefixes = [np.ones((1,) * ndim, dtype=factors[0].dtype)]
+    pending = [iter(factors)]
+    while pending:
+        f = next(pending[-1], None)
+        if f is None:
+            prefixes.pop()
+            pending.pop()
+        elif len(pending) == n_uses:
+            yield kron(prefixes[-1], f)
+        else:
+            prefixes.append(kron(prefixes[-1], f))
+            pending.append(iter(factors))
 
 
 def build_partition_povm(
@@ -155,11 +170,13 @@ def build_partition_povm(
 
     Commuting elements give a protocol held on spectra: each coarse
     element is summed as a d^N vector, string by string. Otherwise the
-    dense Q_a are summed at once (``PartitionProtocol.coarse``).
+    dense Q_a are summed at once (``PartitionProtocol.coarse``). Their
+    bytes are checked before f is called on any string.
     """
     common = _common_eigenbasis(available, n_uses)
     if m_target < 2:
         raise ShapeMismatch("m_target must be >= 2")
+    _check_coarse_bytes(available, n_uses, m_target, common[0] is not None)
     n_strings = available.outcomes**n_uses
     if callable(f):
         f = map(f, itertools.product(range(available.outcomes), repeat=n_uses))
@@ -180,7 +197,7 @@ def _partition_protocol(available, n_uses, assignment, m_target, common):
         protocol = PartitionProtocol(available, n_uses, assignment, m_target)
         protocol.coarse  # a dense protocol is summed here, not on first read
         return protocol
-    qcore._check_bytes("the coarse spectra", 8 * m_target, available.dim, n_uses)
+    _check_coarse_bytes(available, n_uses, m_target, True)
     q = [np.zeros(available.dim**n_uses) for _ in range(m_target)]
     for t, v in zip(_string_products(spectra, n_uses), assignment):
         q[v] += t
@@ -342,8 +359,13 @@ def construct_states(protocol: PartitionProtocol, targets) -> StatePrep:
         evals = protocol.spectra[0][order]
 
         def column(j):
-            digits = np.unravel_index(order[j], (u.shape[0],) * protocol.n_uses)
-            return functools.reduce(_vector_kron, [u[:, i] for i in digits])
+            # the base-d digits of the product-basis index, most
+            # significant first (np.unravel_index stops at 64 uses)
+            index, digits = int(order[j]), []
+            for _ in range(protocol.n_uses):
+                index, digit = divmod(index, u.shape[0])
+                digits.append(digit)
+            return functools.reduce(_vector_kron, [u[:, i] for i in digits[::-1]])
     lam_min, lam_max = evals[-1], evals[0]
     slack = 1e-9
     if not (lam_min - slack <= x <= lam_max + slack) or not (

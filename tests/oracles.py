@@ -11,7 +11,14 @@ import math
 
 import numpy as np
 
-from measrep.coding import _ml_argmax, _pack, _safe_log, _unpack, associated_channel
+from measrep.coding import (
+    _DECODE_BYTES,
+    _ml_argmax,
+    _pack,
+    _safe_log,
+    _unpack,
+    associated_channel,
+)
 from measrep.errors import ShapeMismatch, TooLarge
 from measrep.qcore import Instrument, Povm, Rng, dagger, density, identity, tensor
 from measrep.vnsynth import (
@@ -348,6 +355,23 @@ def random_decode_full_table(code, outputs, channel):
     for j in range(code.n):
         ll += logw[code.codebook[:, j][None, :], outputs[:, j][:, None]]
     return _unpack(_ml_argmax(ll), code.d, code.k)
+
+
+def random_decode_strided_gather(code, outputs, channel):
+    """Random-code ``decode`` in its row blocks, each codeword position's
+    addend gathered through a strided ``logw[:, outputs].T`` into a table
+    of zeros."""
+    logw = _safe_log(channel.matrix)
+    n_words = code.codebook.shape[0]
+    rows = max(1, _DECODE_BYTES // (8 * n_words))
+    idx = np.empty(outputs.shape[0], dtype=np.intp)
+    for start in range(0, outputs.shape[0], rows):
+        block = outputs[start : start + rows]
+        ll = np.zeros((block.shape[0], n_words))
+        for j in range(code.n):
+            ll += logw[:, block[:, j]].T.take(code.codebook[:, j], axis=1)
+        idx[start : start + rows] = _ml_argmax(ll)
+    return _unpack(idx, code.d, code.k)
 
 
 def block_protocol_whole_arrays(channel, code, amplitudes, trials, rng):

@@ -63,6 +63,26 @@ def test_synth_invalid_builtin_fails_validation(capsys):
     assert "negative eigenvalue" in err
 
 
+# "²" passes str.isdigit but not int(); "٣" (Arabic-Indic three) once
+# read as vn:3
+@pytest.mark.parametrize("name", ["vn:\u00b2", "vn:\u0663"])
+def test_vn_sizes_take_ascii_digits_only(capsys, name):
+    code = cli.main(["validate", name])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == ("measrep: usage error: expected vn:d with an integer "
+                            f"d >= 1, got {name!r}\n")
+
+
+def test_synth_runs_thousands_of_uses_without_recursion(capsys):
+    # one outcome keeps every byte figure tiny, so only the walk's depth
+    # grows; it once ended in a RecursionError
+    code, out = run_cli(capsys, "synth", "vn:1", "--n", "3000")
+    assert code == 0
+    assert "epsilon_implemented" in out
+
+
 def test_malformed_builtin_is_usage_error(capsys):
     code = cli.main(["synth", "noisy-z:abc,1"])
     err = capsys.readouterr().err
@@ -157,6 +177,9 @@ BUDGET = "bytes, over the budget of 1073741824"
 @pytest.mark.parametrize("argv, message", [
     (("validate", "vn:20000"),
      f"the von Neumann elements would take 128000000000000 {BUDGET}"),
+    # 5,000 digits: past int()'s limit of 4,300
+    (("validate", "vn:" + "9" * 5000),
+     f"the von Neumann elements would take at least 2^64 {BUDGET}"),
     (("rms", "trine", "--samples", str(10**15)),
      f"the Haar states would take 32000000000000000 {BUDGET}"),
     (("reproduce-paper", "--samples", str(10**15)),

@@ -28,6 +28,7 @@ from oracles import (
     channel_sample_broadcast,
     count_vectors_from_cuts,
     random_decode_full_table,
+    random_decode_strided_gather,
     repetition_decode_gather,
 )
 
@@ -371,6 +372,49 @@ def test_random_decode_in_row_blocks_matches_the_full_table(
     assert_same_array(
         code.decode(outputs, channel), random_decode_full_table(code, outputs, channel)
     )
+
+
+# 16 to 2,187 codewords, so row blocks of 2,048 down to 29 rows; trials
+# as in the test above
+@settings(max_examples=60)
+@given(channel=channels, k=st.integers(4, 11), extra_n=st.integers(0, 3),
+       blocks=st.integers(0, 3), extra=st.integers(0, 300), seed=seeds)
+def test_random_decode_matches_the_strided_gather(channel, k, extra_n, blocks,
+                                                  extra, seed):
+    d = channel.inputs
+    assume(d**k <= 2187)
+    code = random_codebook(k, k + extra_n, d, Rng(seed))
+    rows = max(1, coding._DECODE_BYTES // (8 * d**k))
+    trials = blocks * rows + extra % rows
+    outputs = Rng(seed, 1).generator.integers(0, channel.outputs, size=(trials, code.n))
+    assert_same_array(code.decode(outputs, channel),
+                      random_decode_strided_gather(code, outputs, channel))
+
+
+def test_random_decode_tables_are_checked_before_they_are_built():
+    # 1,024 codewords of length 16 over a 16,384-output channel: the
+    # per-position tables would take 2 GiB
+    code = random_codebook(10, 16, 2, Rng(0))
+    channel = ClassicalChannel(np.full((2, 2**14), 2.0**-14))
+    outputs = np.zeros((1, 16), dtype=np.intp)
+    tracemalloc.start()
+    try:
+        with pytest.raises(TooLarge, match="^the decode tables would take "
+                           "2147483648 bytes, over the budget of 1073741824$"):
+            code.decode(outputs, channel)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**22
+
+
+def test_channel_sample_counts_past_the_byte_range():
+    # 300 outputs: the comparisons are counted in uint16
+    channel = random_channel(5, 3, 300, zeros=True, mirror=False)
+    letters = Rng(6).generator.integers(0, 3, size=(40, 7))
+    out = channel.sample(letters, Rng(6, 1))
+    assert out.max() > 255
+    assert_same_array(out, channel_sample_broadcast(channel, letters, Rng(6, 1)))
 
 
 def random_amplitudes(seed, n):

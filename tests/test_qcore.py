@@ -1,7 +1,10 @@
+import math
 from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from measrep import qcore
 from measrep.errors import (
@@ -101,6 +104,29 @@ def test_tensor_matches_kron():
     a = np.arange(4).reshape(2, 2).astype(complex)
     b = np.arange(9).reshape(3, 3).astype(complex)
     assert np.array_equal(tensor(a, b), np.kron(a, b))
+
+
+# real and imaginary parts: signed zeros and infinities, which make
+# NaN products, among finite values of any size
+parts = st.one_of(st.sampled_from([0.0, -0.0, math.inf, -math.inf]),
+                  st.floats(allow_nan=False))
+
+
+def complex_matrices():
+    """Complex matrices of 1 x 1 up to 4 x 4, square or not."""
+    return st.tuples(st.integers(1, 4), st.integers(1, 4)).flatmap(
+        lambda shape: st.lists(st.tuples(parts, parts), min_size=shape[0] * shape[1],
+                               max_size=shape[0] * shape[1]).map(
+            lambda pairs: np.array([complex(*z) for z in pairs]).reshape(shape)))
+
+
+@settings(max_examples=200)
+@given(a=complex_matrices(), b=complex_matrices())
+def test_tensor_is_kron_in_dtype_shape_and_bits(a, b):
+    with np.errstate(over="ignore", invalid="ignore"):
+        t, k = tensor(a, b), np.kron(a, b)
+    assert t.dtype == k.dtype and t.shape == k.shape
+    assert t.tobytes() == k.tobytes()
 
 
 def test_tensor_dimension_cap():

@@ -479,6 +479,21 @@ def test_protocols_check_their_coarse_elements_against_the_byte_budget():
                 build_partition_povm(povm, 3, lambda s: s[0] % 2, 2)
 
 
+@pytest.mark.parametrize("povm, n_uses, message", [
+    # dense: two 2^14 x 2^14 complex elements, 8.6 GB
+    (trine_povm(), 14, "dense coarse elements would take 8589934592 bytes"),
+    # on spectra: two 2^27-entry vectors, 2 GiB; the 2^27-string
+    # assignment alone (1 GiB) is within the budget
+    (qcore.noisy_z_povm(0.9, 0.8), 27, "coarse spectra would take 2147483648 bytes"),
+])
+def test_partition_povm_checks_its_coarse_bytes_before_calling_f(povm, n_uses,
+                                                                 message):
+    calls = []
+    with pytest.raises(TooLarge, match=message):
+        build_partition_povm(povm, n_uses, lambda s: calls.append(s) or 0, 2)
+    assert calls == []
+
+
 def assert_same_search(povm, n_uses):
     result = exhaustive_search(povm, n_uses)
     bits, sol, ties, count = exhaustive_search_depth_first(povm, n_uses)
