@@ -49,7 +49,6 @@ from .subroutines import (
     chernoff_information,
     cloning_error_rate,
     build_measurement_isometry,
-    run_post_measurement,
     select_cloning_basis,
 )
 from .vnsynth import (

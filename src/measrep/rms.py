@@ -1,10 +1,11 @@
 """Reproduction-error figures of merit.
 
 The exact Haar-averaged error between an implemented and a target POVM
-in any dimension, the Frobenius figure of merit for instruments, and
-Haar Monte Carlo estimators that cross-check both. Estimates live at
-the squared-error level; reported values are the square roots with
-delta-method standard errors.
+in any dimension, with a Haar Monte Carlo estimator that cross-checks
+it, and the Frobenius figure of merit for instruments, which is
+estimated by Monte Carlo only. Estimates live at the squared-error
+level; reported values are the square roots with delta-method
+standard errors.
 """
 
 from __future__ import annotations

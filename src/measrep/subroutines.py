@@ -79,13 +79,6 @@ def build_measurement_isometry(target: Instrument) -> MeasurementIsometry:
     return MeasurementIsometry(d_in=din, d_out=dout, m=m, r=r, matrix=w)
 
 
-def run_post_measurement(target: Instrument, psi):
-    """Execute the sub-routine once; returns (outcome, probability,
-    post-state) as ``MeasurementIsometry.apply`` does. To run many
-    states, build the isometry once and apply it to each."""
-    return build_measurement_isometry(target).apply(psi)
-
-
 # ---------------------------------------------------------------------------
 # Generalised classical cloning
 # ---------------------------------------------------------------------------

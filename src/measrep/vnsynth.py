@@ -667,16 +667,21 @@ def synthesize(available: Povm, n_uses: int, rng: Rng) -> SynthesizedProtocol:
     return SynthesizedProtocol(result.protocol, sol, prep, result.evaluated)
 
 
-def trine_optimal_protocol(n_uses: int) -> SynthesizedProtocol:
+def trine_optimal_protocol(
+    n_uses: int, available: Optional[Povm] = None
+) -> SynthesizedProtocol:
     """The N-use trine partition optimal over deterministic partitions.
 
     Target outcome 1 is declared exactly when no single use returned
     outcome 0; the error is 3^-N / 2 and the prepared states are the
-    nearly-cloned pair with the last qubit slightly rotated.
+    nearly-cloned pair with the last qubit slightly rotated. The
+    partition is built on ``available`` (default: the trine); the
+    solution and states stay the trine's, so another qubit measurement
+    shows up in the implemented POVM.
     """
-    trine = qcore.trine_povm()
+    available = qcore.trine_povm() if available is None else available
     protocol = build_partition_povm(
-        trine, n_uses, lambda s: 0 if 0 in s else 1, 2
+        available, n_uses, lambda s: 0 if 0 in s else 1, 2
     )
     lam_max = 1.0 - 3.0**-n_uses
     solution = solve_box_quadratic_qubit(0.0, lam_max)

@@ -14,6 +14,7 @@ import numpy as np
 from measrep.coding import (
     _DECODE_BYTES,
     _ml_argmax,
+    _ml_decode_counts,
     _pack,
     _safe_log,
     _unpack,
@@ -405,3 +406,20 @@ def count_vectors_from_cuts(n, m):
         vec.append(n + m - 2 - prev)
         vectors.append(vec)
     return np.array(vectors, dtype=float)
+
+
+def exact_ml_error_by_strings(table, n):
+    """Per-hypothesis count-vector ML error as a sum over all m^n outcome
+    strings of their probability prod_i p(a_i | x), with no multinomial
+    coefficient."""
+    d, m = table.shape
+    strings = np.array(list(itertools.product(range(m), repeat=n)),
+                       dtype=np.intp).reshape(m**n, n)
+    counts = np.stack([np.count_nonzero(strings == a, axis=1) for a in range(m)],
+                      axis=1).astype(float)
+    dec = _ml_decode_counts(counts, _safe_log(table))
+    errs = np.zeros(d)
+    for x in range(d):
+        prob = np.prod(table[x][strings], axis=1)
+        errs[x] = prob[dec != x].sum()
+    return errs

@@ -204,10 +204,11 @@ def test_criterion_06_post_measurement_exactness():
         m = int(g.integers(2, 5))
         r = int(g.integers(1, 3))
         inst = _random_instrument(d_in, d_out, m, r, rng.split(k + 1))
+        iso = subroutines.build_measurement_isometry(inst)
         for t in range(20):
             psi = qcore.haar_state(d_in, rng.split(1000 + 20 * k + t))
             rho = density(psi)
-            for a, prob, post in subroutines.run_post_measurement(inst, psi):
+            for a, prob, post in iso.apply(psi):
                 out = np.zeros((d_out, d_out), dtype=complex)
                 for op in inst.kraus[a]:
                     out += op @ rho @ dagger(op)

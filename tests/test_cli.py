@@ -1,6 +1,10 @@
 import json
+import os
+import subprocess
+import sys
 import time
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -293,6 +297,34 @@ def test_reproduce_paper_override_negative_control(tmp_path, capsys):
     )
     assert code == 1
     assert "FAIL" in out
+
+
+def test_reproduce_paper_override_reaches_the_n_use_protocols(capsys):
+    # the implemented elements come from the override's own protocols
+    code, doc = json_rows(
+        capsys, "reproduce-paper", "--samples", "2000", "--override", "noisy-z:0.9,0.8"
+    )
+    assert code == 1
+    status = {r["name"]: r["status"] for r in doc["rows"]}
+    for name in [f"implemented_element_deviation_n={n}" for n in range(1, 7)] + [
+        "single_use_element_deviation"
+    ]:
+        assert status[name] == "FAIL", name
+
+
+def test_cli_runs_without_scipy():
+    src = Path(cli.__file__).resolve().parents[1]
+    script = (
+        "import sys\n"
+        "import measrep.cli\n"
+        "assert measrep.cli.main(['clone', 'trine', '--max-n', '6']) == 0\n"
+        "assert measrep.cli.main(['block', 'trine', '--k', '1']) == 0\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": str(src)},
+                          check=True)
+    assert proc.stdout.splitlines()[-1] == "[]"
 
 
 def test_usage_error_exit_code(capsys):

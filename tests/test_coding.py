@@ -27,6 +27,7 @@ from oracles import (
     block_protocol_whole_arrays,
     channel_sample_broadcast,
     count_vectors_from_cuts,
+    exact_ml_error_by_strings,
     random_decode_full_table,
     random_decode_strided_gather,
     repetition_decode_gather,
@@ -477,6 +478,14 @@ def test_count_vectors_match_the_cut_enumeration(n, m):
         return
     assume(size <= 300_000)  # keeps the Python-loop oracle fast
     assert_same_array(coding._count_vectors(n, m), count_vectors_from_cuts(n, m))
+
+
+@settings(max_examples=80)
+@given(channel=channels, n=st.integers(0, 6))
+def test_exact_ml_error_matches_the_sum_over_outcome_strings(channel, n):
+    errs, _ = coding._exact_ml_error(channel.matrix, n)
+    ref = exact_ml_error_by_strings(channel.matrix, n)
+    assert np.max(np.abs(errs - ref)) <= 1e-14
 
 
 def test_count_vectors_within_their_cap_still_fit_the_byte_budget():

@@ -23,7 +23,6 @@ from measrep.subroutines import (
     build_measurement_isometry,
     chernoff_information,
     cloning_error_rate,
-    run_post_measurement,
     select_cloning_basis,
 )
 from oracles import random_povm
@@ -73,7 +72,7 @@ def test_run_post_measurement_matches_subchannels():
         inst = random_instrument(d_in, 2, 3, 2, rng.split(trial))
         psi = haar_state(d_in, rng.split(100 + trial))
         rho = density(psi)
-        for a, prob, post in run_post_measurement(inst, psi):
+        for a, prob, post in build_measurement_isometry(inst).apply(psi):
             out = np.zeros((2, 2), dtype=complex)
             for k in inst.kraus[a]:
                 out += k @ rho @ dagger(k)
@@ -86,14 +85,14 @@ def test_run_post_measurement_matches_subchannels():
 def test_run_post_measurement_probabilities_sum():
     inst = lueders_instrument(degenerate_qutrit_povm())
     psi = haar_state(3, Rng(4))
-    total = sum(prob for _, prob, _ in run_post_measurement(inst, psi))
+    total = sum(prob for _, prob, _ in build_measurement_isometry(inst).apply(psi))
     assert abs(total - 1.0) < 1e-12
 
 
 def test_run_post_measurement_shape_check():
     inst = lueders_instrument(trine_povm())
     with pytest.raises(ShapeMismatch):
-        run_post_measurement(inst, np.ones(3))
+        build_measurement_isometry(inst).apply(np.ones(3))
 
 
 # ---------------------------------------------------------------------------
