@@ -267,13 +267,21 @@ def haar_state(dim: int, rng: Rng) -> np.ndarray:
     return z / np.linalg.norm(z)
 
 
-def haar_states(dim: int, count: int, rng: Rng) -> np.ndarray:
-    """Batch of Haar-random pure states, one per row."""
+def _haar_normals(dim: int, count: int, rng: Rng):
+    """Real and imaginary parts (count, dim) of the Gaussian vectors
+    behind ``count`` Haar states: all real parts, then all imaginary
+    parts."""
     if dim < 1:
         raise ShapeMismatch("dim must be >= 1")
     _check_bytes("the Haar states", 16 * count * dim)
     g = rng.generator
-    z = g.standard_normal((count, dim)) + 1j * g.standard_normal((count, dim))
+    return g.standard_normal((count, dim)), g.standard_normal((count, dim))
+
+
+def haar_states(dim: int, count: int, rng: Rng) -> np.ndarray:
+    """Batch of Haar-random pure states, one per row."""
+    re, im = _haar_normals(dim, count, rng)
+    z = re + 1j * im
     return z / np.linalg.norm(z, axis=1, keepdims=True)
 
 

@@ -5,7 +5,9 @@ in any dimension, with a Haar Monte Carlo estimator that cross-checks
 it, and the Frobenius figure of merit for instruments, which is
 estimated by Monte Carlo only. Estimates live at the squared-error
 level; reported values are the square roots with delta-method
-standard errors.
+standard errors. The POVM estimator is real arithmetic on the Gaussian
+draws behind ``haar_states``, in row blocks of bounded size; the
+instrument estimator works on the states themselves.
 """
 
 from __future__ import annotations
@@ -17,7 +19,10 @@ from typing import Optional
 import numpy as np
 
 from .errors import ShapeMismatch, TooFewSamples
-from .qcore import Instrument, Povm, Rng, haar_states
+from .qcore import Instrument, Povm, Rng, _haar_normals, haar_states
+
+# Bytes of the Monte Carlo estimator's per-block feature array.
+_MC_BLOCK_BYTES = 2**18
 
 
 @dataclass(frozen=True)
@@ -49,8 +54,39 @@ def rms_exact_povm(impl: Povm, target: Povm) -> float:
     return math.sqrt(sq / (impl.outcomes * d * (d + 1)))
 
 
-def _expectations(psi: np.ndarray, op: np.ndarray) -> np.ndarray:
-    return np.einsum("ni,ij,nj->n", np.conj(psi), op, psi).real
+def _quadratic_form_coefficients(impl: Povm, target: Povm) -> np.ndarray:
+    """Real (d^2, m) matrix whose column a holds the coefficients of
+    <z|D_a|z>, D_a = impl_a - target_a, on the features of
+    ``_squared_errors``: the real part of the complex form, so the
+    Hermitian part of D_a."""
+    d = impl.dim
+    iu, ju = np.triu_indices(d, 1)
+    cols = []
+    for mi, ti in zip(impl.elements, target.elements):
+        diff = mi - ti
+        cols.append(np.concatenate((
+            np.diagonal(diff).real,
+            diff[iu, ju].real + diff[ju, iu].real,
+            diff[ju, iu].imag - diff[iu, ju].imag,
+        )))
+    return np.array(cols).T
+
+
+def _squared_errors(x: np.ndarray, y: np.ndarray, coef: np.ndarray) -> np.ndarray:
+    """Sum over a of <psi|D_a|psi>^2 per row, psi = z / ||z||, z = x + iy.
+
+    The features [|z_i|^2, Re conj(z_i) z_j, Im conj(z_i) z_j] (i < j)
+    times ``coef`` give <z|D_a|z>; ||z||^2 is the sum of the first d.
+    """
+    d = x.shape[1]
+    iu, ju = np.triu_indices(d, 1)
+    f = np.empty((x.shape[0], d * d))
+    np.add(x * x, y * y, out=f[:, :d])
+    xi, xj, yi, yj = x[:, iu], x[:, ju], y[:, iu], y[:, ju]
+    np.add(xi * xj, yi * yj, out=f[:, d : d + iu.size])
+    np.subtract(xi * yj, yi * xj, out=f[:, d + iu.size :])
+    e = (f @ coef) / f[:, :d].sum(axis=1, keepdims=True)
+    return np.einsum("na,na->n", e, e)
 
 
 def _estimate_from_squares(sq: np.ndarray, seed) -> RmsEstimate:
@@ -70,14 +106,23 @@ def _estimate_from_squares(sq: np.ndarray, seed) -> RmsEstimate:
 def rms_monte_carlo_povm(
     impl: Povm, target: Povm, samples: int, rng: Rng
 ) -> RmsEstimate:
-    """Haar Monte Carlo estimate of the outcome-statistics error."""
+    """Haar Monte Carlo estimate of the outcome-statistics error.
+
+    Draws the states of ``haar_states(impl.dim, samples, rng)``, but
+    never forms them: each <psi|D_a|psi> comes from one real matrix
+    product per block of rows, the quadratic features of the Gaussian
+    vectors times a coefficient matrix. The feature blocks stay within
+    ``_MC_BLOCK_BYTES``.
+    """
     _check_povm_shapes(impl, target)
     if samples < 100:
         raise TooFewSamples(f"{samples} < 100 samples")
-    psi = haar_states(impl.dim, samples, rng)
-    sq = np.zeros(samples)
-    for mi, ti in zip(impl.elements, target.elements):
-        sq += (_expectations(psi, mi) - _expectations(psi, ti)) ** 2
+    d = impl.dim
+    coef = _quadratic_form_coefficients(impl, target)
+    re, im = _haar_normals(d, samples, rng)
+    rows = max(1, _MC_BLOCK_BYTES // (8 * d * d))
+    sq = np.concatenate([_squared_errors(re[s : s + rows], im[s : s + rows], coef)
+                         for s in range(0, samples, rows)])
     sq /= impl.outcomes
     return _estimate_from_squares(sq, rng.seed)
 

@@ -18,7 +18,7 @@ import numpy as np
 from . import qcore
 from .coding import _exact_ml_error, _ml_decode_counts, _safe_log
 from .errors import NotNormalized, ShapeMismatch, TrivialMeasurement
-from .qcore import Instrument, Povm, Rng, dagger
+from .qcore import Instrument, Povm, Rng
 
 _ROW_DISTINCT_TV = 1e-6
 _THETA_SCAN = tuple(math.pi / 2**k for k in range(3, 12))
@@ -45,23 +45,25 @@ class MeasurementIsometry:
     matrix: np.ndarray  # (d_out * m * r, d_in)
 
     def apply(self, psi):
-        """Run the sub-routine on |psi>; returns (outcome, probability,
-        post-state) per outcome, the post-state None for an outcome of
-        negligible probability."""
+        """Run the sub-routine on states psi, one per row (..., d_in).
+
+        Returns the outcome probabilities (..., m) and the normalised
+        post-measurement states (..., m, d_out, d_out); an outcome of
+        probability at most 1e-14 gets a zero post-state.
+        """
         psi = np.asarray(psi, dtype=complex)
-        if psi.shape != (self.d_in,):
+        if psi.shape[-1:] != (self.d_in,):
             raise ShapeMismatch("state dimension does not match the instrument")
-        out = (self.matrix @ psi).reshape(self.d_out, self.m, self.r)
-        results = []
-        for a in range(self.m):
-            block = out[:, a, :]  # d_out x r
-            prob = float(np.sum(np.abs(block) ** 2))
-            if prob > 1e-14:
-                post = (block @ dagger(block)) / prob
-            else:
-                post = None
-            results.append((a, prob, post))
-        return results
+        batch = psi.shape[:-1]
+        # W|psi> per state, as blocks (outcome, output system, Kraus index)
+        out = np.swapaxes(
+            (psi @ self.matrix.T).reshape(batch + (self.d_out, self.m, self.r)), -3, -2)
+        prob = np.sum(out.real**2 + out.imag**2, axis=(-2, -1))
+        unnormalised = out @ np.conj(np.swapaxes(out, -2, -1))
+        big = (prob > 1e-14)[..., None, None]
+        post = np.divide(unnormalised, prob[..., None, None],
+                         out=np.zeros_like(unnormalised), where=big)
+        return prob, post
 
 
 def build_measurement_isometry(target: Instrument) -> MeasurementIsometry:

@@ -21,7 +21,17 @@ from measrep.coding import (
     associated_channel,
 )
 from measrep.errors import ShapeMismatch, TooLarge
-from measrep.qcore import Instrument, Povm, Rng, dagger, density, identity, tensor
+from measrep.qcore import (
+    Instrument,
+    Povm,
+    Rng,
+    dagger,
+    density,
+    haar_states,
+    identity,
+    tensor,
+)
+from measrep.subroutines import build_measurement_isometry
 from measrep.vnsynth import (
     BoxQuadSolution,
     _qubit_objective,
@@ -66,6 +76,26 @@ def random_povm_of_ranks(dim, ranks, rng):
     s_inv_half = (v / np.sqrt(w)) @ dagger(v)
     elems = [s_inv_half @ a @ s_inv_half for a in parts]
     return Povm(tuple((e + dagger(e)) / 2 for e in elems))
+
+
+def random_instrument(d_in, d_out, m, r, rng):
+    """Random instrument from a Haar isometry split into Kraus blocks."""
+    g = rng.generator
+    z = g.standard_normal((d_out * m * r, d_in)) + 1j * g.standard_normal(
+        (d_out * m * r, d_in)
+    )
+    q, _ = np.linalg.qr(z)
+    iso = q[:, :d_in]
+    groups = []
+    for i in range(m):
+        ops = []
+        for j in range(r):
+            block = np.zeros((d_out, d_in), dtype=complex)
+            for s in range(d_out):
+                block[s, :] = iso[s * m * r + i * r + j, :]
+            ops.append(block)
+        groups.append(tuple(ops))
+    return Instrument(tuple(groups))
 
 
 def von_neumann_instrument(dim):
@@ -423,3 +453,47 @@ def exact_ml_error_by_strings(table, n):
         prob = np.prod(table[x][strings], axis=1)
         errs[x] = prob[dec != x].sum()
     return errs
+
+
+# Earlier forms of the Haar-sampled estimators: the library must give
+# the same per-sample values from real arithmetic on the Gaussian draws
+# and from one batch of states.
+
+
+def rms_squares_einsum(impl, target, samples, rng):
+    """Per-sample squared outcome-statistics errors of
+    ``rms_monte_carlo_povm``, from the states of ``haar_states`` and two
+    complex ``einsum`` expectations per element."""
+    psi = haar_states(impl.dim, samples, rng)
+
+    def expectations(op):
+        return np.einsum("ni,ij,nj->n", np.conj(psi), op, psi).real
+
+    sq = np.zeros(samples)
+    for mi, ti in zip(impl.elements, target.elements):
+        sq += (expectations(mi) - expectations(ti)) ** 2
+    return sq / impl.outcomes
+
+
+def postmeas_deviations_per_state(inst, samples, seed):
+    """(max probability deviation, max post-state deviation) of the
+    ``postmeas`` check on the same states, one state and one isometry
+    product at a time, the reference as K rho K^dagger per Kraus
+    operator."""
+    iso = build_measurement_isometry(inst)
+    worst_p = worst_s = 0.0
+    for psi in haar_states(inst.dim_in, min(samples, 200), Rng(seed)):
+        rho = density(psi)
+        out = (iso.matrix @ psi).reshape(iso.d_out, iso.m, iso.r)
+        for a in range(iso.m):
+            block = out[:, a, :]
+            prob = float(np.sum(np.abs(block) ** 2))
+            ref = np.zeros((inst.dim_out, inst.dim_out), dtype=complex)
+            for k in inst.kraus[a]:
+                ref += k @ rho @ dagger(k)
+            p_ref = float(np.trace(ref).real)
+            worst_p = max(worst_p, abs(prob - p_ref))
+            if prob > 1e-14 and p_ref > 1e-12:
+                post = (block @ dagger(block)) / prob
+                worst_s = max(worst_s, float(np.linalg.norm(post - ref / p_ref)))
+    return worst_p, worst_s

@@ -208,15 +208,16 @@ def test_criterion_06_post_measurement_exactness():
         for t in range(20):
             psi = qcore.haar_state(d_in, rng.split(1000 + 20 * k + t))
             rho = density(psi)
-            for a, prob, post in iso.apply(psi):
+            prob, post = iso.apply(psi)
+            for a in range(m):
                 out = np.zeros((d_out, d_out), dtype=complex)
                 for op in inst.kraus[a]:
                     out += op @ rho @ dagger(op)
                 p_ref = float(np.trace(out).real)
-                worst = max(worst, abs(prob - p_ref))
-                if post is not None and p_ref > 1e-12:
+                worst = max(worst, abs(prob[a] - p_ref))
+                if prob[a] > 1e-14 and p_ref > 1e-12:
                     worst = max(
-                        worst, float(np.max(np.abs(post - out / p_ref)))
+                        worst, float(np.max(np.abs(post[a] - out / p_ref)))
                     )
     report(6, worst < 1e-10, f"20 instruments x 20 states, max deviation {worst:.2g}")
 

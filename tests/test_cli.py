@@ -10,7 +10,12 @@ import numpy as np
 import pytest
 
 from measrep import cli, io, qcore, rms, vnsynth
-from oracles import nan_povm_file, random_povm
+from oracles import (
+    nan_povm_file,
+    postmeas_deviations_per_state,
+    random_instrument,
+    random_povm,
+)
 
 
 def run_cli(capsys, *argv):
@@ -117,6 +122,28 @@ def test_rms_command(capsys):
     code, out = run_cli(capsys, "rms", "trine", "--n", "2", "--samples", "2000")
     assert code == 0
     assert "epsilon_monte_carlo" in out
+
+
+# built-ins as Lueders instruments, and instrument files given as
+# (d_in, d_out, outcomes, Kraus operators per outcome)
+@pytest.mark.parametrize("measurement, samples", [
+    ("trine", 200), ("vn:3", 30), ("degenerate-qutrit", 1000),
+    ((3, 2, 3, 2), 200), ((2, 3, 2, 1), 7),
+])
+def test_postmeas_matches_the_per_state_loop(tmp_path, capsys, measurement, samples):
+    if isinstance(measurement, str):
+        arg, inst = measurement, qcore.lueders_instrument(io.load_povm(measurement))
+    else:
+        inst = random_instrument(*measurement, qcore.Rng(8))
+        arg = str(tmp_path / "inst.json")
+        io.save_measurement(inst, arg)
+    code, out = json_rows(capsys, "postmeas", arg, "--samples", str(samples),
+                          "--seed", "3")
+    assert code == 0
+    rows = {r["name"]: r["value"] for r in out["rows"]}
+    worst_p, worst_s = postmeas_deviations_per_state(inst, samples, 3)
+    assert abs(rows["max_probability_deviation"] - worst_p) <= 1e-12
+    assert abs(rows["max_poststate_deviation"] - worst_s) <= 1e-12
 
 
 def test_postmeas_command(capsys):
@@ -441,6 +468,7 @@ def test_rms_agrees_with_synth(tmp_path, capsys):
     synth_rows = {r["name"]: r["value"] for r in synth["rows"]}
     rms_rows = {r["name"]: r["value"] for r in est["rows"]}
     assert rms_rows["epsilon_closed_form"] == synth_rows["epsilon"]
+    assert rms_rows["epsilon_implemented"] == synth_rows["epsilon_implemented"]
     # both searched all 2^8 partitions of the 9 strings
     assert rms_rows["partitions_evaluated"] == synth_rows["partitions_evaluated"] == 256
 

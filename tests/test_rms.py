@@ -2,8 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from measrep import qcore, vnsynth
+from measrep import qcore, rms, vnsynth
 from measrep.errors import ShapeMismatch, TooFewSamples
 from measrep.qcore import (
     Rng,
@@ -17,7 +19,12 @@ from measrep.rms import (
     rms_monte_carlo_instrument,
     rms_monte_carlo_povm,
 )
-from oracles import random_povm, symmetric_subspace_projector, von_neumann_instrument
+from oracles import (
+    random_povm,
+    rms_squares_einsum,
+    symmetric_subspace_projector,
+    von_neumann_instrument,
+)
 
 
 def qubit_implementation(x, y, z=0.0):
@@ -80,6 +87,35 @@ def test_monte_carlo_matches_closed_form():
     target = von_neumann_povm(2)
     est = rms_monte_carlo_povm(impl, target, 50_000, Rng(3))
     assert abs(est.value - 1 / 18) < 3 * est.standard_error + 1e-4
+
+
+# block budgets from one or a few rows per block to one block for every
+# sample count drawn, so the last block is often a part block
+@settings(max_examples=60)
+@given(d=st.integers(2, 4), m=st.integers(2, 4), samples=st.integers(100, 3000),
+       block_bytes=st.sampled_from([200, 4096, 2**18]),
+       seed=st.integers(0, 2**32 - 1))
+def test_monte_carlo_squares_match_the_einsum_on_haar_states(d, m, samples,
+                                                             block_bytes, seed):
+    impl = random_povm(d, m, Rng(seed))
+    target = random_povm(d, m, Rng(seed, 1))
+    estimate = rms._estimate_from_squares
+    seen = []
+
+    def keep(sq, s):
+        seen.append(sq.copy())
+        return estimate(sq, s)
+
+    rng, ref_rng = Rng(seed, 2), Rng(seed, 2)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(rms, "_MC_BLOCK_BYTES", block_bytes)
+        mp.setattr(rms, "_estimate_from_squares", keep)
+        est = rms_monte_carlo_povm(impl, target, samples, rng)
+    ref = rms_squares_einsum(impl, target, samples, ref_rng)
+    assert seen[0].shape == (samples,)
+    assert np.max(np.abs(seen[0] - ref)) <= 1e-14
+    assert est == estimate(seen[0], seed)
+    assert rng.generator.random() == ref_rng.generator.random()
 
 
 def test_monte_carlo_zero_for_identical():

@@ -25,27 +25,7 @@ from measrep.subroutines import (
     cloning_error_rate,
     select_cloning_basis,
 )
-from oracles import random_povm
-
-
-def random_instrument(d_in, d_out, m, r, rng):
-    """Random instrument from a Haar isometry split into Kraus blocks."""
-    g = rng.generator
-    z = g.standard_normal((d_out * m * r, d_in)) + 1j * g.standard_normal(
-        (d_out * m * r, d_in)
-    )
-    q, _ = np.linalg.qr(z)
-    iso = q[:, :d_in]
-    groups = []
-    for i in range(m):
-        ops = []
-        for j in range(r):
-            block = np.zeros((d_out, d_in), dtype=complex)
-            for s in range(d_out):
-                block[s, :] = iso[s * m * r + i * r + j, :]
-            ops.append(block)
-        groups.append(tuple(ops))
-    return Instrument(tuple(groups))
+from oracles import random_instrument, random_povm
 
 
 # ---------------------------------------------------------------------------
@@ -72,21 +52,37 @@ def test_run_post_measurement_matches_subchannels():
         inst = random_instrument(d_in, 2, 3, 2, rng.split(trial))
         psi = haar_state(d_in, rng.split(100 + trial))
         rho = density(psi)
-        for a, prob, post in build_measurement_isometry(inst).apply(psi):
+        prob, post = build_measurement_isometry(inst).apply(psi)
+        for a in range(inst.outcomes):
             out = np.zeros((2, 2), dtype=complex)
             for k in inst.kraus[a]:
                 out += k @ rho @ dagger(k)
             p_ref = float(np.trace(out).real)
-            assert abs(prob - p_ref) < 1e-12
-            if post is not None:
-                assert np.allclose(post, out / p_ref, atol=1e-10)
+            assert abs(prob[a] - p_ref) < 1e-12
+            if prob[a] > 1e-14:
+                assert np.allclose(post[a], out / p_ref, atol=1e-10)
 
 
 def test_run_post_measurement_probabilities_sum():
     inst = lueders_instrument(degenerate_qutrit_povm())
     psi = haar_state(3, Rng(4))
-    total = sum(prob for _, prob, _ in build_measurement_isometry(inst).apply(psi))
+    total = build_measurement_isometry(inst).apply(psi)[0].sum()
     assert abs(total - 1.0) < 1e-12
+
+
+def test_isometry_applies_to_a_batch_of_states():
+    iso = build_measurement_isometry(lueders_instrument(von_neumann_povm(2)))
+    psi = np.array([[1.0, 0.0], [0.0, 1.0], [0.6, 0.8j]])
+    prob, post = iso.apply(psi)
+    assert prob.shape == (3, 2) and post.shape == (3, 2, 2, 2)
+    assert np.allclose(prob, [[1.0, 0.0], [0.0, 1.0], [0.36, 0.64]], atol=1e-15)
+    # an outcome of probability 0 gets a zero post-state
+    assert not post[0, 1].any() and not post[1, 0].any()
+    assert np.allclose(post[2, 1], [[0.0, 0.0], [0.0, 1.0]], atol=1e-15)
+    for state, p_row, post_row in zip(psi, prob, post):
+        p_one, post_one = iso.apply(state)
+        assert np.allclose(p_one, p_row, atol=1e-15)
+        assert np.allclose(post_one, post_row, atol=1e-15)
 
 
 def test_run_post_measurement_shape_check():
