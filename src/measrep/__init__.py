@@ -13,7 +13,6 @@ from .coding import (
     CapacityResult,
     ClassicalChannel,
     associated_channel,
-    binary_symmetric_channel,
     blahut_arimoto,
     mutual_information,
     random_codebook,
@@ -27,7 +26,6 @@ from .qcore import (
     Povm,
     Rng,
     degenerate_qutrit_povm,
-    haar_state,
     haar_states,
     hermitian_eig,
     induced_povm,

@@ -141,10 +141,6 @@ class ClassicalChannel:
         return out.astype(np.intp)
 
 
-def binary_symmetric_channel(flip: float) -> ClassicalChannel:
-    return ClassicalChannel(np.array([[1.0 - flip, flip], [flip, 1.0 - flip]]))
-
-
 def associated_channel(
     available: Povm, states: Optional[Sequence[np.ndarray]] = None
 ) -> ClassicalChannel:
@@ -205,9 +201,10 @@ def blahut_arimoto(
     for it in range(1, max_iter + 1):
         q = r @ w
         logq = _safe_log(q)
-        div = np.sum(np.where(mask, w * (logw - logq[None, :]), 0.0), axis=1)
+        div = np.where(mask, w * (logw - logq), 0.0).sum(axis=1)
+        top = div.max()
         lower = float(r @ div)
-        upper = float(np.max(div))
+        upper = float(top)
         if upper - lower <= tol * ln2:
             return CapacityResult(
                 capacity=lower / ln2,
@@ -216,7 +213,7 @@ def blahut_arimoto(
                 iterations=it,
                 gap=(upper - lower) / ln2,
             )
-        r = r * np.exp(div - np.max(div))
+        r = r * np.exp(div - top)
         r /= r.sum()
     raise NotConverged(
         f"gap {(upper - lower) / ln2:.3e} bits above tol after {max_iter} iterations",

@@ -258,15 +258,6 @@ def hermitian_eig(m):
     return w, v
 
 
-def haar_state(dim: int, rng: Rng) -> np.ndarray:
-    """One Haar-random pure state of the given dimension."""
-    if dim < 1:
-        raise ShapeMismatch("dim must be >= 1")
-    g = rng.generator
-    z = g.standard_normal(dim) + 1j * g.standard_normal(dim)
-    return z / np.linalg.norm(z)
-
-
 def _haar_normals(dim: int, count: int, rng: Rng):
     """Real and imaginary parts (count, dim) of the Gaussian vectors
     behind ``count`` Haar states: all real parts, then all imaginary

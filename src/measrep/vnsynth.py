@@ -20,10 +20,13 @@ When the POVM's elements commute (every two-outcome POVM does, and so
 do noisy and lossy measurements), all T_s are diagonal in one product
 basis U^(x N). The searches then add the real d^N-vectors of their
 eigenvalues instead, and read the extreme eigenvalues of Q_0 as a
-vector's min and max, with no ``eigvalsh``. The protocol keeps its
-coarse elements as such vectors too, and its prepared states and
-implemented POVM are built from them and U: no d^N x d^N operator is
-formed unless a caller reads ``PartitionProtocol.coarse``.
+vector's min and max, with no ``eigvalsh``. The hill climb takes them
+for a block of neighbours in one vector pass, and both searches solve
+each distinct clamped eigenvalue box once, from a per-search memo, as
+many partitions share one. The protocol keeps its coarse elements as
+such vectors too, and its prepared states and implemented POVM are
+built from them and U: no d^N x d^N operator is formed unless a caller
+reads ``PartitionProtocol.coarse``.
 """
 
 from __future__ import annotations
@@ -50,6 +53,12 @@ _TIE_WINDOW = 1e-12
 
 # Bytes of one stack of partial sums that exhaustive_search scores at once.
 _STACK_BYTES = 2**21
+
+# Bytes of one block of neighbours whose extremes hill_climb_search takes
+# at once on spectra. A move throws the rest of a block away, so blocks
+# stay near the size at which one costs what scoring one neighbour on its
+# own does; larger ones made climbs of 1,024 strings slower.
+_NEIGHBOURHOOD_BYTES = 2**15
 
 
 # ---------------------------------------------------------------------------
@@ -433,18 +442,20 @@ class SearchResult:
     evaluated: int
 
 
-def _search_terms(available: Povm, n_uses: int, common=None) -> list:
-    """One term per outcome string, in lexicographic order, for the searches.
+def _search_terms(available: Povm, n_uses: int, common=None) -> np.ndarray:
+    """One term per outcome string, in lexicographic order, for the searches,
+    stacked as one array whose row s is the term of string s.
 
     The terms are the eigenvalue vectors t_s = v_{a_1} x ... x v_{a_N}
     (real, length d^N) when the elements commute, and the dense string
     tensors T_s otherwise; Q_0 summed from them are scored by
-    ``_scores`` either way. ``common`` is the ``_common_eigenbasis`` of
-    ``available`` at ``n_uses``, worked out here when not given, which
-    also checks N. All m^N terms are held, so their bytes are checked
-    against the byte budget before any is built. Dense elements are
-    symmetrised first, so that every product and partial sum is exactly
-    Hermitian (rounding commutes with conjugation) for ``_scores``.
+    ``_extremes`` and ``_score`` either way. ``common`` is the
+    ``_common_eigenbasis`` of ``available`` at ``n_uses``, worked out
+    here when not given, which also checks N. All m^N terms are held, so
+    their bytes are checked against the byte budget before any is built.
+    Dense elements are symmetrised first, so that every product and
+    partial sum is exactly Hermitian (rounding commutes with conjugation)
+    for ``eigvalsh``.
 
     Commutation is tested once, by ``_common_eigenbasis``: U
     diagonalises the fixed combination sum_a (a + 1) M_a, and v_a is the
@@ -477,31 +488,45 @@ def _search_terms(available: Povm, n_uses: int, common=None) -> list:
                        n_uses)
     if u is None:
         factors = [(e + dagger(e)) / 2 for e in factors]
-    return list(_string_products(factors, n_uses))
+    terms = np.empty((available.outcomes**n_uses,)
+                     + (available.dim**n_uses,) * factors[0].ndim, factors[0].dtype)
+    for row, t in zip(terms, _string_products(factors, n_uses)):
+        row[...] = t
+    return terms
 
 
-def _scores(stack) -> list:
-    """(epsilon, lam_min, lam_max) of the qubit box program for each Q_0
-    in a stack, lam_min and lam_max its extreme eigenvalues clamped into
-    [0, 1].
+def _extremes(stack) -> tuple:
+    """(lows, highs): the smallest and largest eigenvalue of each Q_0 in
+    a stack, as two lists of floats.
 
     A stack of vectors holds the eigenvalue vectors of ``_search_terms``'
     spectra path, whose extremes are each row's min and max; a stack of
     exactly Hermitian matrices is diagonalised by one batched ``eigvalsh``.
     """
     if stack.ndim == 2:
-        lows, highs = stack.min(axis=1).tolist(), stack.max(axis=1).tolist()
-    else:
-        w = np.linalg.eigvalsh(stack)
-        lows, highs = w[:, 0].tolist(), w[:, -1].tolist()
-    scores = []
-    for lo, hi in zip(lows, highs):
-        # min(max(v, 0.0), 1.0), written out as in _box_minimiser
-        lam_min = 0.0 if lo < 0.0 else 1.0 if lo > 1.0 else lo
-        lam_max = 0.0 if hi < 0.0 else 1.0 if hi > 1.0 else hi
-        value = _box_minimiser(lam_min, lam_max)[2]
-        scores.append((math.sqrt(max(value, 0.0)), lam_min, lam_max))
-    return scores
+        return stack.min(axis=1).tolist(), stack.max(axis=1).tolist()
+    w = np.linalg.eigvalsh(stack)
+    return w[:, 0].tolist(), w[:, -1].tolist()
+
+
+def _score(lo: float, hi: float, memo: Optional[dict] = None) -> tuple:
+    """(epsilon, lam_min, lam_max) of the qubit box program for a Q_0
+    with extreme eigenvalues lo and hi, clamped into [0, 1].
+
+    ``memo`` maps each clamped box a search has scored to its epsilon, so
+    ``_box_minimiser`` runs once per distinct box. Boxes that differ only
+    in the sign of a zero share an entry; their epsilons are the same
+    bits.
+    """
+    # min(max(v, 0.0), 1.0), written out as in _box_minimiser
+    lam_min = 0.0 if lo < 0.0 else 1.0 if lo > 1.0 else lo
+    lam_max = 0.0 if hi < 0.0 else 1.0 if hi > 1.0 else hi
+    eps = None if memo is None else memo.get((lam_min, lam_max))
+    if eps is None:
+        eps = math.sqrt(max(_box_minimiser(lam_min, lam_max)[2], 0.0))
+        if memo is not None:
+            memo[lam_min, lam_max] = eps
+    return eps, lam_min, lam_max
 
 
 def exhaustive_search(available: Povm, n_uses: int):
@@ -520,7 +545,9 @@ def exhaustive_search(available: Povm, n_uses: int):
     is bit-identical to it, and one batched ``eigvalsh`` (or a row min
     and max on spectra) gives every partition's extreme eigenvalues.
     When the stack would pass ``_STACK_BYTES``, the leading strings are
-    decided depth first and only the last levels are stacked.
+    decided depth first and only the last levels are stacked. Partitions
+    whose clamped eigenvalue boxes are equal share one run of the box
+    program, through a per-search memo (``_score``).
     """
     common = _common_eigenbasis(available, n_uses)
     n_strings = available.outcomes**n_uses
@@ -542,13 +569,14 @@ def exhaustive_search(available: Povm, n_uses: int):
             yield from prefixes(i + 1, q0)
 
     scored = []  # (epsilon, lam_min, lam_max) per partition, in order
+    memo: dict = {}
     # string 0 is always in target 0; 0 + T_0 starts the sum as a sum
     # from scratch does, signed zeros included
     for prefix in prefixes(1, np.zeros_like(terms[0]) + terms[0]):
         stack = prefix[None]
         for t in terms[lead:]:
             stack = np.stack((stack + t, stack), axis=1).reshape(-1, *t.shape)
-        scored += _scores(stack)
+        scored += [_score(lo, hi, memo) for lo, hi in zip(*_extremes(stack))]
     best = 0
     for j, score in enumerate(scored):
         if score[0] < scored[best][0] - 1e-15:
@@ -585,11 +613,29 @@ def hill_climb_search(
     so round-off does not carry over from one start to the next. Scores
     are cached per partition as (epsilon, lam_min, lam_max), and
     ``evaluated`` counts the distinct partitions scored.
+
+    On spectra a neighbour is scored from the min and max of q_0 +- t_i,
+    and these are taken for a block of the neighbours the walk reaches
+    next in one vector pass: the block's terms, each signed by the
+    current partition (+t_i for a string in target 1, -t_i for one in
+    target 0), plus q_0. (-t_i) + q_0 is the same bits as q_0 - t_i, so
+    every score is the one the per-candidate sum gives, and a neighbour
+    still enters the cache only when the walk reaches it. A move makes
+    the rest of the block stale; ``_NEIGHBOURHOOD_BYTES`` bounds what is
+    thrown away. These scores share a per-search memo of the boxes
+    already solved (``_score``). Dense neighbours are summed and
+    diagonalised one at a time, with no memo: few dense boxes repeat.
     """
     rng = rng if rng is not None else Rng(0)
     common = _common_eigenbasis(available, n_uses)
     n_strings = available.outcomes**n_uses
     terms = _search_terms(available, n_uses, common)
+    on_spectra = terms.ndim == 2
+    if on_spectra:
+        rows = max(_NEIGHBOURHOOD_BYTES // terms[0].nbytes, 1)
+        qcore._check_bytes("the search terms and a block of their neighbourhood",
+                           terms.nbytes + min(rows, n_strings) * terms[0].nbytes)
+    memo = {} if on_spectra else None
     cache: dict = {}
 
     strings = itertools.product(range(available.outcomes), repeat=n_uses)
@@ -611,7 +657,12 @@ def hill_climb_search(
                 q0 += t
         cur = cache.get(mask)
         if cur is None:
-            cur = cache[mask] = _scores(q0[None])[0]
+            lo, hi = _extremes(q0[None])
+            cur = cache[mask] = _score(lo[0], hi[0], memo)
+        if on_spectra:
+            signs = np.array([1.0 if mask & flip else -1.0 for flip in flips])[:, None]
+        # lows and highs hold the extremes of neighbours first..last-1
+        first = last = 0
         improved = True
         while improved:
             improved = False
@@ -620,11 +671,25 @@ def hill_climb_search(
                 s = cache.get(cand)
                 if s is not None and not s[0] < cur[0] - 1e-14:
                     continue
-                cand_q0 = q0 + terms[i] if mask & flips[i] else q0 - terms[i]
-                if s is None:
-                    s = cache[cand] = _scores(cand_q0[None])[0]
+                cand_q0 = None
+                if s is None and on_spectra:
+                    if not first <= i < last:
+                        first, last = i, min(i + rows, n_strings)
+                        block = terms[first:last] * signs[first:last]
+                        block += q0
+                        lows, highs = _extremes(block)
+                    s = cache[cand] = _score(lows[i - first], highs[i - first], memo)
+                elif s is None:
+                    cand_q0 = q0 + terms[i] if mask & flips[i] else q0 - terms[i]
+                    lo, hi = _extremes(cand_q0[None])
+                    s = cache[cand] = _score(lo[0], hi[0])
                 if s[0] < cur[0] - 1e-14:
+                    if cand_q0 is None:
+                        cand_q0 = q0 + terms[i] if mask & flips[i] else q0 - terms[i]
                     mask, cur, q0 = cand, s, cand_q0
+                    if on_spectra:
+                        signs[i] = -signs[i]
+                        last = 0
                     improved = True
         if best is None or cur[0] < best[0] - 1e-15:
             best_mask, best = mask, cur

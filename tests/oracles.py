@@ -11,8 +11,11 @@ import math
 
 import numpy as np
 
+from measrep import vnsynth
 from measrep.coding import (
     _DECODE_BYTES,
+    CapacityResult,
+    ClassicalChannel,
     _ml_argmax,
     _ml_decode_counts,
     _pack,
@@ -20,7 +23,7 @@ from measrep.coding import (
     _unpack,
     associated_channel,
 )
-from measrep.errors import ShapeMismatch, TooLarge
+from measrep.errors import NotConverged, ShapeMismatch, TooLarge
 from measrep.qcore import (
     Instrument,
     Povm,
@@ -34,10 +37,27 @@ from measrep.qcore import (
 from measrep.subroutines import build_measurement_isometry
 from measrep.vnsynth import (
     BoxQuadSolution,
+    SearchResult,
+    _box_minimiser,
+    _common_eigenbasis,
+    _partition_protocol,
     _qubit_objective,
     _search_terms,
     solve_box_quadratic_qubit,
 )
+
+
+def haar_state(dim: int, rng: Rng) -> np.ndarray:
+    """One Haar-random pure state of the given dimension."""
+    if dim < 1:
+        raise ShapeMismatch("dim must be >= 1")
+    g = rng.generator
+    z = g.standard_normal(dim) + 1j * g.standard_normal(dim)
+    return z / np.linalg.norm(z)
+
+
+def binary_symmetric_channel(flip: float) -> ClassicalChannel:
+    return ClassicalChannel(np.array([[1.0 - flip, flip], [flip, 1.0 - flip]]))
 
 
 def haar_unitary(dim, rng):
@@ -358,6 +378,163 @@ def exhaustive_search_depth_first(available, n_uses):
             best, best_bits = sol, cand
     ties = tuple(c for c, sol in scored if abs(sol.epsilon - best.epsilon) <= 1e-12)
     return best_bits, best, ties, len(scored)
+
+
+# The partition searches as they scored before the per-search box memo
+# and the hill climb's neighbour blocks: the box program runs once per
+# candidate, and each hill-climb neighbour is summed on its own. The
+# library must return the same bits.
+
+
+def scores_per_candidate(stack):
+    """(epsilon, lam_min, lam_max) of the qubit box program for each Q_0
+    in a stack of vectors or of exactly Hermitian matrices."""
+    if stack.ndim == 2:
+        lows, highs = stack.min(axis=1).tolist(), stack.max(axis=1).tolist()
+    else:
+        w = np.linalg.eigvalsh(stack)
+        lows, highs = w[:, 0].tolist(), w[:, -1].tolist()
+    scores = []
+    for lo, hi in zip(lows, highs):
+        lam_min = 0.0 if lo < 0.0 else 1.0 if lo > 1.0 else lo
+        lam_max = 0.0 if hi < 0.0 else 1.0 if hi > 1.0 else hi
+        value = _box_minimiser(lam_min, lam_max)[2]
+        scores.append((math.sqrt(max(value, 0.0)), lam_min, lam_max))
+    return scores
+
+
+def exhaustive_search_per_candidate(available, n_uses):
+    """``exhaustive_search`` scoring every partition of each stack with
+    ``scores_per_candidate``."""
+    common = _common_eigenbasis(available, n_uses)
+    n_strings = available.outcomes**n_uses
+    if n_strings > vnsynth._EXHAUSTIVE_STRING_CAP:
+        raise TooLarge(f"{n_strings} strings exceeds cap")
+    terms = _search_terms(available, n_uses, common)
+    rows = max(vnsynth._STACK_BYTES // terms[0].nbytes, 1)
+    lead = max(n_strings - rows.bit_length() + 1, 1)
+
+    def prefixes(i, q0):
+        if i == lead:
+            yield q0
+        else:
+            yield from prefixes(i + 1, q0 + terms[i])
+            yield from prefixes(i + 1, q0)
+
+    scored = []
+    for prefix in prefixes(1, np.zeros_like(terms[0]) + terms[0]):
+        stack = prefix[None]
+        for t in terms[lead:]:
+            stack = np.stack((stack + t, stack), axis=1).reshape(-1, *t.shape)
+        scored += scores_per_candidate(stack)
+    best = 0
+    for j, score in enumerate(scored):
+        if score[0] < scored[best][0] - 1e-15:
+            best = j
+    eps = scored[best][0]
+
+    def bits(j):
+        return (0,) + tuple(j >> k & 1 for k in range(n_strings - 2, -1, -1))
+
+    ties = [bits(j) for j, score in enumerate(scored)
+            if abs(score[0] - eps) <= vnsynth._TIE_WINDOW]
+    return SearchResult(
+        protocol=_partition_protocol(available, n_uses, bits(best), 2, common),
+        solution=solve_box_quadratic_qubit(*scored[best][1:]),
+        co_optimal=tuple(ties),
+        evaluated=len(scored),
+    )
+
+
+def hill_climb_search_per_candidate(available, n_uses, restarts=8, rng=None):
+    """``hill_climb_search`` summing and scoring each neighbour it reaches
+    on its own, Q_0 +- T_i, with ``scores_per_candidate``."""
+    rng = rng if rng is not None else Rng(0)
+    common = _common_eigenbasis(available, n_uses)
+    n_strings = available.outcomes**n_uses
+    terms = _search_terms(available, n_uses, common)
+    cache = {}
+
+    strings = itertools.product(range(available.outcomes), repeat=n_uses)
+    starts = [tuple(0 if 0 in s else 1 for s in strings)]
+    g = rng.generator
+    for _ in range(restarts):
+        starts.append(tuple(int(v) for v in g.integers(0, 2, size=n_strings)))
+
+    every = (1 << n_strings) - 1
+    flips = [1 << i for i in range(n_strings)]
+    best_mask, best = None, None
+    for start in starts:
+        mask = sum(b << i for i, b in enumerate(start))
+        if mask & 1:
+            mask ^= every
+        q0 = np.zeros_like(terms[0])
+        for t, flip in zip(terms, flips):
+            if not mask & flip:
+                q0 += t
+        cur = cache.get(mask)
+        if cur is None:
+            cur = cache[mask] = scores_per_candidate(q0[None])[0]
+        improved = True
+        while improved:
+            improved = False
+            for i in range(1, n_strings):
+                cand = mask ^ flips[i]
+                s = cache.get(cand)
+                if s is not None and not s[0] < cur[0] - 1e-14:
+                    continue
+                cand_q0 = q0 + terms[i] if mask & flips[i] else q0 - terms[i]
+                if s is None:
+                    s = cache[cand] = scores_per_candidate(cand_q0[None])[0]
+                if s[0] < cur[0] - 1e-14:
+                    mask, cur, q0 = cand, s, cand_q0
+                    improved = True
+        if best is None or cur[0] < best[0] - 1e-15:
+            best_mask, best = mask, cur
+    best_bits = tuple(best_mask >> i & 1 for i in range(n_strings))
+    return SearchResult(
+        protocol=_partition_protocol(available, n_uses, best_bits, 2, common),
+        solution=solve_box_quadratic_qubit(*best[1:]),
+        co_optimal=(best_bits,),
+        evaluated=len(cache),
+    )
+
+
+# The Blahut-Arimoto iteration before it took the largest divergence
+# once per step and called the array methods directly: the same bits.
+
+
+def blahut_arimoto_wrapped(channel, tol=1e-6, max_iter=100_000):
+    """``blahut_arimoto`` through the ``np.sum``/``np.max`` wrappers, with
+    the maximum divergence taken twice per iteration."""
+    w = channel.matrix
+    n_in = channel.inputs
+    r = np.full(n_in, 1.0 / n_in)
+    ln2 = math.log(2.0)
+    mask = w > 0.0
+    logw = _safe_log(w)
+    lower = upper = 0.0
+    for it in range(1, max_iter + 1):
+        q = r @ w
+        logq = _safe_log(q)
+        div = np.sum(np.where(mask, w * (logw - logq[None, :]), 0.0), axis=1)
+        lower = float(r @ div)
+        upper = float(np.max(div))
+        if upper - lower <= tol * ln2:
+            return CapacityResult(
+                capacity=lower / ln2,
+                upper_bound=upper / ln2,
+                p_x=r,
+                iterations=it,
+                gap=(upper - lower) / ln2,
+            )
+        r = r * np.exp(div - np.max(div))
+        r /= r.sum()
+    raise NotConverged(
+        f"gap {(upper - lower) / ln2:.3e} bits above tol after {max_iter} iterations",
+        lower=lower / ln2,
+        upper=upper / ln2,
+    )
 
 
 # Earlier forms of the block-coding hot paths, kept as references: the

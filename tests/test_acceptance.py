@@ -10,7 +10,7 @@ import numpy as np
 
 from measrep import coding, qcore, rms, subroutines, vnsynth
 from measrep.qcore import Instrument, Rng, dagger, density, trine_povm, von_neumann_povm
-from oracles import symmetric_subspace_projector
+from oracles import binary_symmetric_channel, haar_state, symmetric_subspace_projector
 
 
 def report(criterion, ok, detail):
@@ -206,7 +206,7 @@ def test_criterion_06_post_measurement_exactness():
         inst = _random_instrument(d_in, d_out, m, r, rng.split(k + 1))
         iso = subroutines.build_measurement_isometry(inst)
         for t in range(20):
-            psi = qcore.haar_state(d_in, rng.split(1000 + 20 * k + t))
+            psi = haar_state(d_in, rng.split(1000 + 20 * k + t))
             rho = density(psi)
             prob, post = iso.apply(psi)
             for a in range(m):
@@ -268,7 +268,7 @@ def test_criterion_08_degenerate_qutrit_basis():
 
 
 def test_criterion_09_capacity():
-    bsc = coding.binary_symmetric_channel(0.1)
+    bsc = binary_symmetric_channel(0.1)
     cap_bsc = coding.blahut_arimoto(bsc, tol=1e-8).capacity
     h2 = -0.1 * math.log2(0.1) - 0.9 * math.log2(0.9)
     ok_bsc = abs(cap_bsc - (1 - h2)) < 1e-4
@@ -295,7 +295,7 @@ def test_criterion_10_block_protocol():
     ]
     ok_mono = all(a > b for a, b in zip(errs, errs[1:]))
     ok_tail = errs[-1] < 1e-3
-    bsc = coding.binary_symmetric_channel(0.1)
+    bsc = binary_symmetric_channel(0.1)
     rates = []
     for k, n in ((2, 8), (3, 12), (4, 16)):
         code = coding.random_codebook(k, n, 2, Rng(1010))

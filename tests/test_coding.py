@@ -11,7 +11,6 @@ from measrep.coding import (
     BlockCode,
     ClassicalChannel,
     associated_channel,
-    binary_symmetric_channel,
     blahut_arimoto,
     exact_repetition_error,
     mutual_information,
@@ -23,6 +22,8 @@ from measrep.errors import NotConverged, ShapeMismatch, TooLarge
 from measrep.qcore import Povm, Rng, trine_povm, von_neumann_povm
 from measrep.subroutines import CloningBasis, cloning_error_rate
 from oracles import (
+    binary_symmetric_channel,
+    blahut_arimoto_wrapped,
     block_protocol_statevector_distribution,
     block_protocol_whole_arrays,
     channel_sample_broadcast,
@@ -331,6 +332,22 @@ channels = st.builds(
 def assert_same_array(a, b):
     assert a.dtype == b.dtype
     assert np.array_equal(a, b)
+
+
+def capacity_or_bounds(capacity, channel, tol):
+    # at most 2,000 iterations, so a slow channel ends in NotConverged
+    try:
+        cap = capacity(channel, tol=tol, max_iter=2000)
+    except NotConverged as exc:
+        return exc.lower, exc.upper
+    return cap.capacity, cap.upper_bound, cap.p_x.tobytes(), cap.iterations, cap.gap
+
+
+@settings(max_examples=60)
+@given(channel=channels, tol=st.sampled_from([1e-4, 1e-8, 1e-10]))
+def test_blahut_arimoto_matches_the_wrapped_iteration(channel, tol):
+    assert (capacity_or_bounds(blahut_arimoto, channel, tol)
+            == capacity_or_bounds(blahut_arimoto_wrapped, channel, tol))
 
 
 @settings(max_examples=60)

@@ -20,7 +20,6 @@ from measrep.qcore import (
     dagger,
     degenerate_qutrit_povm,
     density,
-    haar_state,
     haar_states,
     hermitian_eig,
     identity,
@@ -32,7 +31,7 @@ from measrep.qcore import (
     validate_povm,
     von_neumann_povm,
 )
-from oracles import haar_unitary, hermitian_eig_sorted
+from oracles import haar_state, haar_unitary, hermitian_eig_sorted
 
 
 def test_rng_reproducible():

@@ -12,7 +12,6 @@ from measrep.qcore import (
     dagger,
     degenerate_qutrit_povm,
     density,
-    haar_state,
     identity,
     lueders_instrument,
     noisy_z_povm,
@@ -25,7 +24,7 @@ from measrep.subroutines import (
     cloning_error_rate,
     select_cloning_basis,
 )
-from oracles import random_instrument, random_povm
+from oracles import haar_state, random_instrument, random_povm
 
 
 # ---------------------------------------------------------------------------

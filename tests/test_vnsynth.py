@@ -33,7 +33,9 @@ from oracles import (
     box_quadratic_qubit_closures,
     exhaustive_search_depth_first,
     exhaustive_search_from_scratch,
+    exhaustive_search_per_candidate,
     hill_climb_search_from_scratch,
+    hill_climb_search_per_candidate,
     partition_povm_from_list,
     random_povm,
     random_povm_of_ranks,
@@ -562,6 +564,27 @@ def test_stacked_search_stays_within_its_byte_budget():
     assert peak < 8 * 2**20
 
 
+def test_spectra_climb_checks_its_neighbour_block_against_the_byte_budget():
+    # noisy-Z at N = 3: eight 8-entry term vectors (512 bytes) and one
+    # block of all eight neighbours (512 bytes)
+    povm = qcore.noisy_z_povm(0.9, 0.8)
+    terms = vnsynth._search_terms(povm, 3)
+    assert isinstance(terms, np.ndarray) and terms.shape == (8, 8)
+    with mock.patch.object(qcore, "_BYTE_BUDGET", 1024):
+        assert hill_climb_search(povm, 3, rng=Rng(0)).protocol.spectra is not None
+    with mock.patch.object(qcore, "_BYTE_BUDGET", 1023):
+        with pytest.raises(TooLarge, match="search terms and a block of their "
+                           "neighbourhood would take 1024 bytes"):
+            hill_climb_search(povm, 3, rng=Rng(0))
+    # a block holds at most _NEIGHBOURHOOD_BYTES: here two neighbours
+    with mock.patch.object(vnsynth, "_NEIGHBOURHOOD_BYTES", 128):
+        with mock.patch.object(qcore, "_BYTE_BUDGET", 640):
+            hill_climb_search(povm, 3, rng=Rng(0))
+        with mock.patch.object(qcore, "_BYTE_BUDGET", 639):
+            with pytest.raises(TooLarge, match="would take 640 bytes"):
+                hill_climb_search(povm, 3, rng=Rng(0))
+
+
 def test_search_terms_fail_closed_beyond_their_byte_budget():
     # trine at N = 2: nine dense 4 x 4 complex tensors, 2,304 bytes
     with mock.patch.object(qcore, "_BYTE_BUDGET", 9 * 16 * 16):
@@ -578,6 +601,80 @@ def test_dense_search_terms_are_exactly_hermitian():
     assert not any(np.array_equal(e, qcore.dagger(e)) for e in povm.elements)
     terms = vnsynth._search_terms(povm, 2)
     assert all(np.array_equal(t, qcore.dagger(t)) for t in terms)
+
+
+# box ends with near and signed-zero repeats, and ends that clamp
+near_ends = st.sampled_from([0.0, -0.0, -1e-17, 1e-17, 0.5, float(np.nextafter(0.5, 1.0)),
+                             1 / 3, float(np.nextafter(1 / 3, 0.0)), 1.0,
+                             float(np.nextafter(1.0, 0.0)), 1.0 + 2**-52])
+
+
+@settings(max_examples=200)
+@given(boxes=st.lists(st.tuples(st.one_of(st.floats(-0.5, 1.5), near_ends),
+                                st.one_of(st.floats(-0.5, 1.5), near_ends)),
+                      max_size=30))
+def test_box_memo_gives_each_box_its_own_score(boxes):
+    memo = {}
+    for a, b in boxes:
+        lo, hi = min(a, b), max(a, b)
+        assert same_floats(vnsynth._score(lo, hi, memo), vnsynth._score(lo, hi))
+
+
+def assert_same_result(result, ref):
+    assert result.protocol.assignment == ref.protocol.assignment
+    assert result.co_optimal == ref.co_optimal
+    assert result.evaluated == ref.evaluated
+    assert result.solution == ref.solution
+    assert same_solution(result.solution, ref.solution)
+
+
+def assert_searches_score_as_per_candidate(povm, n_uses, seed):
+    if povm.outcomes**n_uses <= vnsynth._EXHAUSTIVE_STRING_CAP:
+        assert_same_result(exhaustive_search(povm, n_uses),
+                           exhaustive_search_per_candidate(povm, n_uses))
+    assert_same_result(hill_climb_search(povm, n_uses, restarts=3, rng=Rng(seed)),
+                       hill_climb_search_per_candidate(povm, n_uses, restarts=3,
+                                                       rng=Rng(seed)))
+
+
+# Neighbour blocks: the default, one neighbour and three.
+neighbour_blocks = st.sampled_from([None, 1, 3])
+
+
+@settings(max_examples=40)
+@given(seed=povm_seeds, case=commuting_cases, block=neighbour_blocks)
+def test_commuting_searches_score_as_per_candidate(seed, case, block):
+    m, d, n_uses = case
+    povm = random_povm(d, 2, Rng(seed)) if m == 2 else lossy_povm(d, Rng(seed))
+    assert vnsynth._search_terms(povm, n_uses).ndim == 2
+    size = vnsynth._NEIGHBOURHOOD_BYTES if block is None else block * 8 * d**n_uses
+    with mock.patch.object(vnsynth, "_NEIGHBOURHOOD_BYTES", size):
+        assert_searches_score_as_per_candidate(povm, n_uses, seed)
+
+
+# three and four outcomes: two-outcome POVMs commute
+@settings(max_examples=30)
+@given(seed=povm_seeds, m=st.integers(3, 4), n_uses=use_counts)
+def test_dense_searches_score_as_per_candidate(seed, m, n_uses):
+    povm = random_povm(2, m, Rng(seed))
+    assert vnsynth._search_terms(povm, n_uses).ndim == 3
+    assert_searches_score_as_per_candidate(povm, n_uses, seed)
+
+
+@pytest.mark.parametrize("povm, n_uses", [
+    (qcore.degenerate_qutrit_povm(), 3),  # exhaustive
+    (qcore.degenerate_qutrit_povm(), 4),
+    (qcore.degenerate_qutrit_povm(), 5),
+    (random_povm_of_ranks(3, (1, 2), Rng(169)), 4),  # rank deficient
+    (random_povm_of_ranks(4, (3, 1), Rng(21)), 3),  # zero-error ties
+])
+def test_repeated_boxes_are_solved_once_with_the_same_bits(povm, n_uses):
+    with mock.patch.object(vnsynth, "_box_minimiser",
+                           wraps=vnsynth._box_minimiser) as box:
+        syn = synthesize(povm, n_uses, Rng(4))
+    # one run per distinct box scored, plus the winner's solution
+    assert box.call_count < syn.evaluated
+    assert_searches_score_as_per_candidate(povm, n_uses, 4)
 
 
 @pytest.mark.parametrize("n_uses", [10**7, 10**100], ids=["1e7", "1e100"])
