@@ -36,12 +36,7 @@ from .qcore import (
     validate_povm,
     von_neumann_povm,
 )
-from .rms import (
-    RmsEstimate,
-    rms_exact_povm,
-    rms_monte_carlo_instrument,
-    rms_monte_carlo_povm,
-)
+from .rms import RmsEstimate, rms_exact_povm, rms_monte_carlo_povm
 from .subroutines import (
     CloningBasis,
     chernoff_information,

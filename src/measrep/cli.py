@@ -184,7 +184,7 @@ def _cmd_clone(args, report: RunReport) -> None:
     )
     report.add("chernoff_exponent_nats", exponent)
     # largest n first, so a sweep past the count-vector limits fails at once
-    errs = [subroutines.cloning_error_rate(available, basis, n, mode="exact")
+    errs = [subroutines.cloning_error_rate(available, basis, n)
             for n in range(args.max_n, 0, -1)]
     for n, err in enumerate(reversed(errs), 1):
         report.add(f"error_n={n}", err.average)

@@ -2,12 +2,10 @@
 
 The exact Haar-averaged error between an implemented and a target POVM
 in any dimension, with a Haar Monte Carlo estimator that cross-checks
-it, and the Frobenius figure of merit for instruments, which is
-estimated by Monte Carlo only. Estimates live at the squared-error
-level; reported values are the square roots with delta-method
-standard errors. The POVM estimator is real arithmetic on the Gaussian
-draws behind ``haar_states``, in row blocks of bounded size; the
-instrument estimator works on the states themselves.
+it. The estimate lives at the squared-error level; the reported value
+is its square root with a delta-method standard error. The estimator
+is real arithmetic on the Gaussian draws behind ``haar_states``, in row
+blocks of bounded size.
 """
 
 from __future__ import annotations
@@ -19,7 +17,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ShapeMismatch, TooFewSamples
-from .qcore import Instrument, Povm, Rng, _haar_normals, haar_states
+from .qcore import Povm, Rng, _haar_normals
 
 # Bytes of the Monte Carlo estimator's per-block feature array.
 _MC_BLOCK_BYTES = 2**18
@@ -123,37 +121,5 @@ def rms_monte_carlo_povm(
     rows = max(1, _MC_BLOCK_BYTES // (8 * d * d))
     sq = np.concatenate([_squared_errors(re[s : s + rows], im[s : s + rows], coef)
                          for s in range(0, samples, rows)])
-    sq /= impl.outcomes
-    return _estimate_from_squares(sq, rng.seed)
-
-
-def _subchannel_outputs(psi: np.ndarray, group) -> np.ndarray:
-    """Unnormalised Lambda_a(|psi><psi|) for a batch of states."""
-    n = psi.shape[0]
-    dout = group[0].shape[0]
-    out = np.zeros((n, dout, dout), dtype=complex)
-    for k in group:
-        v = psi @ k.T  # rows K|psi>
-        out += np.einsum("ni,nj->nij", v, np.conj(v))
-    return out
-
-
-def rms_monte_carlo_instrument(
-    impl: Instrument, target: Instrument, samples: int, rng: Rng
-) -> RmsEstimate:
-    """Haar Monte Carlo estimate of the Frobenius sub-channel error."""
-    if (
-        impl.dim_in != target.dim_in
-        or impl.dim_out != target.dim_out
-        or impl.outcomes != target.outcomes
-    ):
-        raise ShapeMismatch("implemented and target instruments must match in shape")
-    if samples < 100:
-        raise TooFewSamples(f"{samples} < 100 samples")
-    psi = haar_states(impl.dim_in, samples, rng)
-    sq = np.zeros(samples)
-    for gi, gt in zip(impl.kraus, target.kraus):
-        diff = _subchannel_outputs(psi, gi) - _subchannel_outputs(psi, gt)
-        sq += np.einsum("nij,nij->n", diff, np.conj(diff)).real
     sq /= impl.outcomes
     return _estimate_from_squares(sq, rng.seed)

@@ -11,14 +11,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
 from . import qcore
-from .coding import _exact_ml_error, _ml_decode_counts, _safe_log
+from .coding import _exact_ml_error
 from .errors import NotNormalized, ShapeMismatch, TrivialMeasurement
-from .qcore import Instrument, Povm, Rng
+from .qcore import Instrument, Povm
 
 _ROW_DISTINCT_TV = 1e-6
 _THETA_SCAN = tuple(math.pi / 2**k for k in range(3, 12))
@@ -182,67 +181,20 @@ def select_cloning_basis(available: Povm) -> CloningBasis:
 class CloningErrorRate:
     per_state: np.ndarray  # error probability per basis state
     average: float
-    mode: str
-    trials: Optional[int]
-    standard_error: Optional[float]  # on the average, sampled mode only
     undecodable: int
 
 
 def cloning_error_rate(
-    available: Povm,
-    basis: CloningBasis,
-    n_uses: int,
-    mode: str = "exact",
-    trials: int = 100_000,
-    rng: Optional[Rng] = None,
+    available: Povm, basis: CloningBasis, n_uses: int
 ) -> CloningErrorRate:
     """Decoding error of N-fold generalised classical cloning.
 
-    Exact mode sums multinomial weights over all outcome-count vectors
-    (the ML decision depends on the string only through its counts);
-    sampled mode draws count vectors directly.
+    Sums multinomial weights over all outcome-count vectors: the ML
+    decision depends on the string only through its counts.
     """
-    table = np.asarray(basis.table, dtype=float)
-    d = table.shape[0]
-    if mode == "exact":
-        per_state, undecodable = _exact_ml_error(table, n_uses)
-        return CloningErrorRate(
-            per_state=per_state,
-            average=float(per_state.mean()),
-            mode="exact",
-            trials=None,
-            standard_error=None,
-            undecodable=undecodable,
-        )
-    if mode != "sampled":
-        raise ShapeMismatch(f"unknown mode {mode!r}")
-    if rng is None:
-        raise ShapeMismatch("sampled mode requires an Rng")
-    logp = _safe_log(table)
-    undecodable = 0
-    g = rng.generator
-    per_state = np.zeros(d)
-    variances = np.zeros(d)
-    for i in range(d):
-        counts = g.multinomial(n_uses, table[i] / table[i].sum(), size=trials).astype(
-            float
-        )
-        dec = _ml_decode_counts(counts, logp)
-        errs = dec != i
-        undecodable += int(np.sum(dec == -1))
-        rate = float(np.mean(errs))
-        per_state[i] = rate
-        variances[i] = rate * (1.0 - rate) / trials
-    avg = float(per_state.mean())
-    se = float(np.sqrt(np.sum(variances)) / d)
-    return CloningErrorRate(
-        per_state=per_state,
-        average=avg,
-        mode="sampled",
-        trials=trials,
-        standard_error=se,
-        undecodable=undecodable,
-    )
+    per_state, undecodable = _exact_ml_error(np.asarray(basis.table, dtype=float),
+                                             n_uses)
+    return CloningErrorRate(per_state, float(per_state.mean()), undecodable)
 
 
 def chernoff_information(p, q) -> float:

@@ -11,10 +11,12 @@ The partition searches score candidates on partial sums. Q_0 is the
 sum of the string tensors T_s assigned to target 0, so each candidate
 differs from one already summed by +-T_s. The exhaustive search builds
 the Q_0 of all partitions level by level as one stacked array and
-reads their extreme eigenvalues from one batched ``eigvalsh``; the
-hill climb moves one string at a time. Each candidate then costs one
-call of the box program's core on two floats, and only the winner
-becomes a ``BoxQuadSolution``.
+reads their extreme eigenvalues from one call per stack of LAPACK's
+``eigvalsh`` gufunc, the one ``np.linalg.eigvalsh`` calls; the hill
+climb moves one string at a time and calls the gufunc on each dense
+candidate alone.
+Each candidate then costs one run of the box program on two floats,
+and only the winner becomes a ``BoxQuadSolution``.
 
 When the POVM's elements commute (every two-outcome POVM does, and so
 do noisy and lossy measurements), all T_s are diagonal in one product
@@ -40,7 +42,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from . import qcore
-from .errors import InvalidBounds, ShapeMismatch, TooLarge, Unachievable
+from .errors import InvalidBounds, NotConverged, ShapeMismatch, TooLarge, Unachievable
 from .qcore import Povm, Rng, dagger, identity, tensor
 
 # Most outcome strings exhaustive_search accepts; synthesize hill-climbs beyond.
@@ -230,33 +232,45 @@ class BoxQuadSolution:
     region: str  # left | corner | right
 
 
-def _qubit_objective(x, y):
-    """Squared error of a qubit implementation with diagonal (x, y), z = 0."""
-    return ((1.0 - x - y) ** 2 + (1.0 - x) * y) / 3.0
-
-
 def _box_minimiser(lo: float, hi: float):
-    """(x, y, value): the minimiser of ``_qubit_objective`` over [lo, hi]^2.
+    """(x, y, value): the minimiser of the qubit squared error
+    ((1 - x - y)^2 + (1 - x) y) / 3 (diagonal (x, y), z = 0) over
+    [lo, hi]^2.
 
     Convex quadratic on a square, so the minimiser is either the
     unconstrained optimum (1, 0), the 1-D optimum along one edge, or a
     corner. The candidates are tried in a fixed order, (1, 0) when the
     box holds it and then the optimum along the edges x = hi, y = lo,
     x = lo and y = hi clamped into the box (which reaches the corners),
-    and the first one of smallest value wins.
+    and the first one of smallest value wins. The objective is 0 at
+    (1, 0) and never negative, so no later candidate beats (1, 0). Each
+    candidate is written out, clamped as min(max(c, lo), hi), since this
+    runs once per box a search scores.
     """
-    x = y = value = None
-    if lo <= 1.0 <= hi and lo <= 0.0 <= hi:
-        x, y, value = 1.0, 0.0, _qubit_objective(1.0, 0.0)
-    for c, edge, free_x in (((1.0 - hi) / 2.0, hi, False), (1.0 - lo / 2.0, lo, True),
-                            ((1.0 - lo) / 2.0, lo, False), (1.0 - hi / 2.0, hi, True)):
-        # min(max(c, lo), hi) without two builtin calls per candidate
-        c = lo if lo > c else c
-        c = hi if hi < c else c
-        cx, cy = (c, edge) if free_x else (edge, c)
-        v = _qubit_objective(cx, cy)
-        if value is None or v < value:
-            x, y, value = cx, cy, v
+    if lo <= 0.0 and 1.0 <= hi:
+        return 1.0, 0.0, 0.0
+    c = (1.0 - hi) / 2.0
+    c = lo if lo > c else c
+    c = hi if hi < c else c
+    x, y, value = hi, c, ((1.0 - hi - c) ** 2 + (1.0 - hi) * c) / 3.0
+    c = 1.0 - lo / 2.0
+    c = lo if lo > c else c
+    c = hi if hi < c else c
+    v = ((1.0 - c - lo) ** 2 + (1.0 - c) * lo) / 3.0
+    if v < value:
+        x, y, value = c, lo, v
+    c = (1.0 - lo) / 2.0
+    c = lo if lo > c else c
+    c = hi if hi < c else c
+    v = ((1.0 - lo - c) ** 2 + (1.0 - lo) * c) / 3.0
+    if v < value:
+        x, y, value = lo, c, v
+    c = 1.0 - hi / 2.0
+    c = lo if lo > c else c
+    c = hi if hi < c else c
+    v = ((1.0 - c - hi) ** 2 + (1.0 - c) * hi) / 3.0
+    if v < value:
+        x, y, value = c, hi, v
     return x, y, value
 
 
@@ -455,7 +469,7 @@ def _search_terms(available: Povm, n_uses: int, common=None) -> np.ndarray:
     their bytes are checked against the byte budget before any is built.
     Dense elements are symmetrised first, so that every product and
     partial sum is exactly Hermitian (rounding commutes with conjugation)
-    for ``eigvalsh``.
+    for LAPACK's ``eigvalsh``, which reads one triangle.
 
     Commutation is tested once, by ``_common_eigenbasis``: U
     diagonalises the fixed combination sum_a (a + 1) M_a, and v_a is the
@@ -495,17 +509,29 @@ def _search_terms(available: Povm, n_uses: int, common=None) -> np.ndarray:
     return terms
 
 
+# The LAPACK gufunc that ``np.linalg.eigvalsh`` calls (UPLO='L'), called
+# with the loop the wrapper picks for complex input, signature="D->d",
+# but without the wrapper, which costs about as much again on a 4 x 4
+# matrix. The eigenvalues are the same bits, ascending. It skips the
+# wrapper's errstate, so a matrix LAPACK fails on gives NaN eigenvalues
+# instead of a LinAlgError; every caller checks for them.
+_eigvalsh = np.linalg._umath_linalg.eigvalsh_lo
+
+
 def _extremes(stack) -> tuple:
     """(lows, highs): the smallest and largest eigenvalue of each Q_0 in
     a stack, as two lists of floats.
 
     A stack of vectors holds the eigenvalue vectors of ``_search_terms``'
     spectra path, whose extremes are each row's min and max; a stack of
-    exactly Hermitian matrices is diagonalised by one batched ``eigvalsh``.
+    exactly Hermitian matrices is diagonalised by one ``_eigvalsh`` call,
+    and NaN eigenvalues raise ``NotConverged``.
     """
     if stack.ndim == 2:
         return stack.min(axis=1).tolist(), stack.max(axis=1).tolist()
-    w = np.linalg.eigvalsh(stack)
+    w = _eigvalsh(stack, signature="D->d")
+    if np.isnan(w[:, 0]).any():
+        raise NotConverged("eigenvalues did not converge")
     return w[:, 0].tolist(), w[:, -1].tolist()
 
 
@@ -542,8 +568,9 @@ def exhaustive_search(available: Povm, n_uses: int):
     stack S into stack(S + T_i, S), so the rows stay in lexicographic
     order (string i in target 0 first) and each partial sum adds the
     terms in string order, exactly as a sum from scratch does. Every Q_0
-    is bit-identical to it, and one batched ``eigvalsh`` (or a row min
-    and max on spectra) gives every partition's extreme eigenvalues.
+    is bit-identical to it, and one ``_eigvalsh`` call per stack (or a
+    row min and max on spectra) gives every partition's extreme
+    eigenvalues.
     When the stack would pass ``_STACK_BYTES``, the leading strings are
     decided depth first and only the last levels are stacked. Partitions
     whose clamped eigenvalue boxes are equal share one run of the box
@@ -624,7 +651,10 @@ def hill_climb_search(
     the rest of the block stale; ``_NEIGHBOURHOOD_BYTES`` bounds what is
     thrown away. These scores share a per-search memo of the boxes
     already solved (``_score``). Dense neighbours are summed and
-    diagonalised one at a time, with no memo: few dense boxes repeat.
+    diagonalised one at a time, with no memo, since few dense boxes
+    repeat. Each is one ``_eigvalsh`` call on the D x D candidate, whose
+    first and last eigenvalues are its box; a move would throw the rest
+    of a batch of dense neighbours away, and one in about six is a move.
     """
     rng = rng if rng is not None else Rng(0)
     common = _common_eigenbasis(available, n_uses)
@@ -681,8 +711,11 @@ def hill_climb_search(
                     s = cache[cand] = _score(lows[i - first], highs[i - first], memo)
                 elif s is None:
                     cand_q0 = q0 + terms[i] if mask & flips[i] else q0 - terms[i]
-                    lo, hi = _extremes(cand_q0[None])
-                    s = cache[cand] = _score(lo[0], hi[0])
+                    w = _eigvalsh(cand_q0, signature="D->d")
+                    lo = float(w[0])
+                    if lo != lo:
+                        raise NotConverged("eigenvalues did not converge")
+                    s = cache[cand] = _score(lo, float(w[-1]))
                 if s[0] < cur[0] - 1e-14:
                     if cand_q0 is None:
                         cand_q0 = q0 + terms[i] if mask & flips[i] else q0 - terms[i]

@@ -8,6 +8,7 @@ import functools
 import itertools
 import json
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,7 +24,7 @@ from measrep.coding import (
     _unpack,
     associated_channel,
 )
-from measrep.errors import NotConverged, ShapeMismatch, TooLarge
+from measrep.errors import NotConverged, ShapeMismatch, TooFewSamples, TooLarge
 from measrep.qcore import (
     Instrument,
     Povm,
@@ -34,14 +35,13 @@ from measrep.qcore import (
     identity,
     tensor,
 )
+from measrep.rms import _estimate_from_squares
 from measrep.subroutines import build_measurement_isometry
 from measrep.vnsynth import (
     BoxQuadSolution,
     SearchResult,
-    _box_minimiser,
     _common_eigenbasis,
     _partition_protocol,
-    _qubit_objective,
     _search_terms,
     solve_box_quadratic_qubit,
 )
@@ -315,7 +315,29 @@ def hill_climb_search_from_scratch(available, n_uses, restarts=8, rng=None):
 
 # Earlier forms of the partition searches' scoring, kept as references:
 # the library must compute the same bits without their per-candidate
-# closures, dataclasses and recursion.
+# closures, dataclasses, recursion and candidate loops.
+
+
+def qubit_objective(x, y):
+    """Squared error of a qubit implementation with diagonal (x, y), z = 0."""
+    return ((1.0 - x - y) ** 2 + (1.0 - x) * y) / 3.0
+
+
+def box_minimiser_looped(lo, hi):
+    """``vnsynth._box_minimiser`` as a loop over its candidates, each
+    scored by a ``qubit_objective`` call."""
+    x = y = value = None
+    if lo <= 1.0 <= hi and lo <= 0.0 <= hi:
+        x, y, value = 1.0, 0.0, qubit_objective(1.0, 0.0)
+    for c, edge, free_x in (((1.0 - hi) / 2.0, hi, False), (1.0 - lo / 2.0, lo, True),
+                            ((1.0 - lo) / 2.0, lo, False), (1.0 - hi / 2.0, hi, True)):
+        c = lo if lo > c else c
+        c = hi if hi < c else c
+        cx, cy = (c, edge) if free_x else (edge, c)
+        v = qubit_objective(cx, cy)
+        if value is None or v < value:
+            x, y, value = cx, cy, v
+    return x, y, value
 
 
 def box_quadratic_qubit_closures(lam_min, lam_max):
@@ -333,14 +355,14 @@ def box_quadratic_qubit_closures(lam_min, lam_max):
     candidates.append((clamp(1.0 - lo / 2.0), lo))
     candidates.append((lo, clamp((1.0 - lo) / 2.0)))
     candidates.append((clamp(1.0 - hi / 2.0), hi))
-    x, y = min(candidates, key=lambda c: _qubit_objective(*c))
+    x, y = min(candidates, key=lambda c: qubit_objective(*c))
     if abs(x - hi) <= 1e-15 and abs(y - (1.0 - hi) / 2.0) <= 1e-15:
         region = "left"
     elif abs(x - (1.0 - lo / 2.0)) <= 1e-15 and abs(y - lo) <= 1e-15:
         region = "right"
     else:
         region = "corner"
-    eps = math.sqrt(max(_qubit_objective(x, y), 0.0))
+    eps = math.sqrt(max(qubit_objective(x, y), 0.0))
     return BoxQuadSolution(lam_min, lam_max, x, y, eps, region)
 
 
@@ -398,7 +420,7 @@ def scores_per_candidate(stack):
     for lo, hi in zip(lows, highs):
         lam_min = 0.0 if lo < 0.0 else 1.0 if lo > 1.0 else lo
         lam_max = 0.0 if hi < 0.0 else 1.0 if hi > 1.0 else hi
-        value = _box_minimiser(lam_min, lam_max)[2]
+        value = box_minimiser_looped(lam_min, lam_max)[2]
         scores.append((math.sqrt(max(value, 0.0)), lam_min, lam_max))
     return scores
 
@@ -674,3 +696,69 @@ def postmeas_deviations_per_state(inst, samples, seed):
                 post = (block @ dagger(block)) / prob
                 worst_s = max(worst_s, float(np.linalg.norm(post - ref / p_ref)))
     return worst_p, worst_s
+
+
+# Monte Carlo estimators that only tests use: the instrument error has
+# no exact figure in the library yet, and cloning's sampled error
+# cross-checks the exact count-vector sum.
+
+
+def subchannel_outputs(psi, group):
+    """Unnormalised Lambda_a(|psi><psi|) for a batch of states."""
+    n = psi.shape[0]
+    dout = group[0].shape[0]
+    out = np.zeros((n, dout, dout), dtype=complex)
+    for k in group:
+        v = psi @ k.T  # rows K|psi>
+        out += np.einsum("ni,nj->nij", v, np.conj(v))
+    return out
+
+
+def rms_monte_carlo_instrument(impl, target, samples, rng):
+    """Haar Monte Carlo estimate of the Frobenius sub-channel error."""
+    if (
+        impl.dim_in != target.dim_in
+        or impl.dim_out != target.dim_out
+        or impl.outcomes != target.outcomes
+    ):
+        raise ShapeMismatch("implemented and target instruments must match in shape")
+    if samples < 100:
+        raise TooFewSamples(f"{samples} < 100 samples")
+    psi = haar_states(impl.dim_in, samples, rng)
+    sq = np.zeros(samples)
+    for gi, gt in zip(impl.kraus, target.kraus):
+        diff = subchannel_outputs(psi, gi) - subchannel_outputs(psi, gt)
+        sq += np.einsum("nij,nij->n", diff, np.conj(diff)).real
+    sq /= impl.outcomes
+    return _estimate_from_squares(sq, rng.seed)
+
+
+@dataclass(frozen=True)
+class SampledCloningError:
+    per_state: np.ndarray  # error rate per basis state
+    average: float
+    standard_error: float  # on the average
+    undecodable: int
+
+
+def cloning_error_rate_sampled(basis, n_uses, trials, rng):
+    """``cloning_error_rate`` estimated from ``trials`` count vectors drawn
+    per basis state and decoded by maximum likelihood."""
+    table = np.asarray(basis.table, dtype=float)
+    d = table.shape[0]
+    logp = _safe_log(table)
+    undecodable = 0
+    g = rng.generator
+    per_state = np.zeros(d)
+    variances = np.zeros(d)
+    for i in range(d):
+        counts = g.multinomial(n_uses, table[i] / table[i].sum(), size=trials).astype(
+            float
+        )
+        dec = _ml_decode_counts(counts, logp)
+        undecodable += int(np.sum(dec == -1))
+        rate = float(np.mean(dec != i))
+        per_state[i] = rate
+        variances[i] = rate * (1.0 - rate) / trials
+    se = float(np.sqrt(np.sum(variances)) / d)
+    return SampledCloningError(per_state, float(per_state.mean()), se, undecodable)

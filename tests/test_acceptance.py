@@ -10,7 +10,12 @@ import numpy as np
 
 from measrep import coding, qcore, rms, subroutines, vnsynth
 from measrep.qcore import Instrument, Rng, dagger, density, trine_povm, von_neumann_povm
-from oracles import binary_symmetric_channel, haar_state, symmetric_subspace_projector
+from oracles import (
+    binary_symmetric_channel,
+    cloning_error_rate_sampled,
+    haar_state,
+    symmetric_subspace_projector,
+)
 
 
 def report(criterion, ok, detail):
@@ -227,18 +232,16 @@ def test_criterion_07_cloning_exponent():
     basis = subroutines.select_cloning_basis(trine)
     table_ref = np.array([[2 / 3, 1 / 6, 1 / 6], [0.0, 0.5, 0.5]])
     ok_table = float(np.max(np.abs(basis.table - table_ref))) < 1e-14
-    err1 = subroutines.cloning_error_rate(trine, basis, 1, mode="exact")
+    err1 = subroutines.cloning_error_rate(trine, basis, 1)
     ok_n1 = abs(err1.per_state[0] - 1 / 3) < 1e-14 and err1.per_state[1] == 0.0
     xi = subroutines.chernoff_information(basis.table[0], basis.table[1])
-    err25 = subroutines.cloning_error_rate(trine, basis, 25, mode="exact")
+    err25 = subroutines.cloning_error_rate(trine, basis, 25)
     bound = math.exp(-25 * xi)
     ok_exp = bound / 5 <= err25.average <= bound * 5
-    sampled = subroutines.cloning_error_rate(
-        trine, basis, 25, mode="sampled", trials=10**6, rng=Rng(707)
-    )
+    sampled = cloning_error_rate_sampled(basis, 25, trials=10**6, rng=Rng(707))
     ok_sampled = (
         abs(sampled.average - err25.average)
-        <= 3 * (sampled.standard_error or 0.0) + 1e-5
+        <= 3 * sampled.standard_error + 1e-5
     )
     report(
         7,

@@ -189,6 +189,22 @@ def test_search_beyond_the_terms_budget_fails_with_a_typed_error(capsys, command
     assert peak < 2**20
 
 
+@pytest.mark.parametrize("n_uses, fails_on", [
+    ("2", 3),  # exhaustive: the stack of partitions
+    ("3", 3),  # hill climb: a start's Q_0, as a stack of one
+    ("3", 2),  # hill climb: one neighbour
+])
+def test_eigensolver_failure_is_a_typed_error(monkeypatch, capsys, n_uses, fails_on):
+    # LAPACK reports a failed eigensolve as NaN eigenvalues
+    solve = vnsynth._eigvalsh
+    monkeypatch.setattr(vnsynth, "_eigvalsh", lambda a, **kw: (
+        np.full(a.shape[:-1], np.nan) if a.ndim == fails_on else solve(a, **kw)))
+    assert cli.main(["synth", "trine", "--n", n_uses]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: eigenvalues did not converge\n"
+
+
 @pytest.mark.parametrize("k", ["17", "45", "70", "20000"])
 def test_block_beyond_the_codebook_cap_fails_with_a_typed_error(capsys, k):
     # 2^17 messages exceed the cap; 2^45 once ended in a 256 TiB

@@ -27,6 +27,7 @@ from oracles import (
     block_protocol_statevector_distribution,
     block_protocol_whole_arrays,
     channel_sample_broadcast,
+    cloning_error_rate_sampled,
     count_vectors_from_cuts,
     exact_ml_error_by_strings,
     random_decode_full_table,
@@ -526,11 +527,9 @@ def test_cloning_error_exact_and_sampled_agree(channel, n_uses, seed):
     table = channel.matrix
     povm = Povm(tuple(np.diag(table[:, a]) for a in range(table.shape[1])))
     basis = CloningBasis(states=tuple(np.eye(table.shape[0])), table=table)
-    exact = cloning_error_rate(povm, basis, n_uses, mode="exact")
+    exact = cloning_error_rate(povm, basis, n_uses)
     trials = 20_000
-    sampled = cloning_error_rate(
-        povm, basis, n_uses, mode="sampled", trials=trials, rng=Rng(seed)
-    )
+    sampled = cloning_error_rate_sampled(basis, n_uses, trials=trials, rng=Rng(seed))
     # standard deviation of the sampled average under the exact rates,
     # which may overshoot [0, 1] by rounding
     p = np.clip(exact.per_state, 0.0, 1.0)

@@ -14,13 +14,10 @@ from measrep.qcore import (
     trine_povm,
     von_neumann_povm,
 )
-from measrep.rms import (
-    rms_exact_povm,
-    rms_monte_carlo_instrument,
-    rms_monte_carlo_povm,
-)
+from measrep.rms import rms_exact_povm, rms_monte_carlo_povm
 from oracles import (
     random_povm,
+    rms_monte_carlo_instrument,
     rms_squares_einsum,
     symmetric_subspace_projector,
     von_neumann_instrument,

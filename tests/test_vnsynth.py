@@ -30,6 +30,7 @@ from measrep.vnsynth import (
     trine_optimal_protocol,
 )
 from oracles import (
+    box_minimiser_looped,
     box_quadratic_qubit_closures,
     exhaustive_search_depth_first,
     exhaustive_search_from_scratch,
@@ -202,6 +203,38 @@ def test_qubit_qp_core_matches_the_closure_form_on_edge_boxes(lo, hi):
     x, y, value = vnsynth._box_minimiser(lo, hi)
     assert same_floats([x, y, math.sqrt(max(value, 0.0))],
                        [sol.x_star, sol.y_star, sol.epsilon])
+
+
+def assert_same_minimiser(lo, hi):
+    assert same_floats(vnsynth._box_minimiser(lo, hi), box_minimiser_looped(lo, hi))
+
+
+# Boxes on whose corner (hi, lo) the edges x = hi and y = lo both land:
+# their candidates tie exactly.
+corner_ties = st.floats(1 / 3, 2 / 3).flatmap(
+    lambda lo: st.tuples(st.just(lo), st.floats(lo, 1.0 - lo / 2.0)))
+
+
+@settings(max_examples=300)
+@given(a=st.one_of(st.floats(-0.5, 1.5), box_edges),
+       b=st.one_of(st.floats(-0.5, 1.5), box_edges), tie=corner_ties)
+def test_flat_box_minimiser_matches_the_candidate_loop(a, b, tie):
+    assert_same_minimiser(min(a, b), max(a, b))
+    assert_same_minimiser(*tie)
+
+
+@pytest.mark.parametrize("lo, hi", [
+    # lo == hi and the ends 0.0, -0.0 and 1.0; at (-0.0, 0.0) and (0.0, -0.0)
+    # all four candidates tie with zeros of either sign
+    (0.0, 0.0), (-0.0, -0.0), (-0.0, 0.0), (0.0, -0.0), (1.0, 1.0), (0.5, 0.5),
+    (0.0, 0.5), (-0.0, 0.5), (0.5, 1.0), (0.0, 1.0 - 2**-53),
+    # boxes that hold (1, 0)
+    (0.0, 1.0), (-0.0, 1.0), (-0.5, 1.5), (-0.0, 1.5),
+    # corner ties, and a box just off one
+    (0.4, 0.5), (1 / 3, 5 / 6), (2 / 3, 2 / 3), (0.4, float(np.nextafter(0.8, 1.0))),
+])
+def test_flat_box_minimiser_matches_the_candidate_loop_on_edge_boxes(lo, hi):
+    assert_same_minimiser(lo, hi)
 
 
 # ---------------------------------------------------------------------------
@@ -601,6 +634,37 @@ def test_dense_search_terms_are_exactly_hermitian():
     assert not any(np.array_equal(e, qcore.dagger(e)) for e in povm.elements)
     terms = vnsynth._search_terms(povm, 2)
     assert all(np.array_equal(t, qcore.dagger(t)) for t in terms)
+
+
+def conj_t(a):
+    return np.conj(np.swapaxes(a, -2, -1))
+
+
+def hermitian_stack(g, shape, dim):
+    a = g.standard_normal(shape + (dim, dim)) + 1j * g.standard_normal(shape + (dim, dim))
+    return (a + conj_t(a)) / 2
+
+
+# one D x D matrix, or a stack of 1-9
+stack_shapes = st.one_of(st.just(()), st.integers(1, 9).map(lambda n: (n,)))
+
+
+@settings(max_examples=100)
+@given(seed=povm_seeds, dim=st.integers(1, 32), shape=stack_shapes,
+       kind=st.sampled_from(["random", "diagonal", "degenerate"]))
+def test_search_eigensolver_matches_numpys_eigvalsh_bit_for_bit(seed, dim, shape, kind):
+    g = np.random.default_rng(seed)
+    if kind == "random":
+        a = hermitian_stack(g, shape, dim)
+    else:
+        # eigenvalues drawn from three values, so most repeat
+        w = g.choice([-0.5, 0.0, 1.0 / 3.0], size=shape + (dim,))
+        a = w[..., None] * np.eye(dim) + 0j
+        if kind == "degenerate":
+            u, _ = np.linalg.qr(hermitian_stack(g, shape, dim))
+            a = (u * w[..., None, :]) @ conj_t(u)
+            a = (a + conj_t(a)) / 2
+    assert same_bits(vnsynth._eigvalsh(a, signature="D->d"), np.linalg.eigvalsh(a))
 
 
 # box ends with near and signed-zero repeats, and ends that clamp
