@@ -13,12 +13,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
 from .errors import NotConverged, ShapeMismatch, TooFewSamples, TooLarge
-from .qcore import Povm, Rng, _check_bytes, density
+from .qcore import Povm, Rng, _check_bytes
 
 _LOG_ZERO = -1e30  # stands in for log 0: finite, so 0 * _LOG_ZERO is 0
 _CODEBOOK_CAP = 2**16
@@ -141,33 +141,29 @@ class ClassicalChannel:
         return out.astype(np.intp)
 
 
-def associated_channel(
-    available: Povm, states: Optional[Sequence[np.ndarray]] = None
-) -> ClassicalChannel:
-    """Channel p(a|x) from measuring basis states (or supplied states)."""
-    if states is None:
-        rhos = [density(e) for e in np.eye(available.dim, dtype=complex)]
-    else:
-        rhos = [np.asarray(r, dtype=complex) for r in states]
-        for r in rhos:
-            if r.shape != (available.dim, available.dim):
-                raise ShapeMismatch("state dimension does not match the POVM")
-    mat = np.clip(np.array([available.probabilities(r) for r in rhos]), 0.0, None)
+def associated_channel(available: Povm) -> ClassicalChannel:
+    """Channel p(a|x) from measuring the computational basis states."""
+    mat = np.clip(available.table(np.eye(available.dim, dtype=complex)), 0.0, None)
     mat /= mat.sum(axis=1, keepdims=True)
     return ClassicalChannel(mat)
 
 
+def _divergences(w: np.ndarray, logw: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """D(w_x || q) in nats for each row w_x of w, given logw = _safe_log(w).
+
+    An output that w_x never gives adds 0 * (a finite difference), a
+    zero, so the sum over the row is the sum over its support."""
+    return (w * (logw - _safe_log(q))).sum(axis=1)
+
+
 def mutual_information(p_x, channel: ClassicalChannel) -> float:
-    """I(A:X) in bits for the given input distribution."""
+    """I(A:X) in bits for the given input distribution: the p_x-average
+    of D(w_x || p_x W)."""
     p_x = np.asarray(p_x, dtype=float)
     if p_x.shape != (channel.inputs,) or abs(p_x.sum() - 1.0) > 1e-9:
         raise ShapeMismatch("p_x must be a distribution on the input alphabet")
-    joint = p_x[:, None] * channel.matrix
-    q = joint.sum(axis=0)
-    mask = joint > 0.0
-    ratio = np.ones_like(joint)
-    ratio[mask] = joint[mask] / (p_x[:, None] * np.ones_like(joint) * q[None, :])[mask]
-    val = float(np.sum(joint[mask] * np.log(ratio[mask])))
+    w = channel.matrix
+    val = float(p_x @ _divergences(w, _safe_log(w), p_x @ w))
     return max(val, 0.0) / math.log(2.0)
 
 
@@ -195,13 +191,10 @@ def blahut_arimoto(
     n_in = channel.inputs
     r = np.full(n_in, 1.0 / n_in)
     ln2 = math.log(2.0)
-    mask = w > 0.0
     logw = _safe_log(w)
     lower = upper = 0.0
     for it in range(1, max_iter + 1):
-        q = r @ w
-        logq = _safe_log(q)
-        div = np.where(mask, w * (logw - logq), 0.0).sum(axis=1)
+        div = _divergences(w, logw, r @ w)
         top = div.max()
         lower = float(r @ div)
         upper = float(top)

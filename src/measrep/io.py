@@ -160,7 +160,7 @@ def load_with_report(path_or_name: str) -> tuple:
         if inst.dim_in != dim:
             raise MalformedFile(f"{path_or_name}: Kraus input dim != {dim}")
         defect = inst.normalization_defect()
-        if defect > 1e-9:
+        if defect > qcore.NORMALIZATION_ATOL:
             report = qcore.validate_povm(qcore.induced_povm(inst))
             raise InvalidMeasurement(
                 f"{path_or_name}: Kraus normalisation defect {defect:.3e}",

@@ -24,6 +24,7 @@ COMPLETENESS_ATOL = 1e-10
 POSITIVITY_ATOL = 1e-10
 TRIVIAL_ATOL = 1e-10
 HERMITICITY_RTOL = 1e-10  # relative to max(1, ||m||)
+NORMALIZATION_ATOL = 1e-9  # Frobenius norm of sum_k K^dagger K - I
 
 
 def _matrix(a) -> np.ndarray:
@@ -122,9 +123,11 @@ class Povm:
     def outcomes(self) -> int:
         return len(self.elements)
 
-    def probabilities(self, rho: np.ndarray) -> np.ndarray:
-        rho = _matrix(rho)
-        return np.array([np.trace(e @ rho).real for e in self.elements])
+    def table(self, states) -> np.ndarray:
+        """Outcome table (len(states), m) with rows <s|M_a|s>, one row
+        per state vector s."""
+        return np.array([[float(np.real(np.conj(s) @ (e @ s))) for e in self.elements]
+                         for s in states])
 
     def is_trivial(self) -> bool:
         """True when every element is proportional to the identity."""

@@ -12,8 +12,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
-
 import numpy as np
 
 from .errors import ShapeMismatch, TooFewSamples
@@ -27,8 +25,6 @@ _MC_BLOCK_BYTES = 2**18
 class RmsEstimate:
     value: float
     standard_error: float
-    sample_count: int
-    seed: Optional[int]
 
 
 def _check_povm_shapes(impl: Povm, target: Povm) -> None:
@@ -87,7 +83,7 @@ def _squared_errors(x: np.ndarray, y: np.ndarray, coef: np.ndarray) -> np.ndarra
     return np.einsum("na,na->n", e, e)
 
 
-def _estimate_from_squares(sq: np.ndarray, seed) -> RmsEstimate:
+def _estimate_from_squares(sq: np.ndarray) -> RmsEstimate:
     n = sq.size
     mean = float(sq.mean())
     se_sq = float(sq.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
@@ -98,7 +94,7 @@ def _estimate_from_squares(sq: np.ndarray, seed) -> RmsEstimate:
         se = se_sq / (2.0 * value)
     else:
         se = math.sqrt(se_sq)
-    return RmsEstimate(value=value, standard_error=se, sample_count=n, seed=seed)
+    return RmsEstimate(value=value, standard_error=se)
 
 
 def rms_monte_carlo_povm(
@@ -122,4 +118,4 @@ def rms_monte_carlo_povm(
     sq = np.concatenate([_squared_errors(re[s : s + rows], im[s : s + rows], coef)
                          for s in range(0, samples, rows)])
     sq /= impl.outcomes
-    return _estimate_from_squares(sq, rng.seed)
+    return _estimate_from_squares(sq)

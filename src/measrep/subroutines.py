@@ -67,17 +67,17 @@ class MeasurementIsometry:
 
 def build_measurement_isometry(target: Instrument) -> MeasurementIsometry:
     defect = target.normalization_defect()
-    if defect > 1e-9:
+    if defect > qcore.NORMALIZATION_ATOL:
         raise NotNormalized(f"Kraus normalisation defect {defect:.3e}")
     din, dout, m = target.dim_in, target.dim_out, target.outcomes
     r = max(len(g) for g in target.kraus)
-    w = np.zeros((dout * m * r, din), dtype=complex)
+    # rows (s, i, j) with s the output-system index
+    w = np.zeros((dout, m, r, din), dtype=complex)
     for i, group in enumerate(target.kraus):
         for j, k in enumerate(group):
-            # rows (s, i, j) with s the output-system index
-            for s in range(dout):
-                w[s * m * r + i * r + j, :] = k[s, :]
-    return MeasurementIsometry(d_in=din, d_out=dout, m=m, r=r, matrix=w)
+            w[:, i, j] = k
+    return MeasurementIsometry(d_in=din, d_out=dout, m=m, r=r,
+                               matrix=w.reshape(dout * m * r, din))
 
 
 # ---------------------------------------------------------------------------
@@ -91,13 +91,6 @@ class CloningBasis:
 
     states: tuple  # d vectors
     table: np.ndarray  # (d, m) with rows P(a|i)
-
-
-def _row_table(povm: Povm, states) -> np.ndarray:
-    rows = []
-    for s in states:
-        rows.append([float(np.real(np.conj(s) @ (e @ s))) for e in povm.elements])
-    return np.array(rows)
 
 
 def _tv(p, q) -> float:
@@ -129,7 +122,7 @@ def select_cloning_basis(available: Povm) -> CloningBasis:
     states = [np.eye(d, dtype=complex)[:, i] for i in range(d)]
 
     for _ in range(10 * d * d):
-        table = _row_table(available, states)
+        table = available.table(states)
         collisions = _colliding_pairs(table)
         if not collisions:
             return CloningBasis(states=tuple(states), table=table)
@@ -168,7 +161,7 @@ def select_cloning_basis(available: Povm) -> CloningBasis:
             cand = list(states)
             cand[i] = c * ei + s * ek
             cand[k] = -s * ei + c * ek
-            if len(_colliding_pairs(_row_table(available, cand))) < len(collisions):
+            if len(_colliding_pairs(available.table(cand))) < len(collisions):
                 states = cand
                 rotated = True
                 break
@@ -184,9 +177,7 @@ class CloningErrorRate:
     undecodable: int
 
 
-def cloning_error_rate(
-    available: Povm, basis: CloningBasis, n_uses: int
-) -> CloningErrorRate:
+def cloning_error_rate(basis: CloningBasis, n_uses: int) -> CloningErrorRate:
     """Decoding error of N-fold generalised classical cloning.
 
     Sums multinomial weights over all outcome-count vectors: the ML

@@ -70,7 +70,8 @@ _NEIGHBOURHOOD_BYTES = 2**15
 
 @dataclass(frozen=True)
 class PartitionProtocol:
-    """Outcome-string partition plus the coarse-grained POVM it induces.
+    """Binary outcome-string partition plus the two-outcome coarse-grained
+    POVM it induces.
 
     When the available elements commute, ``basis`` is U and ``spectra``
     holds each coarse element Q_a as its real d^N eigenvalue vector q_a,
@@ -79,8 +80,7 @@ class PartitionProtocol:
 
     available: Povm
     n_uses: int
-    assignment: tuple  # target outcome per lexicographic outcome string
-    m_target: int
+    assignment: tuple  # target outcome, 0 or 1, per lexicographic outcome string
     basis: Optional[np.ndarray] = None
     spectra: Optional[tuple] = None
 
@@ -89,27 +89,26 @@ class PartitionProtocol:
         """Q_a operators on the N-fold space, summed from the string tensors.
 
         Each tensor is added into its coarse element as it is built, so
-        memory is O((m_target + N) D^2) rather than m^N D^2. A protocol
-        held on spectra builds them only when this is first read.
+        memory is O(N D^2) rather than m^N D^2. A protocol held on
+        spectra builds them only when this is first read.
         """
-        _check_coarse_bytes(self.available, self.n_uses, self.m_target, False)
+        _check_coarse_bytes(self.available, self.n_uses, False)
         dim = self.available.dim**self.n_uses
-        coarse = [np.zeros((dim, dim), dtype=complex) for _ in range(self.m_target)]
+        coarse = [np.zeros((dim, dim), dtype=complex) for _ in range(2)]
         strings = _string_products(self.available.elements, self.n_uses)
         for t, v in zip(strings, self.assignment):
             coarse[v] += t
         return tuple(coarse)
 
 
-def _check_coarse_bytes(available, n_uses, m_target, on_spectra) -> None:
-    """Raise ``TooLarge`` unless a protocol's m_target coarse elements fit
-    the byte budget: real d^N vectors on spectra, else D x D operators."""
+def _check_coarse_bytes(available, n_uses, on_spectra) -> None:
+    """Raise ``TooLarge`` unless a protocol's two coarse elements fit the
+    byte budget: real d^N vectors on spectra, else D x D operators."""
     if on_spectra:
-        qcore._check_bytes("the coarse spectra", 8 * m_target, available.dim,
-                           n_uses)
+        qcore._check_bytes("the coarse spectra", 16, available.dim, n_uses)
     else:
-        qcore._check_bytes("the dense coarse elements", 16 * m_target,
-                           available.dim**2, n_uses)
+        qcore._check_bytes("the dense coarse elements", 32, available.dim**2,
+                           n_uses)
 
 
 def _common_eigenbasis(available: Povm, n_uses: int):
@@ -175,9 +174,9 @@ def build_partition_povm(
     available: Povm,
     n_uses: int,
     f: Callable[[tuple], int] | Sequence[int],
-    m_target: int,
 ) -> PartitionProtocol:
-    """Coarse-grain N parallel uses of ``available`` through the map f.
+    """Coarse-grain N parallel uses of ``available`` through the map f,
+    which sends each outcome string to target outcome 0 or 1.
 
     Commuting elements give a protocol held on spectra: each coarse
     element is summed as a d^N vector, string by string. Otherwise the
@@ -185,9 +184,7 @@ def build_partition_povm(
     bytes are checked before f is called on any string.
     """
     common = _common_eigenbasis(available, n_uses)
-    if m_target < 2:
-        raise ShapeMismatch("m_target must be >= 2")
-    _check_coarse_bytes(available, n_uses, m_target, common[0] is not None)
+    _check_coarse_bytes(available, n_uses, common[0] is not None)
     n_strings = available.outcomes**n_uses
     if callable(f):
         f = map(f, itertools.product(range(available.outcomes), repeat=n_uses))
@@ -195,24 +192,24 @@ def build_partition_povm(
     if len(assignment) != n_strings:
         raise ShapeMismatch(
             f"assignment length {len(assignment)} != {n_strings} strings")
-    if any(v < 0 or v >= m_target for v in assignment):
-        raise ShapeMismatch("assignment value outside target outcome range")
-    return _partition_protocol(available, n_uses, assignment, m_target, common)
+    if not set(assignment) <= {0, 1}:
+        raise ShapeMismatch("assignment values must be 0 or 1")
+    return _partition_protocol(available, n_uses, assignment, common)
 
 
-def _partition_protocol(available, n_uses, assignment, m_target, common):
-    """``build_partition_povm`` for a checked assignment (a tuple of ints)
-    and the ``_common_eigenbasis`` of ``available`` at ``n_uses``."""
+def _partition_protocol(available, n_uses, assignment, common):
+    """``build_partition_povm`` for a checked assignment (a tuple of 0s
+    and 1s) and the ``_common_eigenbasis`` of ``available`` at ``n_uses``."""
     u, spectra = common
     if u is None:
-        protocol = PartitionProtocol(available, n_uses, assignment, m_target)
+        protocol = PartitionProtocol(available, n_uses, assignment)
         protocol.coarse  # a dense protocol is summed here, not on first read
         return protocol
-    _check_coarse_bytes(available, n_uses, m_target, True)
-    q = [np.zeros(available.dim**n_uses) for _ in range(m_target)]
+    _check_coarse_bytes(available, n_uses, True)
+    q = [np.zeros(available.dim**n_uses) for _ in range(2)]
     for t, v in zip(_string_products(spectra, n_uses), assignment):
         q[v] += t
-    return PartitionProtocol(available, n_uses, assignment, m_target, u, tuple(q))
+    return PartitionProtocol(available, n_uses, assignment, u, tuple(q))
 
 
 # ---------------------------------------------------------------------------
@@ -304,7 +301,6 @@ def solve_box_quadratic_qubit(lam_min: float, lam_max: float) -> BoxQuadSolution
 class StatePrep:
     """Orthonormal prepared states on measured systems (+ optional ancilla)."""
 
-    n_measured: int
     ancilla_qubits: int  # 0 or 1
     states: tuple  # one state vector per target outcome
 
@@ -358,18 +354,15 @@ def _inspace_binary(evals, column, x, y):
 def construct_states(protocol: PartitionProtocol, targets) -> StatePrep:
     """States whose expectations on Q_0 are the targets (x, y).
 
-    Only binary targets (m_target = 2) are supported: the in-space route
-    combines disjoint eigenvector pairs of Q_0; when that fails a single
-    unmeasured ancilla qubit tags the states |u_i>|i> to restore
-    orthogonality.
+    The in-space route combines disjoint eigenvector pairs of Q_0; when
+    that fails a single unmeasured ancilla qubit tags the states |u_i>|i>
+    to restore orthogonality.
 
     A protocol held on spectra takes its eigenvalues as q_0 sorted
     descending, ties in index order, and builds an eigenvector only when
     it is used: the Kronecker product of the columns of U that the
     product-basis index picks.
     """
-    if protocol.m_target != 2:
-        raise Unachievable("state construction implemented for binary targets only")
     x, y = float(targets[0]), float(targets[1])
     if protocol.spectra is None:
         evals, evecs = qcore.hermitian_eig(protocol.coarse[0])
@@ -403,16 +396,14 @@ def construct_states(protocol: PartitionProtocol, targets) -> StatePrep:
     pair = _inspace_binary(evals, column, x, y)
     if pair is not None:
         u0, u1 = pair
-        return StatePrep(
-            n_measured=protocol.n_uses, ancilla_qubits=0, states=(u0, u1)
-        )
+        return StatePrep(ancilla_qubits=0, states=(u0, u1))
 
     v_hi, v_lo = column(0), column(evals.size - 1)
     u0 = _mix_eigvecs(v_hi, lam_max, v_lo, lam_min, x)
     u1 = _mix_eigvecs(v_hi, lam_max, v_lo, lam_min, y)
     e = np.eye(2, dtype=complex)
     states = (np.kron(u0, e[:, 0]), np.kron(u1, e[:, 1]))
-    return StatePrep(n_measured=protocol.n_uses, ancilla_qubits=1, states=states)
+    return StatePrep(ancilla_qubits=1, states=states)
 
 
 def implemented_povm(prep: StatePrep, protocol: PartitionProtocol) -> Povm:
@@ -616,7 +607,7 @@ def exhaustive_search(available: Povm, n_uses: int):
     ties = [bits(j) for j, score in enumerate(scored)
             if abs(score[0] - eps) <= _TIE_WINDOW]
     return SearchResult(
-        protocol=_partition_protocol(available, n_uses, bits(best), 2, common),
+        protocol=_partition_protocol(available, n_uses, bits(best), common),
         solution=solve_box_quadratic_qubit(*scored[best][1:]),
         co_optimal=tuple(ties),
         evaluated=len(scored),
@@ -728,7 +719,7 @@ def hill_climb_search(
             best_mask, best = mask, cur
     best_bits = tuple(best_mask >> i & 1 for i in range(n_strings))
     return SearchResult(
-        protocol=_partition_protocol(available, n_uses, best_bits, 2, common),
+        protocol=_partition_protocol(available, n_uses, best_bits, common),
         solution=solve_box_quadratic_qubit(*best[1:]),
         co_optimal=(best_bits,),
         evaluated=len(cache),
@@ -778,9 +769,7 @@ def trine_optimal_protocol(
     shows up in the implemented POVM.
     """
     available = qcore.trine_povm() if available is None else available
-    protocol = build_partition_povm(
-        available, n_uses, lambda s: 0 if 0 in s else 1, 2
-    )
+    protocol = build_partition_povm(available, n_uses, lambda s: 0 if 0 in s else 1)
     lam_max = 1.0 - 3.0**-n_uses
     solution = solve_box_quadratic_qubit(0.0, lam_max)
     if n_uses == 1:
@@ -789,18 +778,15 @@ def trine_optimal_protocol(
         u0 = np.array([1.0, 0.0], dtype=complex)
         u1 = np.array([0.5, math.sqrt(3) / 2], dtype=complex)
         e = np.eye(2, dtype=complex)
-        prep = StatePrep(
-            n_measured=1,
-            ancilla_qubits=1,
-            states=(np.kron(u0, e[:, 0]), np.kron(u1, e[:, 1])),
-        )
+        prep = StatePrep(ancilla_qubits=1,
+                         states=(np.kron(u0, e[:, 0]), np.kron(u1, e[:, 1])))
     else:
         # |0...0>, and |1...1> with the last qubit turned to (amp0, .)
         psi0, psi1 = np.zeros((2, 2**n_uses), dtype=complex)
         psi0[0] = 1.0
         amp0 = 0.5 * 3.0 ** (-(n_uses - 1) / 2.0)
         psi1[-2:] = amp0, math.sqrt(1.0 - amp0**2)
-        prep = StatePrep(n_measured=n_uses, ancilla_qubits=0, states=(psi0, psi1))
+        prep = StatePrep(ancilla_qubits=0, states=(psi0, psi1))
     return SynthesizedProtocol(protocol=protocol, solution=solution, prep=prep)
 
 
@@ -831,7 +817,7 @@ def noisy_z_optimal(p: float, q: float) -> SynthesizedProtocol:
     """
     classify_noisy_z(p, q)  # rejects (p, q) outside (1/2, 1]
     povm = qcore.noisy_z_povm(p, q)
-    protocol = build_partition_povm(povm, 1, lambda s: s[0], 2)
+    protocol = build_partition_povm(povm, 1, lambda s: s[0])
     solution = solve_box_quadratic_qubit(1.0 - q, p)
     prep = construct_states(protocol, (solution.x_star, solution.y_star))
     return SynthesizedProtocol(protocol=protocol, solution=solution, prep=prep)

@@ -155,6 +155,15 @@ def _index(letters, d):
     return idx
 
 
+def associated_channel_by_traces(available):
+    """``associated_channel`` with each entry p(a|x) = Tr(M_a |x><x|)."""
+    rhos = [density(e) for e in np.eye(available.dim, dtype=complex)]
+    mat = np.clip(np.array([[np.trace(e @ r).real for e in available.elements]
+                            for r in rhos]), 0.0, None)
+    mat /= mat.sum(axis=1, keepdims=True)
+    return ClassicalChannel(mat)
+
+
 def block_protocol_statevector_distribution(available, code, amplitudes):
     """Exact decoded-outcome distribution via the full state vector.
 
@@ -234,14 +243,14 @@ def string_tensors(available, n_uses):
     ]
 
 
-def partition_povm_from_list(available, n_uses, assignment, m_target):
+def partition_povm_from_list(available, n_uses, assignment):
     """Coarse elements of ``build_partition_povm`` from a list of all m^N
     string tensors, each built level by level with ``tensor``."""
     tensors = [np.eye(1, dtype=complex)]
     for _ in range(n_uses):
         tensors = [tensor(t, e) for t in tensors for e in available.elements]
     dim = available.dim**n_uses
-    coarse = [np.zeros((dim, dim), dtype=complex) for _ in range(m_target)]
+    coarse = [np.zeros((dim, dim), dtype=complex) for _ in range(2)]
     for t, v in zip(tensors, assignment):
         coarse[v] += t
     return coarse
@@ -461,7 +470,7 @@ def exhaustive_search_per_candidate(available, n_uses):
     ties = [bits(j) for j, score in enumerate(scored)
             if abs(score[0] - eps) <= vnsynth._TIE_WINDOW]
     return SearchResult(
-        protocol=_partition_protocol(available, n_uses, bits(best), 2, common),
+        protocol=_partition_protocol(available, n_uses, bits(best), common),
         solution=solve_box_quadratic_qubit(*scored[best][1:]),
         co_optimal=tuple(ties),
         evaluated=len(scored),
@@ -515,7 +524,7 @@ def hill_climb_search_per_candidate(available, n_uses, restarts=8, rng=None):
             best_mask, best = mask, cur
     best_bits = tuple(best_mask >> i & 1 for i in range(n_strings))
     return SearchResult(
-        protocol=_partition_protocol(available, n_uses, best_bits, 2, common),
+        protocol=_partition_protocol(available, n_uses, best_bits, common),
         solution=solve_box_quadratic_qubit(*best[1:]),
         co_optimal=(best_bits,),
         evaluated=len(cache),
@@ -730,7 +739,7 @@ def rms_monte_carlo_instrument(impl, target, samples, rng):
         diff = subchannel_outputs(psi, gi) - subchannel_outputs(psi, gt)
         sq += np.einsum("nij,nij->n", diff, np.conj(diff)).real
     sq /= impl.outcomes
-    return _estimate_from_squares(sq, rng.seed)
+    return _estimate_from_squares(sq)
 
 
 @dataclass(frozen=True)

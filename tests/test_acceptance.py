@@ -29,9 +29,9 @@ def report(criterion, ok, detail):
 
 def test_criterion_01_two_use_cloning_error():
     trine = trine_povm()
-    proto = vnsynth.build_partition_povm(trine, 2, lambda s: 0 if 0 in s else 1, 2)
+    proto = vnsynth.build_partition_povm(trine, 2, lambda s: 0 if 0 in s else 1)
     e = np.eye(4, dtype=complex)
-    prep = vnsynth.StatePrep(n_measured=2, ancilla_qubits=0, states=(e[:, 0], e[:, 3]))
+    prep = vnsynth.StatePrep(ancilla_qubits=0, states=(e[:, 0], e[:, 3]))
     impl = vnsynth.implemented_povm(prep, proto)
     closed = rms.rms_exact_povm(impl, von_neumann_povm(2))
     ref = 1.0 / (9.0 * math.sqrt(3.0))
@@ -232,10 +232,10 @@ def test_criterion_07_cloning_exponent():
     basis = subroutines.select_cloning_basis(trine)
     table_ref = np.array([[2 / 3, 1 / 6, 1 / 6], [0.0, 0.5, 0.5]])
     ok_table = float(np.max(np.abs(basis.table - table_ref))) < 1e-14
-    err1 = subroutines.cloning_error_rate(trine, basis, 1)
+    err1 = subroutines.cloning_error_rate(basis, 1)
     ok_n1 = abs(err1.per_state[0] - 1 / 3) < 1e-14 and err1.per_state[1] == 0.0
     xi = subroutines.chernoff_information(basis.table[0], basis.table[1])
-    err25 = subroutines.cloning_error_rate(trine, basis, 25)
+    err25 = subroutines.cloning_error_rate(basis, 25)
     bound = math.exp(-25 * xi)
     ok_exp = bound / 5 <= err25.average <= bound * 5
     sampled = cloning_error_rate_sampled(basis, 25, trials=10**6, rng=Rng(707))

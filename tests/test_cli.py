@@ -425,6 +425,25 @@ def test_reproduce_paper_row_contract(capsys):
     assert all(r["status"] == "PASS" for r in doc["rows"])
 
 
+@pytest.mark.parametrize("noise, value, status", [
+    (0.0, 0.0, "PASS"),
+    # (0.9 * 2/3 + 0.1/3)^2 - 4/9 = -13/300 at the |00><00| entry of M_0 x M_0
+    (0.1, 13 / 300, "FAIL"),
+])
+def test_reproduce_paper_joint_row_is_exact(tmp_path, capsys, noise, value, status):
+    # the row reads no random states: each M_a x M_b on span{|00>, |11>}
+    # against its closed form
+    noisy = qcore.Povm(tuple((1 - noise) * e + noise / 3 * np.eye(2)
+                             for e in qcore.trine_povm().elements))
+    io.save_measurement(noisy, tmp_path / "trine.json")
+    _, doc = json_rows(capsys, "reproduce-paper", "--samples", "2000",
+                       "--override", str(tmp_path / "trine.json"))
+    row = doc["rows"][-1]
+    assert row["name"] == "two_use_joint_distribution_deviation"
+    assert row["value"] == pytest.approx(value, abs=1e-15)
+    assert row["status"] == status
+
+
 def test_reproduce_paper_override_four_outcomes(tmp_path, capsys):
     plus = np.full((2, 2), 0.5)
     minus = np.array([[0.5, -0.5], [-0.5, 0.5]])

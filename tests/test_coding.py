@@ -22,6 +22,7 @@ from measrep.errors import NotConverged, ShapeMismatch, TooLarge
 from measrep.qcore import Povm, Rng, trine_povm, von_neumann_povm
 from measrep.subroutines import CloningBasis, cloning_error_rate
 from oracles import (
+    associated_channel_by_traces,
     binary_symmetric_channel,
     blahut_arimoto_wrapped,
     block_protocol_statevector_distribution,
@@ -32,6 +33,7 @@ from oracles import (
     exact_ml_error_by_strings,
     random_decode_full_table,
     random_decode_strided_gather,
+    random_povm,
     repetition_decode_gather,
 )
 
@@ -70,12 +72,13 @@ def test_associated_channel_vn_identity():
     assert np.allclose(channel.matrix, np.eye(3), atol=1e-12)
 
 
-def test_associated_channel_custom_states():
-    plus = np.array([1.0, 1.0]) / math.sqrt(2)
-    rho = np.outer(plus, plus)
-    channel = associated_channel(trine_povm(), states=[rho, rho])
-    expected = trine_povm().probabilities(rho)
-    assert np.allclose(channel.matrix[0], expected, atol=1e-12)
+@settings(max_examples=100)
+@given(d=st.integers(2, 5), m=st.integers(2, 5), seed=st.integers(0, 2**32 - 1))
+def test_associated_channel_matches_the_trace_formula(d, m, seed):
+    povm = random_povm(d, m, Rng(seed))
+    ref = associated_channel_by_traces(povm).matrix
+    assert np.array_equal(associated_channel(povm).matrix.view(np.uint64),
+                          ref.view(np.uint64))
 
 
 def test_mutual_information_extremes():
@@ -351,6 +354,18 @@ def test_blahut_arimoto_matches_the_wrapped_iteration(channel, tol):
             == capacity_or_bounds(blahut_arimoto_wrapped, channel, tol))
 
 
+@settings(max_examples=200)
+@given(seed=seeds, d=st.integers(2, 3), m=st.integers(2, 4))
+def test_capacity_is_the_mutual_information_at_its_input(seed, d, m):
+    # one divergence formula serves both, so the lower bound is the same bits
+    channel = random_channel(seed, d, m, zeros=True, mirror=False)
+    try:
+        cap = blahut_arimoto(channel, tol=1e-8, max_iter=2000)
+    except NotConverged:
+        assume(False)
+    assert cap.capacity == mutual_information(cap.p_x, channel)
+
+
 @settings(max_examples=60)
 @given(channel=channels, trials=st.integers(0, 500), n=st.integers(1, 12), seed=seeds)
 def test_channel_sample_matches_the_broadcast_comparison(channel, trials, n, seed):
@@ -527,7 +542,7 @@ def test_cloning_error_exact_and_sampled_agree(channel, n_uses, seed):
     table = channel.matrix
     povm = Povm(tuple(np.diag(table[:, a]) for a in range(table.shape[1])))
     basis = CloningBasis(states=tuple(np.eye(table.shape[0])), table=table)
-    exact = cloning_error_rate(povm, basis, n_uses)
+    exact = cloning_error_rate(basis, n_uses)
     trials = 20_000
     sampled = cloning_error_rate_sampled(basis, n_uses, trials=trials, rng=Rng(seed))
     # standard deviation of the sampled average under the exact rates,

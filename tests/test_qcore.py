@@ -19,7 +19,6 @@ from measrep.qcore import (
     Rng,
     dagger,
     degenerate_qutrit_povm,
-    density,
     haar_states,
     hermitian_eig,
     identity,
@@ -60,12 +59,12 @@ def test_trine_element_zero():
     assert np.allclose(t.elements[0], np.diag([2 / 3, 0]), atol=1e-14)
 
 
-def test_povm_probabilities_sum_to_one():
+def test_povm_table_rows_sum_to_one():
     t = trine_povm()
-    psi = haar_state(2, Rng(3))
-    probs = t.probabilities(density(psi))
-    assert probs.min() >= -1e-14
-    assert abs(probs.sum() - 1.0) < 1e-12
+    table = t.table([haar_state(2, Rng(3)), haar_state(2, Rng(4))])
+    assert table.shape == (2, 3)
+    assert table.min() >= -1e-14
+    assert np.all(np.abs(table.sum(axis=1) - 1.0) < 1e-12)
 
 
 def test_validate_rejects_incomplete():

@@ -99,9 +99,9 @@ def test_monte_carlo_squares_match_the_einsum_on_haar_states(d, m, samples,
     estimate = rms._estimate_from_squares
     seen = []
 
-    def keep(sq, s):
+    def keep(sq):
         seen.append(sq.copy())
-        return estimate(sq, s)
+        return estimate(sq)
 
     rng, ref_rng = Rng(seed, 2), Rng(seed, 2)
     with pytest.MonkeyPatch.context() as mp:
@@ -111,7 +111,7 @@ def test_monte_carlo_squares_match_the_einsum_on_haar_states(d, m, samples,
     ref = rms_squares_einsum(impl, target, samples, ref_rng)
     assert seen[0].shape == (samples,)
     assert np.max(np.abs(seen[0] - ref)) <= 1e-14
-    assert est == estimate(seen[0], seed)
+    assert est == estimate(seen[0])
     assert rng.generator.random() == ref_rng.generator.random()
 
 

@@ -140,7 +140,7 @@ def test_ml_decode_majority():
     # rows (0.2, 0.8) and (0, 1): a single outcome 0 rules out state 1
     # against the majority, so only the all-ones string decodes to 1
     povm = noisy_z_povm(0.2, 1.0)
-    err = cloning_error_rate(povm, select_cloning_basis(povm), 3)
+    err = cloning_error_rate(select_cloning_basis(povm), 3)
     assert err.per_state[0] == pytest.approx(0.8**3, abs=1e-15)
     assert err.per_state[1] == 0.0
     # identical rows: every count vector ties and goes to index 0
@@ -151,7 +151,7 @@ def test_ml_decode_majority():
 def test_ml_decode_undecodable():
     # the count vector (1, 1) has zero likelihood under both rows
     povm = von_neumann_povm(2)
-    err = cloning_error_rate(povm, select_cloning_basis(povm), 2)
+    err = cloning_error_rate(select_cloning_basis(povm), 2)
     assert err.undecodable == 1
     assert np.array_equal(err.per_state, [0.0, 0.0])
 
@@ -166,14 +166,14 @@ def test_cloning_exact_equals_repetition_error():
         basis = select_cloning_basis(povm)
         channel = ClassicalChannel(basis.table)
         for n in (1, 3, 7, 20):
-            err = cloning_error_rate(povm, basis, n)
+            err = cloning_error_rate(basis, n)
             assert np.array_equal(err.per_state, exact_repetition_error(channel, n))
 
 
 def test_cloning_exact_trine_values():
     basis = select_cloning_basis(trine_povm())
     for n in (1, 2, 5):
-        err = cloning_error_rate(trine_povm(), basis, n)
+        err = cloning_error_rate(basis, n)
         assert err.per_state[0] == pytest.approx(3.0**-n, abs=1e-14)
         assert err.per_state[1] == pytest.approx(0.0, abs=1e-14)
         assert err.average == pytest.approx(0.5 * 3.0**-n, abs=1e-14)
@@ -181,7 +181,7 @@ def test_cloning_exact_trine_values():
 
 def test_cloning_exact_matches_sampled():
     basis = select_cloning_basis(trine_povm())
-    exact = cloning_error_rate(trine_povm(), basis, 3)
+    exact = cloning_error_rate(basis, 3)
     sampled = cloning_error_rate_sampled(basis, 3, trials=50_000, rng=Rng(12))
     assert abs(sampled.average - exact.average) < 3 * sampled.standard_error + 1e-3
 
@@ -196,14 +196,14 @@ def test_cloning_sampled_reproducible():
 def test_cloning_exact_size_cap():
     basis = select_cloning_basis(trine_povm())
     with pytest.raises(TooLarge):
-        cloning_error_rate(trine_povm(), basis, 10**6)
+        cloning_error_rate(basis, 10**6)
 
 
 def test_cloning_degenerate_qutrit_decays():
     povm = degenerate_qutrit_povm()
     basis = select_cloning_basis(povm)
     errs = [
-        cloning_error_rate(povm, basis, n).average
+        cloning_error_rate(basis, n).average
         for n in (2, 6, 10)
     ]
     assert errs[0] > errs[1] > errs[2]
@@ -250,6 +250,6 @@ def test_cloning_error_tracks_chernoff_exponent():
     basis = select_cloning_basis(trine_povm())
     xi = chernoff_information(basis.table[0], basis.table[1])
     for n in (5, 10):
-        err = cloning_error_rate(trine_povm(), basis, n)
+        err = cloning_error_rate(basis, n)
         assert err.average <= math.exp(-n * xi) * 5
         assert err.average >= math.exp(-n * xi) / 5

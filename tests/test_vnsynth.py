@@ -52,14 +52,14 @@ from oracles import (
 
 def test_partition_povm_completeness():
     trine = trine_povm()
-    proto = build_partition_povm(trine, 2, lambda s: 0 if 0 in s else 1, 2)
+    proto = build_partition_povm(trine, 2, lambda s: 0 if 0 in s else 1)
     total = sum(proto.coarse)
     assert np.allclose(total, identity(4), atol=1e-12)
 
 
 def test_partition_povm_two_use_spectrum():
     trine = trine_povm()
-    proto = build_partition_povm(trine, 2, lambda s: 0 if 0 in s else 1, 2)
+    proto = build_partition_povm(trine, 2, lambda s: 0 if 0 in s else 1)
     evals, _ = qcore.hermitian_eig(proto.coarse[0])
     assert np.allclose(evals, [8 / 9, 2 / 3, 2 / 3, 0.0], atol=1e-12)
 
@@ -67,21 +67,23 @@ def test_partition_povm_two_use_spectrum():
 def test_partition_povm_sequence_assignment():
     trine = trine_povm()
     bits = [0 if 0 in s else 1 for s in itertools.product(range(3), repeat=2)]
-    proto = build_partition_povm(trine, 2, bits, 2)
+    proto = build_partition_povm(trine, 2, bits)
     assert proto.assignment == tuple(bits)
 
 
 def test_partition_povm_bad_assignment():
     trine = trine_povm()
     with pytest.raises(ShapeMismatch):
-        build_partition_povm(trine, 1, [0, 1], 2)
-    with pytest.raises(ShapeMismatch):
-        build_partition_povm(trine, 1, [0, 1, 5], 2)
+        build_partition_povm(trine, 1, [0, 1])
+    # protocols are binary: a target outcome of 2 is out of range too
+    for f in ([0, 1, 5], [0, 1, 2], lambda s: 2 if s == (2,) else 0):
+        with pytest.raises(ShapeMismatch, match="assignment values must be 0 or 1"):
+            build_partition_povm(trine, 1, f)
 
 
 @pytest.mark.parametrize("n_uses", [0, -1])
 @pytest.mark.parametrize("build", [
-    lambda n: build_partition_povm(trine_povm(), n, lambda s: 0, 2),
+    lambda n: build_partition_povm(trine_povm(), n, lambda s: 0),
     lambda n: synthesize(trine_povm(), n, Rng(0)),
 ])
 def test_fewer_than_one_use_is_rejected(build, n_uses):
@@ -95,16 +97,14 @@ def same_bits(a, b):
 
 @settings(max_examples=40)
 @given(dim=st.integers(2, 3), ranks=st.lists(st.integers(1, 3), min_size=2, max_size=4),
-       n_uses=st.integers(1, 5), m_target=st.integers(2, 3),
-       seed=st.integers(0, 2**32 - 1))
-def test_streamed_partition_povm_matches_the_tensor_list(dim, ranks, n_uses, m_target,
-                                                         seed):
+       n_uses=st.integers(1, 5), seed=st.integers(0, 2**32 - 1))
+def test_streamed_partition_povm_matches_the_tensor_list(dim, ranks, n_uses, seed):
     assume(sum(ranks) >= dim and max(ranks) <= dim)
     assume(dim**n_uses <= 243 and len(ranks) ** n_uses <= 256)
     povm = random_povm_of_ranks(dim, ranks, Rng(seed))
-    assignment = Rng(seed, 1).generator.integers(0, m_target, size=len(ranks) ** n_uses)
-    proto = build_partition_povm(povm, n_uses, assignment, m_target)
-    ref = partition_povm_from_list(povm, n_uses, assignment, m_target)
+    assignment = Rng(seed, 1).generator.integers(0, 2, size=len(ranks) ** n_uses)
+    proto = build_partition_povm(povm, n_uses, assignment)
+    ref = partition_povm_from_list(povm, n_uses, assignment)
     assert all(same_bits(q, r) for q, r in zip(proto.coarse, ref, strict=True))
 
 
@@ -112,7 +112,7 @@ def test_partition_povm_holds_no_list_of_string_tensors():
     # 729 tensors of 64 x 64 would take 48 MB
     tracemalloc.start()
     try:
-        build_partition_povm(trine_povm(), 6, lambda s: 0 if 0 in s else 1, 2)
+        build_partition_povm(trine_povm(), 6, lambda s: 0 if 0 in s else 1)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -243,7 +243,7 @@ def test_flat_box_minimiser_matches_the_candidate_loop_on_edge_boxes(lo, hi):
 
 
 def test_construct_states_two_use_inspace():
-    proto = build_partition_povm(trine_povm(), 2, lambda s: 0 if 0 in s else 1, 2)
+    proto = build_partition_povm(trine_povm(), 2, lambda s: 0 if 0 in s else 1)
     prep = construct_states(proto, (8 / 9, 1 / 18))
     assert prep.ancilla_qubits == 0
     u0, u1 = prep.states
@@ -256,7 +256,7 @@ def test_construct_states_two_use_inspace():
 def test_construct_states_ancilla_route():
     # single use: only two eigenvectors exist, so the second state needs
     # the ancilla tag
-    proto = build_partition_povm(trine_povm(), 1, lambda s: 0 if s[0] == 0 else 1, 2)
+    proto = build_partition_povm(trine_povm(), 1, lambda s: 0 if s[0] == 0 else 1)
     prep = construct_states(proto, (2 / 3, 1 / 6))
     assert prep.ancilla_qubits == 1
     u0, u1 = prep.states
@@ -267,7 +267,7 @@ def test_construct_states_ancilla_route():
 
 
 def test_construct_states_unachievable():
-    proto = build_partition_povm(trine_povm(), 1, lambda s: 0 if s[0] == 0 else 1, 2)
+    proto = build_partition_povm(trine_povm(), 1, lambda s: 0 if s[0] == 0 else 1)
     with pytest.raises(Unachievable):
         construct_states(proto, (0.9, 0.1))  # above lambda_max = 2/3
 
@@ -435,7 +435,7 @@ def test_commuting_protocol_on_spectra_implements_the_qp_error(seed, case):
     proto = syn.protocol
     assert proto.spectra is not None
     # the eigenvalues construct_states reads off q_0 against the dense Q_0's
-    dense = partition_povm_from_list(povm, n_uses, proto.assignment, 2)
+    dense = partition_povm_from_list(povm, n_uses, proto.assignment)
     evals, _ = qcore.hermitian_eig(dense[0])
     assert np.abs(np.sort(proto.spectra[0])[::-1] - evals).max() <= 1e-14
     u0, u1 = syn.prep.states
@@ -508,10 +508,10 @@ def test_protocols_check_their_coarse_elements_against_the_byte_budget():
     for povm, size in ((qcore.noisy_z_povm(0.9, 0.8), 2 * 8 * 8),
                        (trine_povm(), 2 * 64 * 16)):
         with mock.patch.object(qcore, "_BYTE_BUDGET", size):
-            build_partition_povm(povm, 3, lambda s: s[0] % 2, 2)
+            build_partition_povm(povm, 3, lambda s: s[0] % 2)
         with mock.patch.object(qcore, "_BYTE_BUDGET", size - 1):
             with pytest.raises(TooLarge, match=f"coarse .*would take {size} bytes"):
-                build_partition_povm(povm, 3, lambda s: s[0] % 2, 2)
+                build_partition_povm(povm, 3, lambda s: s[0] % 2)
 
 
 @pytest.mark.parametrize("povm, n_uses, message", [
@@ -525,7 +525,7 @@ def test_partition_povm_checks_its_coarse_bytes_before_calling_f(povm, n_uses,
                                                                  message):
     calls = []
     with pytest.raises(TooLarge, match=message):
-        build_partition_povm(povm, n_uses, lambda s: calls.append(s) or 0, 2)
+        build_partition_povm(povm, n_uses, lambda s: calls.append(s) or 0)
     assert calls == []
 
 
@@ -748,7 +748,7 @@ def test_a_huge_use_count_fails_before_m_to_the_n_is_computed(n_uses):
     with pytest.raises(TooLarge, match=message):
         synthesize(trine_povm(), n_uses, Rng(0))
     with pytest.raises(TooLarge, match=message):
-        build_partition_povm(trine_povm(), n_uses, lambda s: 0, 2)
+        build_partition_povm(trine_povm(), n_uses, lambda s: 0)
 
 
 @pytest.mark.parametrize("povm, n_uses", [
