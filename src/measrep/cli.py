@@ -22,8 +22,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from . import coding, io, qcore, rms, subroutines, vnsynth
-from .errors import (InvalidMeasurement, MalformedName, MeasrepError,
-                     ShapeMismatch, TooFewSamples)
+from .errors import MalformedName, MeasrepError, ShapeMismatch, TooFewSamples
 from .qcore import Rng
 
 _QUBIT_VN = qcore.von_neumann_povm(2)
@@ -97,18 +96,13 @@ def _print_report(report: RunReport, args) -> None:
 
 
 def _cmd_validate(args, report: RunReport) -> None:
-    try:
-        obj, rep = io.load_with_report(args.measurement)
-    except InvalidMeasurement as exc:
-        if exc.report is None:
-            raise
-        rep = exc.report
-    else:
-        if isinstance(obj, qcore.Instrument):
-            defect = obj.normalization_defect()
-            report.add("normalization_defect", defect,
-                       ok=defect <= qcore.NORMALIZATION_ATOL)
-            return
+    obj = io.read_measurement(args.measurement)
+    if isinstance(obj, qcore.Instrument):
+        defect = obj.normalization_defect()
+        report.add("normalization_defect", defect,
+                   ok=defect <= qcore.NORMALIZATION_ATOL)
+        return
+    rep = qcore.validate_povm(obj)
     report.add("completeness_defect", rep.completeness_defect, ok=rep.ok)
     for a, lo in enumerate(rep.min_eigenvalues):
         report.add(f"min_eigenvalue[{a}]", lo)
@@ -259,8 +253,13 @@ def _paper_rows(trine: qcore.Povm, samples: int, rng: Rng):
     yield "two_use_x_star", sol2.x_star, 8.0 / 9.0, 1e-12, None
     yield "two_use_y_star", sol2.y_star, 1.0 / 18.0, 1e-12, None
 
-    # spectrum of the two-use coarse element for outcome 0
-    evals, _ = qcore.hermitian_eig(proto2.coarse[0])
+    # spectrum of the two-use coarse element for outcome 0: the sum, in
+    # lexicographic order, of the string tensors M_a x M_b with a zero
+    tensors = [[qcore.tensor(e1, e2) for e2 in trine.elements]
+               for e1 in trine.elements]
+    outcomes = range(trine.outcomes)
+    q0 = sum(tensors[a][b] for a in outcomes for b in outcomes if 0 in (a, b))
+    evals, _ = qcore.hermitian_eig(q0)
     for val, ref in zip(evals, (8.0 / 9.0, 2.0 / 3.0, 2.0 / 3.0, 0.0)):
         yield f"two_use_Q0_eigenvalue_{_fmt(ref)}", val, ref, 1e-10, None
 
@@ -313,8 +312,7 @@ def _paper_rows(trine: qcore.Povm, samples: int, rng: Rng):
     other = same * [[1.0, -1.0], [-1.0, 1.0]]
     ref = np.array([[c0, c1, c1], [c1, same, other], [c1, other, same]])
     span = np.ix_([0, 3], [0, 3])
-    joint = np.array([[qcore.tensor(e1, e2)[span] for e2 in trine.elements]
-                      for e1 in trine.elements])
+    joint = np.array([[t[span] for t in row] for row in tensors])
     yield ("two_use_joint_distribution_deviation", _table_deviation(joint, ref),
            0.0, 1e-10, None)
 

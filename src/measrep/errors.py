@@ -59,8 +59,4 @@ class MalformedName(MeasrepError):
 
 
 class InvalidMeasurement(MeasrepError):
-    """Parsed measurement failed validation; carries the violation report."""
-
-    def __init__(self, message, report=None):
-        super().__init__(message)
-        self.report = report
+    """Parsed measurement failed validation."""

@@ -83,15 +83,6 @@ def _builtin(name: str):
     return None
 
 
-def _validated(povm: Povm, source: str) -> tuple:
-    report = qcore.validate_povm(povm)
-    if not report.ok:
-        raise InvalidMeasurement(
-            f"{source}: " + "; ".join(report.violations), report=report
-        )
-    return povm, report
-
-
 def _build(cls, parts, source: str):
     """``cls(parts)``, with the source named in a construction error."""
     try:
@@ -100,27 +91,17 @@ def _build(cls, parts, source: str):
         raise type(exc)(f"{source}: {exc}") from exc
 
 
-def load_measurement(path_or_name: str) -> Union[Povm, Instrument]:
-    """Load a measurement from a JSON file or a built-in name.
+def read_measurement(path_or_name: str) -> Union[Povm, Instrument]:
+    """Parse a measurement from a JSON file or a built-in name, without
+    validating it.
 
-    Built-ins: "trine", "noisy-z:p,q", "vn:d", "degenerate-qutrit".
-    POVMs, built-in or from a file, are validated on load; a failing one
-    is rejected with the validation report attached. A built-in name
-    whose parameters do not parse, or a name that is neither a file nor
-    a built-in, raises ``MalformedName``.
-    """
-    return load_with_report(path_or_name)[0]
-
-
-def load_with_report(path_or_name: str) -> tuple:
-    """``load_measurement``, also returning a POVM's validation report.
-
-    Returns ``(measurement, report)``; the report is None for an
-    instrument, whose check is its Kraus normalisation.
+    Built-ins: "trine", "noisy-z:p,q", "vn:d", "degenerate-qutrit". A
+    built-in name whose parameters do not parse, or a name that is
+    neither a file nor a built-in, raises ``MalformedName``.
     """
     builtin = _builtin(str(path_or_name))
     if builtin is not None:
-        return _validated(builtin, str(path_or_name))
+        return builtin
     p = Path(path_or_name)
     if not p.exists():
         raise MalformedName(f"no such file or built-in: {path_or_name!r}")
@@ -144,7 +125,7 @@ def load_with_report(path_or_name: str) -> tuple:
         mats = [_matrix_from_json(e, f"element {a}") for a, e in enumerate(elements)]
         if any(m.shape != (dim, dim) for m in mats):
             raise MalformedFile(f"{path_or_name}: element shape != ({dim}, {dim})")
-        return _validated(_build(Povm, mats, path_or_name), path_or_name)
+        return _build(Povm, mats, path_or_name)
     if kind == "instrument":
         groups = []
         for a, group in enumerate(elements):
@@ -159,15 +140,25 @@ def load_with_report(path_or_name: str) -> tuple:
         inst = _build(Instrument, groups, path_or_name)
         if inst.dim_in != dim:
             raise MalformedFile(f"{path_or_name}: Kraus input dim != {dim}")
-        defect = inst.normalization_defect()
-        if defect > qcore.NORMALIZATION_ATOL:
-            report = qcore.validate_povm(qcore.induced_povm(inst))
-            raise InvalidMeasurement(
-                f"{path_or_name}: Kraus normalisation defect {defect:.3e}",
-                report=report,
-            )
-        return inst, None
+        return inst
     raise MalformedFile(f"{path_or_name}: unknown kind {kind!r}")
+
+
+def load_measurement(path_or_name: str) -> Union[Povm, Instrument]:
+    """``read_measurement``, then validated: a POVM by ``validate_povm``,
+    an instrument by its Kraus normalisation. A failing one raises
+    ``InvalidMeasurement`` naming its violations."""
+    obj = read_measurement(path_or_name)
+    if isinstance(obj, Instrument):
+        defect = obj.normalization_defect()
+        if defect > qcore.NORMALIZATION_ATOL:
+            raise InvalidMeasurement(
+                f"{path_or_name}: Kraus normalisation defect {defect:.3e}")
+        return obj
+    report = qcore.validate_povm(obj)
+    if not report.ok:
+        raise InvalidMeasurement(f"{path_or_name}: " + "; ".join(report.violations))
+    return obj
 
 
 def load_povm(path_or_name: str) -> Povm:

@@ -27,8 +27,7 @@ for a block of neighbours in one vector pass, and both searches solve
 each distinct clamped eigenvalue box once, from a per-search memo, as
 many partitions share one. The protocol keeps its coarse elements as
 such vectors too, and its prepared states and implemented POVM are
-built from them and U: no d^N x d^N operator is formed unless a caller
-reads ``PartitionProtocol.coarse``.
+built from them and U: no d^N x d^N operator is formed.
 """
 
 from __future__ import annotations
@@ -73,52 +72,35 @@ class PartitionProtocol:
     """Binary outcome-string partition plus the two-outcome coarse-grained
     POVM it induces.
 
-    When the available elements commute, ``basis`` is U and ``spectra``
-    holds each coarse element Q_a as its real d^N eigenvalue vector q_a,
-    so that Q_a = U^(x N) diag(q_a) U^(x N)^dagger; both are None otherwise.
+    ``coarse`` holds Q_0 and Q_1. When the available elements commute,
+    ``basis`` is U and each Q_a is held as its real d^N eigenvalue vector
+    q_a, so that Q_a = U^(x N) diag(q_a) U^(x N)^dagger; otherwise
+    ``basis`` is None and they are the D x D operators.
     """
 
-    available: Povm
     n_uses: int
     assignment: tuple  # target outcome, 0 or 1, per lexicographic outcome string
+    coarse: tuple
     basis: Optional[np.ndarray] = None
-    spectra: Optional[tuple] = None
-
-    @functools.cached_property
-    def coarse(self) -> tuple:
-        """Q_a operators on the N-fold space, summed from the string tensors.
-
-        Each tensor is added into its coarse element as it is built, so
-        memory is O(N D^2) rather than m^N D^2. A protocol held on
-        spectra builds them only when this is first read.
-        """
-        _check_coarse_bytes(self.available, self.n_uses, False)
-        dim = self.available.dim**self.n_uses
-        coarse = [np.zeros((dim, dim), dtype=complex) for _ in range(2)]
-        strings = _string_products(self.available.elements, self.n_uses)
-        for t, v in zip(strings, self.assignment):
-            coarse[v] += t
-        return tuple(coarse)
 
 
-def _check_coarse_bytes(available, n_uses, on_spectra) -> None:
-    """Raise ``TooLarge`` unless a protocol's two coarse elements fit the
-    byte budget: real d^N vectors on spectra, else D x D operators."""
-    if on_spectra:
-        qcore._check_bytes("the coarse spectra", 16, available.dim, n_uses)
-    else:
-        qcore._check_bytes("the dense coarse elements", 32, available.dim**2,
-                           n_uses)
+def _check_coarse_bytes(factors, n_uses) -> None:
+    """Raise ``TooLarge`` unless the two coarse elements summed from
+    ``factors``, N-fold products of the POVM elements or of their
+    eigenvalue vectors, fit the byte budget."""
+    qcore._check_bytes("the coarse elements", 2 * factors[0].itemsize,
+                       factors[0].size, n_uses)
 
 
 def _common_eigenbasis(available: Povm, n_uses: int):
-    """(U, spectra) when the elements commute for N uses, else (None, None).
+    """(U, factors): U and the eigenvalue vectors of the elements when
+    they commute for N uses, else (None, the elements).
 
     It first rejects a use count below 1 (``ShapeMismatch``) and an m^N
     whose assignment, 8 bytes a string, would pass the byte budget
     (``TooLarge``), so N is bounded before any caller computes m^N.
     U diagonalises the fixed combination sum_a (a + 1) M_a, and
-    spectra[a] is the real diagonal of U^dagger M_a U. The elements count
+    factors[a] is the real diagonal of U^dagger M_a U. The elements count
     as commuting when N * sum_a ||E_a||_2 <= ``_TIE_WINDOW``, E_a the
     off-diagonal part of U^dagger M_a U; ``_search_terms`` shows what
     that bound guarantees.
@@ -132,7 +114,7 @@ def _common_eigenbasis(available: Povm, n_uses: int):
     rotated = [dagger(u) @ e @ u for e in available.elements]
     off = sum(np.linalg.norm(r - np.diag(np.diag(r)), 2) for r in rotated)
     if not n_uses * off <= _TIE_WINDOW:
-        return None, None
+        return None, available.elements
     return u, [np.diag(r).real.copy() for r in rotated]
 
 
@@ -178,13 +160,12 @@ def build_partition_povm(
     """Coarse-grain N parallel uses of ``available`` through the map f,
     which sends each outcome string to target outcome 0 or 1.
 
-    Commuting elements give a protocol held on spectra: each coarse
-    element is summed as a d^N vector, string by string. Otherwise the
-    dense Q_a are summed at once (``PartitionProtocol.coarse``). Their
-    bytes are checked before f is called on any string.
+    Each coarse element is summed string by string: as a d^N vector
+    when the elements commute, else as a D x D operator. Their bytes are
+    checked before f is called on any string.
     """
     common = _common_eigenbasis(available, n_uses)
-    _check_coarse_bytes(available, n_uses, common[0] is not None)
+    _check_coarse_bytes(common[1], n_uses)
     n_strings = available.outcomes**n_uses
     if callable(f):
         f = map(f, itertools.product(range(available.outcomes), repeat=n_uses))
@@ -199,17 +180,18 @@ def build_partition_povm(
 
 def _partition_protocol(available, n_uses, assignment, common):
     """``build_partition_povm`` for a checked assignment (a tuple of 0s
-    and 1s) and the ``_common_eigenbasis`` of ``available`` at ``n_uses``."""
-    u, spectra = common
-    if u is None:
-        protocol = PartitionProtocol(available, n_uses, assignment)
-        protocol.coarse  # a dense protocol is summed here, not on first read
-        return protocol
-    _check_coarse_bytes(available, n_uses, True)
-    q = [np.zeros(available.dim**n_uses) for _ in range(2)]
-    for t, v in zip(_string_products(spectra, n_uses), assignment):
-        q[v] += t
-    return PartitionProtocol(available, n_uses, assignment, u, tuple(q))
+    and 1s) and the ``_common_eigenbasis`` of ``available`` at ``n_uses``.
+
+    Each string product is added into its coarse element as it is built,
+    so memory is O(N D^2) rather than m^N D^2.
+    """
+    basis, factors = common
+    _check_coarse_bytes(factors, n_uses)
+    shape = (available.dim**n_uses,) * factors[0].ndim
+    coarse = [np.zeros(shape, factors[0].dtype) for _ in range(2)]
+    for t, v in zip(_string_products(factors, n_uses), assignment):
+        coarse[v] += t
+    return PartitionProtocol(n_uses, assignment, tuple(coarse), basis)
 
 
 # ---------------------------------------------------------------------------
@@ -358,21 +340,21 @@ def construct_states(protocol: PartitionProtocol, targets) -> StatePrep:
     that fails a single unmeasured ancilla qubit tags the states |u_i>|i>
     to restore orthogonality.
 
-    A protocol held on spectra takes its eigenvalues as q_0 sorted
+    A protocol with a ``basis`` takes its eigenvalues as q_0 sorted
     descending, ties in index order, and builds an eigenvector only when
     it is used: the Kronecker product of the columns of U that the
     product-basis index picks.
     """
     x, y = float(targets[0]), float(targets[1])
-    if protocol.spectra is None:
+    u = protocol.basis
+    if u is None:
         evals, evecs = qcore.hermitian_eig(protocol.coarse[0])
 
         def column(j):
             return evecs[:, j]
     else:
-        u = protocol.basis
-        order = np.argsort(-protocol.spectra[0], kind="stable")
-        evals = protocol.spectra[0][order]
+        order = np.argsort(-protocol.coarse[0], kind="stable")
+        evals = protocol.coarse[0][order]
 
         def column(j):
             # the base-d digits of the product-basis index, most
@@ -409,14 +391,14 @@ def construct_states(protocol: PartitionProtocol, targets) -> StatePrep:
 def implemented_povm(prep: StatePrep, protocol: PartitionProtocol) -> Povm:
     """Effective POVM on the original system, via the prepared-state isometry.
 
-    For a protocol held on spectra the states V are rotated into the
+    For a protocol with a ``basis`` the states V are rotated into the
     eigenbasis, V' = ((U^dagger)^(x N) x I) V, one tensor factor at a time,
     and element a is V'^dagger diag(q_a x 1) V'.
     """
     anc = 2**prep.ancilla_qubits
     vmat = np.column_stack(prep.states)
-    if protocol.spectra is not None:
-        if protocol.spectra[0].size * anc != vmat.shape[0]:
+    if protocol.basis is not None:
+        if protocol.coarse[0].size * anc != vmat.shape[0]:
             raise ShapeMismatch("state and coarse POVM dimensions disagree")
         u_dag = dagger(protocol.basis)
         d = u_dag.shape[0]
@@ -424,7 +406,7 @@ def implemented_povm(prep: StatePrep, protocol: PartitionProtocol) -> Povm:
         for k in range(protocol.n_uses):
             rot = (u_dag @ rot.reshape(d**k, d, -1)).reshape(vmat.shape)
         return Povm(tuple(dagger(rot) @ (np.repeat(q, anc)[:, None] * rot)
-                          for q in protocol.spectra))
+                          for q in protocol.coarse))
     elems = []
     for q in protocol.coarse:
         big = tensor(q, identity(anc)) if anc > 1 else q
@@ -486,8 +468,7 @@ def _search_terms(available: Povm, n_uses: int, common=None) -> np.ndarray:
     N = 3, 4 for two-outcome qutrit and ququart POVMs normalised through
     S^(-1/2), which sum to the identity within about 1e-13.
     """
-    u, spectra = common if common is not None else _common_eigenbasis(available, n_uses)
-    factors = available.elements if u is None else spectra
+    u, factors = common if common is not None else _common_eigenbasis(available, n_uses)
     qcore._check_bytes(f"search terms of {available.outcomes}^{n_uses} strings",
                        factors[0].itemsize, available.outcomes * factors[0].size,
                        n_uses)
@@ -505,7 +486,9 @@ def _search_terms(available: Povm, n_uses: int, common=None) -> np.ndarray:
 # but without the wrapper, which costs about as much again on a 4 x 4
 # matrix. The eigenvalues are the same bits, ascending. It skips the
 # wrapper's errstate, so a matrix LAPACK fails on gives NaN eigenvalues
-# instead of a LinAlgError; every caller checks for them.
+# instead of a LinAlgError; every caller checks for them. The gufunc also
+# flags them as an invalid value, which numpy would print as a warning,
+# so each search ignores that flag for its whole run.
 _eigvalsh = np.linalg._umath_linalg.eigvalsh_lo
 
 
@@ -546,6 +529,7 @@ def _score(lo: float, hi: float, memo: Optional[dict] = None) -> tuple:
     return eps, lam_min, lam_max
 
 
+@np.errstate(invalid="ignore")  # failed eigensolves raise NotConverged
 def exhaustive_search(available: Povm, n_uses: int):
     """Global optimum over all deterministic binary partitions.
 
@@ -614,6 +598,7 @@ def exhaustive_search(available: Povm, n_uses: int):
     )
 
 
+@np.errstate(invalid="ignore")  # failed eigensolves raise NotConverged
 def hill_climb_search(
     available: Povm,
     n_uses: int,
@@ -792,8 +777,6 @@ def trine_optimal_protocol(
 
 @dataclass(frozen=True)
 class NoisyZParams:
-    p: float
-    q: float
     region: str  # rotate-zero | trivial | rotate-one
     gamma: Optional[float]
 
@@ -803,11 +786,11 @@ def classify_noisy_z(p: float, q: float) -> NoisyZParams:
         raise InvalidBounds(f"(p, q) = ({p}, {q}) outside (1/2, 1]")
     if p > (1.0 + q) / 2.0:
         gamma = math.sqrt((3.0 * q - 1.0) / (2.0 * (p + q - 1.0)))
-        return NoisyZParams(p, q, "rotate-zero", gamma)
+        return NoisyZParams("rotate-zero", gamma)
     if q > (1.0 + p) / 2.0:
         gamma = math.sqrt((3.0 * p - 1.0) / (2.0 * (p + q - 1.0)))
-        return NoisyZParams(p, q, "rotate-one", gamma)
-    return NoisyZParams(p, q, "trivial", None)
+        return NoisyZParams("rotate-one", gamma)
+    return NoisyZParams("trivial", None)
 
 
 def noisy_z_optimal(p: float, q: float) -> SynthesizedProtocol:

@@ -1,3 +1,4 @@
+import itertools
 import json
 import os
 import subprocess
@@ -12,6 +13,7 @@ import pytest
 from measrep import cli, io, qcore, rms, vnsynth
 from oracles import (
     nan_povm_file,
+    partition_povm_from_list,
     postmeas_deviations_per_state,
     random_instrument,
     random_povm,
@@ -63,6 +65,18 @@ def test_validate_checks_a_povm_once(monkeypatch, capsys, name, exit_code):
     assert code == exit_code
     assert "completeness_defect" in out
     assert len(calls) == 1
+
+
+def test_validate_invalid_instrument_shows_its_normalization_defect(tmp_path, capsys):
+    inst = qcore.lueders_instrument(qcore.trine_povm())
+    scaled = qcore.Instrument(tuple(tuple(2 * k for k in g) for g in inst.kraus))
+    path = tmp_path / "scaled.json"
+    io.save_measurement(scaled, path)
+    code, doc = json_rows(capsys, "validate", str(path))
+    assert code == 1
+    assert doc["rows"] == [{"name": "normalization_defect",
+                            "value": scaled.normalization_defect(),
+                            "stderr": None, "status": "FAIL"}]
 
 
 def test_synth_invalid_builtin_fails_validation(capsys):
@@ -194,15 +208,20 @@ def test_search_beyond_the_terms_budget_fails_with_a_typed_error(capsys, command
     ("3", 3),  # hill climb: a start's Q_0, as a stack of one
     ("3", 2),  # hill climb: one neighbour
 ])
+@pytest.mark.filterwarnings("error")
 def test_eigensolver_failure_is_a_typed_error(monkeypatch, capsys, n_uses, fails_on):
-    # LAPACK reports a failed eigensolve as NaN eigenvalues
+    # LAPACK reports a failed eigensolve as NaN eigenvalues; the real
+    # gufunc, here on NaN input, also flags an invalid value, which numpy
+    # would print as a RuntimeWarning (here: raise) before the error
     solve = vnsynth._eigvalsh
-    monkeypatch.setattr(vnsynth, "_eigvalsh", lambda a, **kw: (
-        np.full(a.shape[:-1], np.nan) if a.ndim == fails_on else solve(a, **kw)))
-    assert cli.main(["synth", "trine", "--n", n_uses]) == 1
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == "error: eigenvalues did not converge\n"
+    for fail in (lambda a, **kw: np.full(a.shape[:-1], np.nan),
+                 lambda a, **kw: solve(np.full_like(a, np.nan), **kw)):
+        monkeypatch.setattr(vnsynth, "_eigvalsh", lambda a, **kw: (
+            fail(a, **kw) if a.ndim == fails_on else solve(a, **kw)))
+        assert cli.main(["synth", "trine", "--n", n_uses]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: eigenvalues did not converge\n"
 
 
 @pytest.mark.parametrize("k", ["17", "45", "70", "20000"])
@@ -353,6 +372,22 @@ def test_reproduce_paper_override_reaches_the_n_use_protocols(capsys):
         "single_use_element_deviation"
     ]:
         assert status[name] == "FAIL", name
+
+
+@pytest.mark.parametrize("override", [None, "noisy-z:0.9,0.8"])
+def test_two_use_q0_rows_are_the_no_zero_partitions_eigenvalues(capsys, override):
+    argv = ["reproduce-paper", "--samples", "2000"]
+    argv += ["--override", override] if override else []
+    _, doc = json_rows(capsys, *argv)
+    rows = [r["value"] for r in doc["rows"]
+            if r["name"].startswith("two_use_Q0_eigenvalue_")]
+    povm = io.load_povm(override) if override else qcore.trine_povm()
+    strings = itertools.product(range(povm.outcomes), repeat=2)
+    bits = [0 if 0 in s else 1 for s in strings]
+    q0 = partition_povm_from_list(povm, 2, bits)[0]
+    evals, _ = qcore.hermitian_eig(q0)
+    assert len(rows) == 4
+    assert np.array_equal(np.array(rows).view(np.uint64), evals.view(np.uint64))
 
 
 def test_cli_runs_without_scipy():

@@ -46,10 +46,9 @@ def test_incomplete_povm_rejected(tmp_path):
     scaled = Povm(tuple(0.9 * e for e in povm.elements))
     path = tmp_path / "bad.json"
     io.save_measurement(scaled, path)
-    with pytest.raises(InvalidMeasurement) as exc:
+    with pytest.raises(InvalidMeasurement,
+                       match=r"bad\.json: completeness defect 1\.414e-01$"):
         io.load_measurement(str(path))
-    assert exc.value.report is not None
-    assert not exc.value.report.ok
 
 
 def test_malformed_json(tmp_path):
@@ -101,10 +100,20 @@ def test_nan_entry_rejected(tmp_path):
 
 def test_invalid_builtin_rejected_with_report():
     # p = 1.5 puts an eigenvalue -0.5 in the second element
-    with pytest.raises(InvalidMeasurement) as exc:
+    with pytest.raises(InvalidMeasurement, match=r"^noisy-z:1\.5,0\.2: element 1: "
+                       r"negative eigenvalue -5\.000e-01$"):
         io.load_measurement("noisy-z:1.5,0.2")
-    assert not exc.value.report.ok
-    assert exc.value.report.min_eigenvalues[1] == pytest.approx(-0.5)
+
+
+def test_read_measurement_parses_without_validating(tmp_path):
+    assert isinstance(io.read_measurement("noisy-z:1.5,0.2"), Povm)
+    inst = qcore.lueders_instrument(qcore.trine_povm())
+    scaled = Instrument(tuple(tuple(2 * k for k in g) for g in inst.kraus))
+    io.save_measurement(scaled, tmp_path / "scaled.json")
+    back = io.read_measurement(str(tmp_path / "scaled.json"))
+    assert back.normalization_defect() > qcore.NORMALIZATION_ATOL
+    with pytest.raises(InvalidMeasurement, match="Kraus normalisation defect"):
+        io.load_measurement(str(tmp_path / "scaled.json"))
 
 
 def test_malformed_builtin_names():

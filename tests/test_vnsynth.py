@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 import tracemalloc
@@ -105,7 +106,19 @@ def test_streamed_partition_povm_matches_the_tensor_list(dim, ranks, n_uses, see
     assignment = Rng(seed, 1).generator.integers(0, 2, size=len(ranks) ** n_uses)
     proto = build_partition_povm(povm, n_uses, assignment)
     ref = partition_povm_from_list(povm, n_uses, assignment)
-    assert all(same_bits(q, r) for q, r in zip(proto.coarse, ref, strict=True))
+    if proto.basis is None:
+        assert all(same_bits(q, r) for q, r in zip(proto.coarse, ref, strict=True))
+        return
+    # commuting: q_a sums the search terms of its strings in order, and
+    # U^(x N) diag(q_a) U^(x N)^dagger is the dense Q_a
+    terms = vnsynth._search_terms(povm, n_uses)
+    sums = [np.zeros(terms.shape[1:]) for _ in range(2)]
+    for t, v in zip(terms, assignment, strict=True):
+        sums[v] += t
+    assert all(same_bits(q, r) for q, r in zip(proto.coarse, sums, strict=True))
+    u = functools.reduce(np.kron, [proto.basis] * n_uses)
+    for q, r in zip(proto.coarse, ref, strict=True):
+        assert np.abs(u @ np.diag(q) @ u.conj().T - r).max() <= 1e-12
 
 
 def test_partition_povm_holds_no_list_of_string_tensors():
@@ -433,11 +446,11 @@ def test_commuting_protocol_on_spectra_implements_the_qp_error(seed, case):
     povm = random_povm(d, 2, Rng(seed)) if m == 2 else lossy_povm(d, Rng(seed))
     syn = synthesize(povm, n_uses, Rng(seed))
     proto = syn.protocol
-    assert proto.spectra is not None
+    assert proto.basis is not None
     # the eigenvalues construct_states reads off q_0 against the dense Q_0's
     dense = partition_povm_from_list(povm, n_uses, proto.assignment)
     evals, _ = qcore.hermitian_eig(dense[0])
-    assert np.abs(np.sort(proto.spectra[0])[::-1] - evals).max() <= 1e-14
+    assert np.abs(np.sort(proto.coarse[0])[::-1] - evals).max() <= 1e-14
     u0, u1 = syn.prep.states
     gram = np.array([[np.vdot(a, b) for b in (u0, u1)] for a in (u0, u1)])
     assert np.abs(gram - np.eye(2)).max() <= 1e-12
@@ -455,7 +468,8 @@ def test_commuting_synthesis_builds_no_dense_operator():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert syn.protocol.spectra is not None
+    assert syn.protocol.basis is not None
+    assert syn.protocol.coarse[0].shape == (256,)
     assert peak < 2**20
 
 
@@ -467,7 +481,7 @@ def test_near_commuting_povm_takes_the_spectra_path():
     assert np.abs(sum(povm.elements) - identity(3)).max() > 5e-14
     assert vnsynth._search_terms(povm, 4)[0].ndim == 1
     syn = synthesize(povm, 4, Rng(169))
-    assert syn.protocol.spectra is not None
+    assert syn.protocol.basis is not None
     own = score_from_scratch(string_tensors(povm, 4), syn.protocol.assignment)
     assert abs(syn.solution.epsilon - own.epsilon) <= 1e-14
     impl = implemented_povm(syn.prep, syn.protocol)
@@ -496,10 +510,11 @@ def test_spectra_search_runs_past_the_dense_byte_budget():
     half = np.diag(np.linspace(0.0, 1.0, 257))
     povm = Povm((half, identity(257) - half))
     result = exhaustive_search(povm, 2)
-    assert result.protocol.spectra[0].shape == (257**2,)
-    with pytest.raises(TooLarge, match="dense coarse elements would take "
+    assert result.protocol.basis is not None
+    assert [q.shape for q in result.protocol.coarse] == [(257**2,)] * 2
+    with pytest.raises(TooLarge, match="coarse elements would take "
                        "139599052832 bytes, over the budget of 1073741824"):
-        result.protocol.coarse
+        vnsynth._check_coarse_bytes(povm.elements, 2)
 
 
 def test_protocols_check_their_coarse_elements_against_the_byte_budget():
@@ -514,17 +529,16 @@ def test_protocols_check_their_coarse_elements_against_the_byte_budget():
                 build_partition_povm(povm, 3, lambda s: s[0] % 2)
 
 
-@pytest.mark.parametrize("povm, n_uses, message", [
+@pytest.mark.parametrize("povm, n_uses, size", [
     # dense: two 2^14 x 2^14 complex elements, 8.6 GB
-    (trine_povm(), 14, "dense coarse elements would take 8589934592 bytes"),
-    # on spectra: two 2^27-entry vectors, 2 GiB; the 2^27-string
+    (trine_povm(), 14, 8589934592),
+    # commuting: two 2^27-entry vectors, 2 GiB; the 2^27-string
     # assignment alone (1 GiB) is within the budget
-    (qcore.noisy_z_povm(0.9, 0.8), 27, "coarse spectra would take 2147483648 bytes"),
+    (qcore.noisy_z_povm(0.9, 0.8), 27, 2147483648),
 ])
-def test_partition_povm_checks_its_coarse_bytes_before_calling_f(povm, n_uses,
-                                                                 message):
+def test_partition_povm_checks_its_coarse_bytes_before_calling_f(povm, n_uses, size):
     calls = []
-    with pytest.raises(TooLarge, match=message):
+    with pytest.raises(TooLarge, match=f"the coarse elements would take {size} bytes"):
         build_partition_povm(povm, n_uses, lambda s: calls.append(s) or 0)
     assert calls == []
 
@@ -604,7 +618,7 @@ def test_spectra_climb_checks_its_neighbour_block_against_the_byte_budget():
     terms = vnsynth._search_terms(povm, 3)
     assert isinstance(terms, np.ndarray) and terms.shape == (8, 8)
     with mock.patch.object(qcore, "_BYTE_BUDGET", 1024):
-        assert hill_climb_search(povm, 3, rng=Rng(0)).protocol.spectra is not None
+        assert hill_climb_search(povm, 3, rng=Rng(0)).protocol.basis is not None
     with mock.patch.object(qcore, "_BYTE_BUDGET", 1023):
         with pytest.raises(TooLarge, match="search terms and a block of their "
                            "neighbourhood would take 1024 bytes"):
@@ -762,7 +776,7 @@ def test_synthesis_finds_the_common_eigenbasis_once(povm, n_uses):
                            wraps=vnsynth._common_eigenbasis) as common:
         syn = synthesize(povm, n_uses, Rng(1))
     assert common.call_count == 1
-    assert (syn.protocol.spectra is None) == (povm.outcomes == 3)
+    assert (syn.protocol.basis is None) == (povm.outcomes == 3)
 
 
 @settings(max_examples=60)
