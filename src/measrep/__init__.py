@@ -52,7 +52,6 @@ from .vnsynth import (
     exhaustive_search,
     hill_climb_search,
     implemented_povm,
-    noisy_z_optimal,
     solve_box_quadratic_qubit,
     synthesize,
     trine_optimal_protocol,

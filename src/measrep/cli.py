@@ -267,7 +267,10 @@ def _paper_rows(trine: qcore.Povm, samples: int, rng: Rng):
     impls = []
     for n, syn in enumerate(syns, 1):
         yield f"optimal_error_n={n}", syn.solution.epsilon, 3.0**-n / 2.0, 1e-10, None
-        yield f"lambda_max_n={n}", syn.solution.lam_max, 1.0 - 3.0**-n, 1e-10, None
+        # the largest eigenvalue of the Q_0 the protocol holds
+        q0 = syn.protocol.coarse[0]
+        lam_max = np.linalg.eigvalsh(q0)[-1] if syn.protocol.basis is None else q0.max()
+        yield f"lambda_max_n={n}", float(lam_max), 1.0 - 3.0**-n, 1e-10, None
         impls.append(vnsynth.implemented_povm(syn.prep, syn.protocol))
         ref0 = np.diag([1.0 - 3.0**-n, 3.0**-n / 2.0]).astype(complex)
         dev = qcore.frobenius(impls[-1].elements[0] - ref0)
@@ -294,7 +297,7 @@ def _paper_rows(trine: qcore.Povm, samples: int, rng: Rng):
                1.0 if params.region == region else 0.0, 1.0, 1e-10, None)
     # gamma is the amplitude <00|u0> of the synthesized first state
     gamma = vnsynth.classify_noisy_z(0.95, 0.6).gamma
-    res = vnsynth.noisy_z_optimal(0.95, 0.6)
+    res = vnsynth.synthesize(qcore.noisy_z_povm(0.95, 0.6), 1, rng)
     yield "noisy_z_gamma", gamma, abs(res.prep.states[0][0]), 1e-12, None
     yield "noisy_z_error", res.solution.epsilon, (1.0 - 0.6) / 2.0, 1e-10, None
 

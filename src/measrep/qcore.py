@@ -290,7 +290,7 @@ def validate_povm(p: Povm) -> PovmReport:
     violations = []
     for a, e in enumerate(p.elements):
         herm = frobenius(e - dagger(e))
-        if herm > 1e-9 * max(1.0, frobenius(e)):
+        if herm > HERMITICITY_RTOL * max(1.0, frobenius(e)):
             violations.append(f"element {a}: not Hermitian (defect {herm:.3e})")
             min_eigs.append(float("nan"))
             continue

@@ -81,20 +81,23 @@ class PartitionProtocol:
     n_uses: int
     assignment: tuple  # target outcome, 0 or 1, per lexicographic outcome string
     coarse: tuple
-    basis: Optional[np.ndarray] = None
+    basis: Optional[np.ndarray]
 
 
 def _check_coarse_bytes(factors, n_uses) -> None:
     """Raise ``TooLarge`` unless the two coarse elements summed from
-    ``factors``, N-fold products of the POVM elements or of their
-    eigenvalue vectors, fit the byte budget."""
+    ``factors``, N-fold products of the ``_common_eigenbasis`` factors,
+    fit the byte budget."""
     qcore._check_bytes("the coarse elements", 2 * factors[0].itemsize,
                        factors[0].size, n_uses)
 
 
 def _common_eigenbasis(available: Povm, n_uses: int):
     """(U, factors): U and the eigenvalue vectors of the elements when
-    they commute for N uses, else (None, the elements).
+    they commute for N uses, else (None, their Hermitian parts
+    (M + M^dagger)/2). The searches score products of these factors and
+    ``_partition_protocol`` sums the same ones, so a protocol holds the
+    Q_0 that was scored.
 
     It first rejects a use count below 1 (``ShapeMismatch``) and an m^N
     whose assignment, 8 bytes a string, would pass the byte budget
@@ -114,7 +117,7 @@ def _common_eigenbasis(available: Povm, n_uses: int):
     rotated = [dagger(u) @ e @ u for e in available.elements]
     off = sum(np.linalg.norm(r - np.diag(np.diag(r)), 2) for r in rotated)
     if not n_uses * off <= _TIE_WINDOW:
-        return None, available.elements
+        return None, [(e + dagger(e)) / 2 for e in available.elements]
     return u, [np.diag(r).real.copy() for r in rotated]
 
 
@@ -127,8 +130,8 @@ def _vector_kron(a, b):
 def _string_products(factors, n_uses: int):
     """Yield f_{a_1} x ... x f_{a_N} in lexicographic string order.
 
-    The factors are the POVM elements, giving the string tensors T_s,
-    or their eigenvalue vectors. The walk is depth first and holds one
+    The factors come from ``_common_eigenbasis``: matrices, giving the
+    string tensors T_s, or vectors. The walk is depth first and holds one
     prefix product per level, so memory is O(N D^2), not m^N D^2; each
     prefix is one ``tensor`` call for matrices and one ``_vector_kron``
     for vectors. It keeps its levels on an explicit stack, so no N is
@@ -440,9 +443,10 @@ def _search_terms(available: Povm, n_uses: int, common=None) -> np.ndarray:
     ``_common_eigenbasis`` of ``available`` at ``n_uses``, worked out
     here when not given, which also checks N. All m^N terms are held, so
     their bytes are checked against the byte budget before any is built.
-    Dense elements are symmetrised first, so that every product and
-    partial sum is exactly Hermitian (rounding commutes with conjugation)
-    for LAPACK's ``eigvalsh``, which reads one triangle.
+    Dense terms are products of the Hermitian parts of the elements, so
+    every product and partial sum is exactly Hermitian (rounding commutes
+    with conjugation) for LAPACK's ``eigvalsh``, which reads one triangle,
+    and for the protocol ``hermitian_eig`` diagonalises.
 
     Commutation is tested once, by ``_common_eigenbasis``: U
     diagonalises the fixed combination sum_a (a + 1) M_a, and v_a is the
@@ -468,12 +472,10 @@ def _search_terms(available: Povm, n_uses: int, common=None) -> np.ndarray:
     N = 3, 4 for two-outcome qutrit and ququart POVMs normalised through
     S^(-1/2), which sum to the identity within about 1e-13.
     """
-    u, factors = common if common is not None else _common_eigenbasis(available, n_uses)
+    _, factors = common if common is not None else _common_eigenbasis(available, n_uses)
     qcore._check_bytes(f"search terms of {available.outcomes}^{n_uses} strings",
                        factors[0].itemsize, available.outcomes * factors[0].size,
                        n_uses)
-    if u is None:
-        factors = [(e + dagger(e)) / 2 for e in factors]
     terms = np.empty((available.outcomes**n_uses,)
                      + (available.dim**n_uses,) * factors[0].ndim, factors[0].dtype)
     for row, t in zip(terms, _string_products(factors, n_uses)):
@@ -602,8 +604,8 @@ def exhaustive_search(available: Povm, n_uses: int):
 def hill_climb_search(
     available: Povm,
     n_uses: int,
+    rng: Rng,
     restarts: int = 8,
-    rng: Optional[Rng] = None,
 ):
     """Local search over single-string reassignments.
 
@@ -632,7 +634,6 @@ def hill_climb_search(
     first and last eigenvalues are its box; a move would throw the rest
     of a batch of dense neighbours away, and one in about six is a move.
     """
-    rng = rng if rng is not None else Rng(0)
     common = _common_eigenbasis(available, n_uses)
     n_strings = available.outcomes**n_uses
     terms = _search_terms(available, n_uses, common)
@@ -721,7 +722,7 @@ class SynthesizedProtocol:
     protocol: PartitionProtocol
     solution: BoxQuadSolution
     prep: StatePrep
-    evaluated: int = 0  # partitions scored; 0 for the closed-form families
+    evaluated: int = 0  # partitions scored; 0 for the closed-form trine family
 
 
 def synthesize(available: Povm, n_uses: int, rng: Rng) -> SynthesizedProtocol:
@@ -791,16 +792,3 @@ def classify_noisy_z(p: float, q: float) -> NoisyZParams:
         gamma = math.sqrt((3.0 * p - 1.0) / (2.0 * (p + q - 1.0)))
         return NoisyZParams("rotate-one", gamma)
     return NoisyZParams("trivial", None)
-
-
-def noisy_z_optimal(p: float, q: float) -> SynthesizedProtocol:
-    """Asymmetric noisy-Z protocol, optimal over deterministic partitions.
-
-    One use; ``classify_noisy_z`` gives its region and rotation angle.
-    """
-    classify_noisy_z(p, q)  # rejects (p, q) outside (1/2, 1]
-    povm = qcore.noisy_z_povm(p, q)
-    protocol = build_partition_povm(povm, 1, lambda s: s[0])
-    solution = solve_box_quadratic_qubit(1.0 - q, p)
-    prep = construct_states(protocol, (solution.x_star, solution.y_star))
-    return SynthesizedProtocol(protocol=protocol, solution=solution, prep=prep)

@@ -25,6 +25,7 @@ from measrep.coding import (
     associated_channel,
 )
 from measrep.errors import NotConverged, ShapeMismatch, TooFewSamples, TooLarge
+from measrep.io import save_measurement
 from measrep.qcore import (
     Instrument,
     Povm,
@@ -78,6 +79,22 @@ def random_povm(dim, m, rng):
         block = u[a * dim : (a + 1) * dim, :dim]
         elems.append(dagger(block) @ block)
     return Povm(tuple(elems))
+
+
+def hermiticity_defect_povm_file(path, defect):
+    """Three-outcome qutrit POVM file whose elements 0 and 1 have
+    Hermiticity defect ``defect`` (Frobenius norm of M - M^dagger).
+
+    The Hermitian parts of a random POVM, with the anti-Hermitian
+    K = i (defect / 2) H, ||H||_F = 1, added to element 0 and taken from
+    element 1, so the elements still sum to the identity.
+    """
+    base = random_povm(3, 3, Rng(3))
+    elems = [(e + dagger(e)) / 2 for e in base.elements]
+    k = 0.5j * defect * np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]]) / 2.0
+    elems[0], elems[1] = elems[0] + k, elems[1] - k
+    save_measurement(Povm(tuple(elems)), path)
+    return path
 
 
 def random_povm_of_ranks(dim, ranks, rng):

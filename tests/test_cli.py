@@ -12,6 +12,7 @@ import pytest
 
 from measrep import cli, io, qcore, rms, vnsynth
 from oracles import (
+    hermiticity_defect_povm_file,
     nan_povm_file,
     partition_povm_from_list,
     postmeas_deviations_per_state,
@@ -361,6 +362,31 @@ def test_reproduce_paper_override_negative_control(tmp_path, capsys):
     assert "FAIL" in out
 
 
+@pytest.mark.parametrize("override, status", [(None, "PASS"),
+                                              ("noisy-z:0.9,0.8", "FAIL")])
+def test_lambda_max_rows_read_the_protocols_own_q0(capsys, override, status):
+    argv = ["reproduce-paper", "--samples", "2000"]
+    argv += ["--override", override] if override else []
+    _, doc = json_rows(capsys, *argv)
+    rows = {r["name"]: r for r in doc["rows"]}
+    povm = io.load_povm(override) if override else qcore.trine_povm()
+    for n in range(1, 7):
+        protocol = vnsynth.trine_optimal_protocol(n, povm).protocol
+        q0 = protocol.coarse[0]
+        if protocol.basis is None:
+            lam_max = qcore.hermitian_eig(q0)[0][0]
+        else:
+            lam_max = q0.max()
+        row = rows[f"lambda_max_n={n}"]
+        assert row["value"] == pytest.approx(lam_max, abs=1e-14)
+        assert row["status"] == status
+    if override:
+        # the no-zero partition of noisy-z:0.9,0.8: Q_0 = I - M_1^(x N)
+        for n in range(1, 7):
+            assert rows[f"lambda_max_n={n}"]["value"] == pytest.approx(
+                1.0 - 0.1**n, abs=1e-14)
+
+
 def test_reproduce_paper_override_reaches_the_n_use_protocols(capsys):
     # the implemented elements come from the override's own protocols
     code, doc = json_rows(
@@ -511,6 +537,49 @@ def test_reproduce_paper_override_must_be_a_qubit(tmp_path, capsys, override, di
     assert len(captured.err.strip().splitlines()) == 1
     assert override in captured.err
     assert f"dimension {dim}" in captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ("validate",),
+    ("synth", "--n", "1"),
+    ("rms", "--n", "1", "--samples", "10"),
+    ("postmeas", "--samples", "5"),
+    ("clone", "--max-n", "1"),
+    ("capacity",),
+    ("block", "--trials", "10"),
+    ("reproduce-paper", "--samples", "10", "--override"),
+])
+def test_a_hermiticity_defect_over_the_tolerance_fails_at_load(tmp_path, capsys,
+                                                                argv):
+    # qcore.HERMITICITY_RTOL is 1e-10 and the elements have norm < 1
+    path = hermiticity_defect_povm_file(tmp_path / "over.json", 1.3e-10)
+    code = cli.main([*argv, str(path)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert ("element 0: not Hermitian (defect 1.300e-10)"
+            in captured.out + captured.err)
+
+
+@pytest.mark.parametrize("argv", [
+    ("validate",),
+    ("postmeas", "--samples", "20"),
+    ("synth", "--n", "1"),
+    ("synth", "--n", "2"),
+    ("synth", "--n", "3"),
+    ("rms", "--n", "2", "--samples", "100"),
+])
+def test_a_hermiticity_defect_under_the_tolerance_passes(tmp_path, capsys, argv):
+    # element 0's defect 8.5e-11 passes validate; the protocol is summed
+    # from the symmetrised elements the search scored, so no later
+    # eigensolve rejects it
+    path = hermiticity_defect_povm_file(tmp_path / "under.json", 8.5e-11)
+    code, doc = json_rows(capsys, argv[0], str(path), *argv[1:])
+    assert code == 0
+    assert "FAIL" not in {r["status"] for r in doc["rows"]}
+    rows = {r["name"]: r["value"] for r in doc["rows"]}
+    if argv[0] in ("synth", "rms"):
+        eps = rows["epsilon"] if argv[0] == "synth" else rows["epsilon_closed_form"]
+        assert abs(rows["epsilon_implemented"] - eps) <= 1e-9
 
 
 def test_rms_monte_carlo_reads_its_own_substream(tmp_path, capsys):

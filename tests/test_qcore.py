@@ -220,6 +220,22 @@ def test_hermitian_eig_rejects_nonhermitian():
         hermitian_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
+@pytest.mark.parametrize("scale", [0.5, 0.9, 1.1, 2.0])
+def test_validate_and_hermitian_eig_share_the_hermiticity_tolerance(scale):
+    # elements of norm < 1 whose defect is scale * HERMITICITY_RTOL
+    k = 0.5j * scale * qcore.HERMITICITY_RTOL * np.array([[0, 1], [1, 0]]) / math.sqrt(2)
+    povm = Povm((np.diag([0.6, 0.3]) + k, np.diag([0.4, 0.7]) - k))
+    defect = qcore.frobenius(povm.elements[0] - dagger(povm.elements[0]))
+    assert defect == pytest.approx(scale * qcore.HERMITICITY_RTOL, rel=1e-6)
+    assert validate_povm(povm).ok == (scale < 1)
+    for e in povm.elements:
+        if scale < 1:
+            hermitian_eig(e)
+        else:
+            with pytest.raises(NotHermitian):
+                hermitian_eig(e)
+
+
 def test_haar_state_normalised():
     psi = haar_state(4, Rng(0))
     assert abs(np.linalg.norm(psi) - 1.0) < 1e-12

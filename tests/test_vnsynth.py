@@ -25,7 +25,6 @@ from measrep.vnsynth import (
     exhaustive_search,
     hill_climb_search,
     implemented_povm,
-    noisy_z_optimal,
     solve_box_quadratic_qubit,
     synthesize,
     trine_optimal_protocol,
@@ -650,6 +649,21 @@ def test_dense_search_terms_are_exactly_hermitian():
     assert all(np.array_equal(t, qcore.dagger(t)) for t in terms)
 
 
+@pytest.mark.parametrize("n_uses", [1, 2, 3])  # exhaustive, exhaustive, hill climb
+def test_a_dense_protocol_holds_the_q0_the_search_scored(n_uses):
+    for seed in range(20):
+        povm = random_povm(2, 3, Rng(seed))
+        terms = vnsynth._search_terms(povm, n_uses)
+        assert terms.ndim == 3
+        protocol = synthesize(povm, n_uses, Rng(seed)).protocol
+        for target, coarse in enumerate(protocol.coarse):
+            q = np.zeros_like(terms[0])
+            for t, v in zip(terms, protocol.assignment):
+                if v == target:
+                    q += t
+            assert coarse.tobytes() == q.tobytes()
+
+
 def conj_t(a):
     return np.conj(np.swapaxes(a, -2, -1))
 
@@ -842,17 +856,25 @@ def test_classify_noisy_z_invalid():
 
 
 def test_noisy_z_optimal_rotate_zero():
-    res = noisy_z_optimal(0.95, 0.6)
+    res = synthesize(qcore.noisy_z_povm(0.95, 0.6), 1, Rng(0))
     params = classify_noisy_z(0.95, 0.6)
     assert params.region == "rotate-zero"
     assert abs(res.solution.epsilon - (1 - 0.6) / 2) < 1e-12
     # the constructed zero-state overlaps |0> with amplitude gamma
-    u0 = res.prep.states[0]
-    overlap = abs(u0[0]) if res.prep.ancilla_qubits == 0 else abs(u0[0])
-    assert overlap == pytest.approx(params.gamma, abs=1e-10)
+    assert abs(res.prep.states[0][0]) == pytest.approx(params.gamma, abs=1e-10)
 
 
 def test_noisy_z_optimal_trivial_region():
-    res = noisy_z_optimal(0.7, 0.7)
+    res = synthesize(qcore.noisy_z_povm(0.7, 0.7), 1, Rng(0))
     assert res.solution.x_star == pytest.approx(0.7, abs=1e-12)
     assert res.solution.y_star == pytest.approx(0.3, abs=1e-12)
+
+
+@settings(max_examples=200)
+@given(p=st.floats(0.5, 1.0, exclude_min=True), q=st.floats(0.5, 1.0, exclude_min=True))
+def test_noisy_z_synthesis_is_the_one_use_identity_partition(p, q):
+    # one use of {diag(p, 1-q), diag(1-p, q)}: outcome a goes to target a,
+    # and the box is [1 - q, p]
+    res = synthesize(qcore.noisy_z_povm(p, q), 1, Rng(0))
+    assert res.protocol.assignment == (0, 1)
+    assert res.solution == solve_box_quadratic_qubit(1.0 - q, p)
