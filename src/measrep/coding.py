@@ -131,12 +131,13 @@ class ClassicalChannel:
         return self.matrix.shape[1]
 
     def sample(self, letters: np.ndarray, rng: Rng) -> np.ndarray:
-        """Pass an array of input letters through the channel."""
+        """Pass an array of input letters through the channel; the last
+        output takes every uniform past the others' cumulative sums."""
         cum = np.cumsum(self.matrix, axis=1)
         u = rng.generator.random(letters.shape)
         # counted in the smallest unsigned type that holds every output
         out = np.zeros(letters.shape, np.min_scalar_type(self.outputs))
-        for j in range(self.outputs):
+        for j in range(self.outputs - 1):
             out += u > cum[:, j].take(letters)
         return out.astype(np.intp)
 

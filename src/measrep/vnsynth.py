@@ -14,7 +14,8 @@ the Q_0 of all partitions level by level as one stacked array and
 reads their extreme eigenvalues from one call per stack of LAPACK's
 ``eigvalsh`` gufunc, the one ``np.linalg.eigvalsh`` calls; the hill
 climb moves one string at a time and calls the gufunc on each dense
-candidate alone.
+candidate alone, but scores no neighbour on a side of its partition
+(strings out of Q_0, or into it) that the box program bounds out.
 Each candidate then costs one run of the box program on two floats,
 and only the winner becomes a ``BoxQuadSolution``.
 
@@ -600,6 +601,13 @@ def exhaustive_search(available: Povm, n_uses: int):
     )
 
 
+def _side_bounds(cur, memo) -> tuple:
+    """((removals,), (additions,)): lower bounds on the epsilon of every
+    Q_0 - T_i, whose box lies in [0, lam_max] of ``cur``, and of every
+    Q_0 + T_i, whose box lies in [lam_min, 1]."""
+    return (_score(0.0, cur[2], memo)[0],), (_score(cur[1], 1.0, memo)[0],)
+
+
 @np.errstate(invalid="ignore")  # failed eigensolves raise NotConverged
 def hill_climb_search(
     available: Povm,
@@ -616,8 +624,16 @@ def hill_climb_search(
     keeps the running Q_0 of its current partition and scores a
     neighbour as Q_0 +- T_i; Q_0 is rebuilt from scratch at each start,
     so round-off does not carry over from one start to the next. Scores
-    are cached per partition as (epsilon, lam_min, lam_max), and
-    ``evaluated`` counts the distinct partitions scored.
+    are cached per partition as (epsilon, lam_min, lam_max).
+
+    Each time the current partition changes, ``_side_bounds`` bounds all
+    its removals Q_0 - T_i and all its additions Q_0 + T_i. A neighbour
+    on a side whose bound fails the acceptance test (the box sits in the
+    program's left or right region, or epsilon is 0) is cached unscored
+    as the 1-tuple (bound,). A later visit scores it, from its own
+    running sum, only if the bound no longer settles the test; a start
+    always scores its partition. ``evaluated`` counts the partitions
+    scored or bounded, as many as scoring every neighbour would.
 
     On spectra a neighbour is scored from the min and max of q_0 +- t_i,
     and these are taken for a block of the neighbours the walk reaches
@@ -663,9 +679,10 @@ def hill_climb_search(
             if not mask & flip:
                 q0 += t
         cur = cache.get(mask)
-        if cur is None:
+        if cur is None or len(cur) == 1:
             lo, hi = _extremes(q0[None])
             cur = cache[mask] = _score(lo[0], hi[0], memo)
+        sides = _side_bounds(cur, memo)
         if on_spectra:
             signs = np.array([1.0 if mask & flip else -1.0 for flip in flips])[:, None]
         # lows and highs hold the extremes of neighbours first..last-1
@@ -678,6 +695,12 @@ def hill_climb_search(
                 s = cache.get(cand)
                 if s is not None and not s[0] < cur[0] - 1e-14:
                     continue
+                if s is None or len(s) == 1:
+                    bound = sides[mask >> i & 1]
+                    if not bound[0] < cur[0] - 1e-14:
+                        cache[cand] = bound
+                        continue
+                    s = None
                 cand_q0 = None
                 if s is None and on_spectra:
                     if not first <= i < last:
@@ -697,6 +720,7 @@ def hill_climb_search(
                     if cand_q0 is None:
                         cand_q0 = q0 + terms[i] if mask & flips[i] else q0 - terms[i]
                     mask, cur, q0 = cand, s, cand_q0
+                    sides = _side_bounds(cur, memo)
                     if on_spectra:
                         signs[i] = -signs[i]
                         last = 0
@@ -722,7 +746,7 @@ class SynthesizedProtocol:
     protocol: PartitionProtocol
     solution: BoxQuadSolution
     prep: StatePrep
-    evaluated: int = 0  # partitions scored; 0 for the closed-form trine family
+    evaluated: int = 0  # partitions scored or bounded; 0 for the closed-form trine
 
 
 def synthesize(available: Povm, n_uses: int, rng: Rng) -> SynthesizedProtocol:

@@ -387,6 +387,29 @@ def test_lambda_max_rows_read_the_protocols_own_q0(capsys, override, status):
                 1.0 - 0.1**n, abs=1e-14)
 
 
+@pytest.mark.parametrize("override, status", [(None, "PASS"),
+                                              ("noisy-z:0.9,0.8", "FAIL")])
+def test_optimum_rows_solve_the_protocols_own_box(capsys, override, status):
+    argv = ["reproduce-paper", "--samples", "2000"]
+    argv += ["--override", override] if override else []
+    _, doc = json_rows(capsys, *argv)
+    rows = {r["name"]: r for r in doc["rows"]}
+    povm = io.load_povm(override) if override else qcore.trine_povm()
+    for n in range(1, 7):
+        protocol = vnsynth.trine_optimal_protocol(n, povm).protocol
+        q0 = protocol.coarse[0]
+        w = qcore.hermitian_eig(q0)[0] if protocol.basis is None else q0
+        sol = vnsynth.solve_box_quadratic_qubit(
+            *(min(max(float(v), 0.0), 1.0) for v in (w.min(), w.max())))
+        expected = {f"optimal_error_n={n}": sol.epsilon}
+        if n == 2:
+            expected.update(two_use_optimal_error=sol.epsilon,
+                            two_use_x_star=sol.x_star, two_use_y_star=sol.y_star)
+        for name, value in expected.items():
+            assert rows[name]["value"] == pytest.approx(value, abs=1e-14)
+            assert rows[name]["status"] == status
+
+
 def test_reproduce_paper_override_reaches_the_n_use_protocols(capsys):
     # the implemented elements come from the override's own protocols
     code, doc = json_rows(

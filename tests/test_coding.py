@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -449,6 +450,17 @@ def test_channel_sample_counts_past_the_byte_range():
     out = channel.sample(letters, Rng(6, 1))
     assert out.max() > 255
     assert_same_array(out, channel_sample_broadcast(channel, letters, Rng(6, 1)))
+
+
+def test_channel_sample_never_passes_the_last_output():
+    # the first row sums to 1 - 4e-13, which the constructor accepts, so
+    # the largest uniform below 1 lies past its last cumulative sum
+    channel = ClassicalChannel(np.array([[0.5, 0.5 - 4e-13], [0.25, 0.75]]))
+    top = SimpleNamespace(generator=SimpleNamespace(
+        random=lambda shape: np.full(shape, 1.0 - 2.0**-53)))
+    out = channel.sample(np.zeros((3, 5), dtype=np.int64), top)
+    assert (out == channel.outputs - 1).all()
+    assert (repetition_code(1, 5, 2).decode(out, channel) == 1).all()
 
 
 def random_amplitudes(seed, n):

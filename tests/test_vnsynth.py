@@ -764,9 +764,43 @@ def test_repeated_boxes_are_solved_once_with_the_same_bits(povm, n_uses):
     with mock.patch.object(vnsynth, "_box_minimiser",
                            wraps=vnsynth._box_minimiser) as box:
         syn = synthesize(povm, n_uses, Rng(4))
-    # one run per distinct box scored, plus the winner's solution
+    # one run per distinct box scored or used as a side bound, plus the
+    # winner's solution
     assert box.call_count < syn.evaluated
     assert_searches_score_as_per_candidate(povm, n_uses, 4)
+
+
+@settings(max_examples=200)
+@given(ends=st.lists(st.one_of(st.floats(-0.5, 1.5), near_ends), min_size=4, max_size=4))
+def test_a_nested_box_never_scores_lower(ends):
+    # the lemma hill_climb_search's side bounds rest on
+    lo, inner_lo, inner_hi, hi = sorted(ends)
+    assert vnsynth._score(inner_lo, inner_hi)[0] >= vnsynth._score(lo, hi)[0]
+
+
+@pytest.mark.parametrize("povm, n_uses, seed", [
+    (trine_povm(), 4, 0),
+    (random_povm(2, 3, Rng(4)), 4, 4),
+])
+def test_hill_climb_skips_eigensolves_its_side_bounds_settle(povm, n_uses, seed):
+    with mock.patch.object(vnsynth, "_eigvalsh", wraps=vnsynth._eigvalsh) as eig:
+        result = hill_climb_search(povm, n_uses, restarts=3, rng=Rng(seed))
+    # evaluated counts the bounded neighbours too, as if they were scored
+    assert eig.call_count < result.evaluated
+    assert_same_result(result, hill_climb_search_per_candidate(
+        povm, n_uses, restarts=3, rng=Rng(seed)))
+
+
+# On each input a later start rescores a neighbour that an earlier start
+# only bounded, from its own running sum.
+@pytest.mark.parametrize("povm, n_uses, seed, restarts", [
+    (trine_povm(), 3, 0, 8),  # dense
+    (random_povm(2, 2, Rng(21)), 4, 21, 3),  # spectra
+])
+def test_a_rescored_bound_entry_scores_as_per_candidate(povm, n_uses, seed, restarts):
+    assert_same_result(
+        hill_climb_search(povm, n_uses, restarts=restarts, rng=Rng(seed)),
+        hill_climb_search_per_candidate(povm, n_uses, restarts=restarts, rng=Rng(seed)))
 
 
 @pytest.mark.parametrize("n_uses", [10**7, 10**100], ids=["1e7", "1e100"])
