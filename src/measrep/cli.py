@@ -383,6 +383,14 @@ COMMANDS = {
 }
 
 
+def _seed(text: str) -> int:
+    """The type of ``--seed``: an integer >= 0, as SeedSequence needs."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {value}")
+    return value
+
+
 @functools.cache  # parse_args leaves the parser as it was
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -396,7 +404,7 @@ def _build_parser() -> argparse.ArgumentParser:
         for dest in inputs:
             flag, kw = OPTIONS[dest]
             p.add_argument(flag, **(dict(kw, dest=dest) if flag[0] == "-" else kw))
-        p.add_argument("--seed", type=int, default=0, help="64-bit RNG seed")
+        p.add_argument("--seed", type=_seed, default=0, help="64-bit RNG seed")
         p.add_argument("--json", action="store_true",
                        help="also print the raw report as JSON")
         p.add_argument("--out", help="write the result table as CSV")

@@ -110,8 +110,8 @@ class ClassicalChannel:
 
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=float)
-        if m.ndim != 2:
-            raise ShapeMismatch("channel matrix must be 2-D")
+        if m.ndim != 2 or m.shape[0] == 0:
+            raise ShapeMismatch("channel matrix must be 2-D with at least one input")
         if not np.all(np.isfinite(m)):
             raise ShapeMismatch("channel entries must be finite")
         if np.any(m < -1e-12):
@@ -385,7 +385,10 @@ def simulate_block_protocol(
         if amplitudes.shape != (n_msgs,):
             raise ShapeMismatch(f"need {n_msgs} amplitudes")
         weights = np.abs(amplitudes) ** 2
-        weights /= weights.sum()
+        total = weights.sum()
+        if not 0.0 < total < math.inf:  # all zero, or a NaN or inf amplitude
+            raise ShapeMismatch("amplitudes must have a finite nonzero norm")
+        weights /= total
     g = rng.generator
     msg_idx = g.choice(n_msgs, size=trials, p=weights)
     rows = max(1, _DECODE_BYTES // (8 * code.n))

@@ -13,9 +13,9 @@ differs from one already summed by +-T_s. The exhaustive search builds
 the Q_0 of all partitions level by level as one stacked array and
 reads their extreme eigenvalues from one call per stack of LAPACK's
 ``eigvalsh`` gufunc, the one ``np.linalg.eigvalsh`` calls; the hill
-climb moves one string at a time and calls the gufunc on each dense
-candidate alone, but scores no neighbour on a side of its partition
-(strings out of Q_0, or into it) that the box program bounds out.
+climb moves one string at a time and sums and scores each candidate
+alone, but scores no neighbour on a side of its partition (strings out
+of Q_0, or into it) that the box program bounds out.
 Each candidate then costs one run of the box program on two floats,
 and only the winner becomes a ``BoxQuadSolution``.
 
@@ -23,10 +23,9 @@ When the POVM's elements commute (every two-outcome POVM does, and so
 do noisy and lossy measurements), all T_s are diagonal in one product
 basis U^(x N). The searches then add the real d^N-vectors of their
 eigenvalues instead, and read the extreme eigenvalues of Q_0 as a
-vector's min and max, with no ``eigvalsh``. The hill climb takes them
-for a block of neighbours in one vector pass, and both searches solve
-each distinct clamped eigenvalue box once, from a per-search memo, as
-many partitions share one. The protocol keeps its coarse elements as
+vector's min and max, with no ``eigvalsh``. Both searches solve each
+distinct clamped eigenvalue box once, from a per-search memo, as many
+partitions share one. The protocol keeps its coarse elements as
 such vectors too, and its prepared states and implemented POVM are
 built from them and U: no d^N x d^N operator is formed.
 """
@@ -55,12 +54,6 @@ _TIE_WINDOW = 1e-12
 
 # Bytes of one stack of partial sums that exhaustive_search scores at once.
 _STACK_BYTES = 2**21
-
-# Bytes of one block of neighbours whose extremes hill_climb_search takes
-# at once on spectra. A move throws the rest of a block away, so blocks
-# stay near the size at which one costs what scoring one neighbour on its
-# own does; larger ones made climbs of 1,024 strings slower.
-_NEIGHBOURHOOD_BYTES = 2**15
 
 
 # ---------------------------------------------------------------------------
@@ -635,29 +628,18 @@ def hill_climb_search(
     always scores its partition. ``evaluated`` counts the partitions
     scored or bounded, as many as scoring every neighbour would.
 
-    On spectra a neighbour is scored from the min and max of q_0 +- t_i,
-    and these are taken for a block of the neighbours the walk reaches
-    next in one vector pass: the block's terms, each signed by the
-    current partition (+t_i for a string in target 1, -t_i for one in
-    target 0), plus q_0. (-t_i) + q_0 is the same bits as q_0 - t_i, so
-    every score is the one the per-candidate sum gives, and a neighbour
-    still enters the cache only when the walk reaches it. A move makes
-    the rest of the block stale; ``_NEIGHBOURHOOD_BYTES`` bounds what is
-    thrown away. These scores share a per-search memo of the boxes
-    already solved (``_score``). Dense neighbours are summed and
-    diagonalised one at a time, with no memo, since few dense boxes
-    repeat. Each is one ``_eigvalsh`` call on the D x D candidate, whose
-    first and last eigenvalues are its box; a move would throw the rest
-    of a batch of dense neighbours away, and one in about six is a move.
+    Each neighbour the walk scores is summed on its own, Q_0 +- T_i, and
+    its box is read from that sum: the min and max of q_0 +- t_i on
+    spectra, or the first and last eigenvalue of one ``_eigvalsh`` call
+    on a dense D x D candidate. A move would throw the rest of any batch
+    of neighbours away. Spectra scores share a per-search memo of the
+    boxes already solved (``_score``); dense ones take none, since few
+    dense boxes repeat.
     """
     common = _common_eigenbasis(available, n_uses)
     n_strings = available.outcomes**n_uses
     terms = _search_terms(available, n_uses, common)
     on_spectra = terms.ndim == 2
-    if on_spectra:
-        rows = max(_NEIGHBOURHOOD_BYTES // terms[0].nbytes, 1)
-        qcore._check_bytes("the search terms and a block of their neighbourhood",
-                           terms.nbytes + min(rows, n_strings) * terms[0].nbytes)
     memo = {} if on_spectra else None
     cache: dict = {}
 
@@ -683,10 +665,6 @@ def hill_climb_search(
             lo, hi = _extremes(q0[None])
             cur = cache[mask] = _score(lo[0], hi[0], memo)
         sides = _side_bounds(cur, memo)
-        if on_spectra:
-            signs = np.array([1.0 if mask & flip else -1.0 for flip in flips])[:, None]
-        # lows and highs hold the extremes of neighbours first..last-1
-        first = last = 0
         improved = True
         while improved:
             improved = False
@@ -701,29 +679,19 @@ def hill_climb_search(
                         cache[cand] = bound
                         continue
                     s = None
-                cand_q0 = None
-                if s is None and on_spectra:
-                    if not first <= i < last:
-                        first, last = i, min(i + rows, n_strings)
-                        block = terms[first:last] * signs[first:last]
-                        block += q0
-                        lows, highs = _extremes(block)
-                    s = cache[cand] = _score(lows[i - first], highs[i - first], memo)
-                elif s is None:
-                    cand_q0 = q0 + terms[i] if mask & flips[i] else q0 - terms[i]
-                    w = _eigvalsh(cand_q0, signature="D->d")
-                    lo = float(w[0])
-                    if lo != lo:
-                        raise NotConverged("eigenvalues did not converge")
-                    s = cache[cand] = _score(lo, float(w[-1]))
+                cand_q0 = q0 + terms[i] if mask & flips[i] else q0 - terms[i]
+                if s is None:
+                    if on_spectra:
+                        lo, hi = float(cand_q0.min()), float(cand_q0.max())
+                    else:
+                        w = _eigvalsh(cand_q0, signature="D->d")
+                        lo, hi = float(w[0]), float(w[-1])
+                        if lo != lo:
+                            raise NotConverged("eigenvalues did not converge")
+                    s = cache[cand] = _score(lo, hi, memo)
                 if s[0] < cur[0] - 1e-14:
-                    if cand_q0 is None:
-                        cand_q0 = q0 + terms[i] if mask & flips[i] else q0 - terms[i]
                     mask, cur, q0 = cand, s, cand_q0
                     sides = _side_bounds(cur, memo)
-                    if on_spectra:
-                        signs[i] = -signs[i]
-                        last = 0
                     improved = True
         if best is None or cur[0] < best[0] - 1e-15:
             best_mask, best = mask, cur

@@ -99,6 +99,18 @@ def test_vn_sizes_take_ascii_digits_only(capsys, name):
                             f"d >= 1, got {name!r}\n")
 
 
+@pytest.mark.parametrize("argv", [("reproduce-paper",)] + [
+    (name, "trine") for name in cli.COMMANDS if name != "reproduce-paper"])
+def test_negative_seed_is_usage_error(capsys, argv):
+    # SeedSequence takes no negative entropy
+    with pytest.raises(SystemExit) as exc:
+        cli.main([*argv, "--seed", "-1"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "argument --seed: expected an integer >= 0, got -1" in captured.err
+
+
 def test_synth_runs_thousands_of_uses_without_recursion(capsys):
     # one outcome keeps every byte figure tiny, so only the walk's depth
     # grows; it once ended in a RecursionError

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -53,6 +54,9 @@ def test_channel_rejects_bad_rows():
         ClassicalChannel(np.array([[0.5, 0.4], [0.5, 0.5]]))
     with pytest.raises(ShapeMismatch):
         ClassicalChannel(np.array([[1.2, -0.2], [0.5, 0.5]]))
+    # no inputs: Blahut-Arimoto would divide by zero
+    with pytest.raises(ShapeMismatch, match="at least one input"):
+        ClassicalChannel(np.zeros((0, 2)))
 
 
 def test_channel_rejects_non_finite():
@@ -255,6 +259,19 @@ def test_identity_code_identity_channel_statistics():
     assert run.error_rate == 0.0
     assert abs(run.decoded_distribution[0] - 0.64) < 3 * 0.005
     assert abs(run.decoded_distribution[3] - 0.36) < 3 * 0.005
+
+
+@pytest.mark.parametrize("amps", [np.zeros(4), np.array([0.8, np.nan, 0.0, 0.6])],
+                         ids=["all-zero", "nan"])
+def test_block_amplitudes_without_a_finite_norm_are_rejected_before_any_draw(amps):
+    rng = Rng(7)
+    state = rng.generator.bit_generator.state
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ShapeMismatch, match="finite nonzero norm"):
+            simulate_block_protocol(ClassicalChannel(np.eye(2)), repetition_code(2, 1, 2),
+                                    amps, 1000, rng)
+    assert rng.generator.bit_generator.state == state
 
 
 def test_simulation_matches_exact_repetition():

@@ -610,25 +610,19 @@ def test_stacked_search_stays_within_its_byte_budget():
     assert peak < 8 * 2**20
 
 
-def test_spectra_climb_checks_its_neighbour_block_against_the_byte_budget():
-    # noisy-Z at N = 3: eight 8-entry term vectors (512 bytes) and one
-    # block of all eight neighbours (512 bytes)
+def test_spectra_climb_checks_its_search_terms_against_the_byte_budget():
+    # noisy-Z at N = 3: eight 8-entry term vectors (512 bytes); each
+    # neighbour is summed on its own, so the climb holds nothing else
+    # that grows with the number of strings
     povm = qcore.noisy_z_povm(0.9, 0.8)
     terms = vnsynth._search_terms(povm, 3)
     assert isinstance(terms, np.ndarray) and terms.shape == (8, 8)
-    with mock.patch.object(qcore, "_BYTE_BUDGET", 1024):
+    with mock.patch.object(qcore, "_BYTE_BUDGET", 512):
         assert hill_climb_search(povm, 3, rng=Rng(0)).protocol.basis is not None
-    with mock.patch.object(qcore, "_BYTE_BUDGET", 1023):
-        with pytest.raises(TooLarge, match="search terms and a block of their "
-                           "neighbourhood would take 1024 bytes"):
+    with mock.patch.object(qcore, "_BYTE_BUDGET", 511):
+        with pytest.raises(TooLarge, match=r"search terms of 2\^3 strings would "
+                           "take 512 bytes"):
             hill_climb_search(povm, 3, rng=Rng(0))
-    # a block holds at most _NEIGHBOURHOOD_BYTES: here two neighbours
-    with mock.patch.object(vnsynth, "_NEIGHBOURHOOD_BYTES", 128):
-        with mock.patch.object(qcore, "_BYTE_BUDGET", 640):
-            hill_climb_search(povm, 3, rng=Rng(0))
-        with mock.patch.object(qcore, "_BYTE_BUDGET", 639):
-            with pytest.raises(TooLarge, match="would take 640 bytes"):
-                hill_climb_search(povm, 3, rng=Rng(0))
 
 
 def test_search_terms_fail_closed_beyond_their_byte_budget():
@@ -729,19 +723,21 @@ def assert_searches_score_as_per_candidate(povm, n_uses, seed):
                                                        rng=Rng(seed)))
 
 
-# Neighbour blocks: the default, one neighbour and three.
-neighbour_blocks = st.sampled_from([None, 1, 3])
-
-
 @settings(max_examples=40)
-@given(seed=povm_seeds, case=commuting_cases, block=neighbour_blocks)
-def test_commuting_searches_score_as_per_candidate(seed, case, block):
+@given(seed=povm_seeds, case=commuting_cases)
+def test_commuting_searches_score_as_per_candidate(seed, case):
     m, d, n_uses = case
     povm = random_povm(d, 2, Rng(seed)) if m == 2 else lossy_povm(d, Rng(seed))
     assert vnsynth._search_terms(povm, n_uses).ndim == 2
-    size = vnsynth._NEIGHBOURHOOD_BYTES if block is None else block * 8 * d**n_uses
-    with mock.patch.object(vnsynth, "_NEIGHBOURHOOD_BYTES", size):
-        assert_searches_score_as_per_candidate(povm, n_uses, seed)
+    assert_searches_score_as_per_candidate(povm, n_uses, seed)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_a_commuting_climb_over_256_strings_scores_as_per_candidate(seed):
+    # two-outcome qubit POVMs at N = 8, past every size Hypothesis draws
+    povm = random_povm(2, 2, Rng(seed))
+    assert vnsynth._search_terms(povm, 8).shape == (256, 256)
+    assert_searches_score_as_per_candidate(povm, 8, seed)
 
 
 # three and four outcomes: two-outcome POVMs commute
