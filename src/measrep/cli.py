@@ -232,17 +232,9 @@ def _paper_rows(trine: qcore.Povm, samples: int, rng: Rng):
     """
     clone_error = 1.0 / (9.0 * math.sqrt(3.0))
     # the paper's N-use protocols on the measurement under check, each
-    # built once: outcome 0 is declared when any use fires outcome 0
+    # built once, each solved on its own Q_0: outcome 0 is declared when
+    # any use fires outcome 0
     syns = [vnsynth.trine_optimal_protocol(n, trine) for n in range(1, 7)]
-    # the extreme eigenvalues of the Q_0 each protocol holds, and the
-    # optimum over the box they span
-    extremes, sols = [], []
-    for syn in syns:
-        q0 = syn.protocol.coarse[0]
-        w = np.linalg.eigvalsh(q0) if syn.protocol.basis is None else q0
-        extremes.append((float(w.min()), float(w.max())))
-        sols.append(vnsynth.solve_box_quadratic_qubit(
-            *(min(max(v, 0.0), 1.0) for v in extremes[-1])))
 
     # two-use cloning protocol: the N = 2 partition, with the states
     # copied in the computational basis
@@ -257,7 +249,7 @@ def _paper_rows(trine: qcore.Povm, samples: int, rng: Rng):
            est.standard_error)
 
     # two-use optimum over deterministic partitions
-    sol2 = sols[1]
+    sol2 = syns[1].solution
     yield "two_use_optimal_error", sol2.epsilon, 1.0 / 18.0, 1e-12, None
     yield "two_use_x_star", sol2.x_star, 8.0 / 9.0, 1e-12, None
     yield "two_use_y_star", sol2.y_star, 1.0 / 18.0, 1e-12, None
@@ -274,9 +266,9 @@ def _paper_rows(trine: qcore.Povm, samples: int, rng: Rng):
 
     # N-use closed form, checked against the synthesized implementation
     impls = []
-    for n, (syn, sol, (_, lam_max)) in enumerate(zip(syns, sols, extremes), 1):
-        yield f"optimal_error_n={n}", sol.epsilon, 3.0**-n / 2.0, 1e-10, None
-        yield f"lambda_max_n={n}", lam_max, 1.0 - 3.0**-n, 1e-10, None
+    for n, syn in enumerate(syns, 1):
+        yield f"optimal_error_n={n}", syn.solution.epsilon, 3.0**-n / 2.0, 1e-10, None
+        yield f"lambda_max_n={n}", syn.solution.lam_max, 1.0 - 3.0**-n, 1e-10, None
         impls.append(vnsynth.implemented_povm(syn.prep, syn.protocol))
         ref0 = np.diag([1.0 - 3.0**-n, 3.0**-n / 2.0]).astype(complex)
         dev = qcore.frobenius(impls[-1].elements[0] - ref0)

@@ -17,15 +17,13 @@ from typing import Optional
 
 import numpy as np
 
+from . import qcore
 from .errors import NotConverged, ShapeMismatch, TooFewSamples, TooLarge
 from .qcore import Povm, Rng, _check_bytes
 
 _LOG_ZERO = -1e30  # stands in for log 0: finite, so 0 * _LOG_ZERO is 0
 _CODEBOOK_CAP = 2**16
 _COUNT_VECTOR_CAP = 2 * 10**6
-# bytes of one row block: the random-code log-likelihood table, and each
-# (trials, n) array of the block-protocol simulation
-_DECODE_BYTES = 2**19
 
 
 # ---------------------------------------------------------------------------
@@ -81,6 +79,8 @@ def _exact_ml_error(table: np.ndarray, n: int) -> tuple[np.ndarray, int]:
     vectors. Returns the per-hypothesis error and the number of
     undecodable count vectors.
     """
+    if n < 0:
+        raise TooFewSamples(f"{n} < 0 draws")
     d = table.shape[0]
     logp = _safe_log(table)
     counts = _count_vectors(n, table.shape[1])
@@ -161,7 +161,8 @@ def mutual_information(p_x, channel: ClassicalChannel) -> float:
     """I(A:X) in bits for the given input distribution: the p_x-average
     of D(w_x || p_x W)."""
     p_x = np.asarray(p_x, dtype=float)
-    if p_x.shape != (channel.inputs,) or abs(p_x.sum() - 1.0) > 1e-9:
+    if (p_x.shape != (channel.inputs,) or not np.all(p_x >= 0.0)  # NaN fails
+            or abs(p_x.sum() - 1.0) > 1e-9):
         raise ShapeMismatch("p_x must be a distribution on the input alphabet")
     w = channel.matrix
     val = float(p_x @ _divergences(w, _safe_log(w), p_x @ w))
@@ -188,6 +189,8 @@ def blahut_arimoto(
     """
     if not tol > 0.0:  # NaN included
         raise ShapeMismatch("tol must be positive")
+    if max_iter < 1:  # no iteration would certify a gap
+        raise ShapeMismatch("max_iter must be >= 1")
     w = channel.matrix
     n_in = channel.inputs
     r = np.full(n_in, 1.0 / n_in)
@@ -265,14 +268,14 @@ class BlockCode:
                 ll += t.take(grouped[..., c], axis=0)
             return _ml_argmax(ll)
         # random codebook: full ML over all codewords, in blocks of rows
-        # so the log-likelihood table stays within _DECODE_BYTES. One
+        # so the log-likelihood table stays within qcore._BLOCK_BYTES. One
         # table per codeword position, tables[j, y, w] = log W(y | c_w[j]),
         # turns each position's addend into one row gather; the addends
         # are added in position order, as one (trials, n) sum would be.
         n_words = self.codebook.shape[0]
         _check_bytes("the decode tables", 8 * self.n * channel.outputs * n_words)
         tables = np.ascontiguousarray(logw.T[:, self.codebook.T].swapaxes(0, 1))
-        rows = max(1, _DECODE_BYTES // (8 * n_words))
+        rows = max(1, qcore._BLOCK_BYTES // (8 * n_words))
         idx = np.empty(outputs.shape[0], dtype=np.intp)
         for start in range(0, outputs.shape[0], rows):
             block = outputs[start : start + rows]
@@ -368,9 +371,10 @@ def simulate_block_protocol(
 
     All message indices are drawn first; the trials are then encoded,
     sent and decoded in blocks of rows whose (rows, n) arrays stay
-    within ``_DECODE_BYTES``. The channel's uniforms are drawn block by
-    block in C order, which reads the generator's stream exactly as one
-    (trials, n) draw does, so the result does not depend on the blocks.
+    within ``qcore._BLOCK_BYTES``. The channel's uniforms are drawn block
+    by block in C order, which reads the generator's stream exactly as
+    one (trials, n) draw does, so the result does not depend on the
+    blocks.
     """
     if code.d != channel.inputs:
         raise ShapeMismatch("code alphabet does not match the channel input")
@@ -391,7 +395,7 @@ def simulate_block_protocol(
         weights /= total
     g = rng.generator
     msg_idx = g.choice(n_msgs, size=trials, p=weights)
-    rows = max(1, _DECODE_BYTES // (8 * code.n))
+    rows = max(1, qcore._BLOCK_BYTES // (8 * code.n))
     n_errors = 0
     counts = np.zeros(n_msgs, dtype=np.intp)
     for start in range(0, trials, rows):

@@ -14,7 +14,7 @@ class NotHermitian(MeasrepError):
 
 
 class InvalidBounds(MeasrepError):
-    """Eigenvalue bounds or noise parameters outside their admissible range."""
+    """A bound, noise parameter, seed or other parameter out of its range."""
 
 
 class Unachievable(MeasrepError):

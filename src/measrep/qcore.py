@@ -13,10 +13,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidMeasurement, NotHermitian, ShapeMismatch, TooLarge
+from .errors import (InvalidBounds, InvalidMeasurement, NotHermitian,
+                     ShapeMismatch, TooLarge)
 
 # Bytes any one array whose size comes from the input may take.
 _BYTE_BUDGET = 2**30
+
+# Bytes of one block of rows, where a computation runs in row blocks: the
+# exhaustive search's stacks, the Monte Carlo features and block coding.
+_BLOCK_BYTES = 2**19
 
 # Default tolerances, matching what tensor products of validated
 # objects accumulate in double precision.
@@ -78,6 +83,10 @@ class Rng:
     _gen: np.random.Generator = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        if not all(isinstance(v, (int, np.integer)) and v >= 0
+                   for v in (self.seed, self.substream)):
+            raise InvalidBounds(f"seed {self.seed!r} and substream "
+                                f"{self.substream!r} must be integers >= 0")
         ss = np.random.SeedSequence(entropy=self.seed, spawn_key=(self.substream,))
         self._gen = np.random.default_rng(ss)
 
@@ -265,8 +274,8 @@ def _haar_normals(dim: int, count: int, rng: Rng):
     """Real and imaginary parts (count, dim) of the Gaussian vectors
     behind ``count`` Haar states: all real parts, then all imaginary
     parts."""
-    if dim < 1:
-        raise ShapeMismatch("dim must be >= 1")
+    if dim < 1 or count < 0:
+        raise ShapeMismatch(f"need dim >= 1 and count >= 0, got {dim} and {count}")
     _check_bytes("the Haar states", 16 * count * dim)
     g = rng.generator
     return g.standard_normal((count, dim)), g.standard_normal((count, dim))

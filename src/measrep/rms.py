@@ -14,11 +14,9 @@ import math
 from dataclasses import dataclass
 import numpy as np
 
+from . import qcore
 from .errors import ShapeMismatch, TooFewSamples
 from .qcore import Povm, Rng, _haar_normals
-
-# Bytes of the Monte Carlo estimator's per-block feature array.
-_MC_BLOCK_BYTES = 2**18
 
 
 @dataclass(frozen=True)
@@ -106,7 +104,7 @@ def rms_monte_carlo_povm(
     never forms them: each <psi|D_a|psi> comes from one real matrix
     product per block of rows, the quadratic features of the Gaussian
     vectors times a coefficient matrix. The feature blocks stay within
-    ``_MC_BLOCK_BYTES``.
+    ``qcore._BLOCK_BYTES``.
     """
     _check_povm_shapes(impl, target)
     if samples < 100:
@@ -114,7 +112,7 @@ def rms_monte_carlo_povm(
     d = impl.dim
     coef = _quadratic_form_coefficients(impl, target)
     re, im = _haar_normals(d, samples, rng)
-    rows = max(1, _MC_BLOCK_BYTES // (8 * d * d))
+    rows = max(1, qcore._BLOCK_BYTES // (8 * d * d))
     sq = np.concatenate([_squared_errors(re[s : s + rows], im[s : s + rows], coef)
                          for s in range(0, samples, rows)])
     sq /= impl.outcomes

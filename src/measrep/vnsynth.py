@@ -17,7 +17,8 @@ climb moves one string at a time and sums and scores each candidate
 alone, but scores no neighbour on a side of its partition (strings out
 of Q_0, or into it) that the box program bounds out.
 Each candidate then costs one run of the box program on two floats,
-and only the winner becomes a ``BoxQuadSolution``.
+and only the winner becomes a protocol, with its ``BoxQuadSolution``
+and states: both searches return it as a ``SynthesizedProtocol``.
 
 When the POVM's elements commute (every two-outcome POVM does, and so
 do noisy and lossy measurements), all T_s are diagonal in one product
@@ -51,9 +52,6 @@ _EXHAUSTIVE_STRING_CAP = 12
 # bounds how far an input admitted as commuting may move the eigenvalues
 # the searches score (``_search_terms``).
 _TIE_WINDOW = 1e-12
-
-# Bytes of one stack of partial sums that exhaustive_search scores at once.
-_STACK_BYTES = 2**21
 
 
 # ---------------------------------------------------------------------------
@@ -419,11 +417,25 @@ def implemented_povm(prep: StatePrep, protocol: PartitionProtocol) -> Povm:
 
 
 @dataclass(frozen=True)
-class SearchResult:
+class SynthesizedProtocol:
+    """A partition protocol, the box optimum on its own Q_0, and states."""
+
     protocol: PartitionProtocol
     solution: BoxQuadSolution
+    prep: StatePrep
     co_optimal: tuple  # assignments tying the optimum (canonical form)
-    evaluated: int
+    evaluated: int  # partitions scored or bounded
+
+
+def _finish(protocol, co_optimal, evaluated, prep=None) -> SynthesizedProtocol:
+    """``protocol`` solved on the clamped box of its own Q_0 (a climb's
+    running sums can round its winner's box an ulp off), with ``prep``
+    or the states ``construct_states`` builds."""
+    lows, highs = _extremes(protocol.coarse[0][None])
+    solution = solve_box_quadratic_qubit(*_score(lows[0], highs[0])[1:])
+    if prep is None:
+        prep = construct_states(protocol, (solution.x_star, solution.y_star))
+    return SynthesizedProtocol(protocol, solution, prep, co_optimal, evaluated)
 
 
 def _search_terms(available: Povm, n_uses: int, common=None) -> np.ndarray:
@@ -527,7 +539,7 @@ def _score(lo: float, hi: float, memo: Optional[dict] = None) -> tuple:
 
 @np.errstate(invalid="ignore")  # failed eigensolves raise NotConverged
 def exhaustive_search(available: Povm, n_uses: int):
-    """Global optimum over all deterministic binary partitions.
+    """Global optimum over all deterministic binary partitions, with states.
 
     Partitions are canonicalised by assigning the lexicographically
     first string to outcome 0, halving the enumeration. ``co_optimal``
@@ -542,10 +554,10 @@ def exhaustive_search(available: Povm, n_uses: int):
     is bit-identical to it, and one ``_eigvalsh`` call per stack (or a
     row min and max on spectra) gives every partition's extreme
     eigenvalues.
-    When the stack would pass ``_STACK_BYTES``, the leading strings are
-    decided depth first and only the last levels are stacked. Partitions
-    whose clamped eigenvalue boxes are equal share one run of the box
-    program, through a per-search memo (``_score``).
+    When the stack would pass ``qcore._BLOCK_BYTES``, the leading
+    strings are decided depth first and only the last levels are
+    stacked. Partitions whose clamped eigenvalue boxes are equal share
+    one run of the box program, through a per-search memo (``_score``).
     """
     common = _common_eigenbasis(available, n_uses)
     n_strings = available.outcomes**n_uses
@@ -556,7 +568,7 @@ def exhaustive_search(available: Povm, n_uses: int):
         )
     terms = _search_terms(available, n_uses, common)
     # strings lead..n-1 are stacked, 2^(n - lead) rows within the budget
-    rows = max(_STACK_BYTES // terms[0].nbytes, 1)
+    rows = max(qcore._BLOCK_BYTES // terms[0].nbytes, 1)
     lead = max(n_strings - rows.bit_length() + 1, 1)
 
     def prefixes(i, q0):
@@ -586,12 +598,8 @@ def exhaustive_search(available: Povm, n_uses: int):
 
     ties = [bits(j) for j, score in enumerate(scored)
             if abs(score[0] - eps) <= _TIE_WINDOW]
-    return SearchResult(
-        protocol=_partition_protocol(available, n_uses, bits(best), common),
-        solution=solve_box_quadratic_qubit(*scored[best][1:]),
-        co_optimal=tuple(ties),
-        evaluated=len(scored),
-    )
+    return _finish(_partition_protocol(available, n_uses, bits(best), common),
+                   tuple(ties), len(scored))
 
 
 def _side_bounds(cur, memo) -> tuple:
@@ -608,7 +616,7 @@ def hill_climb_search(
     rng: Rng,
     restarts: int = 8,
 ):
-    """Local search over single-string reassignments.
+    """Local search over single-string reassignments, with states.
 
     The closed-form 'no zero outcome -> 1' partition is always included
     as a seed, so the result is never worse than that family.
@@ -696,12 +704,8 @@ def hill_climb_search(
         if best is None or cur[0] < best[0] - 1e-15:
             best_mask, best = mask, cur
     best_bits = tuple(best_mask >> i & 1 for i in range(n_strings))
-    return SearchResult(
-        protocol=_partition_protocol(available, n_uses, best_bits, common),
-        solution=solve_box_quadratic_qubit(*best[1:]),
-        co_optimal=(best_bits,),
-        evaluated=len(cache),
-    )
+    return _finish(_partition_protocol(available, n_uses, best_bits, common),
+                   (best_bits,), len(cache))
 
 
 # ---------------------------------------------------------------------------
@@ -709,29 +713,16 @@ def hill_climb_search(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SynthesizedProtocol:
-    protocol: PartitionProtocol
-    solution: BoxQuadSolution
-    prep: StatePrep
-    evaluated: int = 0  # partitions scored or bounded; 0 for the closed-form trine
-
-
 def synthesize(available: Povm, n_uses: int, rng: Rng) -> SynthesizedProtocol:
-    """The binary protocol for N uses of ``available``, with its states.
-
-    Searches all partitions when there are at most
-    ``_EXHAUSTIVE_STRING_CAP`` outcome strings, and hill-climbs from
-    ``rng`` beyond that.
+    """The binary protocol for N uses of ``available``, as the search
+    returns it: ``exhaustive_search`` when there are at most
+    ``_EXHAUSTIVE_STRING_CAP`` outcome strings, else
+    ``hill_climb_search`` from ``rng``.
     """
     cap = _EXHAUSTIVE_STRING_CAP  # 2^12 > cap: a large N computes no m^N
     if available.outcomes ** min(n_uses, cap) <= cap:
-        result = exhaustive_search(available, n_uses)
-    else:
-        result = hill_climb_search(available, n_uses, rng=rng)
-    sol = result.solution
-    prep = construct_states(result.protocol, (sol.x_star, sol.y_star))
-    return SynthesizedProtocol(result.protocol, sol, prep, result.evaluated)
+        return exhaustive_search(available, n_uses)
+    return hill_climb_search(available, n_uses, rng=rng)
 
 
 def trine_optimal_protocol(
@@ -740,16 +731,14 @@ def trine_optimal_protocol(
     """The N-use trine partition optimal over deterministic partitions.
 
     Target outcome 1 is declared exactly when no single use returned
-    outcome 0; the error is 3^-N / 2 and the prepared states are the
-    nearly-cloned pair with the last qubit slightly rotated. The
-    partition is built on ``available`` (default: the trine); the
-    solution and states stay the trine's, so another qubit measurement
-    shows up in the implemented POVM.
+    outcome 0; for the trine the error is 3^-N / 2 and the prepared
+    states are the nearly-cloned pair with the last qubit slightly
+    rotated. The partition is built on ``available`` (default: the
+    trine) and solved on its own Q_0's box, read as the searches read
+    it; the states stay the trine's.
     """
     available = qcore.trine_povm() if available is None else available
     protocol = build_partition_povm(available, n_uses, lambda s: 0 if 0 in s else 1)
-    lam_max = 1.0 - 3.0**-n_uses
-    solution = solve_box_quadratic_qubit(0.0, lam_max)
     if n_uses == 1:
         # ancilla route: measured qubit rotated onto the nearest trine
         # direction, ancilla flipped to keep the pair orthogonal
@@ -765,7 +754,7 @@ def trine_optimal_protocol(
         amp0 = 0.5 * 3.0 ** (-(n_uses - 1) / 2.0)
         psi1[-2:] = amp0, math.sqrt(1.0 - amp0**2)
         prep = StatePrep(ancilla_qubits=0, states=(psi0, psi1))
-    return SynthesizedProtocol(protocol=protocol, solution=solution, prep=prep)
+    return _finish(protocol, (protocol.assignment,), 1, prep)
 
 
 @dataclass(frozen=True)

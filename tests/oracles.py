@@ -12,9 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from measrep import vnsynth
+from measrep import qcore, vnsynth
 from measrep.coding import (
-    _DECODE_BYTES,
     CapacityResult,
     ClassicalChannel,
     _ml_argmax,
@@ -40,7 +39,7 @@ from measrep.rms import _estimate_from_squares
 from measrep.subroutines import build_measurement_isometry
 from measrep.vnsynth import (
     BoxQuadSolution,
-    SearchResult,
+    PartitionProtocol,
     _common_eigenbasis,
     _partition_protocol,
     _search_terms,
@@ -434,6 +433,28 @@ def exhaustive_search_depth_first(available, n_uses):
 # library must return the same bits.
 
 
+def own_box_solution(protocol):
+    """The box program on the clamped extreme eigenvalues of a protocol's
+    own Q_0: ``eigvalsh`` on a dense Q_0, min and max on a spectrum."""
+    q0 = protocol.coarse[0]
+    w = np.linalg.eigvalsh(q0) if protocol.basis is None else q0
+    return solve_box_quadratic_qubit(
+        *(min(max(float(v), 0.0), 1.0) for v in (w.min(), w.max())))
+
+
+@dataclass(frozen=True)
+class SearchRecord:
+    """What the reference searches find: the fields of a search result
+    that do not depend on the prepared states. The solution is the one
+    on the winner's own Q_0, which a climb's running sums can round an
+    ulp away from the box it scored."""
+
+    protocol: PartitionProtocol
+    solution: BoxQuadSolution
+    co_optimal: tuple
+    evaluated: int
+
+
 def scores_per_candidate(stack):
     """(epsilon, lam_min, lam_max) of the qubit box program for each Q_0
     in a stack of vectors or of exactly Hermitian matrices."""
@@ -459,7 +480,7 @@ def exhaustive_search_per_candidate(available, n_uses):
     if n_strings > vnsynth._EXHAUSTIVE_STRING_CAP:
         raise TooLarge(f"{n_strings} strings exceeds cap")
     terms = _search_terms(available, n_uses, common)
-    rows = max(vnsynth._STACK_BYTES // terms[0].nbytes, 1)
+    rows = max(qcore._BLOCK_BYTES // terms[0].nbytes, 1)
     lead = max(n_strings - rows.bit_length() + 1, 1)
 
     def prefixes(i, q0):
@@ -486,9 +507,10 @@ def exhaustive_search_per_candidate(available, n_uses):
 
     ties = [bits(j) for j, score in enumerate(scored)
             if abs(score[0] - eps) <= vnsynth._TIE_WINDOW]
-    return SearchResult(
-        protocol=_partition_protocol(available, n_uses, bits(best), common),
-        solution=solve_box_quadratic_qubit(*scored[best][1:]),
+    protocol = _partition_protocol(available, n_uses, bits(best), common)
+    return SearchRecord(
+        protocol=protocol,
+        solution=own_box_solution(protocol),
         co_optimal=tuple(ties),
         evaluated=len(scored),
     )
@@ -540,9 +562,10 @@ def hill_climb_search_per_candidate(available, n_uses, restarts=8, rng=None):
         if best is None or cur[0] < best[0] - 1e-15:
             best_mask, best = mask, cur
     best_bits = tuple(best_mask >> i & 1 for i in range(n_strings))
-    return SearchResult(
-        protocol=_partition_protocol(available, n_uses, best_bits, common),
-        solution=solve_box_quadratic_qubit(*best[1:]),
+    protocol = _partition_protocol(available, n_uses, best_bits, common)
+    return SearchRecord(
+        protocol=protocol,
+        solution=own_box_solution(protocol),
         co_optimal=(best_bits,),
         evaluated=len(cache),
     )
@@ -619,7 +642,7 @@ def random_decode_strided_gather(code, outputs, channel):
     of zeros."""
     logw = _safe_log(channel.matrix)
     n_words = code.codebook.shape[0]
-    rows = max(1, _DECODE_BYTES // (8 * n_words))
+    rows = max(1, qcore._BLOCK_BYTES // (8 * n_words))
     idx = np.empty(outputs.shape[0], dtype=np.intp)
     for start in range(0, outputs.shape[0], rows):
         block = outputs[start : start + rows]

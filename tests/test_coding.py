@@ -20,7 +20,7 @@ from measrep.coding import (
     repetition_code,
     simulate_block_protocol,
 )
-from measrep.errors import NotConverged, ShapeMismatch, TooLarge
+from measrep.errors import NotConverged, ShapeMismatch, TooFewSamples, TooLarge
 from measrep.qcore import Povm, Rng, trine_povm, von_neumann_povm
 from measrep.subroutines import CloningBasis, cloning_error_rate
 from oracles import (
@@ -93,6 +93,14 @@ def test_mutual_information_extremes():
     assert mutual_information([0.5, 0.5], const) == pytest.approx(0.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("p_x", [[1.5, -0.5], [float("nan"), 1.0],
+                                 [float("inf"), 1.0], [float("-inf"), 1.0]])
+def test_mutual_information_rejects_a_negative_or_non_finite_entry(p_x):
+    # [1.5, -0.5] sums to 1 and once gave 1e14 bits; [nan, 1] gave nan
+    with pytest.raises(ShapeMismatch, match="p_x must be a distribution"):
+        mutual_information(p_x, associated_channel(trine_povm()))
+
+
 def test_mutual_information_bsc():
     bsc = binary_symmetric_channel(0.1)
     assert mutual_information([0.5, 0.5], bsc) == pytest.approx(
@@ -110,6 +118,19 @@ def test_blahut_arimoto_rejects_a_tolerance_that_is_not_positive(tol):
     # a NaN tol once ran all max_iter iterations and then reported the gap
     with pytest.raises(ShapeMismatch, match="tol must be positive"):
         blahut_arimoto(binary_symmetric_channel(0.1), tol=tol)
+
+
+@pytest.mark.parametrize("max_iter", [0, -1])
+def test_blahut_arimoto_rejects_fewer_than_one_iteration(max_iter):
+    # no iteration once raised NotConverged with bounds of 0 bits, a false
+    # certificate for the trine channel's 0.47 bits
+    with pytest.raises(ShapeMismatch, match="max_iter must be >= 1"):
+        blahut_arimoto(associated_channel(trine_povm()), max_iter=max_iter)
+
+
+def test_exact_repetition_error_rejects_a_negative_copy_count():
+    with pytest.raises(TooFewSamples, match="-2 < 0 draws"):
+        exact_repetition_error(associated_channel(trine_povm()), -2)
 
 
 def test_blahut_arimoto_noiseless():
@@ -418,7 +439,7 @@ def test_random_decode_in_row_blocks_matches_the_full_table(
     d = channel.inputs
     assume(d**k <= 256)
     code = random_codebook(k, k + extra_n, d, Rng(seed))
-    rows = max(1, coding._DECODE_BYTES // (8 * d**k))
+    rows = max(1, qcore._BLOCK_BYTES // (8 * d**k))
     trials = blocks * rows + extra % rows
     outputs = Rng(seed, 1).generator.integers(0, channel.outputs, size=(trials, code.n))
     assert_same_array(
@@ -436,7 +457,7 @@ def test_random_decode_matches_the_strided_gather(channel, k, extra_n, blocks,
     d = channel.inputs
     assume(d**k <= 2187)
     code = random_codebook(k, k + extra_n, d, Rng(seed))
-    rows = max(1, coding._DECODE_BYTES // (8 * d**k))
+    rows = max(1, qcore._BLOCK_BYTES // (8 * d**k))
     trials = blocks * rows + extra % rows
     outputs = Rng(seed, 1).generator.integers(0, channel.outputs, size=(trials, code.n))
     assert_same_array(code.decode(outputs, channel),
@@ -504,7 +525,7 @@ def test_block_simulation_in_row_blocks_matches_the_whole_arrays(
         code = random_codebook(k, k + extra, d, Rng(seed))
     else:
         code = repetition_code(k, 1 + extra, d)
-    rows = max(1, coding._DECODE_BYTES // (8 * code.n))
+    rows = max(1, qcore._BLOCK_BYTES // (8 * code.n))
     trials = {"one": 1, "short": rows - 1, "block": rows, "over": rows + 1,
               "blocks": blocks * rows + 1 + part % (rows - 1)}[which]
     amps = random_amplitudes(seed, d**k) if amplitudes else None

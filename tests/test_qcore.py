@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from measrep import qcore
 from measrep.errors import (
+    InvalidBounds,
     InvalidMeasurement,
     NotHermitian,
     ShapeMismatch,
@@ -44,6 +45,18 @@ def test_rng_substreams_differ():
     a = base.split(1).generator.random(5)
     b = base.split(2).generator.random(5)
     assert not np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("seed, substream", [(-1, 0), (0, -1), (1.5, 0), (0, 0.5)])
+def test_rng_rejects_a_seed_or_substream_that_is_not_an_integer_at_least_0(
+        seed, substream):
+    # SeedSequence would raise an untyped ValueError or TypeError
+    with pytest.raises(InvalidBounds, match="must be integers >= 0"):
+        Rng(seed, substream)
+
+
+def test_rng_takes_numpy_integers_as_the_same_seed():
+    assert Rng(np.int64(7), np.uint8(1)).generator.random() == Rng(7, 1).generator.random()
 
 
 def test_trine_completeness():
@@ -241,6 +254,12 @@ def test_haar_state_normalised():
     assert abs(np.linalg.norm(psi) - 1.0) < 1e-12
     batch = haar_states(3, 50, Rng(1))
     assert np.allclose(np.linalg.norm(batch, axis=1), 1.0, atol=1e-12)
+
+
+def test_haar_states_reject_a_negative_count():
+    with pytest.raises(ShapeMismatch, match="count >= 0"):
+        haar_states(2, -1, Rng(0))
+    assert haar_states(2, 0, Rng(0)).shape == (0, 2)
 
 
 def test_haar_unitary_is_unitary():

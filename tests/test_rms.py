@@ -105,7 +105,7 @@ def test_monte_carlo_squares_match_the_einsum_on_haar_states(d, m, samples,
 
     rng, ref_rng = Rng(seed, 2), Rng(seed, 2)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(rms, "_MC_BLOCK_BYTES", block_bytes)
+        mp.setattr(qcore, "_BLOCK_BYTES", block_bytes)
         mp.setattr(rms, "_estimate_from_squares", keep)
         est = rms_monte_carlo_povm(impl, target, samples, rng)
     ref = rms_squares_einsum(impl, target, samples, ref_rng)

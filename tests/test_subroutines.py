@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from measrep.coding import ClassicalChannel, exact_repetition_error
-from measrep.errors import NotNormalized, ShapeMismatch, TooLarge, TrivialMeasurement
+from measrep.errors import (NotNormalized, ShapeMismatch, TooFewSamples, TooLarge,
+                            TrivialMeasurement)
 from measrep.qcore import (
     Instrument,
     Povm,
@@ -191,6 +192,12 @@ def test_cloning_sampled_reproducible():
     a = cloning_error_rate_sampled(basis, 4, trials=5000, rng=Rng(3))
     b = cloning_error_rate_sampled(basis, 4, trials=5000, rng=Rng(3))
     assert a.average == b.average
+
+
+def test_cloning_rejects_a_negative_use_count():
+    # the count vectors of n = -1 once raised an untyped IndexError
+    with pytest.raises(TooFewSamples, match="-1 < 0 draws"):
+        cloning_error_rate(select_cloning_basis(trine_povm()), -1)
 
 
 def test_cloning_exact_size_cap():

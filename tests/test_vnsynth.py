@@ -37,6 +37,7 @@ from oracles import (
     exhaustive_search_per_candidate,
     hill_climb_search_from_scratch,
     hill_climb_search_per_candidate,
+    own_box_solution,
     partition_povm_from_list,
     random_povm,
     random_povm_of_ranks,
@@ -557,7 +558,7 @@ stack_budgets = st.sampled_from([None, 1, 4])
 
 def stack_budget(povm, n_uses, terms):
     if terms is None:
-        return vnsynth._STACK_BYTES
+        return qcore._BLOCK_BYTES
     return terms * vnsynth._search_terms(povm, n_uses)[0].nbytes
 
 
@@ -566,7 +567,7 @@ def stack_budget(povm, n_uses, terms):
 def test_stacked_search_matches_the_depth_first_walk(seed, m, n_uses, terms):
     assume(m**n_uses <= vnsynth._EXHAUSTIVE_STRING_CAP)
     povm = random_povm(2, m, Rng(seed))
-    with mock.patch.object(vnsynth, "_STACK_BYTES", stack_budget(povm, n_uses, terms)):
+    with mock.patch.object(qcore, "_BLOCK_BYTES", stack_budget(povm, n_uses, terms)):
         assert_same_search(povm, n_uses)
 
 
@@ -577,7 +578,7 @@ def test_stacked_search_on_spectra_matches_the_depth_first_walk(seed, case, term
     assume(m**n_uses <= vnsynth._EXHAUSTIVE_STRING_CAP)
     povm = random_povm(d, 2, Rng(seed)) if m == 2 else lossy_povm(d, Rng(seed))
     assert vnsynth._search_terms(povm, n_uses)[0].ndim == 1
-    with mock.patch.object(vnsynth, "_STACK_BYTES", stack_budget(povm, n_uses, terms)):
+    with mock.patch.object(qcore, "_BLOCK_BYTES", stack_budget(povm, n_uses, terms)):
         assert_same_search(povm, n_uses)
 
 
@@ -591,7 +592,7 @@ def test_stacked_search_on_spectra_matches_the_depth_first_walk(seed, case, term
     (random_povm_of_ranks(2, (1, 1, 1), Rng(0)), 2),
 ])
 def test_stacked_search_matches_the_walk_on_rank_deficient_inputs(povm, n_uses, terms):
-    with mock.patch.object(vnsynth, "_STACK_BYTES", stack_budget(povm, n_uses, terms)):
+    with mock.patch.object(qcore, "_BLOCK_BYTES", stack_budget(povm, n_uses, terms)):
         assert_same_search(povm, n_uses)
 
 
@@ -599,7 +600,7 @@ def test_stacked_search_stays_within_its_byte_budget():
     # 256 partitions of 64 x 64 complex: the whole stack takes 16 MiB,
     # and building it at once peaks at 33 MiB
     povm = random_povm(8, 3, Rng(2))
-    assert 256 * 64 * 64 * 16 > vnsynth._STACK_BYTES
+    assert 256 * 64 * 64 * 16 > qcore._BLOCK_BYTES
     tracemalloc.start()
     try:
         result = exhaustive_search(povm, 2)
@@ -860,6 +861,42 @@ def test_trine_optimal_implemented_element():
         impl = implemented_povm(syn.prep, syn.protocol)
         ref = np.diag([1 - 3.0**-n, 3.0**-n / 2]).astype(complex)
         assert np.allclose(impl.elements[0], ref, atol=1e-10)
+
+
+commuting_pair = random_povm(2, 2, Rng(5))  # two outcomes, so spectra
+protocol_producers = [
+    pytest.param(lambda: synthesize(trine_povm(), 2, Rng(0)), id="synthesize-exhaustive-dense"),
+    pytest.param(lambda: synthesize(trine_povm(), 3, Rng(0)), id="synthesize-climb-dense"),
+    pytest.param(lambda: synthesize(commuting_pair, 3, Rng(0)),
+                 id="synthesize-exhaustive-spectra"),
+    pytest.param(lambda: synthesize(commuting_pair, 4, Rng(0)), id="synthesize-climb-spectra"),
+    pytest.param(lambda: exhaustive_search(trine_povm(), 1), id="exhaustive-dense"),
+    pytest.param(lambda: exhaustive_search(commuting_pair, 2), id="exhaustive-spectra"),
+    pytest.param(lambda: hill_climb_search(trine_povm(), 2, Rng(1), restarts=3),
+                 id="climb-dense"),
+    pytest.param(lambda: hill_climb_search(commuting_pair, 5, Rng(1), restarts=3),
+                 id="climb-spectra"),
+] + [
+    pytest.param(functools.partial(trine_optimal_protocol, n, povm), id=f"trine-{name}-n={n}")
+    for name, povm in (("trine", trine_povm()), ("noisy-z", qcore.noisy_z_povm(0.9, 0.8)))
+    for n in range(1, 5)
+]
+
+
+# Neither a climb's running sums Q_0 +- T_i nor the trine's closed-form
+# box may stand in for the box of the Q_0 a protocol holds.
+@pytest.mark.parametrize("produce", protocol_producers)
+def test_every_protocol_is_solved_on_the_box_of_its_own_q0(produce):
+    syn = produce()
+    assert same_solution(syn.solution, own_box_solution(syn.protocol))
+    assert syn.protocol.assignment in syn.co_optimal
+
+
+@pytest.mark.parametrize("n", [1, 2, 4])
+def test_trine_protocol_records_its_one_partition(n):
+    syn = trine_optimal_protocol(n)
+    assert syn.co_optimal == (syn.protocol.assignment,)
+    assert syn.evaluated == 1
 
 
 def test_classify_noisy_z_regions():
