@@ -17,11 +17,12 @@ import math
 import sys
 import time
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import List, Optional, Tuple
 
 import numpy as np
 
-from . import coding, io, qcore, rms, subroutines, vnsynth
+from . import __version__, coding, io, qcore, rms, subroutines, vnsynth
 from .errors import MalformedName, MeasrepError, ShapeMismatch, TooFewSamples
 from .qcore import Rng
 
@@ -49,9 +50,15 @@ class RunReport:
 
 
 def _digest(*parts) -> str:
-    h = hashlib.sha256()
+    """Hash of the numpy and measrep versions and the inputs, with the
+    bytes of each input that names a readable file."""
+    h = hashlib.sha256(repr((np.__version__, __version__)).encode())
     for p in parts:
         h.update(repr(p).encode())
+        try:
+            h.update(Path(p).read_bytes())
+        except (TypeError, ValueError, OSError):  # not a path, or unreadable
+            pass
     return h.hexdigest()[:16]
 
 
@@ -179,10 +186,10 @@ def _cmd_clone(args, report: RunReport) -> None:
     )
     report.add("chernoff_exponent_nats", exponent)
     # largest n first, so a sweep past the count-vector limits fails at once
-    errs = [subroutines.cloning_error_rate(basis, n)
+    errs = [subroutines.cloning_error_rate(basis.table, n).mean()
             for n in range(args.max_n, 0, -1)]
     for n, err in enumerate(reversed(errs), 1):
-        report.add(f"error_n={n}", err.average)
+        report.add(f"error_n={n}", err)
 
 
 def _cmd_capacity(args, report: RunReport) -> None:
@@ -207,9 +214,12 @@ def _cmd_block(args, report: RunReport) -> None:
         channel, code, None, args.trials, Rng(args.seed)
     )
     report.add("block_error_rate", run.error_rate, run.standard_error)
-    if args.k == 1:
-        exact = coding.exact_repetition_error(channel, args.copies)
-        report.add("block_error_exact", float(exact.mean()))
+    # one repeated symbol decodes exactly as cloning of the channel's
+    # rows. Uniform messages decode symbol by symbol, so a block fails
+    # with 1 - (1 - e)^k = e (1 + (1 - e) + ... + (1 - e)^(k-1)): the sum
+    # is e itself at k = 1, and does not cancel at small e
+    e = subroutines.cloning_error_rate(channel.matrix, args.copies).mean()
+    report.add("block_error_exact", e * sum((1.0 - e) ** i for i in range(args.k)))
 
 
 # ---------------------------------------------------------------------------

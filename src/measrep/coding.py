@@ -4,9 +4,10 @@ A measurement induces a classical channel over basis states; its
 capacity (computed by Blahut-Arimoto with a certified two-sided gap)
 lower-bounds the achievable reproduction rate. Concrete repetition and
 random codebooks demonstrate the block protocol at desk scale. The
-exact count-vector ML error computed here is also the error of
-generalised classical cloning in ``subroutines``; its multinomial
-weights take every log k! from one function, ``math.lgamma``.
+exact count-vector ML error is computed here and exposed once, as
+``subroutines.cloning_error_rate``: one repetition-coded symbol decodes
+exactly as cloning of the channel's rows. Its multinomial weights take
+every log k! from one function, ``math.lgamma``.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from .qcore import Povm, Rng, _check_bytes
 _LOG_ZERO = -1e30  # stands in for log 0: finite, so 0 * _LOG_ZERO is 0
 _CODEBOOK_CAP = 2**16
 _COUNT_VECTOR_CAP = 2 * 10**6
+_MAX_ITER = 100_000  # Blahut-Arimoto iterations before NotConverged
 
 
 # ---------------------------------------------------------------------------
@@ -70,14 +72,13 @@ def _count_vectors(n: int, m: int) -> np.ndarray:
     return np.column_stack((rows, rem)).astype(float)
 
 
-def _exact_ml_error(table: np.ndarray, n: int) -> tuple[np.ndarray, int]:
+def _exact_ml_error(table: np.ndarray, n: int) -> np.ndarray:
     """Exact ML decoding error per hypothesis after n i.i.d. draws.
 
     ``table`` holds one outcome distribution per hypothesis, shape
     (d, m). The ML decision depends on the outcome string only through
     its counts, so the error sums multinomial weights over count
-    vectors. Returns the per-hypothesis error and the number of
-    undecodable count vectors.
+    vectors. A count vector that no hypothesis can give joins every sum.
     """
     if n < 0:
         raise TooFewSamples(f"{n} < 0 draws")
@@ -94,7 +95,7 @@ def _exact_ml_error(table: np.ndarray, n: int) -> tuple[np.ndarray, int]:
         weight = np.exp(log_multi + terms)
         weight[terms < _LOG_ZERO / 2] = 0.0
         errs[x] = float(np.sum(weight[dec != x]))
-    return errs, int(np.sum(dec == -1))
+    return errs
 
 
 # ---------------------------------------------------------------------------
@@ -178,26 +179,23 @@ class CapacityResult:
     gap: float  # bits
 
 
-def blahut_arimoto(
-    channel: ClassicalChannel, tol: float = 1e-6, max_iter: int = 100_000
-) -> CapacityResult:
+def blahut_arimoto(channel: ClassicalChannel, tol: float = 1e-6) -> CapacityResult:
     """Capacity with the standard certified two-sided stopping rule.
 
     The per-letter divergences D(p(.|x) || q) give a lower bound at the
     current input distribution and their maximum an upper bound; the
-    iteration stops when the gap (in bits) is at most tol.
+    iteration stops when the gap (in bits) is at most tol, or raises
+    ``NotConverged`` with both bounds after ``_MAX_ITER`` iterations.
     """
     if not tol > 0.0:  # NaN included
         raise ShapeMismatch("tol must be positive")
-    if max_iter < 1:  # no iteration would certify a gap
-        raise ShapeMismatch("max_iter must be >= 1")
     w = channel.matrix
     n_in = channel.inputs
     r = np.full(n_in, 1.0 / n_in)
     ln2 = math.log(2.0)
     logw = _safe_log(w)
     lower = upper = 0.0
-    for it in range(1, max_iter + 1):
+    for it in range(1, _MAX_ITER + 1):
         div = _divergences(w, logw, r @ w)
         top = div.max()
         lower = float(r @ div)
@@ -213,7 +211,7 @@ def blahut_arimoto(
         r = r * np.exp(div - top)
         r /= r.sum()
     raise NotConverged(
-        f"gap {(upper - lower) / ln2:.3e} bits above tol after {max_iter} iterations",
+        f"gap {(upper - lower) / ln2:.3e} bits above tol after {_MAX_ITER} iterations",
         lower=lower / ln2,
         upper=upper / ln2,
     )
@@ -304,25 +302,26 @@ def _unpack(idx: np.ndarray, d: int, k: int) -> np.ndarray:
     return out
 
 
-def _check_messages(k: int, d: int) -> None:
-    """Reject more than ``_CODEBOOK_CAP`` messages: the block simulation
-    keeps vectors over all d^k of them. A large k computes no d^k: the
-    exponent is held at 17, where 2^k is past the cap already."""
+def _check_messages(k: int, d: int, length: int, what: str) -> None:
+    """Reject k < 1, a block ``length`` below 1 or d < 2, and more than
+    ``_CODEBOOK_CAP`` messages: the block simulation keeps vectors over
+    all d^k of them. A large k computes no d^k: the exponent is held at
+    17, where 2^k is past the cap already."""
+    if k < 1 or length < 1 or d < 2:
+        raise ShapeMismatch(f"need k >= 1, {what} >= 1, d >= 2")
     if d ** min(k, _CODEBOOK_CAP.bit_length()) > _CODEBOOK_CAP:
         raise TooLarge(f"{d}^{k} messages exceed the codebook cap of {_CODEBOOK_CAP}")
 
 
 def repetition_code(k: int, copies: int, d: int) -> BlockCode:
     """Each message symbol repeated ``copies`` times; per-symbol ML decode."""
-    if k < 1 or copies < 1 or d < 2:
-        raise ShapeMismatch("need k >= 1, copies >= 1, d >= 2")
-    _check_messages(k, d)
+    _check_messages(k, d, copies, "copies")
     return BlockCode(kind="repetition", k=k, n=k * copies, d=d, copies=copies)
 
 
 def random_codebook(k: int, n: int, d: int, rng: Rng) -> BlockCode:
     """Uniformly random distinct codewords with full-ML decoding."""
-    _check_messages(k, d)
+    _check_messages(k, d, n, "n")
     n_msgs = d**k
     n_words = d ** min(n, 63)  # = d^n whenever that is within the cap
     if n_words > 2**62:
@@ -413,12 +412,3 @@ def simulate_block_protocol(
         trials=trials,
         decoded_distribution=dist,
     )
-
-
-def exact_repetition_error(channel: ClassicalChannel, copies: int) -> np.ndarray:
-    """Per-input-letter decode error of a single repeated symbol, exact.
-
-    Enumerates outcome-count vectors (the per-symbol sufficient
-    statistic) rather than raw strings.
-    """
-    return _exact_ml_error(channel.matrix, copies)[0]

@@ -4,7 +4,8 @@ Two building blocks: the post-measurement isometry that realises an
 arbitrary instrument given a perfect von Neumann measurement, and
 generalised classical cloning, which distinguishes a basis of states
 using repeated runs of any non-trivial POVM plus maximum-likelihood
-decoding of the outcome string.
+decoding of the outcome string; ``cloning_error_rate`` also gives the
+exact error of ``coding``'s repetition-coded symbols.
 """
 
 from __future__ import annotations
@@ -170,22 +171,18 @@ def select_cloning_basis(available: Povm) -> CloningBasis:
     raise TrivialMeasurement("basis selection did not converge")
 
 
-@dataclass(frozen=True)
-class CloningErrorRate:
-    per_state: np.ndarray  # error probability per basis state
-    average: float
-    undecodable: int
-
-
-def cloning_error_rate(basis: CloningBasis, n_uses: int) -> CloningErrorRate:
-    """Decoding error of N-fold generalised classical cloning.
+def cloning_error_rate(table, n_uses: int) -> np.ndarray:
+    """Exact ML decoding error per row of an outcome table after n_uses
+    i.i.d. draws: N-fold cloning on a ``CloningBasis.table``, or one
+    repetition-coded symbol on a channel's ``matrix``.
 
     Sums multinomial weights over all outcome-count vectors: the ML
     decision depends on the string only through its counts.
     """
-    per_state, undecodable = _exact_ml_error(np.asarray(basis.table, dtype=float),
-                                             n_uses)
-    return CloningErrorRate(per_state, float(per_state.mean()), undecodable)
+    table = np.asarray(table, dtype=float)
+    if table.ndim != 2 or 0 in table.shape or not np.all(np.isfinite(table)):
+        raise ShapeMismatch("an outcome table must be 2-D, non-empty and finite")
+    return _exact_ml_error(table, n_uses)
 
 
 def chernoff_information(p, q) -> float:
@@ -196,8 +193,10 @@ def chernoff_information(p, q) -> float:
     """
     p = np.asarray(p, dtype=float)
     q = np.asarray(q, dtype=float)
-    if p.shape != q.shape:
-        raise ShapeMismatch("distributions must share an alphabet")
+    for r in (p, q):
+        if (r.ndim != 1 or r.shape != p.shape or not np.all(np.isfinite(r))
+                or np.any(r < -1e-9) or abs(r.sum() - 1.0) > 1e-9):
+            raise ShapeMismatch("p and q must be distributions on one alphabet")
     common = (p > 0.0) & (q > 0.0)
     if not np.any(common):
         return float("inf")

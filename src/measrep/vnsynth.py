@@ -48,6 +48,9 @@ from .qcore import Povm, Rng, dagger, identity, tensor
 # Most outcome strings exhaustive_search accepts; synthesize hill-climbs beyond.
 _EXHAUSTIVE_STRING_CAP = 12
 
+# Random starts of hill_climb_search, after the closed-form partition.
+_RESTARTS = 8
+
 # Epsilons within this of the best one tie in exhaustive_search. It also
 # bounds how far an input admitted as commuting may move the eigenvalues
 # the searches score (``_search_terms``).
@@ -610,12 +613,7 @@ def _side_bounds(cur, memo) -> tuple:
 
 
 @np.errstate(invalid="ignore")  # failed eigensolves raise NotConverged
-def hill_climb_search(
-    available: Povm,
-    n_uses: int,
-    rng: Rng,
-    restarts: int = 8,
-):
+def hill_climb_search(available: Povm, n_uses: int, rng: Rng):
     """Local search over single-string reassignments, with states.
 
     The closed-form 'no zero outcome -> 1' partition is always included
@@ -654,7 +652,7 @@ def hill_climb_search(
     strings = itertools.product(range(available.outcomes), repeat=n_uses)
     starts = [tuple(0 if 0 in s else 1 for s in strings)]
     g = rng.generator
-    for _ in range(restarts):
+    for _ in range(_RESTARTS):
         starts.append(tuple(int(v) for v in g.integers(0, 2, size=n_strings)))
 
     every = (1 << n_strings) - 1

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from measrep import qcore, vnsynth
+from measrep import coding, qcore, vnsynth
 from measrep.coding import (
     CapacityResult,
     ClassicalChannel,
@@ -575,9 +575,11 @@ def hill_climb_search_per_candidate(available, n_uses, restarts=8, rng=None):
 # once per step and called the array methods directly: the same bits.
 
 
-def blahut_arimoto_wrapped(channel, tol=1e-6, max_iter=100_000):
+def blahut_arimoto_wrapped(channel, tol=1e-6):
     """``blahut_arimoto`` through the ``np.sum``/``np.max`` wrappers, with
-    the maximum divergence taken twice per iteration."""
+    the maximum divergence taken twice per iteration; it stops after
+    ``coding._MAX_ITER`` iterations, as ``blahut_arimoto`` does."""
+    max_iter = coding._MAX_ITER
     w = channel.matrix
     n_in = channel.inputs
     r = np.full(n_in, 1.0 / n_in)

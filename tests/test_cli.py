@@ -10,7 +10,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from measrep import cli, io, qcore, rms, vnsynth
+from measrep import cli, coding, io, qcore, rms, vnsynth
+from measrep.subroutines import cloning_error_rate
 from oracles import (
     hermiticity_defect_povm_file,
     nan_povm_file,
@@ -320,6 +321,29 @@ def test_block_command(capsys):
     )
     assert code == 0
     assert "block_error_rate" in out
+
+
+# (seed, d, m, k, copies): a random channel's d^k messages of k symbols
+@pytest.mark.parametrize("seed, d, m, k, copies", [
+    (1, 2, 2, 2, 3), (2, 2, 4, 3, 5), (3, 3, 3, 2, 2), (4, 3, 2, 3, 4), (5, 2, 3, 1, 4),
+])
+def test_block_error_exact_is_the_mean_over_every_message(tmp_path, capsys, seed, d, m,
+                                                          k, copies):
+    path = str(tmp_path / "available.json")
+    io.save_measurement(random_povm(d, m, qcore.Rng(seed)), path)
+    code, doc = json_rows(capsys, "block", path, "--k", str(k), "--copies", str(copies),
+                          "--seed", str(seed))
+    assert code == 0
+    rows = {r["name"]: r for r in doc["rows"]}
+    exact = rows["block_error_exact"]["value"]
+    errs = cloning_error_rate(coding.associated_channel(io.load_povm(path)).matrix, copies)
+    if k == 1:
+        assert exact == errs.mean()
+    brute = np.mean([1.0 - np.prod(1.0 - errs[list(message)])
+                     for message in itertools.product(range(d), repeat=k)])
+    assert abs(exact - brute) <= 1e-15
+    run = rows["block_error_rate"]
+    assert abs(run["value"] - exact) <= 5.0 * run["stderr"]
 
 
 def test_seed_reproducibility(capsys):
@@ -680,6 +704,25 @@ def test_subcommand_rejects_unread_option(capsys, argv):
         cli.main(list(argv))
     assert exc.value.code == 2
     assert argv[-2] in capsys.readouterr().err
+
+
+def test_digest_covers_the_content_of_an_input_file(tmp_path, capsys):
+    # trine and noisy-z:0.9,0.8, saved in turn at one path, once shared
+    # the digest 19f5086e5df770b2
+    path = str(tmp_path / "measurement.json")
+    digests = []
+    for povm in (qcore.trine_povm(), qcore.noisy_z_povm(0.9, 0.8)):
+        io.save_measurement(povm, path)
+        digests.append(json_rows(capsys, "validate", path)[1]["inputs_digest"])
+    assert digests[0] != digests[1]
+
+
+@pytest.mark.parametrize("name", ["missing.json", "bad\0name"], ids=["missing", "nul"])
+def test_a_path_the_digest_cannot_read_is_still_a_usage_error(capsys, name):
+    assert cli.main(["validate", name]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"measrep: usage error: no such file or built-in: {name!r}\n"
 
 
 @pytest.mark.parametrize("argv, option, values", [

@@ -2,6 +2,7 @@ import math
 import tracemalloc
 import warnings
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -14,7 +15,6 @@ from measrep.coding import (
     ClassicalChannel,
     associated_channel,
     blahut_arimoto,
-    exact_repetition_error,
     mutual_information,
     random_codebook,
     repetition_code,
@@ -115,22 +115,14 @@ def test_mutual_information_bsc():
 
 @pytest.mark.parametrize("tol", [0.0, -1e-6, float("nan")])
 def test_blahut_arimoto_rejects_a_tolerance_that_is_not_positive(tol):
-    # a NaN tol once ran all max_iter iterations and then reported the gap
+    # a NaN tol once ran all 100,000 iterations and then reported the gap
     with pytest.raises(ShapeMismatch, match="tol must be positive"):
         blahut_arimoto(binary_symmetric_channel(0.1), tol=tol)
 
 
-@pytest.mark.parametrize("max_iter", [0, -1])
-def test_blahut_arimoto_rejects_fewer_than_one_iteration(max_iter):
-    # no iteration once raised NotConverged with bounds of 0 bits, a false
-    # certificate for the trine channel's 0.47 bits
-    with pytest.raises(ShapeMismatch, match="max_iter must be >= 1"):
-        blahut_arimoto(associated_channel(trine_povm()), max_iter=max_iter)
-
-
 def test_exact_repetition_error_rejects_a_negative_copy_count():
     with pytest.raises(TooFewSamples, match="-2 < 0 draws"):
-        exact_repetition_error(associated_channel(trine_povm()), -2)
+        cloning_error_rate(associated_channel(trine_povm()).matrix, -2)
 
 
 def test_blahut_arimoto_noiseless():
@@ -181,8 +173,9 @@ def test_blahut_arimoto_lower_bound_dominates_uniform():
 
 def test_blahut_arimoto_not_converged_carries_bounds():
     # asymmetric channel so the uniform start is not already optimal
-    with pytest.raises(NotConverged) as exc:
-        blahut_arimoto(associated_channel(trine_povm()), tol=1e-14, max_iter=2)
+    with pytest.raises(NotConverged, match="after 2 iterations") as exc, \
+            mock.patch.object(coding, "_MAX_ITER", 2):
+        blahut_arimoto(associated_channel(trine_povm()), tol=1e-14)
     assert exc.value.lower is not None
     assert exc.value.upper >= exc.value.lower
 
@@ -196,7 +189,8 @@ def test_blahut_arimoto_bounds_bracket_the_grid_capacity(seed, m, zeros, mirror,
     # two inputs only: a 2-D grid over three inputs costs ~0.4 s per example
     channel = random_channel(seed, 2, m, zeros, mirror)
     try:
-        cap = blahut_arimoto(channel, tol=tol, max_iter=10_000)
+        with mock.patch.object(coding, "_MAX_ITER", 10_000):
+            cap = blahut_arimoto(channel, tol=tol)
         lower, upper = cap.capacity, cap.upper_bound
     except NotConverged as exc:
         lower, upper = exc.lower, exc.upper
@@ -232,7 +226,7 @@ def test_repetition_encode_decode_roundtrip_noiseless():
 
 def test_repetition_single_use_trine_error():
     channel = associated_channel(trine_povm())
-    errs = exact_repetition_error(channel, 1)
+    errs = cloning_error_rate(channel.matrix, 1)
     assert errs[0] == pytest.approx(1 / 3, abs=1e-14)
     assert errs[1] == pytest.approx(0.0, abs=1e-14)
     assert errs.mean() == pytest.approx(1 / 6, abs=1e-14)
@@ -240,7 +234,7 @@ def test_repetition_single_use_trine_error():
 
 def test_repetition_error_monotone_trine():
     channel = associated_channel(trine_povm())
-    means = [exact_repetition_error(channel, c).mean() for c in (1, 3, 5, 7)]
+    means = [cloning_error_rate(channel.matrix, c).mean() for c in (1, 3, 5, 7)]
     assert all(a > b for a, b in zip(means, means[1:]))
 
 
@@ -259,12 +253,25 @@ def test_random_codebook_size_cap():
         random_codebook(4, 3, 2, Rng(0))  # more messages than codewords
 
 
+def assert_rejected_before_any_draw(k, n, d):
+    rng = Rng(1)
+    state = rng.generator.bit_generator.state
+    with pytest.raises(ShapeMismatch, match="need k >= 1, n >= 1, d >= 2"):
+        random_codebook(k, n, d, rng)
+    assert rng.generator.bit_generator.state == state
+
+
 def test_random_codebook_single_message_edge():
-    code = random_codebook(0, 4, 2, Rng(1))
-    run = simulate_block_protocol(
-        binary_symmetric_channel(0.3), code, None, 2000, Rng(2)
-    )
-    assert run.error_rate == 0.0
+    # k = 0, one message, once built a code that reported error rate 0
+    assert_rejected_before_any_draw(0, 4, 2)
+
+
+# k = -1 once built a code that simulate_block_protocol failed on with an
+# untyped TypeError, and d = 0 an empty codebook
+@pytest.mark.parametrize("k, n, d", [(-1, 3, 2), (2, 0, 2), (2, -3, 2), (2, 3, 1),
+                                     (2, 3, 0)])
+def test_random_codebook_rejects_a_degenerate_shape_before_any_draw(k, n, d):
+    assert_rejected_before_any_draw(k, n, d)
 
 
 # ---------------------------------------------------------------------------
@@ -299,7 +306,7 @@ def test_simulation_matches_exact_repetition():
     channel = associated_channel(trine_povm())
     code = repetition_code(1, 15, 2)
     run = simulate_block_protocol(channel, code, None, 100_000, Rng(9))
-    exact = exact_repetition_error(channel, 15).mean()
+    exact = cloning_error_rate(channel.matrix, 15).mean()
     assert exact < 1e-3
     assert abs(run.error_rate - exact) < 3 * run.standard_error + 1e-4
 
@@ -327,7 +334,7 @@ def test_statevector_consistency_path():
     assert dist.sum() == pytest.approx(1.0, abs=1e-12)
     # exact classical computation of the same decoded distribution
     channel = associated_channel(trine_povm())
-    errs = exact_repetition_error(channel, 2)
+    errs = cloning_error_rate(channel.matrix, 2)
     ref0 = 0.36 * (1 - errs[0]) + 0.64 * errs[1]
     assert dist[0] == pytest.approx(ref0, abs=1e-12)
 
@@ -380,7 +387,8 @@ def assert_same_array(a, b):
 def capacity_or_bounds(capacity, channel, tol):
     # at most 2,000 iterations, so a slow channel ends in NotConverged
     try:
-        cap = capacity(channel, tol=tol, max_iter=2000)
+        with mock.patch.object(coding, "_MAX_ITER", 2000):
+            cap = capacity(channel, tol=tol)
     except NotConverged as exc:
         return exc.lower, exc.upper
     return cap.capacity, cap.upper_bound, cap.p_x.tobytes(), cap.iterations, cap.gap
@@ -399,7 +407,8 @@ def test_capacity_is_the_mutual_information_at_its_input(seed, d, m):
     # one divergence formula serves both, so the lower bound is the same bits
     channel = random_channel(seed, d, m, zeros=True, mirror=False)
     try:
-        cap = blahut_arimoto(channel, tol=1e-8, max_iter=2000)
+        with mock.patch.object(coding, "_MAX_ITER", 2000):
+            cap = blahut_arimoto(channel, tol=1e-8)
     except NotConverged:
         assume(False)
     assert cap.capacity == mutual_information(cap.p_x, channel)
@@ -566,7 +575,7 @@ def test_count_vectors_match_the_cut_enumeration(n, m):
 @settings(max_examples=80)
 @given(channel=channels, n=st.integers(0, 6))
 def test_exact_ml_error_matches_the_sum_over_outcome_strings(channel, n):
-    errs, _ = coding._exact_ml_error(channel.matrix, n)
+    errs = coding._exact_ml_error(channel.matrix, n)
     ref = exact_ml_error_by_strings(channel.matrix, n)
     assert np.max(np.abs(errs - ref)) <= 1e-14
 
@@ -592,11 +601,11 @@ def test_cloning_error_exact_and_sampled_agree(channel, n_uses, seed):
     table = channel.matrix
     povm = Povm(tuple(np.diag(table[:, a]) for a in range(table.shape[1])))
     basis = CloningBasis(states=tuple(np.eye(table.shape[0])), table=table)
-    exact = cloning_error_rate(basis, n_uses)
+    exact = cloning_error_rate(table, n_uses)
     trials = 20_000
     sampled = cloning_error_rate_sampled(basis, n_uses, trials=trials, rng=Rng(seed))
     # standard deviation of the sampled average under the exact rates,
     # which may overshoot [0, 1] by rounding
-    p = np.clip(exact.per_state, 0.0, 1.0)
+    p = np.clip(exact, 0.0, 1.0)
     sigma = math.sqrt(np.sum(p * (1.0 - p)) / trials) / p.size
-    assert abs(sampled.average - exact.average) <= 4.0 * sigma + 1e-12
+    assert abs(sampled.average - exact.mean()) <= 4.0 * sigma + 1e-12

@@ -3,7 +3,6 @@ import math
 import numpy as np
 import pytest
 
-from measrep.coding import ClassicalChannel, exact_repetition_error
 from measrep.errors import (NotNormalized, ShapeMismatch, TooFewSamples, TooLarge,
                             TrivialMeasurement)
 from measrep.qcore import (
@@ -29,7 +28,6 @@ from oracles import (
     cloning_error_rate_sampled,
     haar_state,
     random_instrument,
-    random_povm,
 )
 
 
@@ -141,50 +139,36 @@ def test_ml_decode_majority():
     # rows (0.2, 0.8) and (0, 1): a single outcome 0 rules out state 1
     # against the majority, so only the all-ones string decodes to 1
     povm = noisy_z_povm(0.2, 1.0)
-    err = cloning_error_rate(select_cloning_basis(povm), 3)
-    assert err.per_state[0] == pytest.approx(0.8**3, abs=1e-15)
-    assert err.per_state[1] == 0.0
+    err = cloning_error_rate(select_cloning_basis(povm).table, 3)
+    assert err[0] == pytest.approx(0.8**3, abs=1e-15)
+    assert err[1] == 0.0
     # identical rows: every count vector ties and goes to index 0
-    tie = exact_repetition_error(ClassicalChannel(np.full((2, 2), 0.5)), 3)
+    tie = cloning_error_rate(np.full((2, 2), 0.5), 3)
     assert np.allclose(tie, [0.0, 1.0], atol=1e-14)
 
 
 def test_ml_decode_undecodable():
-    # the count vector (1, 1) has zero likelihood under both rows
+    # the count vector (1, 1) has zero likelihood under both rows, and
+    # neither row can give it, so it adds nothing to either error
     povm = von_neumann_povm(2)
-    err = cloning_error_rate(select_cloning_basis(povm), 2)
-    assert err.undecodable == 1
-    assert np.array_equal(err.per_state, [0.0, 0.0])
-
-
-def test_cloning_exact_equals_repetition_error():
-    # the cloning error and the repetition-code error are the same ML
-    # computation, so they agree bit for bit on the same table
-    rng = Rng(31)
-    povms = [trine_povm(), degenerate_qutrit_povm()]
-    povms += [random_povm(2 + i % 2, 2 + i % 3, rng.split(i)) for i in range(6)]
-    for povm in povms:
-        basis = select_cloning_basis(povm)
-        channel = ClassicalChannel(basis.table)
-        for n in (1, 3, 7, 20):
-            err = cloning_error_rate(basis, n)
-            assert np.array_equal(err.per_state, exact_repetition_error(channel, n))
+    err = cloning_error_rate(select_cloning_basis(povm).table, 2)
+    assert np.array_equal(err, [0.0, 0.0])
 
 
 def test_cloning_exact_trine_values():
     basis = select_cloning_basis(trine_povm())
     for n in (1, 2, 5):
-        err = cloning_error_rate(basis, n)
-        assert err.per_state[0] == pytest.approx(3.0**-n, abs=1e-14)
-        assert err.per_state[1] == pytest.approx(0.0, abs=1e-14)
-        assert err.average == pytest.approx(0.5 * 3.0**-n, abs=1e-14)
+        err = cloning_error_rate(basis.table, n)
+        assert err[0] == pytest.approx(3.0**-n, abs=1e-14)
+        assert err[1] == pytest.approx(0.0, abs=1e-14)
+        assert err.mean() == pytest.approx(0.5 * 3.0**-n, abs=1e-14)
 
 
 def test_cloning_exact_matches_sampled():
     basis = select_cloning_basis(trine_povm())
-    exact = cloning_error_rate(basis, 3)
+    exact = cloning_error_rate(basis.table, 3)
     sampled = cloning_error_rate_sampled(basis, 3, trials=50_000, rng=Rng(12))
-    assert abs(sampled.average - exact.average) < 3 * sampled.standard_error + 1e-3
+    assert abs(sampled.average - exact.mean()) < 3 * sampled.standard_error + 1e-3
 
 
 def test_cloning_sampled_reproducible():
@@ -197,20 +181,30 @@ def test_cloning_sampled_reproducible():
 def test_cloning_rejects_a_negative_use_count():
     # the count vectors of n = -1 once raised an untyped IndexError
     with pytest.raises(TooFewSamples, match="-1 < 0 draws"):
-        cloning_error_rate(select_cloning_basis(trine_povm()), -1)
+        cloning_error_rate(select_cloning_basis(trine_povm()).table, -1)
+
+
+# [[nan, 1], [0.5, 0.5]] once gave the per-state errors [0, 0.125] at n = 3
+@pytest.mark.parametrize("table", [
+    [[np.nan, 1.0], [0.5, 0.5]], [[np.inf, 0.0], [0.5, 0.5]],
+    [0.5, 0.5], [[[0.5, 0.5]]], np.zeros((0, 2)), np.zeros((2, 0)),
+], ids=["nan", "inf", "1-D", "3-D", "no-rows", "no-columns"])
+def test_cloning_rejects_a_table_that_is_not_2d_nonempty_and_finite(table):
+    with pytest.raises(ShapeMismatch, match="2-D, non-empty and finite"):
+        cloning_error_rate(table, 3)
 
 
 def test_cloning_exact_size_cap():
     basis = select_cloning_basis(trine_povm())
     with pytest.raises(TooLarge):
-        cloning_error_rate(basis, 10**6)
+        cloning_error_rate(basis.table, 10**6)
 
 
 def test_cloning_degenerate_qutrit_decays():
     povm = degenerate_qutrit_povm()
     basis = select_cloning_basis(povm)
     errs = [
-        cloning_error_rate(basis, n).average
+        cloning_error_rate(basis.table, n).mean()
         for n in (2, 6, 10)
     ]
     assert errs[0] > errs[1] > errs[2]
@@ -253,10 +247,23 @@ def test_chernoff_bsc_closed_form():
     )
 
 
+# ([nan, 1], [0.5, 0.5]) once gave 0.693 nats and ([5, 5], [0.5, 0.5]) -0.0
+@pytest.mark.parametrize("p, q", [
+    ([np.nan, 1.0], [0.5, 0.5]), ([0.5, 0.5], [np.inf, 0.0]),
+    ([5.0, 5.0], [0.5, 0.5]), ([0.5, 0.5], [0.2, 0.2]),
+    ([1.0 + 1e-8, -1e-8], [0.5, 0.5]), ([0.5, 0.5], [0.5, 0.25, 0.25]),
+    ([[0.5, 0.5]], [[0.5, 0.5]]), (1.0, 1.0), ([], []),
+], ids=["nan", "inf", "sum-above-1", "sum-below-1", "negative", "two-shapes",
+        "2-D", "0-D", "empty"])
+def test_chernoff_rejects_what_is_not_two_distributions_on_one_alphabet(p, q):
+    with pytest.raises(ShapeMismatch, match="distributions on one alphabet"):
+        chernoff_information(p, q)
+
+
 def test_cloning_error_tracks_chernoff_exponent():
     basis = select_cloning_basis(trine_povm())
     xi = chernoff_information(basis.table[0], basis.table[1])
     for n in (5, 10):
-        err = cloning_error_rate(basis, n)
-        assert err.average <= math.exp(-n * xi) * 5
-        assert err.average >= math.exp(-n * xi) / 5
+        err = cloning_error_rate(basis.table, n).mean()
+        assert err <= math.exp(-n * xi) * 5
+        assert err >= math.exp(-n * xi) / 5

@@ -9,6 +9,10 @@ that only a test calls is dead weight.
 A public field of a public class (an annotated name in its body) counts
 as used when some module of ``src/``, script in ``benchmarks/`` or test
 reads it as an attribute; a field that nothing reads is dead weight too.
+
+A defaulted parameter of a public function or method counts as used when
+some call in ``src/`` or ``benchmarks/`` passes it, by keyword or by
+position; a default that no caller overrides is a constant.
 """
 
 import ast
@@ -79,3 +83,63 @@ def test_every_public_field_is_read():
     unread = [qualified for qualified, name in fields if name not in read]
     assert fields
     assert not unread, f"public fields that nothing reads: {unread}"
+
+
+def _defaulted_parameters(tree):
+    """(qualified name, callee name, parameter, position) of each defaulted
+    parameter of a module's public functions, and of the public methods
+    and ``__init__`` of its public classes. A call of class C calls
+    ``C.__init__``; a method's positions skip ``self``, and a
+    keyword-only parameter has no position."""
+    def defaults(fn, qualified, callee, skip):
+        args = fn.args.posonlyargs + fn.args.args
+        first = len(args) - len(fn.args.defaults)
+        for pos, arg in enumerate(args[first:], first):
+            yield qualified, callee, arg.arg, pos - skip
+        for arg, default in zip(fn.args.kwonlyargs, fn.args.kw_defaults):
+            if default is not None:
+                yield qualified, callee, arg.arg, None
+
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef) and node.name[0] != "_":
+            yield from defaults(node, node.name, node.name, 0)
+        if isinstance(node, ast.ClassDef) and node.name[0] != "_":
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and (item.name[0] != "_"
+                                                          or item.name == "__init__"):
+                    static = any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                                 for d in item.decorator_list)
+                    callee = node.name if item.name == "__init__" else item.name
+                    yield from defaults(item, f"{node.name}.{item.name}", callee,
+                                        0 if static else 1)
+
+
+def _passed_arguments(trees):
+    """Callee name -> the positions and keywords some call passes it;
+    "*" and "**" stand for a starred positional or keyword argument."""
+    passed = {}
+    for tree in trees:
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            got = passed.setdefault(name, set())
+            got.update("*" if isinstance(a, ast.Starred) else i
+                       for i, a in enumerate(node.args))
+            got.update("**" if kw.arg is None else kw.arg for kw in node.keywords)
+    return passed
+
+
+def test_every_defaulted_parameter_is_passed_outside_the_tests():
+    sources = sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "benchmarks").glob("*.py"))
+    trees = {path: ast.parse(path.read_text(encoding="utf-8")) for path in sources}
+    passed = _passed_arguments(trees.values())
+    params = [(f"{path.stem}.{qualified}", callee, param, pos)
+              for path, tree in trees.items() if path.parent == PACKAGE
+              for qualified, callee, param, pos in _defaulted_parameters(tree)]
+    never = [f"{qualified}({param})" for qualified, callee, param, pos in params
+             if not passed.get(callee, set()) & {param, "**"}
+             and (pos is None or not passed.get(callee, set()) & {pos, "*"})]
+    assert params
+    assert not never, f"defaulted parameters that no call passes: {never}"

@@ -46,6 +46,12 @@ from oracles import (
 )
 
 
+def climb(povm, n_uses, rng, restarts):
+    """``hill_climb_search`` with ``restarts`` random starts."""
+    with mock.patch.object(vnsynth, "_RESTARTS", restarts):
+        return hill_climb_search(povm, n_uses, rng)
+
+
 # ---------------------------------------------------------------------------
 # partition protocols
 # ---------------------------------------------------------------------------
@@ -312,7 +318,7 @@ def test_exhaustive_search_cap():
 
 def test_hill_climb_matches_exhaustive_two_use():
     exact = exhaustive_search(trine_povm(), 2)
-    climbed = hill_climb_search(trine_povm(), 2, restarts=4, rng=Rng(5))
+    climbed = climb(trine_povm(), 2, Rng(5), 4)
     assert climbed.solution.epsilon <= exact.solution.epsilon + 1e-12
 
 
@@ -327,12 +333,12 @@ def test_exhaustive_noisy_z_identity_partition():
 def test_hill_climb_degenerate_povm():
     half = qcore.identity(2) / 2
     degenerate = qcore.Povm((half, half))
-    result = hill_climb_search(degenerate, 2, restarts=2, rng=Rng(1))
+    result = climb(degenerate, 2, Rng(1), 2)
     assert result.solution.epsilon == pytest.approx(1 / math.sqrt(12), abs=1e-12)
 
 
 def test_hill_climb_three_use_matches_closed_form():
-    climbed = hill_climb_search(trine_povm(), 3, restarts=2, rng=Rng(5))
+    climbed = climb(trine_povm(), 3, Rng(5), 2)
     assert climbed.solution.epsilon <= 3.0**-3 / 2 + 1e-12
 
 
@@ -387,7 +393,7 @@ def test_exhaustive_search_keeps_every_tie_of_a_zero_error_input():
 @given(seed=povm_seeds, m=outcome_counts, n_uses=use_counts)
 def test_hill_climb_matches_from_scratch_scoring(seed, m, n_uses):
     povm = random_povm(2, m, Rng(seed))
-    result = hill_climb_search(povm, n_uses, restarts=3, rng=Rng(seed))
+    result = climb(povm, n_uses, Rng(seed), 3)
     bits, sol, count = hill_climb_search_from_scratch(
         povm, n_uses, restarts=3, rng=Rng(seed)
     )
@@ -421,7 +427,7 @@ def test_commuting_search_on_spectra_matches_dense_scoring(seed, case):
         result = exhaustive_search(povm, n_uses)
         bits, sol, ties, count = exhaustive_search_from_scratch(povm, n_uses)
     else:
-        result = hill_climb_search(povm, n_uses, restarts=3, rng=Rng(seed))
+        result = climb(povm, n_uses, Rng(seed), 3)
         bits, sol, count = hill_climb_search_from_scratch(
             povm, n_uses, restarts=3, rng=Rng(seed)
         )
@@ -719,7 +725,7 @@ def assert_searches_score_as_per_candidate(povm, n_uses, seed):
     if povm.outcomes**n_uses <= vnsynth._EXHAUSTIVE_STRING_CAP:
         assert_same_result(exhaustive_search(povm, n_uses),
                            exhaustive_search_per_candidate(povm, n_uses))
-    assert_same_result(hill_climb_search(povm, n_uses, restarts=3, rng=Rng(seed)),
+    assert_same_result(climb(povm, n_uses, Rng(seed), 3),
                        hill_climb_search_per_candidate(povm, n_uses, restarts=3,
                                                        rng=Rng(seed)))
 
@@ -781,7 +787,7 @@ def test_a_nested_box_never_scores_lower(ends):
 ])
 def test_hill_climb_skips_eigensolves_its_side_bounds_settle(povm, n_uses, seed):
     with mock.patch.object(vnsynth, "_eigvalsh", wraps=vnsynth._eigvalsh) as eig:
-        result = hill_climb_search(povm, n_uses, restarts=3, rng=Rng(seed))
+        result = climb(povm, n_uses, Rng(seed), 3)
     # evaluated counts the bounded neighbours too, as if they were scored
     assert eig.call_count < result.evaluated
     assert_same_result(result, hill_climb_search_per_candidate(
@@ -796,7 +802,7 @@ def test_hill_climb_skips_eigensolves_its_side_bounds_settle(povm, n_uses, seed)
 ])
 def test_a_rescored_bound_entry_scores_as_per_candidate(povm, n_uses, seed, restarts):
     assert_same_result(
-        hill_climb_search(povm, n_uses, restarts=restarts, rng=Rng(seed)),
+        climb(povm, n_uses, Rng(seed), restarts),
         hill_climb_search_per_candidate(povm, n_uses, restarts=restarts, rng=Rng(seed)))
 
 
@@ -872,9 +878,9 @@ protocol_producers = [
     pytest.param(lambda: synthesize(commuting_pair, 4, Rng(0)), id="synthesize-climb-spectra"),
     pytest.param(lambda: exhaustive_search(trine_povm(), 1), id="exhaustive-dense"),
     pytest.param(lambda: exhaustive_search(commuting_pair, 2), id="exhaustive-spectra"),
-    pytest.param(lambda: hill_climb_search(trine_povm(), 2, Rng(1), restarts=3),
+    pytest.param(lambda: climb(trine_povm(), 2, Rng(1), 3),
                  id="climb-dense"),
-    pytest.param(lambda: hill_climb_search(commuting_pair, 5, Rng(1), restarts=3),
+    pytest.param(lambda: climb(commuting_pair, 5, Rng(1), 3),
                  id="climb-spectra"),
 ] + [
     pytest.param(functools.partial(trine_optimal_protocol, n, povm), id=f"trine-{name}-n={n}")
