@@ -3,9 +3,9 @@
 Synthesize partition protocols, optimize the achievable statistics with
 a box-constrained quadratic program, construct the prepared states, and
 quantify the reproduction error exactly and by Haar Monte Carlo. The
-``subroutines`` module covers post-measurement realisation and
-generalised classical cloning; ``coding`` covers the finite-rate
-block-coding protocol and channel capacity.
+``subroutines`` module covers post-measurement realisation, read back
+for an exact check, and generalised classical cloning; ``coding``
+covers the finite-rate block-coding protocol and channel capacity.
 """
 
 from .coding import (
@@ -26,7 +26,6 @@ from .qcore import (
     Povm,
     Rng,
     degenerate_qutrit_povm,
-    haar_states,
     hermitian_eig,
     induced_povm,
     lueders_instrument,
@@ -36,7 +35,7 @@ from .qcore import (
     validate_povm,
     von_neumann_povm,
 )
-from .rms import RmsEstimate, rms_exact_povm, rms_monte_carlo_povm
+from .rms import RmsEstimate, rms_exact_instrument, rms_exact_povm, rms_monte_carlo_povm
 from .subroutines import (
     CloningBasis,
     chernoff_information,

@@ -148,26 +148,13 @@ def _cmd_rms(args, report: RunReport) -> None:
 
 
 def _cmd_postmeas(args, report: RunReport) -> None:
-    if args.samples < 1:
-        raise TooFewSamples(f"{args.samples} < 1 samples")
     obj = io.load_measurement(args.measurement)
-    inst = obj if isinstance(obj, qcore.Instrument) else qcore.lueders_instrument(obj)
-    iso = subroutines.build_measurement_isometry(inst)
-    psi = qcore.haar_states(inst.dim_in, min(args.samples, 200), Rng(args.seed))
-    prob, post = iso.apply(psi)
-    # reference: the sub-channel outputs sum_k K rho K^dagger per state
-    rho = psi[:, :, None] * np.conj(psi[:, None, :])
-    ref = np.zeros(prob.shape + (inst.dim_out, inst.dim_out), dtype=complex)
-    for a, group in enumerate(inst.kraus):
-        for k in group:
-            ref[:, a] += k @ rho @ qcore.dagger(k)
-    p_ref = np.trace(ref, axis1=-2, axis2=-1).real
-    worst_p = float(np.max(np.abs(prob - p_ref)))
-    both = (prob > 1e-14) & (p_ref > 1e-12)
-    dev = post[both] - ref[both] / p_ref[both][:, None, None]
-    worst_s = float(np.max(np.linalg.norm(dev, axis=(1, 2)), initial=0.0))
-    report.add("max_probability_deviation", worst_p, ok=worst_p <= args.tol)
-    report.add("max_poststate_deviation", worst_s, ok=worst_s <= args.tol)
+    target = obj if isinstance(obj, qcore.Instrument) else qcore.lueders_instrument(obj)
+    impl = subroutines.build_measurement_isometry(target).instrument()
+    stats = rms.rms_exact_povm(qcore.induced_povm(impl), qcore.induced_povm(target))
+    report.add("statistics_error", stats, ok=stats <= args.tol)
+    err = rms.rms_exact_instrument(impl, target)
+    report.add("instrument_error", err, ok=err <= args.tol)
 
 
 def _cmd_clone(args, report: RunReport) -> None:
@@ -373,8 +360,8 @@ COMMANDS = {
               ("measurement", "n_uses")),
     "rms": (_cmd_rms, "closed-form and Monte Carlo error",
             ("measurement", "n_uses", "samples")),
-    "postmeas": (_cmd_postmeas, "post-measurement sub-routine check on "
-                 "min(--samples, 200) Haar states", ("measurement", "samples", "tol")),
+    "postmeas": (_cmd_postmeas, "exact post-measurement sub-routine check",
+                 ("measurement", "tol")),
     "clone": (_cmd_clone, "basis selection + error curves", ("measurement", "max_n")),
     "capacity": (_cmd_capacity, "associated-channel capacity", ("measurement", "tol")),
     "block": (_cmd_block, "block-coding protocol simulation",

@@ -109,6 +109,8 @@ def read_measurement(path_or_name: str) -> Union[Povm, Instrument]:
         doc = json.loads(p.read_text(encoding="utf-8"))
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise MalformedFile(f"{path_or_name}: invalid JSON ({exc})") from exc
+    except OSError as exc:  # a directory, or no permission to read
+        raise MalformedFile(f"{path_or_name}: cannot be read ({exc.strerror})") from exc
     if not isinstance(doc, dict) or "kind" not in doc:
         raise MalformedFile(f"{path_or_name}: missing 'kind'")
     kind = doc["kind"]
@@ -116,7 +118,7 @@ def read_measurement(path_or_name: str) -> Union[Povm, Instrument]:
         dim = int(doc["dim"])
         outcomes = int(doc["outcomes"])
         elements = doc["elements"]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:  # int(inf)
         raise MalformedFile(f"{path_or_name}: missing or bad header field") from exc
     if not isinstance(elements, list) or len(elements) != outcomes:
         raise MalformedFile(f"{path_or_name}: 'elements' must list each outcome")

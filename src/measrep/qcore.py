@@ -271,21 +271,14 @@ def hermitian_eig(m):
 
 
 def _haar_normals(dim: int, count: int, rng: Rng):
-    """Real and imaginary parts (count, dim) of the Gaussian vectors
-    behind ``count`` Haar states: all real parts, then all imaginary
-    parts."""
+    """Real and imaginary parts (count, dim) of the Gaussian vectors z
+    behind ``count`` Haar states z / ||z||: all real parts, then all
+    imaginary parts."""
     if dim < 1 or count < 0:
         raise ShapeMismatch(f"need dim >= 1 and count >= 0, got {dim} and {count}")
     _check_bytes("the Haar states", 16 * count * dim)
     g = rng.generator
     return g.standard_normal((count, dim)), g.standard_normal((count, dim))
-
-
-def haar_states(dim: int, count: int, rng: Rng) -> np.ndarray:
-    """Batch of Haar-random pure states, one per row."""
-    re, im = _haar_normals(dim, count, rng)
-    z = re + 1j * im
-    return z / np.linalg.norm(z, axis=1, keepdims=True)
 
 
 def validate_povm(p: Povm) -> PovmReport:

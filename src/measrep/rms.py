@@ -1,11 +1,11 @@
 """Reproduction-error figures of merit.
 
-The exact Haar-averaged error between an implemented and a target POVM
-in any dimension, with a Haar Monte Carlo estimator that cross-checks
-it. The estimate lives at the squared-error level; the reported value
-is its square root with a delta-method standard error. The estimator
-is real arithmetic on the Gaussian draws behind ``haar_states``, in row
-blocks of bounded size.
+The exact Haar-averaged error of an implemented POVM or instrument
+against its target in any dimension, with a Haar Monte Carlo estimator
+of the POVM error that cross-checks it. The estimate lives at the
+squared-error level; the reported value is its square root with a
+delta-method standard error. The estimator is real arithmetic on the
+Gaussian draws behind Haar states, in row blocks of bounded size.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import numpy as np
 
 from . import qcore
 from .errors import ShapeMismatch, TooFewSamples
-from .qcore import Povm, Rng, _haar_normals
+from .qcore import Instrument, Povm, Rng, _haar_normals
 
 
 @dataclass(frozen=True)
@@ -43,6 +43,30 @@ def rms_exact_povm(impl: Povm, target: Povm) -> float:
     for mi, ti in zip(impl.elements, target.elements):
         diff = mi - ti
         sq += float(np.trace(diff).real) ** 2 + float(np.vdot(diff, diff).real)
+    return math.sqrt(sq / (impl.outcomes * d * (d + 1)))
+
+
+def rms_exact_instrument(impl: Instrument, target: Instrument) -> float:
+    """Exact Haar-averaged sub-channel error, in any dimension.
+
+    For a linear map Delta on d x d matrices and Haar-random psi,
+    E ||Delta(|psi><psi|)||_F^2
+    = (||Delta(I)||_F^2 + sum_ij ||Delta(|i><j|)||_F^2) / (d (d+1));
+    the error is the root of its mean over the outcomes,
+    Delta_a = Phi_a^impl - Phi_a^target. With one-dimensional outputs
+    it is ``rms_exact_povm`` of the induced POVMs.
+    """
+    shape = (impl.dim_out, impl.dim_in)
+    if (shape, impl.outcomes) != ((target.dim_out, target.dim_in), target.outcomes):
+        raise ShapeMismatch("implemented and target instruments must match in shape")
+    d, sq = impl.dim_in, 0.0
+    for gi, gt in zip(impl.kraus, target.kraus):
+        # Phi_a(|i><j|) = sum_k K_k |i><j| K_k^dagger at [i, j]; a group may be empty
+        ki, kt = (np.reshape(g, (len(g),) + shape) for g in (gi, gt))
+        diff = (np.einsum("rai,rbj->ijab", ki, ki.conj())
+                - np.einsum("rai,rbj->ijab", kt, kt.conj()))
+        of_identity = np.trace(diff)  # Delta_a(I)
+        sq += float(np.vdot(of_identity, of_identity).real + np.vdot(diff, diff).real)
     return math.sqrt(sq / (impl.outcomes * d * (d + 1)))
 
 
@@ -100,11 +124,11 @@ def rms_monte_carlo_povm(
 ) -> RmsEstimate:
     """Haar Monte Carlo estimate of the outcome-statistics error.
 
-    Draws the states of ``haar_states(impl.dim, samples, rng)``, but
-    never forms them: each <psi|D_a|psi> comes from one real matrix
-    product per block of rows, the quadratic features of the Gaussian
-    vectors times a coefficient matrix. The feature blocks stay within
-    ``qcore._BLOCK_BYTES``.
+    Draws the Gaussian vectors z of ``samples`` Haar states
+    psi = z / ||z||, but never forms the states: each <psi|D_a|psi>
+    comes from one real matrix product per block of rows, the quadratic
+    features of the vectors times a coefficient matrix. The feature
+    blocks stay within ``qcore._BLOCK_BYTES``.
     """
     _check_povm_shapes(impl, target)
     if samples < 100:

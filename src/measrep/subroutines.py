@@ -1,11 +1,11 @@
 """Universal sub-routines for measurement reproduction.
 
-Two building blocks: the post-measurement isometry that realises an
-arbitrary instrument given a perfect von Neumann measurement, and
-generalised classical cloning, which distinguishes a basis of states
-using repeated runs of any non-trivial POVM plus maximum-likelihood
-decoding of the outcome string; ``cloning_error_rate`` also gives the
-exact error of ``coding``'s repetition-coded symbols.
+Two building blocks: the post-measurement isometry W that realises an
+arbitrary instrument given a perfect von Neumann measurement (and reads
+it back), and generalised classical cloning, which distinguishes a
+basis of states using repeated runs of any non-trivial POVM plus
+maximum-likelihood decoding of the outcome string; ``cloning_error_rate``
+also gives the exact error of ``coding``'s repetition-coded symbols.
 """
 
 from __future__ import annotations
@@ -44,26 +44,12 @@ class MeasurementIsometry:
     r: int
     matrix: np.ndarray  # (d_out * m * r, d_in)
 
-    def apply(self, psi):
-        """Run the sub-routine on states psi, one per row (..., d_in).
-
-        Returns the outcome probabilities (..., m) and the normalised
-        post-measurement states (..., m, d_out, d_out); an outcome of
-        probability at most 1e-14 gets a zero post-state.
-        """
-        psi = np.asarray(psi, dtype=complex)
-        if psi.shape[-1:] != (self.d_in,):
-            raise ShapeMismatch("state dimension does not match the instrument")
-        batch = psi.shape[:-1]
-        # W|psi> per state, as blocks (outcome, output system, Kraus index)
-        out = np.swapaxes(
-            (psi @ self.matrix.T).reshape(batch + (self.d_out, self.m, self.r)), -3, -2)
-        prob = np.sum(out.real**2 + out.imag**2, axis=(-2, -1))
-        unnormalised = out @ np.conj(np.swapaxes(out, -2, -1))
-        big = (prob > 1e-14)[..., None, None]
-        post = np.divide(unnormalised, prob[..., None, None],
-                         out=np.zeros_like(unnormalised), where=big)
-        return prob, post
+    def instrument(self) -> Instrument:
+        """The instrument W realises, read back from its (outcome, Kraus)
+        blocks: K_j^i = (<i| <j|) W, as a (d_out, d_in) operator."""
+        w = self.matrix.reshape(self.d_out, self.m, self.r, self.d_in)
+        return Instrument(tuple(tuple(w[:, i, j] for j in range(self.r))
+                                for i in range(self.m)))
 
 
 def build_measurement_isometry(target: Instrument) -> MeasurementIsometry:

@@ -29,14 +29,13 @@ from measrep.qcore import (
     Instrument,
     Povm,
     Rng,
+    _haar_normals,
     dagger,
     density,
-    haar_states,
     identity,
     tensor,
 )
 from measrep.rms import _estimate_from_squares
-from measrep.subroutines import build_measurement_isometry
 from measrep.vnsynth import (
     BoxQuadSolution,
     PartitionProtocol,
@@ -45,6 +44,14 @@ from measrep.vnsynth import (
     _search_terms,
     solve_box_quadratic_qubit,
 )
+
+
+def haar_states(dim: int, count: int, rng: Rng) -> np.ndarray:
+    """Batch of Haar-random pure states, one per row: the states whose
+    Gaussian vectors ``rms_monte_carlo_povm`` draws from the same rng."""
+    re, im = _haar_normals(dim, count, rng)
+    z = re + 1j * im
+    return z / np.linalg.norm(z, axis=1, keepdims=True)
 
 
 def haar_state(dim: int, rng: Rng) -> np.ndarray:
@@ -705,9 +712,8 @@ def exact_ml_error_by_strings(table, n):
     return errs
 
 
-# Earlier forms of the Haar-sampled estimators: the library must give
-# the same per-sample values from real arithmetic on the Gaussian draws
-# and from one batch of states.
+# Earlier form of the Haar-sampled estimator: the library must give the
+# same per-sample values from real arithmetic on the Gaussian draws.
 
 
 def rms_squares_einsum(impl, target, samples, rng):
@@ -725,33 +731,9 @@ def rms_squares_einsum(impl, target, samples, rng):
     return sq / impl.outcomes
 
 
-def postmeas_deviations_per_state(inst, samples, seed):
-    """(max probability deviation, max post-state deviation) of the
-    ``postmeas`` check on the same states, one state and one isometry
-    product at a time, the reference as K rho K^dagger per Kraus
-    operator."""
-    iso = build_measurement_isometry(inst)
-    worst_p = worst_s = 0.0
-    for psi in haar_states(inst.dim_in, min(samples, 200), Rng(seed)):
-        rho = density(psi)
-        out = (iso.matrix @ psi).reshape(iso.d_out, iso.m, iso.r)
-        for a in range(iso.m):
-            block = out[:, a, :]
-            prob = float(np.sum(np.abs(block) ** 2))
-            ref = np.zeros((inst.dim_out, inst.dim_out), dtype=complex)
-            for k in inst.kraus[a]:
-                ref += k @ rho @ dagger(k)
-            p_ref = float(np.trace(ref).real)
-            worst_p = max(worst_p, abs(prob - p_ref))
-            if prob > 1e-14 and p_ref > 1e-12:
-                post = (block @ dagger(block)) / prob
-                worst_s = max(worst_s, float(np.linalg.norm(post - ref / p_ref)))
-    return worst_p, worst_s
-
-
-# Monte Carlo estimators that only tests use: the instrument error has
-# no exact figure in the library yet, and cloning's sampled error
-# cross-checks the exact count-vector sum.
+# Monte Carlo estimators that only tests use: the instrument error's
+# estimate cross-checks ``rms_exact_instrument``, and cloning's sampled
+# error the exact count-vector sum.
 
 
 def subchannel_outputs(psi, group):

@@ -14,6 +14,7 @@ from oracles import (
     binary_symmetric_channel,
     cloning_error_rate_sampled,
     haar_state,
+    haar_states,
     symmetric_subspace_projector,
 )
 
@@ -213,17 +214,19 @@ def test_criterion_06_post_measurement_exactness():
         for t in range(20):
             psi = haar_state(d_in, rng.split(1000 + 20 * k + t))
             rho = density(psi)
-            prob, post = iso.apply(psi)
+            # W|psi> as blocks (output system, outcome, Kraus index)
+            blocks = (iso.matrix @ psi).reshape(d_out, m, iso.r)
             for a in range(m):
                 out = np.zeros((d_out, d_out), dtype=complex)
                 for op in inst.kraus[a]:
                     out += op @ rho @ dagger(op)
                 p_ref = float(np.trace(out).real)
-                worst = max(worst, abs(prob[a] - p_ref))
-                if prob[a] > 1e-14 and p_ref > 1e-12:
-                    worst = max(
-                        worst, float(np.max(np.abs(post[a] - out / p_ref)))
-                    )
+                block = blocks[:, a, :]
+                prob = float(np.sum(np.abs(block) ** 2))
+                worst = max(worst, abs(prob - p_ref))
+                if prob > 1e-14 and p_ref > 1e-12:
+                    post = block @ dagger(block) / prob
+                    worst = max(worst, float(np.max(np.abs(post - out / p_ref))))
     report(6, worst < 1e-10, f"20 instruments x 20 states, max deviation {worst:.2g}")
 
 
@@ -321,7 +324,7 @@ def test_criterion_11_haar_second_moment():
     worst = []
     ok = True
     for d in (2, 3):
-        psi = qcore.haar_states(d, n, Rng(1100 + d))
+        psi = haar_states(d, n, Rng(1100 + d))
         second = np.einsum(
             "ni,nk,nj,nl->ikjl", psi, psi, np.conj(psi), np.conj(psi)
         ).reshape(d * d, d * d) / n

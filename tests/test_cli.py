@@ -1,6 +1,8 @@
+import dataclasses
 import itertools
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -10,13 +12,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from measrep import cli, coding, io, qcore, rms, vnsynth
+from measrep import cli, coding, io, qcore, rms, subroutines, vnsynth
 from measrep.subroutines import cloning_error_rate
 from oracles import (
     hermiticity_defect_povm_file,
     nan_povm_file,
     partition_povm_from_list,
-    postmeas_deviations_per_state,
     random_instrument,
     random_povm,
 )
@@ -153,38 +154,50 @@ def test_rms_command(capsys):
 
 
 # built-ins as Lueders instruments, and instrument files given as
-# (d_in, d_out, outcomes, Kraus operators per outcome)
-@pytest.mark.parametrize("measurement, samples", [
+# (d_in, d_out, outcomes, Kraus operators per outcome); each at one seed
+@pytest.mark.parametrize("measurement, seed", [
     ("trine", 200), ("vn:3", 30), ("degenerate-qutrit", 1000),
     ((3, 2, 3, 2), 200), ((2, 3, 2, 1), 7),
 ])
-def test_postmeas_matches_the_per_state_loop(tmp_path, capsys, measurement, samples):
+def test_postmeas_is_exact_at_every_seed(tmp_path, capsys, measurement, seed):
     if isinstance(measurement, str):
-        arg, inst = measurement, qcore.lueders_instrument(io.load_povm(measurement))
+        arg = measurement
     else:
-        inst = random_instrument(*measurement, qcore.Rng(8))
         arg = str(tmp_path / "inst.json")
-        io.save_measurement(inst, arg)
-    code, out = json_rows(capsys, "postmeas", arg, "--samples", str(samples),
-                          "--seed", "3")
+        io.save_measurement(random_instrument(*measurement, qcore.Rng(8)), arg)
+    code, out = json_rows(capsys, "postmeas", arg, "--seed", str(seed))
     assert code == 0
-    rows = {r["name"]: r["value"] for r in out["rows"]}
-    worst_p, worst_s = postmeas_deviations_per_state(inst, samples, 3)
-    assert abs(rows["max_probability_deviation"] - worst_p) <= 1e-12
-    assert abs(rows["max_poststate_deviation"] - worst_s) <= 1e-12
+    rows = [(r["name"], r["value"], r["status"]) for r in out["rows"]]
+    assert [name for name, _, _ in rows] == ["statistics_error", "instrument_error"]
+    assert all(value <= 1e-15 and status == "PASS" for _, value, status in rows)
+    assert json_rows(capsys, "postmeas", arg)[1]["rows"] == out["rows"]
 
 
 def test_postmeas_command(capsys):
-    code, out = run_cli(capsys, "postmeas", "trine", "--samples", "20")
+    code, out = run_cli(capsys, "postmeas", "trine")
     assert code == 0
     assert "PASS" in out
+
+
+def test_postmeas_fails_on_an_isometry_with_two_outcomes_swapped(monkeypatch, capsys):
+    build = subroutines.build_measurement_isometry
+
+    def swapped(target):
+        iso = build(target)
+        w = iso.matrix.reshape(iso.d_out, iso.m, iso.r, iso.d_in)[:, [1, 0, 2]]
+        return dataclasses.replace(iso, matrix=w.reshape(iso.matrix.shape))
+
+    monkeypatch.setattr(subroutines, "build_measurement_isometry", swapped)
+    code, out = json_rows(capsys, "postmeas", "trine")
+    assert code == 1
+    assert [r["status"] for r in out["rows"]] == ["FAIL", "FAIL"]
 
 
 @pytest.mark.parametrize("argv, message", [
     (("block", "trine", "--trials", "0"), "0 < 1 trials"),
     (("block", "trine", "--trials", "-5"), "-5 < 1 trials"),
-    (("postmeas", "trine", "--samples", "0"), "0 < 1 samples"),
-    (("postmeas", "trine", "--samples", "-3"), "-3 < 1 samples"),
+    (("block", "trine", "--copies", "0"), "need k >= 1, copies >= 1, d >= 2"),
+    (("block", "trine", "--k", "0"), "need k >= 1, copies >= 1, d >= 2"),
     (("synth", "trine", "--n", "0"), "n_uses must be >= 1"),
     (("synth", "trine", "--n", "-1"), "n_uses must be >= 1"),
     (("rms", "trine", "--n", "0"), "n_uses must be >= 1"),
@@ -602,7 +615,7 @@ def test_reproduce_paper_override_must_be_a_qubit(tmp_path, capsys, override, di
     ("validate",),
     ("synth", "--n", "1"),
     ("rms", "--n", "1", "--samples", "10"),
-    ("postmeas", "--samples", "5"),
+    ("postmeas",),
     ("clone", "--max-n", "1"),
     ("capacity",),
     ("block", "--trials", "10"),
@@ -621,7 +634,7 @@ def test_a_hermiticity_defect_over_the_tolerance_fails_at_load(tmp_path, capsys,
 
 @pytest.mark.parametrize("argv", [
     ("validate",),
-    ("postmeas", "--samples", "20"),
+    ("postmeas",),
     ("synth", "--n", "1"),
     ("synth", "--n", "2"),
     ("synth", "--n", "3"),
@@ -698,6 +711,7 @@ def test_instrument_file_reads_as_its_induced_povm(tmp_path, capsys, argv):
     ("capacity", "trine", "--samples", "5"),
     ("block", "trine", "--tol", "1e-3"),
     ("reproduce-paper", "--max-n", "3"),
+    ("postmeas", "trine", "--samples", "5"),
 ])
 def test_subcommand_rejects_unread_option(capsys, argv):
     with pytest.raises(SystemExit) as exc:
@@ -725,8 +739,33 @@ def test_a_path_the_digest_cannot_read_is_still_a_usage_error(capsys, name):
     assert captured.err == f"measrep: usage error: no such file or built-in: {name!r}\n"
 
 
+def test_readme_options_table_lists_the_flags_each_command_reads():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(
+        encoding="utf-8")
+    table = readme[readme.index("| command | options |"):].split("\n\n")[0]
+    documented = {}
+    for line in table.splitlines()[2:]:
+        command, options = line.strip("|").split("|")
+        flags = re.findall(r"`(--[a-z-]+)", options)
+        documented[command.strip().strip("`")] = set(flags)
+    actual = {name: {cli.OPTIONS[dest][0] for dest in inputs
+                     if cli.OPTIONS[dest][0].startswith("--")}
+              for name, (_, _, inputs) in cli.COMMANDS.items()}
+    assert documented == actual
+
+
+@pytest.mark.parametrize("command", ["validate", "synth"])
+def test_a_directory_is_a_malformed_file(tmp_path, capsys, command):
+    # reading a directory once ended in an IsADirectoryError traceback
+    assert cli.main([command, str(tmp_path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {tmp_path}: cannot be read (")
+    assert len(captured.err.splitlines()) == 1
+
+
 @pytest.mark.parametrize("argv, option, values", [
-    (("postmeas", "trine", "--samples", "5"), "--tol", ("1e-6", "1e-9")),
+    (("postmeas", "trine"), "--tol", ("1e-6", "1e-9")),
     (("reproduce-paper",), "--samples", ("2000", "3000")),
 ])
 def test_digest_covers_every_read_option(capsys, argv, option, values):

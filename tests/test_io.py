@@ -145,3 +145,16 @@ def test_kraus_shape_mismatch_names_the_source(tmp_path):
     with pytest.raises(ShapeMismatch, match="shapes.json: all Kraus"):
         io.load_measurement(str(path))
 
+
+@pytest.mark.parametrize("field, value", [
+    ("dim", "1e400"), ("dim", "-1e400"), ("outcomes", "1e400"), ("dim", "NaN"),
+])
+def test_a_header_field_that_is_not_finite_is_malformed(tmp_path, field, value):
+    # int() of an infinite header once raised an untyped OverflowError
+    header = {"dim": "2", "outcomes": "1", field: value}
+    path = tmp_path / "huge.json"
+    path.write_text(f'{{"kind": "povm", "dim": {header["dim"]}, '
+                    f'"outcomes": {header["outcomes"]}, "elements": []}}',
+                    encoding="utf-8")
+    with pytest.raises(MalformedFile, match="huge.json: missing or bad header field"):
+        io.read_measurement(str(path))

@@ -20,7 +20,6 @@ from measrep.qcore import (
     Rng,
     dagger,
     degenerate_qutrit_povm,
-    haar_states,
     hermitian_eig,
     identity,
     induced_povm,
@@ -31,7 +30,7 @@ from measrep.qcore import (
     validate_povm,
     von_neumann_povm,
 )
-from oracles import haar_state, haar_unitary, hermitian_eig_sorted
+from oracles import haar_state, haar_states, haar_unitary, hermitian_eig_sorted
 
 
 def test_rng_reproducible():

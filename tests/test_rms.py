@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from measrep import qcore, rms, vnsynth
@@ -14,8 +14,10 @@ from measrep.qcore import (
     trine_povm,
     von_neumann_povm,
 )
-from measrep.rms import rms_exact_povm, rms_monte_carlo_povm
+from measrep.rms import rms_exact_instrument, rms_exact_povm, rms_monte_carlo_povm
 from oracles import (
+    haar_states,
+    random_instrument,
     random_povm,
     rms_monte_carlo_instrument,
     rms_squares_einsum,
@@ -160,6 +162,54 @@ def test_instrument_monte_carlo_detects_difference():
     assert est.value > 0.1
 
 
+# pairs of random instruments with d_in 2 or 3 and d_out 1 to 3; the
+# implementation has two Kraus operators per outcome, the target one
+@pytest.mark.parametrize("d_in, d_out, seed", [(2, 2, 31), (3, 2, 32), (2, 3, 33),
+                                               (3, 1, 34)])
+def test_instrument_exact_matches_monte_carlo(d_in, d_out, seed):
+    impl = random_instrument(d_in, d_out, 3, 2, Rng(seed))
+    target = random_instrument(d_in, d_out, 3, 1, Rng(seed, 1))
+    est = rms_monte_carlo_instrument(impl, target, 100_000, Rng(seed, 2))
+    exact = rms_exact_instrument(impl, target)
+    assert abs(exact - est.value) <= 3 * est.standard_error
+    assert rms_exact_instrument(target, impl) == exact
+    assert rms_exact_instrument(impl, impl) == 0.0
+
+
+@settings(max_examples=60)
+@given(d_in=st.integers(1, 3), m=st.integers(1, 4), ranks=st.tuples(
+    st.integers(1, 3), st.integers(1, 3)), seed=st.integers(0, 2**32 - 1))
+def test_instrument_exact_with_one_dimensional_outputs_is_the_povm_error(d_in, m, ranks,
+                                                                         seed):
+    # Phi_a(X) = Tr(M_a X): Delta_a(I) = Tr D_a and Delta_a(|i><j|) = (D_a)_ji.
+    # A random instrument is an isometry, so it needs m r >= d_in
+    assume(m * min(ranks) >= d_in)
+    impl = random_instrument(d_in, 1, m, ranks[0], Rng(seed))
+    target = random_instrument(d_in, 1, m, ranks[1], Rng(seed, 1))
+    povms = qcore.induced_povm(impl), qcore.induced_povm(target)
+    assert abs(rms_exact_instrument(impl, target) - rms_exact_povm(*povms)) <= 1e-15
+
+
+def test_instrument_exact_swapped_outcomes():
+    # Delta_0(X) = P_0 X P_0 - P_1 X P_1, and Delta_1 = -Delta_0:
+    # (||P_0 - P_1||^2 + ||P_0||^2 + ||P_1||^2) / (2 * 3) = 2/3 per outcome
+    inst = von_neumann_instrument(2)
+    swapped = qcore.Instrument(inst.kraus[::-1])
+    assert rms_exact_instrument(inst, swapped) == pytest.approx(math.sqrt(2 / 3),
+                                                                abs=1e-15)
+
+
+def test_instrument_exact_shape_checks():
+    base = random_instrument(2, 2, 3, 1, Rng(0))
+    for other in (random_instrument(3, 2, 3, 1, Rng(1)),  # d_in
+                  random_instrument(2, 3, 3, 1, Rng(2)),  # d_out
+                  random_instrument(2, 2, 2, 1, Rng(3))):  # outcomes
+        with pytest.raises(ShapeMismatch):
+            rms_exact_instrument(base, other)
+        with pytest.raises(ShapeMismatch):
+            rms_exact_instrument(other, base)
+
+
 def test_symmetric_projector_properties():
     for d in (2, 3):
         proj = symmetric_subspace_projector(d)
@@ -172,7 +222,7 @@ def test_haar_second_moment_small():
     # quick version of the moment check; the acceptance suite runs the
     # full-size one
     d, n = 2, 20_000
-    psi = qcore.haar_states(d, n, Rng(8))
+    psi = haar_states(d, n, Rng(8))
     second = np.einsum("ni,nk,nj,nl->ikjl", psi, psi, np.conj(psi), np.conj(psi))
     second = second.reshape(d * d, d * d) / n
     ref = (2.0 / (d * (d + 1))) * symmetric_subspace_projector(d)

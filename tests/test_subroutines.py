@@ -11,8 +11,8 @@ from measrep.qcore import (
     Rng,
     dagger,
     degenerate_qutrit_povm,
-    density,
     identity,
+    induced_povm,
     lueders_instrument,
     noisy_z_povm,
     trine_povm,
@@ -24,9 +24,9 @@ from measrep.subroutines import (
     cloning_error_rate,
     select_cloning_basis,
 )
+from measrep.rms import rms_exact_instrument
 from oracles import (
     cloning_error_rate_sampled,
-    haar_state,
     random_instrument,
 )
 
@@ -49,49 +49,36 @@ def test_isometry_rejects_unnormalised():
 
 
 def test_run_post_measurement_matches_subchannels():
+    # W's (outcome, Kraus) blocks are the target's Kraus operators, bit
+    # for bit, so the sub-channels match exactly
     rng = Rng(17)
     for trial in range(10):
         d_in = 2 + trial % 2
-        inst = random_instrument(d_in, 2, 3, 2, rng.split(trial))
-        psi = haar_state(d_in, rng.split(100 + trial))
-        rho = density(psi)
-        prob, post = build_measurement_isometry(inst).apply(psi)
-        for a in range(inst.outcomes):
-            out = np.zeros((2, 2), dtype=complex)
-            for k in inst.kraus[a]:
-                out += k @ rho @ dagger(k)
-            p_ref = float(np.trace(out).real)
-            assert abs(prob[a] - p_ref) < 1e-12
-            if prob[a] > 1e-14:
-                assert np.allclose(post[a], out / p_ref, atol=1e-10)
+        inst = random_instrument(d_in, 2 + trial % 3, 3, 2, rng.split(trial))
+        back = build_measurement_isometry(inst).instrument()
+        for group, group_back in zip(inst.kraus, back.kraus, strict=True):
+            for k, k_back in zip(group, group_back, strict=True):
+                assert np.array_equal(k, k_back)
+        assert rms_exact_instrument(back, inst) == 0.0
 
 
 def test_run_post_measurement_probabilities_sum():
     inst = lueders_instrument(degenerate_qutrit_povm())
-    psi = haar_state(3, Rng(4))
-    total = build_measurement_isometry(inst).apply(psi)[0].sum()
-    assert abs(total - 1.0) < 1e-12
-
-
-def test_isometry_applies_to_a_batch_of_states():
-    iso = build_measurement_isometry(lueders_instrument(von_neumann_povm(2)))
-    psi = np.array([[1.0, 0.0], [0.0, 1.0], [0.6, 0.8j]])
-    prob, post = iso.apply(psi)
-    assert prob.shape == (3, 2) and post.shape == (3, 2, 2, 2)
-    assert np.allclose(prob, [[1.0, 0.0], [0.0, 1.0], [0.36, 0.64]], atol=1e-15)
-    # an outcome of probability 0 gets a zero post-state
-    assert not post[0, 1].any() and not post[1, 0].any()
-    assert np.allclose(post[2, 1], [[0.0, 0.0], [0.0, 1.0]], atol=1e-15)
-    for state, p_row, post_row in zip(psi, prob, post):
-        p_one, post_one = iso.apply(state)
-        assert np.allclose(p_one, p_row, atol=1e-15)
-        assert np.allclose(post_one, post_row, atol=1e-15)
+    back = build_measurement_isometry(inst).instrument()
+    assert np.allclose(sum(induced_povm(back).elements), identity(3), atol=1e-12)
 
 
 def test_run_post_measurement_shape_check():
-    inst = lueders_instrument(trine_povm())
-    with pytest.raises(ShapeMismatch):
-        build_measurement_isometry(inst).apply(np.ones(3))
+    # W pads every outcome to the largest Kraus count with zero operators,
+    # which leave the sub-channels as they are
+    embed = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
+    flip = np.array([[0.0, 1.0], [1.0, 0.0]])
+    inst = Instrument(((0.5 * embed, 0.5 * embed @ flip), (), (np.sqrt(0.5) * embed,)))
+    back = build_measurement_isometry(inst).instrument()
+    assert [len(group) for group in back.kraus] == [2, 2, 2]
+    assert {op.shape for group in back.kraus for op in group} == {(3, 2)}
+    assert not back.kraus[1][0].any() and not back.kraus[2][1].any()
+    assert rms_exact_instrument(back, inst) == 0.0
 
 
 # ---------------------------------------------------------------------------
