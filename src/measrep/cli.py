@@ -23,7 +23,8 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from . import __version__, coding, io, qcore, rms, subroutines, vnsynth
-from .errors import MalformedName, MeasrepError, ShapeMismatch, TooFewSamples
+from .errors import (MalformedName, MeasrepError, ShapeMismatch, TooFewSamples,
+                     UnwritableFile)
 from .qcore import Rng
 
 _QUBIT_VN = qcore.von_neumann_povm(2)
@@ -67,6 +68,16 @@ def _fmt(v: float) -> str:
 
 
 def _print_report(report: RunReport, args) -> None:
+    if args.out:  # first, so a path that cannot be written prints no table
+        try:
+            with open(args.out, "w", encoding="utf-8", newline="") as fh:
+                fh.write("name,value,stderr,status\n")
+                for name, value, stderr, status in report.rows:
+                    se = _fmt(stderr) if stderr is not None else ""
+                    fh.write(f"{name},{_fmt(value)},{se},{status}\n")
+        except OSError as exc:
+            raise UnwritableFile(f"--out {args.out}: cannot be written "
+                                 f"({exc.strerror})") from None
     width = max((len(name) for name, *_ in report.rows), default=10)
     print(f"# {report.command}  seed={report.seed}  digest={report.inputs_digest}")
     for name, value, stderr, status in report.rows:
@@ -77,12 +88,6 @@ def _print_report(report: RunReport, args) -> None:
             line += f"  {status}"
         print(line)
     print(f"# wall time {report.wall_time:.3f} s")
-    if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            fh.write("name,value,stderr,status\n")
-            for name, value, stderr, status in report.rows:
-                se = _fmt(stderr) if stderr is not None else ""
-                fh.write(f"{name},{_fmt(value)},{se},{status}\n")
     if args.json:
         doc = {
             "command": report.command,
@@ -148,6 +153,8 @@ def _cmd_rms(args, report: RunReport) -> None:
 
 
 def _cmd_postmeas(args, report: RunReport) -> None:
+    if not args.tol >= 0.0:  # NaN included: no row could pass
+        raise ShapeMismatch("tol must be nonnegative")
     obj = io.load_measurement(args.measurement)
     target = obj if isinstance(obj, qcore.Instrument) else qcore.lueders_instrument(obj)
     impl = subroutines.build_measurement_isometry(target).instrument()
@@ -409,14 +416,14 @@ def main(argv=None) -> int:
     t0 = time.perf_counter()
     try:
         func(args, report)
+        report.wall_time = time.perf_counter() - t0
+        _print_report(report, args)
     except MalformedName as exc:
         print(f"measrep: usage error: {exc}", file=sys.stderr)
         return 2
     except MeasrepError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    report.wall_time = time.perf_counter() - t0
-    _print_report(report, args)
     return 1 if report.failed() else 0
 
 

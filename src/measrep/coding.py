@@ -131,16 +131,18 @@ class ClassicalChannel:
     def outputs(self) -> int:
         return self.matrix.shape[1]
 
-    def sample(self, letters: np.ndarray, rng: Rng) -> np.ndarray:
-        """Pass an array of input letters through the channel; the last
-        output takes every uniform past the others' cumulative sums."""
+    def sample(self, letters: np.ndarray, rng: Rng, copies: int = 1) -> np.ndarray:
+        """Pass each letter through the channel ``copies`` times in a row, as
+        ``np.repeat(letters, copies, axis=-1)`` would; the last output takes every
+        uniform past the others' cumulative sums, gathered once per letter."""
         cum = np.cumsum(self.matrix, axis=1)
-        u = rng.generator.random(letters.shape)
+        u = rng.generator.random(letters.shape + (copies,))
         # counted in the smallest unsigned type that holds every output
-        out = np.zeros(letters.shape, np.min_scalar_type(self.outputs))
+        out = np.zeros(u.shape, np.min_scalar_type(self.outputs))
         for j in range(self.outputs - 1):
-            out += u > cum[:, j].take(letters)
-        return out.astype(np.intp)
+            out += u > cum[:, j].take(letters)[..., None]
+        shape = letters.shape[:-1] + (letters.shape[-1] * copies,)
+        return out.reshape(shape).astype(np.intp)
 
 
 def associated_channel(available: Povm) -> ClassicalChannel:
@@ -230,7 +232,7 @@ class BlockCode:
     k: int
     n: int
     d: int  # alphabet size (messages and codewords)
-    copies: int = 0  # repetition only
+    copies: int = 1  # channel uses per letter, above 1 only when repeating
     codebook: Optional[np.ndarray] = None  # random only, (d**k, n)
 
     @property
@@ -368,12 +370,13 @@ def simulate_block_protocol(
     product states, so the outcome statistics factor through the
     classical channel.
 
-    All message indices are drawn first; the trials are then encoded,
-    sent and decoded in blocks of rows whose (rows, n) arrays stay
-    within ``qcore._BLOCK_BYTES``. The channel's uniforms are drawn block
-    by block in C order, which reads the generator's stream exactly as
-    one (trials, n) draw does, so the result does not depend on the
-    blocks.
+    All message indices are drawn first; the trials are then sent and
+    decoded in blocks of rows whose (rows, n) arrays stay within
+    ``qcore._BLOCK_BYTES``, each gathering its letters from one table
+    over the d^k messages. A repetition code is sampled per symbol, its
+    uniforms drawn as (rows, k, copies) in C order: the same stream as
+    one (trials, n) draw over the repeated letters, so the result
+    depends neither on the blocks nor on sampling per symbol.
     """
     if code.d != channel.inputs:
         raise ShapeMismatch("code alphabet does not match the channel input")
@@ -392,23 +395,19 @@ def simulate_block_protocol(
         if not 0.0 < total < math.inf:  # all zero, or a NaN or inf amplitude
             raise ShapeMismatch("amplitudes must have a finite nonzero norm")
         weights /= total
-    g = rng.generator
-    msg_idx = g.choice(n_msgs, size=trials, p=weights)
+    msg_idx = rng.generator.choice(n_msgs, size=trials, p=weights)
+    letters = _unpack(np.arange(n_msgs), code.d, code.k)
+    letters = code.encode(letters) if code.kind == "random" else letters
     rows = max(1, qcore._BLOCK_BYTES // (8 * code.n))
     n_errors = 0
     counts = np.zeros(n_msgs, dtype=np.intp)
     for start in range(0, trials, rows):
-        messages = _unpack(msg_idx[start : start + rows], code.d, code.k)
-        outputs = channel.sample(code.encode(messages), rng)
-        decoded = code.decode(outputs, channel)
-        n_errors += int(np.count_nonzero(np.any(decoded != messages, axis=1)))
-        counts += np.bincount(_pack(decoded, code.d), minlength=n_msgs)
+        sent = msg_idx[start : start + rows]
+        outputs = channel.sample(letters[sent], rng, code.copies)
+        decoded = _pack(code.decode(outputs, channel), code.d)
+        n_errors += int(np.count_nonzero(decoded != sent))
+        counts += np.bincount(decoded, minlength=n_msgs)
     rate = n_errors / trials
     se = math.sqrt(max(rate * (1.0 - rate), 0.0) / trials)
-    dist = counts.astype(float) / trials
-    return BlockRunResult(
-        error_rate=rate,
-        standard_error=se,
-        trials=trials,
-        decoded_distribution=dist,
-    )
+    return BlockRunResult(error_rate=rate, standard_error=se, trials=trials,
+                          decoded_distribution=counts.astype(float) / trials)

@@ -53,6 +53,10 @@ class MalformedFile(MeasrepError):
     """Measurement file failed to parse against the JSON schema."""
 
 
+class UnwritableFile(MeasrepError):
+    """An ``--out`` path that cannot be written: a directory, say."""
+
+
 class MalformedName(MeasrepError):
     """Measurement name that is neither a file nor a built-in, or a
     built-in with unparsable parameters (a usage error)."""

@@ -316,6 +316,21 @@ def test_capacity_rejects_a_nan_tolerance_at_once(capsys):
     assert captured.err == "error: tol must be positive\n"
 
 
+@pytest.mark.parametrize("tol", ["nan", "-1", "-0.001"])
+def test_postmeas_rejects_a_negative_or_nan_tolerance(capsys, tol):
+    # no row could pass it
+    assert cli.main(["postmeas", "trine", "--tol", tol]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: tol must be nonnegative\n"
+
+
+def test_postmeas_at_a_zero_tolerance_is_an_exact_check(capsys):
+    code, out = json_rows(capsys, "postmeas", "trine", "--tol", "0")
+    assert code == 0
+    assert [(r["value"], r["status"]) for r in out["rows"]] == [(0.0, "PASS")] * 2
+
+
 def test_clone_command(capsys):
     code, out = run_cli(capsys, "clone", "trine", "--max-n", "3")
     assert code == 0
@@ -375,6 +390,20 @@ def test_csv_output(tmp_path, capsys):
     lines = out_file.read_text(encoding="utf-8").splitlines()
     assert lines[0] == "name,value,stderr,status"
     assert lines[1].startswith("capacity_bits,")
+
+
+@pytest.mark.parametrize("target, reason", [
+    ("", "Is a directory"),
+    ("missing/report.csv", "No such file or directory"),
+], ids=["a-directory", "in-a-missing-directory"])
+def test_an_out_path_that_cannot_be_written_fails_with_a_typed_error(tmp_path, capsys,
+                                                                     target, reason):
+    out = tmp_path / target
+    assert cli.main(["validate", "trine", "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: --out {out}: cannot be written ({reason})\n"
+    assert not (tmp_path / "missing").exists()
 
 
 def test_json_output(capsys):

@@ -424,6 +424,23 @@ def test_channel_sample_matches_the_broadcast_comparison(channel, trials, n, see
     )
 
 
+# letters of any leading shape, each sent copies 1..20 times; channels
+# with 300 outputs count in uint16
+@settings(max_examples=80)
+@given(channel=channels | st.builds(random_channel, seeds, st.integers(2, 3),
+                                    st.just(300), st.booleans(), st.booleans()),
+       lead=st.lists(st.integers(0, 30), max_size=2), k=st.integers(1, 3),
+       copies=st.integers(1, 20), seed=seeds)
+def test_channel_sample_per_symbol_matches_the_repeated_letters(channel, lead, k,
+                                                                copies, seed):
+    letters = Rng(seed).generator.integers(0, channel.inputs, size=(*lead, k))
+    repeated = np.repeat(letters, copies, axis=-1)
+    assert_same_array(
+        channel.sample(letters, Rng(seed, 1), copies),
+        channel_sample_broadcast(channel, repeated, Rng(seed, 1)),
+    )
+
+
 # copies 1..20 covers both sides of 8, where a contiguous sum over the
 # copies would switch to pairwise summation
 @settings(max_examples=80)
@@ -520,20 +537,22 @@ def random_amplitudes(seed, n):
 
 
 # trials around the row block: 1, one short of it, exactly it, one over,
-# and several blocks plus a part
+# and several blocks plus a part; repetition codes of 1 to 20 copies,
+# past 8, where a contiguous sum over the copies would switch to pairwise
+# summation
 @settings(max_examples=40)
 @given(channel=channels, random_code=st.booleans(), k=st.integers(1, 4),
-       extra=st.integers(0, 8), amplitudes=st.booleans(),
+       extra=st.integers(0, 8), copies=st.integers(1, 20), amplitudes=st.booleans(),
        which=st.sampled_from(["one", "short", "block", "over", "blocks"]),
        blocks=st.integers(2, 3), part=st.integers(1, 10**6), seed=seeds)
 def test_block_simulation_in_row_blocks_matches_the_whole_arrays(
-    channel, random_code, k, extra, amplitudes, which, blocks, part, seed
+    channel, random_code, k, extra, copies, amplitudes, which, blocks, part, seed
 ):
     d = channel.inputs
     if random_code:
         code = random_codebook(k, k + extra, d, Rng(seed))
     else:
-        code = repetition_code(k, 1 + extra, d)
+        code = repetition_code(k, copies, d)
     rows = max(1, qcore._BLOCK_BYTES // (8 * code.n))
     trials = {"one": 1, "short": rows - 1, "block": rows, "over": rows + 1,
               "blocks": blocks * rows + 1 + part % (rows - 1)}[which]
