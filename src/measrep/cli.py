@@ -14,6 +14,7 @@ import functools
 import hashlib
 import json
 import math
+import re
 import sys
 import time
 from dataclasses import dataclass, field
@@ -202,8 +203,8 @@ def _cmd_block(args, report: RunReport) -> None:
     channel = coding.associated_channel(available)
     code = coding.repetition_code(args.k, args.copies, available.dim)
     report.add("block_length", code.n)
-    report.add("rate_targets_per_use", code.rate_targets_per_use)
-    report.add("rate_uses_per_target", code.rate_uses_per_target)
+    report.add("rate_targets_per_use", code.k / code.n)
+    report.add("rate_uses_per_target", code.n / code.k)
     run = coding.simulate_block_protocol(
         channel, code, None, args.trials, Rng(args.seed)
     )
@@ -397,6 +398,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (_, help_text, inputs) in COMMANDS.items():
         p = sub.add_parser(name, help=help_text, description=help_text)
+        # Python 3.13's pattern: "-1e-9" is a value, as "-1" and "-.5" are
+        p._negative_number_matcher = re.compile(r"^-\.?\d")
         for dest in inputs:
             flag, kw = OPTIONS[dest]
             p.add_argument(flag, **(dict(kw, dest=dest) if flag[0] == "-" else kw))

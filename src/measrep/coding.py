@@ -226,32 +226,18 @@ def blahut_arimoto(channel: ClassicalChannel, tol: float = 1e-6) -> CapacityResu
 
 @dataclass(frozen=True)
 class BlockCode:
-    """Encoder/decoder pair for k message symbols in blocks of length n."""
+    """k message symbols over d letters in blocks of n channel uses.
 
-    kind: str  # repetition | random
+    Message i, whose k base-d digits read i, goes out as
+    ``np.repeat(codebook[i], copies)``: a repetition code's row is those
+    digits, a random code's its drawn codeword, sent once."""
+
+    kind: str  # repetition (per-symbol ML) | random (ML over codewords)
     k: int
     n: int
     d: int  # alphabet size (messages and codewords)
-    copies: int = 1  # channel uses per letter, above 1 only when repeating
-    codebook: Optional[np.ndarray] = None  # random only, (d**k, n)
-
-    @property
-    def rate_targets_per_use(self) -> float:
-        """k/N: target measurements reproduced per available use."""
-        return self.k / self.n
-
-    @property
-    def rate_uses_per_target(self) -> float:
-        """N/k: available uses spent per target measurement."""
-        return self.n / self.k
-
-    def encode(self, messages: np.ndarray) -> np.ndarray:
-        """Map message rows (batch, k) to codeword rows (batch, n)."""
-        messages = np.asarray(messages)
-        if self.kind == "repetition":
-            return np.repeat(messages, self.copies, axis=1)
-        idx = _pack(messages, self.d)
-        return self.codebook[idx]
+    copies: int  # channel uses per letter
+    codebook: np.ndarray  # (d**k, n // copies)
 
     def decode(self, outputs: np.ndarray, channel: ClassicalChannel) -> np.ndarray:
         """ML decode output rows (batch, n) back to message rows (batch, k)."""
@@ -316,9 +302,10 @@ def _check_messages(k: int, d: int, length: int, what: str) -> None:
 
 
 def repetition_code(k: int, copies: int, d: int) -> BlockCode:
-    """Each message symbol repeated ``copies`` times; per-symbol ML decode."""
+    """Each message digit sent ``copies`` times; per-symbol ML decode."""
     _check_messages(k, d, copies, "copies")
-    return BlockCode(kind="repetition", k=k, n=k * copies, d=d, copies=copies)
+    return BlockCode(kind="repetition", k=k, n=k * copies, d=d, copies=copies,
+                     codebook=_unpack(np.arange(d**k), d, k))
 
 
 def random_codebook(k: int, n: int, d: int, rng: Rng) -> BlockCode:
@@ -340,7 +327,7 @@ def random_codebook(k: int, n: int, d: int, rng: Rng) -> BlockCode:
             chosen.add(c)
             words.append(c)
     codebook = _unpack(np.array(words, dtype=np.int64), d, n)
-    return BlockCode(kind="random", k=k, n=n, d=d, codebook=codebook)
+    return BlockCode(kind="random", k=k, n=n, d=d, copies=1, codebook=codebook)
 
 
 # ---------------------------------------------------------------------------
@@ -372,11 +359,10 @@ def simulate_block_protocol(
 
     All message indices are drawn first; the trials are then sent and
     decoded in blocks of rows whose (rows, n) arrays stay within
-    ``qcore._BLOCK_BYTES``, each gathering its letters from one table
-    over the d^k messages. A repetition code is sampled per symbol, its
-    uniforms drawn as (rows, k, copies) in C order: the same stream as
-    one (trials, n) draw over the repeated letters, so the result
-    depends neither on the blocks nor on sampling per symbol.
+    ``qcore._BLOCK_BYTES``. Each block sends its messages' codebook rows,
+    each letter ``copies`` times, with uniforms drawn as (rows, letters,
+    copies) in C order: the same stream as one (trials, n) draw over the
+    repeated letters, so the result does not depend on the blocks.
     """
     if code.d != channel.inputs:
         raise ShapeMismatch("code alphabet does not match the channel input")
@@ -396,14 +382,12 @@ def simulate_block_protocol(
             raise ShapeMismatch("amplitudes must have a finite nonzero norm")
         weights /= total
     msg_idx = rng.generator.choice(n_msgs, size=trials, p=weights)
-    letters = _unpack(np.arange(n_msgs), code.d, code.k)
-    letters = code.encode(letters) if code.kind == "random" else letters
     rows = max(1, qcore._BLOCK_BYTES // (8 * code.n))
     n_errors = 0
     counts = np.zeros(n_msgs, dtype=np.intp)
     for start in range(0, trials, rows):
         sent = msg_idx[start : start + rows]
-        outputs = channel.sample(letters[sent], rng, code.copies)
+        outputs = channel.sample(code.codebook[sent], rng, code.copies)
         decoded = _pack(code.decode(outputs, channel), code.d)
         n_errors += int(np.count_nonzero(decoded != sent))
         counts += np.bincount(decoded, minlength=n_msgs)

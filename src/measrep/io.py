@@ -23,12 +23,17 @@ def _matrix_to_json(m: np.ndarray):
     return [[[float(v.real), float(v.imag)] for v in row] for row in np.asarray(m)]
 
 
+def _entry(e) -> complex:
+    """One ``[re, im]`` pair of JSON numbers; a boolean is not a number."""
+    if type(e) is not list or len(e) != 2 or {type(v) for v in e} - {int, float}:
+        raise TypeError
+    return complex(e[0], e[1])
+
+
 def _matrix_from_json(rows, what: str) -> np.ndarray:
     try:
-        arr = np.array(
-            [[complex(e[0], e[1]) for e in row] for row in rows], dtype=complex
-        )
-    except (TypeError, IndexError, ValueError) as exc:
+        arr = np.array([[_entry(e) for e in row] for row in rows], dtype=complex)
+    except (TypeError, ValueError, OverflowError) as exc:  # complex(10**400, 0)
         raise MalformedFile(f"{what}: entries must be [re, im] pairs") from exc
     if arr.ndim != 2:
         raise MalformedFile(f"{what}: expected a matrix")
@@ -107,19 +112,16 @@ def read_measurement(path_or_name: str) -> Union[Povm, Instrument]:
         raise MalformedName(f"no such file or built-in: {path_or_name!r}")
     try:
         doc = json.loads(p.read_text(encoding="utf-8"))
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
         raise MalformedFile(f"{path_or_name}: invalid JSON ({exc})") from exc
     except OSError as exc:  # a directory, or no permission to read
         raise MalformedFile(f"{path_or_name}: cannot be read ({exc.strerror})") from exc
     if not isinstance(doc, dict) or "kind" not in doc:
         raise MalformedFile(f"{path_or_name}: missing 'kind'")
     kind = doc["kind"]
-    try:
-        dim = int(doc["dim"])
-        outcomes = int(doc["outcomes"])
-        elements = doc["elements"]
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:  # int(inf)
-        raise MalformedFile(f"{path_or_name}: missing or bad header field") from exc
+    dim, outcomes, elements = (doc.get(f) for f in ("dim", "outcomes", "elements"))
+    if type(dim) is not int or type(outcomes) is not int:  # not 2.7, "2" or true
+        raise MalformedFile(f"{path_or_name}: missing or bad header field")
     if not isinstance(elements, list) or len(elements) != outcomes:
         raise MalformedFile(f"{path_or_name}: 'elements' must list each outcome")
 

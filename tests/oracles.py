@@ -204,10 +204,9 @@ def block_protocol_statevector_distribution(available, code, amplitudes):
     if amplitudes.shape != (n_msgs,):
         raise ShapeMismatch(f"need {n_msgs} amplitudes")
     amplitudes = amplitudes / np.linalg.norm(amplitudes)
-    messages = np.array(list(itertools.product(range(d), repeat=code.k)))
     # encoded state: sum_i alpha_i |c_i>, a vector on d**n
     psi = np.zeros(d**code.n, dtype=complex)
-    for alpha, word in zip(amplitudes, code.encode(messages)):
+    for alpha, word in zip(amplitudes, np.repeat(code.codebook, code.copies, axis=1)):
         psi[_index(word, d)] += alpha
     channel = associated_channel(available)
     dist = np.zeros(n_msgs)
@@ -673,7 +672,8 @@ def block_protocol_whole_arrays(channel, code, amplitudes, trials, rng):
         weights /= weights.sum()
     msg_idx = rng.generator.choice(n_msgs, size=trials, p=weights)
     messages = _unpack(msg_idx, code.d, code.k)
-    outputs = channel.sample(code.encode(messages), rng)
+    codewords = np.repeat(code.codebook[msg_idx], code.copies, axis=1)
+    outputs = channel.sample(codewords, rng)
     decoded = code.decode(outputs, channel)
     rate = float(np.mean(np.any(decoded != messages, axis=1)))
     se = math.sqrt(max(rate * (1.0 - rate), 0.0) / trials)

@@ -325,6 +325,27 @@ def test_postmeas_rejects_a_negative_or_nan_tolerance(capsys, tol):
     assert captured.err == "error: tol must be nonnegative\n"
 
 
+@pytest.mark.parametrize("command, message", [
+    ("postmeas", "tol must be nonnegative"), ("capacity", "tol must be positive"),
+])
+@pytest.mark.parametrize("tol", ["-1e-9", "-0.5e-300"])
+def test_a_negative_tolerance_in_exponent_form_reaches_the_typed_error(capsys, command,
+                                                                       message, tol):
+    # argparse once read "-1e-9" as an option: "expected one argument", exit 2
+    assert cli.main([command, "trine", "--tol", tol]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("command", ["postmeas", "capacity"])
+def test_a_tolerance_that_is_not_a_number_is_a_usage_error(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, "trine", "--tol", "-x"])
+    assert exc.value.code == 2
+    assert "argument --tol: expected one argument" in capsys.readouterr().err
+
+
 def test_postmeas_at_a_zero_tolerance_is_an_exact_check(capsys):
     code, out = json_rows(capsys, "postmeas", "trine", "--tol", "0")
     assert code == 0

@@ -1,3 +1,5 @@
+import itertools
+import json
 import math
 import tracemalloc
 import warnings
@@ -9,7 +11,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from measrep import coding, qcore
+from measrep import cli, coding, qcore
 from measrep.coding import (
     BlockCode,
     ClassicalChannel,
@@ -209,19 +211,31 @@ def test_blahut_arimoto_bounds_bracket_the_grid_capacity(seed, m, zeros, mirror,
 # ---------------------------------------------------------------------------
 
 
-def test_repetition_rate_conventions():
-    code = repetition_code(2, 5, 2)
-    assert code.n == 10
-    assert code.rate_targets_per_use == pytest.approx(0.2)
-    assert code.rate_uses_per_target == pytest.approx(5.0)
+def test_repetition_rate_conventions(capsys):
+    assert cli.main(["block", "trine", "--k", "2", "--copies", "5", "--trials", "100",
+                     "--json"]) == 0
+    doc = json.loads(capsys.readouterr().out.splitlines()[-1])
+    rows = {r["name"]: r["value"] for r in doc["rows"]}
+    assert rows["block_length"] == 10
+    assert rows["rate_targets_per_use"] == pytest.approx(0.2)
+    assert rows["rate_uses_per_target"] == pytest.approx(5.0)
 
 
 def test_repetition_encode_decode_roundtrip_noiseless():
     code = repetition_code(3, 3, 2)
     ident = ClassicalChannel(np.eye(2))
     msgs = np.array([[0, 1, 0], [1, 1, 1]])
-    out = code.encode(msgs)
+    out = np.repeat(msgs, code.copies, axis=1)
     assert np.array_equal(code.decode(out, ident), msgs)
+
+
+def test_a_code_is_its_codebook_with_a_copy_count():
+    rep = repetition_code(3, 4, 3)
+    digits = np.array(list(itertools.product(range(3), repeat=3)))
+    assert rep.codebook.shape == (27, 3) and rep.copies == 4
+    assert np.array_equal(rep.codebook, digits)
+    rnd = random_codebook(3, 6, 2, Rng(5))
+    assert rnd.copies == 1 and rnd.codebook.shape == (8, 6)
 
 
 def test_repetition_single_use_trine_error():

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from measrep import io, qcore
+from measrep import cli, io, qcore
 from measrep.errors import (
     InvalidMeasurement, MalformedFile, MalformedName, ShapeMismatch,
 )
@@ -158,3 +158,43 @@ def test_a_header_field_that_is_not_finite_is_malformed(tmp_path, field, value):
                     encoding="utf-8")
     with pytest.raises(MalformedFile, match="huge.json: missing or bad header field"):
         io.read_measurement(str(path))
+
+
+def test_deeply_nested_json_is_malformed(tmp_path):
+    # json.loads once ended here in an untyped RecursionError
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 200_000 + "]" * 200_000, encoding="utf-8")
+    with pytest.raises(MalformedFile, match="deep.json: invalid JSON"):
+        io.read_measurement(str(path))
+
+
+def _set_entry(doc, value):
+    doc["elements"][0][0][0] = value
+    return doc
+
+
+# each of these once read as a valid trine, but the huge entry, which
+# ended in an untyped OverflowError
+@pytest.mark.parametrize("change, message", [
+    (lambda doc: _set_entry(doc, doc["elements"][0][0][0] + [5]), "entries must be"),
+    (lambda doc: _set_entry(doc, [True, False]), "entries must be"),
+    (lambda doc: _set_entry(doc, [10**400, 0]), "entries must be"),
+    (lambda doc: dict(doc, dim=2.7), "missing or bad header field"),
+    (lambda doc: dict(doc, dim=2.0), "missing or bad header field"),
+    (lambda doc: dict(doc, dim="2"), "missing or bad header field"),
+    (lambda doc: dict(doc, outcomes=3.0), "missing or bad header field"),
+    (lambda doc: dict(doc, outcomes=True, elements=doc["elements"][:1]),
+     "missing or bad header field"),
+], ids=["three-numbers", "booleans", "huge-int", "dim-2.7", "dim-2.0", "dim-string",
+        "outcomes-3.0", "outcomes-true"])
+def test_a_file_off_the_re_im_schema_is_malformed(tmp_path, capsys, change, message):
+    path = tmp_path / "trine.json"
+    io.save_measurement(qcore.trine_povm(), path)
+    assert isinstance(io.load_measurement(str(path)), Povm)
+    doc = change(json.loads(path.read_text(encoding="utf-8")))
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    with pytest.raises(MalformedFile, match=message):
+        io.read_measurement(str(path))
+    assert cli.main(["validate", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ")
