@@ -126,7 +126,8 @@ def read_measurement(path_or_name: str) -> Union[Povm, Instrument]:
         raise MalformedFile(f"{path_or_name}: 'elements' must list each outcome")
 
     if kind == "povm":
-        mats = [_matrix_from_json(e, f"element {a}") for a, e in enumerate(elements)]
+        mats = [_matrix_from_json(e, f"{path_or_name}: element {a}")
+                for a, e in enumerate(elements)]
         if any(m.shape != (dim, dim) for m in mats):
             raise MalformedFile(f"{path_or_name}: element shape != ({dim}, {dim})")
         return _build(Povm, mats, path_or_name)
@@ -137,7 +138,7 @@ def read_measurement(path_or_name: str) -> Union[Povm, Instrument]:
                 raise MalformedFile(f"{path_or_name}: outcome {a} needs Kraus list")
             groups.append(
                 tuple(
-                    _matrix_from_json(k, f"outcome {a} Kraus {j}")
+                    _matrix_from_json(k, f"{path_or_name}: outcome {a} Kraus {j}")
                     for j, k in enumerate(group)
                 )
             )

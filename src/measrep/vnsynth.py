@@ -18,7 +18,8 @@ alone, but scores no neighbour on a side of its partition (strings out
 of Q_0, or into it) that the box program bounds out.
 Each candidate then costs one run of the box program on two floats,
 and only the winner becomes a protocol, with its ``BoxQuadSolution``
-and states: both searches return it as a ``SynthesizedProtocol``.
+and states: both searches return it as a ``SynthesizedProtocol``,
+solved on the box of its own Q_0 as ``_partition_protocol`` contracts it.
 
 When the POVM's elements commute (every two-outcome POVM does, and so
 do noisy and lossy measurements), all T_s are diagonal in one product
@@ -91,8 +92,8 @@ def _common_eigenbasis(available: Povm, n_uses: int):
     """(U, factors): U and the eigenvalue vectors of the elements when
     they commute for N uses, else (None, their Hermitian parts
     (M + M^dagger)/2). The searches score products of these factors and
-    ``_partition_protocol`` sums the same ones, so a protocol holds the
-    Q_0 that was scored.
+    ``_partition_protocol`` contracts the same ones, so a protocol holds
+    the Q_0 that was scored, up to rounding.
 
     It first rejects a use count below 1 (``ShapeMismatch``) and an m^N
     whose assignment, 8 bytes a string, would pass the byte budget
@@ -122,34 +123,6 @@ def _vector_kron(a, b):
     return np.multiply.outer(a, b).ravel()
 
 
-def _string_products(factors, n_uses: int):
-    """Yield f_{a_1} x ... x f_{a_N} in lexicographic string order.
-
-    The factors come from ``_common_eigenbasis``: matrices, giving the
-    string tensors T_s, or vectors. The walk is depth first and holds one
-    prefix product per level, so memory is O(N D^2), not m^N D^2; each
-    prefix is one ``tensor`` call for matrices and one ``_vector_kron``
-    for vectors. It keeps its levels on an explicit stack, so no N is
-    too deep for it. Needs n_uses >= 1 (``_common_eigenbasis``).
-    """
-    ndim = factors[0].ndim
-    kron = tensor if ndim == 2 else _vector_kron
-    # level i holds the product of i factors and the factors left to
-    # extend it with
-    prefixes = [np.ones((1,) * ndim, dtype=factors[0].dtype)]
-    pending = [iter(factors)]
-    while pending:
-        f = next(pending[-1], None)
-        if f is None:
-            prefixes.pop()
-            pending.pop()
-        elif len(pending) == n_uses:
-            yield kron(prefixes[-1], f)
-        else:
-            prefixes.append(kron(prefixes[-1], f))
-            pending.append(iter(factors))
-
-
 def build_partition_povm(
     available: Povm,
     n_uses: int,
@@ -158,7 +131,7 @@ def build_partition_povm(
     """Coarse-grain N parallel uses of ``available`` through the map f,
     which sends each outcome string to target outcome 0 or 1.
 
-    Each coarse element is summed string by string: as a d^N vector
+    Each coarse element is contracted one use at a time: as a d^N vector
     when the elements commute, else as a D x D operator. Their bytes are
     checked before f is called on any string.
     """
@@ -180,15 +153,33 @@ def _partition_protocol(available, n_uses, assignment, common):
     """``build_partition_povm`` for a checked assignment (a tuple of 0s
     and 1s) and the ``_common_eigenbasis`` of ``available`` at ``n_uses``.
 
-    Each string product is added into its coarse element as it is built,
-    so memory is O(N D^2) rather than m^N D^2.
+    Q_a = sum_j f_j x Q_a^(j), so Q_a is contracted from the last use to
+    the first: a stack R, at first the 0/1 indicator of target a over the
+    strings, becomes sum_j f_j x R[:, j] at each use, by one ``tensor``
+    (outer product on spectra) and one ``swapaxes`` per factor. Each entry
+    is a depth-N tree of m-term sums, and dense elements are exactly
+    Hermitian. Every stack's bytes are checked before any is built.
     """
     basis, factors = common
     _check_coarse_bytes(factors, n_uses)
-    shape = (available.dim**n_uses,) * factors[0].ndim
-    coarse = [np.zeros(shape, factors[0].dtype) for _ in range(2)]
-    for t, v in zip(_string_products(factors, n_uses), assignment):
-        coarse[v] += t
+    f0, m, d = factors[0], available.outcomes, available.dim
+    for k in range(n_uses + 1):  # after k uses: m^(N-k) blocks of f0.size^k entries
+        qcore._check_bytes(f"a coarse element after {k} of {n_uses} uses",
+                           f0.itemsize * m ** (n_uses - k), f0.size, k)
+    coarse = []
+    for target in (0, 1):
+        r = (np.array(assignment) == target).astype(f0.dtype)
+        r = r.reshape((-1,) + (1,) * f0.ndim)
+        for _ in range(n_uses):
+            acc = None
+            for f, b in zip(factors, r.reshape((-1, m) + r.shape[1:]).swapaxes(0, 1)):
+                t = (tensor(f, b.reshape(-1, b.shape[-1])) if f0.ndim == 2
+                     else np.multiply.outer(f, b))
+                # t's rows run (row of f, block, row of the block)
+                t = t.reshape(d, len(b), -1).swapaxes(0, 1)
+                acc = t if acc is None else np.add(acc, t, out=acc)
+            r = acc.reshape((-1,) + (d * r.shape[1],) * f0.ndim)
+        coarse.append(r[0])
     return PartitionProtocol(n_uses, assignment, tuple(coarse), basis)
 
 
@@ -431,9 +422,9 @@ class SynthesizedProtocol:
 
 
 def _finish(protocol, co_optimal, evaluated, prep=None) -> SynthesizedProtocol:
-    """``protocol`` solved on the clamped box of its own Q_0 (a climb's
-    running sums can round its winner's box an ulp off), with ``prep``
-    or the states ``construct_states`` builds."""
+    """``protocol`` solved on the clamped box of its own Q_0 (the searches'
+    sums can round the box they scored an ulp off), with ``prep`` or the
+    states ``construct_states`` builds."""
     lows, highs = _extremes(protocol.coarse[0][None])
     solution = solve_box_quadratic_qubit(*_score(lows[0], highs[0])[1:])
     if prep is None:
@@ -452,10 +443,12 @@ def _search_terms(available: Povm, n_uses: int, common=None) -> np.ndarray:
     ``_common_eigenbasis`` of ``available`` at ``n_uses``, worked out
     here when not given, which also checks N. All m^N terms are held, so
     their bytes are checked against the byte budget before any is built.
+    They are built one use at a time, by one broadcast multiply per use,
+    each entry the same product that a chain of ``np.kron`` computes.
     Dense terms are products of the Hermitian parts of the elements, so
     every product and partial sum is exactly Hermitian (rounding commutes
     with conjugation) for LAPACK's ``eigvalsh``, which reads one triangle,
-    and for the protocol ``hermitian_eig`` diagonalises.
+    as is every protocol contracted from them for ``hermitian_eig``.
 
     Commutation is tested once, by ``_common_eigenbasis``: U
     diagonalises the fixed combination sum_a (a + 1) M_a, and v_a is the
@@ -485,10 +478,15 @@ def _search_terms(available: Povm, n_uses: int, common=None) -> np.ndarray:
     qcore._check_bytes(f"search terms of {available.outcomes}^{n_uses} strings",
                        factors[0].itemsize, available.outcomes * factors[0].size,
                        n_uses)
-    terms = np.empty((available.outcomes**n_uses,)
-                     + (available.dim**n_uses,) * factors[0].ndim, factors[0].dtype)
-    for row, t in zip(terms, _string_products(factors, n_uses)):
-        row[...] = t
+    f = np.stack(factors)
+    q = np.expand_dims(f, tuple(range(0, 2 * f.ndim, 2)))  # (1, m, 1, d[, 1, d])
+    terms = np.ones((1,) * f.ndim, f.dtype)
+    for _ in range(n_uses):
+        # row (p, j) is terms[p] x f_j, each entry one product terms[p][x] * f_j[r]
+        p = np.expand_dims(terms, tuple(range(1, 2 * f.ndim, 2)))
+        shape = np.broadcast_shapes(p.shape, q.shape)
+        terms = np.multiply(p, q, out=np.empty(shape, f.dtype)).reshape(
+            [a * b for a, b in zip(shape[::2], shape[1::2])])
     return terms
 
 

@@ -265,6 +265,18 @@ def string_tensors(available, n_uses):
     ]
 
 
+def kron_chain_terms(available, n_uses):
+    """The searches' terms as ``string_tensors`` builds its tensors: one
+    ``np.kron`` chain per string, here of the ``_common_eigenbasis``
+    factors (eigenvalue vectors on commuting inputs)."""
+    _, factors = _common_eigenbasis(available, n_uses)
+    start = np.ones((1,) * factors[0].ndim)
+    return np.stack([
+        functools.reduce(np.kron, (factors[a] for a in s), start)
+        for s in itertools.product(range(available.outcomes), repeat=n_uses)
+    ])
+
+
 def partition_povm_from_list(available, n_uses, assignment):
     """Coarse elements of ``build_partition_povm`` from a list of all m^N
     string tensors, each built level by level with ``tensor``."""

@@ -198,3 +198,39 @@ def test_a_file_off_the_re_im_schema_is_malformed(tmp_path, capsys, change, mess
     assert cli.main(["validate", str(path)]) == 1
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err.startswith("error: ")
+
+
+def _set_kraus(doc, a, value):
+    doc["elements"][a][0] = value
+    return doc
+
+
+# an element that does not parse is named after the file, as every other
+# malformed-file error is
+@pytest.mark.parametrize("measurement, change, message", [
+    (qcore.trine_povm(), lambda doc: _set_entry(doc, [1, 0, 5]),
+     "element 0: entries must be [re, im] pairs"),
+    (qcore.trine_povm(), lambda doc: _set_entry(doc, [True, False]),
+     "element 0: entries must be [re, im] pairs"),
+    (qcore.trine_povm(), lambda doc: _set_entry(doc, [10**400, 0]),
+     "element 0: entries must be [re, im] pairs"),
+    (qcore.trine_povm(), lambda doc: dict(doc, elements=doc["elements"][:2] + [[]]),
+     "element 2: expected a matrix"),
+    (qcore.lueders_instrument(qcore.trine_povm()),
+     lambda doc: _set_kraus(doc, 1, [[[1, 0]], [[0, 0], [1, 0]]]),
+     "outcome 1 Kraus 0: entries must be [re, im] pairs"),
+    (qcore.lueders_instrument(qcore.trine_povm()), lambda doc: _set_kraus(doc, 2, []),
+     "outcome 2 Kraus 0: expected a matrix"),
+], ids=["three-numbers", "booleans", "huge-int", "no-rows", "ragged-kraus",
+        "no-kraus-rows"])
+def test_an_element_that_does_not_parse_is_named_after_the_file(
+        tmp_path, capsys, measurement, change, message):
+    path = tmp_path / "m.json"
+    io.save_measurement(measurement, path)
+    doc = change(json.loads(path.read_text(encoding="utf-8")))
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    with pytest.raises(MalformedFile) as info:
+        io.read_measurement(str(path))
+    assert str(info.value) == f"{path}: {message}"
+    assert cli.main(["validate", str(path)]) == 1
+    assert capsys.readouterr().err == f"error: {path}: {message}\n"

@@ -35,8 +35,10 @@ from oracles import (
     exhaustive_search_depth_first,
     exhaustive_search_from_scratch,
     exhaustive_search_per_candidate,
+    haar_unitary,
     hill_climb_search_from_scratch,
     hill_climb_search_per_candidate,
+    kron_chain_terms,
     own_box_solution,
     partition_povm_from_list,
     random_povm,
@@ -102,6 +104,38 @@ def same_bits(a, b):
     return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
 
 
+def rounding_bound(m, n_uses):
+    """How far, in any entry, two summation orders of the same m^N string
+    products can round apart: the contracted coarse elements and the sums
+    string by string.
+
+    Per use, sum_a |M_a[i, j]| <= 1, since |M_a[i, j]| <= (M_a[i, i] +
+    M_a[j, j]) / 2 for a positive M_a and sum_a M_a = I; so the absolute
+    values of all the products sum to at most 1, entry by entry. A
+    product of N entries, one complex multiply per use, is within
+    2 sqrt(2) N u of exact, relatively (u = 2^-53), and a sum of k terms,
+    in a row or as a tree, within (k - 1) u of their absolute sum. Each
+    order is then within (m^N + 3 N) u of the exact sum, and the two
+    within twice that.
+    """
+    return 2 * (m**n_uses + 3 * n_uses) * 2.0**-53
+
+
+def string_sums(povm, n_uses, assignment):
+    """Each coarse element summed string by string, in string order, from
+    the terms the searches score."""
+    terms = vnsynth._search_terms(povm, n_uses)
+    sums = [np.zeros_like(terms[0]) for _ in range(2)]
+    for t, v in zip(terms, assignment, strict=True):
+        sums[v] += t
+    return sums
+
+
+def near_arrays(coarse, ref, bound):
+    return all(q.shape == r.shape and np.abs(q - r).max() <= bound
+               for q, r in zip(coarse, ref, strict=True))
+
+
 @settings(max_examples=40)
 @given(dim=st.integers(2, 3), ranks=st.lists(st.integers(1, 3), min_size=2, max_size=4),
        n_uses=st.integers(1, 5), seed=st.integers(0, 2**32 - 1))
@@ -112,16 +146,13 @@ def test_streamed_partition_povm_matches_the_tensor_list(dim, ranks, n_uses, see
     assignment = Rng(seed, 1).generator.integers(0, 2, size=len(ranks) ** n_uses)
     proto = build_partition_povm(povm, n_uses, assignment)
     ref = partition_povm_from_list(povm, n_uses, assignment)
+    bound = rounding_bound(len(ranks), n_uses)
     if proto.basis is None:
-        assert all(same_bits(q, r) for q, r in zip(proto.coarse, ref, strict=True))
+        assert near_arrays(proto.coarse, ref, bound)
         return
-    # commuting: q_a sums the search terms of its strings in order, and
+    # commuting: q_a sums the search terms of its strings, and
     # U^(x N) diag(q_a) U^(x N)^dagger is the dense Q_a
-    terms = vnsynth._search_terms(povm, n_uses)
-    sums = [np.zeros(terms.shape[1:]) for _ in range(2)]
-    for t, v in zip(terms, assignment, strict=True):
-        sums[v] += t
-    assert all(same_bits(q, r) for q, r in zip(proto.coarse, sums, strict=True))
+    assert near_arrays(proto.coarse, string_sums(povm, n_uses, assignment), bound)
     u = functools.reduce(np.kron, [proto.basis] * n_uses)
     for q, r in zip(proto.coarse, ref, strict=True):
         assert np.abs(u @ np.diag(q) @ u.conj().T - r).max() <= 1e-12
@@ -194,10 +225,39 @@ def same_floats(a, b):
     return same_bits(np.array(a, dtype=float), np.array(b, dtype=float))
 
 
+solution_fields = ("lam_min", "lam_max", "x_star", "y_star", "epsilon")
+
+
 def same_solution(sol, ref):
-    fields = ("lam_min", "lam_max", "x_star", "y_star", "epsilon")
     return sol.region == ref.region and same_floats(
-        [getattr(sol, f) for f in fields], [getattr(ref, f) for f in fields])
+        [getattr(sol, f) for f in solution_fields],
+        [getattr(ref, f) for f in solution_fields])
+
+
+def solution_bound(protocol, m):
+    """How far the box solution of a protocol's contracted Q_0 and that of
+    its sum string by string can lie apart, field by field.
+
+    On spectra the box ends are entries, so they move by at most
+    ``rounding_bound``. A dense Q_0 of size D moves by at most D times it
+    in the 2-norm, so each eigenvalue does too (Weyl), and each of the
+    two eigensolves adds its backward error, taken as D^2 u for
+    ||Q_0||_2 <= 1. Every field is 1-Lipschitz in the box ends within one
+    region: x* and y* are box ends, or affine in them with slope 1/2,
+    and epsilon is the least value over the box of the norm
+    sqrt(((1 - x - y)^2 + (1 - x) y) / 3) of (1 - x, y), whose gradient
+    is at most 1/sqrt(2).
+    """
+    bound = rounding_bound(m, protocol.n_uses)
+    if protocol.basis is not None:
+        return bound
+    dim = protocol.coarse[0].shape[0]
+    return dim * bound + 2 * dim**2 * 2.0**-53
+
+
+def near_solution(sol, ref, bound):
+    return sol.region == ref.region and all(
+        abs(getattr(sol, f) - getattr(ref, f)) <= bound for f in solution_fields)
 
 
 unit_floats = st.floats(0.0, 1.0)
@@ -555,7 +615,13 @@ def assert_same_search(povm, n_uses):
     assert result.protocol.assignment == bits
     assert result.co_optimal == ties
     assert result.evaluated == count
-    assert same_solution(result.solution, sol)
+    # the solution is the contracted Q_0's own; the walk scored the sum
+    # string by string
+    assert same_solution(result.solution, own_box_solution(result.protocol))
+    assert near_solution(result.solution, sol,
+                         solution_bound(result.protocol, povm.outcomes))
+    assert near_arrays(result.protocol.coarse, string_sums(povm, n_uses, bits),
+                       rounding_bound(povm.outcomes, n_uses))
 
 
 # Stack budgets: the default, one term (no level stacked) and four terms.
@@ -650,6 +716,84 @@ def test_dense_search_terms_are_exactly_hermitian():
     assert all(np.array_equal(t, qcore.dagger(t)) for t in terms)
 
 
+search_term_cases = st.one_of(
+    st.tuples(st.just("dense"), st.integers(2, 3), st.integers(3, 4), st.integers(1, 3)),
+    st.tuples(st.just("two-outcome"), st.integers(2, 4), st.just(2), st.integers(1, 4)),
+    st.tuples(st.just("lossy"), st.integers(2, 4), st.just(3), st.integers(1, 3)),
+)
+
+
+@settings(max_examples=60)
+@given(seed=povm_seeds, case=search_term_cases)
+def test_search_terms_are_the_kron_chains_of_the_factors(seed, case):
+    kind, d, m, n_uses = case
+    povm = lossy_povm(d, Rng(seed)) if kind == "lossy" else random_povm(d, m, Rng(seed))
+    terms, ref = vnsynth._search_terms(povm, n_uses), kron_chain_terms(povm, n_uses)
+    assert terms.ndim == (3 if kind == "dense" else 2)
+    assert terms.dtype == ref.dtype and same_bits(terms, ref)
+
+
+@settings(max_examples=30)
+@given(seed=povm_seeds, d=st.integers(2, 3), m=st.integers(3, 4), n_uses=use_counts)
+def test_dense_coarse_elements_are_exactly_hermitian(seed, d, m, n_uses):
+    povm = random_povm(d, m, Rng(seed))
+    assignment = Rng(seed, 1).generator.integers(0, 2, size=m**n_uses)
+    protocol = build_partition_povm(povm, n_uses, assignment)
+    assert protocol.basis is None
+    assert all(np.array_equal(q, q.conj().T) for q in protocol.coarse)
+
+
+@pytest.mark.parametrize("n_uses", range(1, 8))
+def test_the_trine_protocol_meets_its_closed_forms_to_rounding(n_uses):
+    # each entry of the contracted Q_0 is a depth-N tree of 3-term sums;
+    # a running sum over the 3^N strings missed 1 - 3^-N by up to 1.2e-14
+    sol = trine_optimal_protocol(n_uses).solution
+    assert abs(sol.lam_max - (1.0 - 3.0**-n_uses)) <= 1e-15
+    assert abs(sol.epsilon - 3.0**-n_uses / 2.0) <= 5e-16
+
+
+def test_a_contraction_checks_its_largest_stack_before_building_it():
+    # six qubit outcomes at N = 2: the largest stack is the 36-string
+    # indicator, 576 bytes complex (six 2 x 2 blocks after one use take
+    # 384, the element 256), while the two elements take 512
+    povm, bits = random_povm(2, 6, Rng(3)), [0, 1] * 18
+    with mock.patch.object(qcore, "_BYTE_BUDGET", 576):
+        assert build_partition_povm(povm, 2, bits).basis is None
+    with mock.patch.object(qcore, "_BYTE_BUDGET", 575), \
+            mock.patch.object(vnsynth, "tensor", side_effect=AssertionError):
+        with pytest.raises(TooLarge, match="^a coarse element after 0 of 2 uses would "
+                           "take 576 bytes, over the budget of 575$"):
+            build_partition_povm(povm, 2, bits)
+
+
+# (m, N) with m^N and m^(N + 1) strings within the exhaustive cap, so
+# every epsilon is the optimum over deterministic partitions
+exhaustive_cases = st.sampled_from([(2, 1), (2, 2), (3, 1)])
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=povm_seeds, d=st.integers(2, 3), case=exhaustive_cases)
+def test_epsilon_is_invariant_under_a_unitary_change_of_basis(seed, d, case):
+    # Q_0 of U M U^dagger is U^(x N) Q_0 U^(x N)^dagger: the same spectrum
+    m, n_uses = case
+    povm = random_povm(d, m, Rng(seed))
+    u = haar_unitary(d, Rng(seed, 1))
+    turned = Povm(tuple(u @ e @ u.conj().T for e in povm.elements))
+    eps = [synthesize(p, n_uses, Rng(0)).solution.epsilon for p in (povm, turned)]
+    assert abs(eps[1] - eps[0]) <= 1e-9
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=povm_seeds, d=st.integers(2, 3), case=exhaustive_cases)
+def test_epsilon_never_rises_with_another_use(seed, d, case):
+    # ignoring the last use turns an N-use partition into an (N + 1)-use
+    # one with the same spectrum
+    m, n_uses = case
+    povm = random_povm(d, m, Rng(seed))
+    eps = [synthesize(povm, n, Rng(0)).solution.epsilon for n in (n_uses, n_uses + 1)]
+    assert eps[1] <= eps[0] + 1e-12
+
+
 @pytest.mark.parametrize("n_uses", [1, 2, 3])  # exhaustive, exhaustive, hill climb
 def test_a_dense_protocol_holds_the_q0_the_search_scored(n_uses):
     for seed in range(20):
@@ -657,12 +801,9 @@ def test_a_dense_protocol_holds_the_q0_the_search_scored(n_uses):
         terms = vnsynth._search_terms(povm, n_uses)
         assert terms.ndim == 3
         protocol = synthesize(povm, n_uses, Rng(seed)).protocol
-        for target, coarse in enumerate(protocol.coarse):
-            q = np.zeros_like(terms[0])
-            for t, v in zip(terms, protocol.assignment):
-                if v == target:
-                    q += t
-            assert coarse.tobytes() == q.tobytes()
+        assert near_arrays(protocol.coarse,
+                           string_sums(povm, n_uses, protocol.assignment),
+                           rounding_bound(3, n_uses))
 
 
 def conj_t(a):
