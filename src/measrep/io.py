@@ -134,7 +134,7 @@ def read_measurement(path_or_name: str) -> Union[Povm, Instrument]:
     if kind == "instrument":
         groups = []
         for a, group in enumerate(elements):
-            if not isinstance(group, list) or not group:
+            if not isinstance(group, list):  # an outcome may have no Kraus operators
                 raise MalformedFile(f"{path_or_name}: outcome {a} needs Kraus list")
             groups.append(
                 tuple(

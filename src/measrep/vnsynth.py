@@ -28,13 +28,13 @@ eigenvalues instead, and read the extreme eigenvalues of Q_0 as a
 vector's min and max, with no ``eigvalsh``. Both searches solve each
 distinct clamped eigenvalue box once, from a per-search memo, as many
 partitions share one. The protocol keeps its coarse elements as
-such vectors too, and its prepared states and implemented POVM are
-built from them and U: no d^N x d^N operator is formed.
+such vectors too. Its states are built in U's frame, where Q_0 is
+diag(q_0), and mapped out once by U^(x N), one tensor factor at a
+time; ``implemented_povm`` maps them back: no d^N x d^N operator is formed.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -44,7 +44,7 @@ import numpy as np
 
 from . import qcore
 from .errors import InvalidBounds, NotConverged, ShapeMismatch, TooLarge, Unachievable
-from .qcore import Povm, Rng, dagger, identity, tensor
+from .qcore import Povm, Rng, dagger, tensor
 
 # Most outcome strings exhaustive_search accepts; synthesize hill-climbs beyond.
 _EXHAUSTIVE_STRING_CAP = 12
@@ -70,8 +70,8 @@ class PartitionProtocol:
 
     ``coarse`` holds Q_0 and Q_1. When the available elements commute,
     ``basis`` is U and each Q_a is held as its real d^N eigenvalue vector
-    q_a, so that Q_a = U^(x N) diag(q_a) U^(x N)^dagger; otherwise
-    ``basis`` is None and they are the D x D operators.
+    q_a, its matrix in U's frame: Q_a = U^(x N) diag(q_a) U^(x N)^dagger.
+    Otherwise ``basis`` is None and they are the D x D operators.
     """
 
     n_uses: int
@@ -115,12 +115,6 @@ def _common_eigenbasis(available: Povm, n_uses: int):
     if not n_uses * off <= _TIE_WINDOW:
         return None, [(e + dagger(e)) / 2 for e in available.elements]
     return u, [np.diag(r).real.copy() for r in rotated]
-
-
-def _vector_kron(a, b):
-    """``np.kron`` of two vectors (the same products), minus its
-    general-shape overhead."""
-    return np.multiply.outer(a, b).ravel()
 
 
 def build_partition_povm(
@@ -329,14 +323,13 @@ def construct_states(protocol: PartitionProtocol, targets) -> StatePrep:
     that fails a single unmeasured ancilla qubit tags the states |u_i>|i>
     to restore orthogonality.
 
-    A protocol with a ``basis`` takes its eigenvalues as q_0 sorted
-    descending, ties in index order, and builds an eigenvector only when
-    it is used: the Kronecker product of the columns of U that the
-    product-basis index picks.
+    A protocol with a ``basis`` builds the pair in U's frame, where Q_0
+    is diag(q_0), sorted descending with ties in index order: eigenvector
+    j is the unit vector e_{order[j]}. The finished pair V is mapped out
+    of the frame once, as (U^(x N) x I) V.
     """
     x, y = float(targets[0]), float(targets[1])
-    u = protocol.basis
-    if u is None:
+    if protocol.basis is None:
         evals, evecs = qcore.hermitian_eig(protocol.coarse[0])
 
         def column(j):
@@ -346,13 +339,9 @@ def construct_states(protocol: PartitionProtocol, targets) -> StatePrep:
         evals = protocol.coarse[0][order]
 
         def column(j):
-            # the base-d digits of the product-basis index, most
-            # significant first (np.unravel_index stops at 64 uses)
-            index, digits = int(order[j]), []
-            for _ in range(protocol.n_uses):
-                index, digit = divmod(index, u.shape[0])
-                digits.append(digit)
-            return functools.reduce(_vector_kron, [u[:, i] for i in digits[::-1]])
+            e = np.zeros(evals.size)
+            e[order[j]] = 1.0
+            return e
     lam_min, lam_max = evals[-1], evals[0]
     slack = 1e-9
     if not (lam_min - slack <= x <= lam_max + slack) or not (
@@ -365,44 +354,42 @@ def construct_states(protocol: PartitionProtocol, targets) -> StatePrep:
     y = min(max(y, lam_min), lam_max)
 
     pair = _inspace_binary(evals, column, x, y)
-    if pair is not None:
-        u0, u1 = pair
-        return StatePrep(ancilla_qubits=0, states=(u0, u1))
+    ancilla = int(pair is None)
+    if ancilla:  # |u_0>|0> and |u_1>|1>
+        v_hi, v_lo = column(0), column(evals.size - 1)
+        pair = tuple(np.kron(_mix_eigvecs(v_hi, lam_max, v_lo, lam_min, t), e)
+                     for t, e in zip((x, y), np.eye(2, dtype=complex)))
+    if protocol.basis is not None:
+        pair = tuple(_rotate(protocol.basis, np.column_stack(pair), protocol.n_uses).T)
+    return StatePrep(ancilla_qubits=ancilla, states=pair)
 
-    v_hi, v_lo = column(0), column(evals.size - 1)
-    u0 = _mix_eigvecs(v_hi, lam_max, v_lo, lam_min, x)
-    u1 = _mix_eigvecs(v_hi, lam_max, v_lo, lam_min, y)
-    e = np.eye(2, dtype=complex)
-    states = (np.kron(u0, e[:, 0]), np.kron(u1, e[:, 1]))
-    return StatePrep(ancilla_qubits=1, states=states)
+
+def _rotate(u, vmat, n_uses):
+    """(U^(x N) x I) V for a V whose rows run over d^N x (ancilla), with
+    U applied to one tensor factor at a time: no D x D operator is formed."""
+    d = u.shape[0]
+    for k in range(n_uses):
+        vmat = (u @ vmat.reshape(d**k, d, -1)).reshape(vmat.shape)
+    return vmat
 
 
 def implemented_povm(prep: StatePrep, protocol: PartitionProtocol) -> Povm:
     """Effective POVM on the original system, via the prepared-state isometry.
 
-    For a protocol with a ``basis`` the states V are rotated into the
-    eigenbasis, V' = ((U^dagger)^(x N) x I) V, one tensor factor at a time,
-    and element a is V'^dagger diag(q_a x 1) V'.
+    Element a is V^dagger (Q_a x I) V for the states V. For a protocol
+    with a ``basis`` V is first rotated into U's frame,
+    ((U^dagger)^(x N) x I) V, where Q_a is diag(q_a).
     """
     anc = 2**prep.ancilla_qubits
     vmat = np.column_stack(prep.states)
+    if protocol.coarse[0].shape[0] * anc != vmat.shape[0]:
+        raise ShapeMismatch("state and coarse POVM dimensions disagree")
     if protocol.basis is not None:
-        if protocol.coarse[0].size * anc != vmat.shape[0]:
-            raise ShapeMismatch("state and coarse POVM dimensions disagree")
-        u_dag = dagger(protocol.basis)
-        d = u_dag.shape[0]
-        rot = vmat
-        for k in range(protocol.n_uses):
-            rot = (u_dag @ rot.reshape(d**k, d, -1)).reshape(vmat.shape)
-        return Povm(tuple(dagger(rot) @ (np.repeat(q, anc)[:, None] * rot)
-                          for q in protocol.coarse))
-    elems = []
-    for q in protocol.coarse:
-        big = tensor(q, identity(anc)) if anc > 1 else q
-        if big.shape[0] != vmat.shape[0]:
-            raise ShapeMismatch("state and coarse POVM dimensions disagree")
-        elems.append(dagger(vmat) @ big @ vmat)
-    return Povm(tuple(elems))
+        vmat = _rotate(dagger(protocol.basis), vmat, protocol.n_uses)
+    v = vmat.reshape(-1, 2 * anc)  # rows: the measured index; columns: (ancilla, state)
+    return Povm(tuple(
+        dagger(vmat) @ (q @ v if q.ndim == 2 else q[:, None] * v).reshape(vmat.shape)
+        for q in protocol.coarse))
 
 
 # ---------------------------------------------------------------------------

@@ -790,18 +790,19 @@ def test_a_path_the_digest_cannot_read_is_still_a_usage_error(capsys, name):
 
 
 def test_readme_options_table_lists_the_flags_each_command_reads():
-    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(
-        encoding="utf-8")
-    table = readme[readme.index("| command | options |"):].split("\n\n")[0]
-    documented = {}
-    for line in table.splitlines()[2:]:
-        command, options = line.strip("|").split("|")
-        flags = re.findall(r"`(--[a-z-]+)", options)
-        documented[command.strip().strip("`")] = set(flags)
+    # PAPER.md repeats README's table
     actual = {name: {cli.OPTIONS[dest][0] for dest in inputs
                      if cli.OPTIONS[dest][0].startswith("--")}
               for name, (_, _, inputs) in cli.COMMANDS.items()}
-    assert documented == actual
+    for doc in ("README.md", "PAPER.md"):
+        text = (Path(__file__).resolve().parent.parent / doc).read_text(encoding="utf-8")
+        table = text[text.index("| command | options |"):].split("\n\n")[0]
+        documented = {}
+        for line in table.splitlines()[2:]:
+            command, options = line.strip("|").split("|")
+            flags = re.findall(r"`(--[a-z-]+)", options)
+            documented[command.strip().strip("`")] = set(flags)
+        assert documented == actual, doc
 
 
 @pytest.mark.parametrize("command", ["validate", "synth"])

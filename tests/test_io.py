@@ -41,6 +41,24 @@ def test_instrument_round_trip(tmp_path):
             assert np.array_equal(a, b)
 
 
+def test_an_outcome_with_no_kraus_operators_round_trips(tmp_path, capsys):
+    # saved as [], which read_measurement once refused as "needs Kraus list"
+    inst = Instrument(((np.eye(2),), ()))
+    path = tmp_path / "inst.json"
+    io.save_measurement(inst, path)
+    back = io.load_measurement(str(path))
+    assert isinstance(back, Instrument)
+    assert back.kraus[1] == () and np.array_equal(back.kraus[0][0], np.eye(2))
+    for command in ("validate", "postmeas"):
+        assert cli.main([command, str(path), "--json"]) == 0
+        rows = json.loads(capsys.readouterr().out.splitlines()[-1])["rows"]
+        assert rows and all(r["value"] == 0 and r["status"] == "PASS" for r in rows)
+    path.write_text(path.read_text(encoding="utf-8").replace("[]", "{}"),
+                    encoding="utf-8")
+    with pytest.raises(MalformedFile, match="outcome 1 needs Kraus list"):
+        io.read_measurement(str(path))
+
+
 def test_incomplete_povm_rejected(tmp_path):
     povm = qcore.von_neumann_povm(2)
     scaled = Povm(tuple(0.9 * e for e in povm.elements))

@@ -13,9 +13,14 @@ reads it as an attribute; a field that nothing reads is dead weight too.
 A defaulted parameter of a public function or method counts as used when
 some call in ``src/`` or ``benchmarks/`` passes it, by keyword or by
 position; a default that no caller overrides is a constant.
+
+A private module-level function, class or constant counts as used when
+some module of ``src/`` reads it outside its own definition; the tests
+do not count, so a helper that a deletion left behind fails the check.
 """
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -143,3 +148,32 @@ def test_every_defaulted_parameter_is_passed_outside_the_tests():
              and (pos is None or not passed.get(callee, set()) & {pos, "*"})]
     assert params
     assert not never, f"defaulted parameters that no call passes: {never}"
+
+
+def _private_definitions(tree):
+    """(name, node) of each private module-level function, class and
+    constant (an assigned name) of a module."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, ast.Assign):
+            names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            names = [node.target.id]
+        else:
+            names = []
+        for name in names:
+            if name[0] == "_" and not name.startswith("__"):
+                yield name, node
+
+
+def test_every_private_name_is_read_in_src():
+    trees = {path: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(PACKAGE.glob("*.py"))}
+    reads = Counter(name for tree in trees.values() for name in _references(tree))
+    private = [(f"{path.stem}.{name}", name, node)
+               for path, tree in trees.items() for name, node in _private_definitions(tree)]
+    unread = [qualified for qualified, name, node in private
+              if reads[name] == Counter(_references(node))[name]]
+    assert private
+    assert not unread, f"private names that nothing in src/ reads: {unread}"

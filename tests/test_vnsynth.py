@@ -505,11 +505,9 @@ def test_commuting_search_on_spectra_matches_dense_scoring(seed, case):
         assert abs(own.epsilon - sol.epsilon) <= 1e-14
 
 
-@settings(max_examples=40)
-@given(seed=povm_seeds, case=commuting_cases)
-def test_commuting_protocol_on_spectra_implements_the_qp_error(seed, case):
-    m, d, n_uses = case
-    povm = random_povm(d, 2, Rng(seed)) if m == 2 else lossy_povm(d, Rng(seed))
+def assert_states_meet_the_optimum(povm, n_uses, seed):
+    """Synthesize on spectra and check the states against the dense Q_0
+    that U's frame stands for; returns the ``SynthesizedProtocol``."""
     syn = synthesize(povm, n_uses, Rng(seed))
     proto = syn.protocol
     assert proto.basis is not None
@@ -520,8 +518,48 @@ def test_commuting_protocol_on_spectra_implements_the_qp_error(seed, case):
     u0, u1 = syn.prep.states
     gram = np.array([[np.vdot(a, b) for b in (u0, u1)] for a in (u0, u1)])
     assert np.abs(gram - np.eye(2)).max() <= 1e-12
-    eps = rms_exact_povm(implemented_povm(syn.prep, proto), von_neumann_povm(2))
+    optimum = np.diag([syn.solution.x_star, syn.solution.y_star])
+    vmat = np.column_stack(syn.prep.states)
+    on_q0 = qcore.dagger(vmat) @ np.kron(dense[0], np.eye(2**syn.prep.ancilla_qubits)) @ vmat
+    assert np.abs(on_q0 - optimum).max() <= 1e-12
+    impl = implemented_povm(syn.prep, proto)
+    assert np.abs(impl.elements[0] - optimum).max() <= 1e-12
+    eps = rms_exact_povm(impl, von_neumann_povm(2))
     assert abs(eps - syn.solution.epsilon) <= 1e-12
+    return syn
+
+
+@settings(max_examples=40)
+@given(seed=povm_seeds, case=commuting_cases)
+def test_commuting_protocol_on_spectra_implements_the_qp_error(seed, case):
+    m, d, n_uses = case
+    povm = random_povm(d, 2, Rng(seed)) if m == 2 else lossy_povm(d, Rng(seed))
+    assert_states_meet_the_optimum(povm, n_uses, seed)
+
+
+@pytest.mark.parametrize("p, q, n_uses, ancilla", [
+    (0.95, 0.6, 1, 1),
+    (0.9, 0.8, 2, 0),
+], ids=["ancilla", "in-space"])
+def test_commuting_states_meet_the_optimum_on_either_route(p, q, n_uses, ancilla):
+    syn = assert_states_meet_the_optimum(qcore.noisy_z_povm(p, q), n_uses, 0)
+    assert syn.prep.ancilla_qubits == ancilla
+
+
+@settings(max_examples=40)
+@given(seed=povm_seeds, d=st.integers(2, 4), n_uses=st.integers(1, 3),
+       anc=st.sampled_from((1, 2)))
+def test_the_frame_rotation_is_the_product_basis_on_the_measured_factors(
+        seed, d, n_uses, anc):
+    rng = Rng(seed)
+    u = haar_unitary(d, rng)
+    g = rng.generator
+    shape = (d**n_uses * anc, 2)
+    v = g.standard_normal(shape) + 1j * g.standard_normal(shape)
+    rotated = vnsynth._rotate(u, v, n_uses)
+    full = np.kron(functools.reduce(np.kron, [u] * n_uses), np.eye(anc))
+    assert np.abs(rotated - full @ v).max() <= 1e-13
+    assert np.abs(vnsynth._rotate(qcore.dagger(u), rotated, n_uses) - v).max() <= 1e-13
 
 
 def test_commuting_synthesis_builds_no_dense_operator():
