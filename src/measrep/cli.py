@@ -53,12 +53,13 @@ class RunReport:
 
 def _digest(*parts) -> str:
     """Hash of the numpy and measrep versions and the inputs, with the
-    bytes of each input that names a readable file."""
+    bytes of each input that names a readable file and no built-in."""
     h = hashlib.sha256(repr((np.__version__, __version__)).encode())
     for p in parts:
         h.update(repr(p).encode())
         try:
-            h.update(Path(p).read_bytes())
+            if io._builtin(str(p)) is None:  # a built-in name reads no file
+                h.update(Path(p).read_bytes())
         except (TypeError, ValueError, OSError):  # not a path, or unreadable
             pass
     return h.hexdigest()[:16]

@@ -242,6 +242,8 @@ class BlockCode:
     def decode(self, outputs: np.ndarray, channel: ClassicalChannel) -> np.ndarray:
         """ML decode output rows (batch, n) back to message rows (batch, k)."""
         outputs = np.asarray(outputs)
+        if outputs.ndim != 2 or outputs.shape[1] != self.n or channel.inputs != self.d:
+            raise ShapeMismatch(f"need {self.n} outputs a row, {self.d} channel inputs")
         logw = _safe_log(channel.matrix)
         if self.kind == "repetition":
             grouped = outputs.reshape(outputs.shape[0], self.k, self.copies)

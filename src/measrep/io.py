@@ -61,31 +61,41 @@ def save_measurement(obj: Union[Povm, Instrument], path) -> None:
 
 
 def _builtin(name: str):
+    """The builder of the built-in measurement ``name``, or None when
+    ``read_measurement`` reads ``name`` as a path. Only the builder parses
+    parameters, so asking never raises and builds no measurement."""
     if name == "trine":
-        return qcore.trine_povm()
+        return qcore.trine_povm
     if name == "degenerate-qutrit":
-        return qcore.degenerate_qutrit_povm()
+        return qcore.degenerate_qutrit_povm
     if name.startswith("noisy-z:"):
-        try:
-            p, q = (float(v) for v in name.split(":", 1)[1].split(","))
-        except ValueError:
-            raise MalformedName(
-                f"expected noisy-z:p,q with two numbers, got {name!r}"
-            ) from None
-        return qcore.noisy_z_povm(p, q)
+        return lambda: _noisy_z(name)
     if name.startswith("vn:"):
-        d = name.split(":", 1)[1].lstrip("0")
-        # ASCII only: str.isdigit also admits "²", which int() refuses,
-        # and "٣", which it reads as 3
-        if not (d.isascii() and d.isdigit()):
-            raise MalformedName(f"expected vn:d with an integer d >= 1, got {name!r}")
-        try:
-            dim = int(d)
-        except ValueError:  # past int()'s digit limit: d^3 >= 10^(3 (len - 1))
-            qcore._check_bytes("the von Neumann elements", 16, 10, 3 * (len(d) - 1))
-            raise
-        return qcore.von_neumann_povm(dim)
+        return lambda: _von_neumann(name)
     return None
+
+
+def _noisy_z(name: str) -> Povm:
+    try:
+        p, q = (float(v) for v in name.split(":", 1)[1].split(","))
+    except ValueError:
+        raise MalformedName(f"expected noisy-z:p,q with two numbers, "
+                            f"got {name!r}") from None
+    return qcore.noisy_z_povm(p, q)
+
+
+def _von_neumann(name: str) -> Povm:
+    d = name.split(":", 1)[1].lstrip("0")
+    # ASCII only: str.isdigit also admits "²", which int() refuses,
+    # and "٣", which it reads as 3
+    if not (d.isascii() and d.isdigit()):
+        raise MalformedName(f"expected vn:d with an integer d >= 1, got {name!r}")
+    try:
+        dim = int(d)
+    except ValueError:  # past int()'s digit limit: d^3 >= 10^(3 (len - 1))
+        qcore._check_bytes("the von Neumann elements", 16, 10, 3 * (len(d) - 1))
+        raise
+    return qcore.von_neumann_povm(dim)
 
 
 def _build(cls, parts, source: str):
@@ -104,9 +114,9 @@ def read_measurement(path_or_name: str) -> Union[Povm, Instrument]:
     built-in name whose parameters do not parse, or a name that is
     neither a file nor a built-in, raises ``MalformedName``.
     """
-    builtin = _builtin(str(path_or_name))
-    if builtin is not None:
-        return builtin
+    build = _builtin(str(path_or_name))
+    if build is not None:
+        return build()
     p = Path(path_or_name)
     if not p.exists():
         raise MalformedName(f"no such file or built-in: {path_or_name!r}")

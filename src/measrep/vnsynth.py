@@ -408,14 +408,13 @@ class SynthesizedProtocol:
     evaluated: int  # partitions scored or bounded
 
 
-def _finish(protocol, co_optimal, evaluated, prep=None) -> SynthesizedProtocol:
+def _finish(protocol, co_optimal, evaluated) -> SynthesizedProtocol:
     """``protocol`` solved on the clamped box of its own Q_0 (the searches'
-    sums can round the box they scored an ulp off), with ``prep`` or the
-    states ``construct_states`` builds."""
+    sums can round the box they scored an ulp off), with the states
+    ``construct_states`` builds for its optimum."""
     lows, highs = _extremes(protocol.coarse[0][None])
     solution = solve_box_quadratic_qubit(*_score(lows[0], highs[0])[1:])
-    if prep is None:
-        prep = construct_states(protocol, (solution.x_star, solution.y_star))
+    prep = construct_states(protocol, (solution.x_star, solution.y_star))
     return SynthesizedProtocol(protocol, solution, prep, co_optimal, evaluated)
 
 
@@ -714,30 +713,16 @@ def trine_optimal_protocol(
     """The N-use trine partition optimal over deterministic partitions.
 
     Target outcome 1 is declared exactly when no single use returned
-    outcome 0; for the trine the error is 3^-N / 2 and the prepared
-    states are the nearly-cloned pair with the last qubit slightly
-    rotated. The partition is built on ``available`` (default: the
-    trine) and solved on its own Q_0's box, read as the searches read
-    it; the states stay the trine's.
+    outcome 0; for the trine the error is 3^-N / 2. The partition is
+    built on ``available`` (default: the trine) and finished as the
+    searches finish their winners: solved on its own Q_0's box, with
+    the states ``construct_states`` builds. On the trine these are the
+    paper's: an ancilla pair at N = 1, else |0...0> and |1...1> with
+    the last qubit slightly turned.
     """
     available = qcore.trine_povm() if available is None else available
     protocol = build_partition_povm(available, n_uses, lambda s: 0 if 0 in s else 1)
-    if n_uses == 1:
-        # ancilla route: measured qubit rotated onto the nearest trine
-        # direction, ancilla flipped to keep the pair orthogonal
-        u0 = np.array([1.0, 0.0], dtype=complex)
-        u1 = np.array([0.5, math.sqrt(3) / 2], dtype=complex)
-        e = np.eye(2, dtype=complex)
-        prep = StatePrep(ancilla_qubits=1,
-                         states=(np.kron(u0, e[:, 0]), np.kron(u1, e[:, 1])))
-    else:
-        # |0...0>, and |1...1> with the last qubit turned to (amp0, .)
-        psi0, psi1 = np.zeros((2, 2**n_uses), dtype=complex)
-        psi0[0] = 1.0
-        amp0 = 0.5 * 3.0 ** (-(n_uses - 1) / 2.0)
-        psi1[-2:] = amp0, math.sqrt(1.0 - amp0**2)
-        prep = StatePrep(ancilla_qubits=0, states=(psi0, psi1))
-    return _finish(protocol, (protocol.assignment,), 1, prep)
+    return _finish(protocol, (protocol.assignment,), 1)
 
 
 @dataclass(frozen=True)

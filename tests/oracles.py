@@ -445,6 +445,21 @@ def exhaustive_search_depth_first(available, n_uses):
     return best_bits, best, ties, len(scored)
 
 
+def paper_trine_states(n_uses):
+    """The paper's prepared pair for the N-use trine protocol, as
+    (ancilla qubits, states): at N = 1 the ancilla pair |0>|0> and
+    (|0>/2 + (sqrt(3)/2)|1>)|1>; at N >= 2, |0...0>, and |1...1> with the
+    last qubit turned to amplitude 3^(-(N-1)/2) / 2 on |1...10>."""
+    if n_uses == 1:
+        e = np.eye(2)
+        return 1, (np.kron(e[0], e[0]), np.kron([0.5, math.sqrt(3) / 2], e[1]))
+    psi0, psi1 = np.zeros((2, 2**n_uses))
+    psi0[0] = 1.0
+    amp0 = 0.5 * 3.0 ** (-(n_uses - 1) / 2.0)
+    psi1[-2:] = amp0, math.sqrt(1.0 - amp0**2)
+    return 0, (psi0, psi1)
+
+
 # The partition searches as they scored before the per-search box memo
 # and the hill climb's neighbour blocks: the box program runs once per
 # candidate, and each hill-climb neighbour is summed on its own. The

@@ -509,17 +509,29 @@ def test_optimum_rows_solve_the_protocols_own_box(capsys, override, status):
             assert rows[name]["status"] == status
 
 
-def test_reproduce_paper_override_reaches_the_n_use_protocols(capsys):
-    # the implemented elements come from the override's own protocols
-    code, doc = json_rows(
-        capsys, "reproduce-paper", "--samples", "2000", "--override", "noisy-z:0.9,0.8"
-    )
-    assert code == 1
-    status = {r["name"]: r["status"] for r in doc["rows"]}
-    for name in [f"implemented_element_deviation_n={n}" for n in range(1, 7)] + [
-        "single_use_element_deviation"
-    ]:
-        assert status[name] == "FAIL", name
+def test_reproduce_paper_override_reaches_the_n_use_protocols(tmp_path, capsys):
+    # the implemented elements come from the override's own protocols and
+    # states: on noisy-z they miss the trine's, and on the trine turned by
+    # a real rotation, which keeps every error, they meet them, while its
+    # cloning and outcome-table rows still fail
+    t = 0.3
+    u = np.array([[np.cos(t), -np.sin(t)], [np.sin(t), np.cos(t)]])
+    rotated = str(tmp_path / "rotated.json")
+    elements = tuple(u @ e @ u.T for e in qcore.trine_povm().elements)
+    io.save_measurement(qcore.Povm(elements), rotated)
+    for override, expected in (("noisy-z:0.9,0.8", "FAIL"), (rotated, "PASS")):
+        code, doc = json_rows(
+            capsys, "reproduce-paper", "--samples", "2000", "--override", override
+        )
+        assert code == 1
+        status = {r["name"]: r["status"] for r in doc["rows"]}
+        for name in [f"implemented_element_deviation_n={n}" for n in range(1, 7)] + [
+            "single_use_element_deviation"
+        ]:
+            assert status[name] == expected, (override, name)
+    assert [r["name"] for r in doc["rows"] if r["status"] == "FAIL"] == [
+        "two_use_cloning_error", "two_use_cloning_error_mc",
+        "cloning_table_deviation", "two_use_joint_distribution_deviation"]
 
 
 @pytest.mark.parametrize("override", [None, "noisy-z:0.9,0.8"])
@@ -779,6 +791,20 @@ def test_digest_covers_the_content_of_an_input_file(tmp_path, capsys):
         io.save_measurement(povm, path)
         digests.append(json_rows(capsys, "validate", path)[1]["inputs_digest"])
     assert digests[0] != digests[1]
+
+
+@pytest.mark.parametrize("name", ["trine", "noisy-z:0.9,0.8", "vn:2"])
+def test_a_file_that_shadows_a_built_in_name_leaves_the_digest(
+        tmp_path, monkeypatch, capsys, name):
+    # the built-in is read, not the file; with a file named trine the
+    # digest once read 2e28602c6aa7cc3c against f3be8270fb83fe9d
+    monkeypatch.chdir(tmp_path)
+    before = json_rows(capsys, "validate", name)
+    io.save_measurement(qcore.degenerate_qutrit_povm(), name)
+    after = json_rows(capsys, "validate", name)
+    assert before[0] == after[0] == 0
+    assert after[1]["inputs_digest"] == before[1]["inputs_digest"]
+    assert after[1]["rows"] == before[1]["rows"]
 
 
 @pytest.mark.parametrize("name", ["missing.json", "bad\0name"], ids=["missing", "nul"])

@@ -229,6 +229,29 @@ def test_repetition_encode_decode_roundtrip_noiseless():
     assert np.array_equal(code.decode(out, ident), msgs)
 
 
+@pytest.mark.parametrize("code, outputs, channel", [
+    # rows longer than n: their first n letters used to be decoded
+    (random_codebook(2, 5, 2, Rng(3)), np.zeros((4, 7), dtype=np.intp),
+     ClassicalChannel(np.eye(2))),
+    # rows of the wrong length: a bare reshape ValueError
+    (repetition_code(2, 3, 2), np.zeros((4, 5), dtype=np.intp),
+     ClassicalChannel(np.eye(2))),
+    # one row, not a batch of rows
+    (repetition_code(2, 3, 2), np.zeros(6, dtype=np.intp),
+     ClassicalChannel(np.eye(2))),
+    # a 1-input channel for a binary code: an IndexError
+    (random_codebook(2, 5, 2, Rng(3)), np.zeros((4, 5), dtype=np.intp),
+     ClassicalChannel(np.ones((1, 2)) / 2)),
+    # a 3-input channel for a binary code: decoded over 3 letters
+    (repetition_code(1, 3, 2), np.full((4, 3), 2, dtype=np.intp),
+     ClassicalChannel(np.eye(3))),
+], ids=["long-rows", "short-rows", "one-row", "fewer-inputs", "more-inputs"])
+def test_decode_rejects_malformed_rows_and_a_mismatched_channel(code, outputs, channel):
+    with pytest.raises(ShapeMismatch, match=rf"^need {code.n} outputs a row, "
+                       rf"{code.d} channel inputs$"):
+        code.decode(outputs, channel)
+
+
 def test_a_code_is_its_codebook_with_a_copy_count():
     rep = repetition_code(3, 4, 3)
     digits = np.array(list(itertools.product(range(3), repeat=3)))

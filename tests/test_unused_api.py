@@ -17,6 +17,10 @@ position; a default that no caller overrides is a constant.
 A private module-level function, class or constant counts as used when
 some module of ``src/`` reads it outside its own definition; the tests
 do not count, so a helper that a deletion left behind fails the check.
+
+A module-level function, class or constant of ``tests/oracles.py`` counts
+as used when some test module, or another oracle, reads it; a reference
+that a change left behind fails the check.
 """
 
 import ast
@@ -150,9 +154,9 @@ def test_every_defaulted_parameter_is_passed_outside_the_tests():
     assert not never, f"defaulted parameters that no call passes: {never}"
 
 
-def _private_definitions(tree):
-    """(name, node) of each private module-level function, class and
-    constant (an assigned name) of a module."""
+def _module_definitions(tree):
+    """(name, node) of each module-level function, class and constant (an
+    assigned name) of a module, dunder names aside."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
             names = [node.name]
@@ -163,7 +167,7 @@ def _private_definitions(tree):
         else:
             names = []
         for name in names:
-            if name[0] == "_" and not name.startswith("__"):
+            if not name.startswith("__"):
                 yield name, node
 
 
@@ -172,8 +176,22 @@ def test_every_private_name_is_read_in_src():
              for path in sorted(PACKAGE.glob("*.py"))}
     reads = Counter(name for tree in trees.values() for name in _references(tree))
     private = [(f"{path.stem}.{name}", name, node)
-               for path, tree in trees.items() for name, node in _private_definitions(tree)]
+               for path, tree in trees.items()
+               for name, node in _module_definitions(tree) if name[0] == "_"]
     unread = [qualified for qualified, name, node in private
               if reads[name] == Counter(_references(node))[name]]
     assert private
     assert not unread, f"private names that nothing in src/ reads: {unread}"
+
+
+def test_every_oracle_is_read_by_a_test_or_another_oracle():
+    tests = ROOT / "tests"
+    oracles = ast.parse((tests / "oracles.py").read_text(encoding="utf-8"))
+    readers = [ast.parse(path.read_text(encoding="utf-8"))
+               for path in sorted(tests.glob("test_*.py"))] + [oracles]
+    reads = Counter(name for tree in readers for name in _references(tree))
+    definitions = list(_module_definitions(oracles))
+    unread = [name for name, node in definitions
+              if reads[name] == Counter(_references(node))[name]]
+    assert len(definitions) > 30
+    assert not unread, f"oracles that no test or other oracle reads: {unread}"

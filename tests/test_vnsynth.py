@@ -40,6 +40,7 @@ from oracles import (
     hill_climb_search_per_candidate,
     kron_chain_terms,
     own_box_solution,
+    paper_trine_states,
     partition_povm_from_list,
     random_povm,
     random_povm_of_ranks,
@@ -1038,6 +1039,17 @@ def test_trine_optimal_protocol_states_orthonormal():
         assert abs(np.linalg.norm(u0) - 1) < 1e-12
         assert abs(np.linalg.norm(u1) - 1) < 1e-12
         assert abs(np.vdot(u0, u1)) < 1e-12
+
+
+@pytest.mark.parametrize("n_uses", range(1, 8))
+def test_the_pipeline_builds_the_papers_trine_states(n_uses):
+    # construct_states on the trine partition, against the closed form
+    prep = trine_optimal_protocol(n_uses).prep
+    ancilla, states = paper_trine_states(n_uses)
+    assert prep.ancilla_qubits == ancilla
+    for got, ref in zip(prep.states, states, strict=True):
+        assert got.shape == ref.shape
+        assert np.max(np.abs(got - ref)) <= 1e-13
 
 
 def test_trine_optimal_implemented_element():
