@@ -46,7 +46,6 @@ from .subroutines import (
 from .vnsynth import (
     PartitionProtocol,
     build_partition_povm,
-    classify_noisy_z,
     construct_states,
     exhaustive_search,
     hill_climb_search,

@@ -260,15 +260,12 @@ def _paper_rows(trine: qcore.Povm, samples: int, rng: Rng):
     yield "two_use_x_star", sol2.x_star, 8.0 / 9.0, 1e-12, None
     yield "two_use_y_star", sol2.y_star, 1.0 / 18.0, 1e-12, None
 
-    # spectrum of the two-use coarse element for outcome 0: the sum, in
-    # lexicographic order, of the string tensors M_a x M_b with a zero
-    tensors = [[qcore.tensor(e1, e2) for e2 in trine.elements]
-               for e1 in trine.elements]
-    outcomes = range(trine.outcomes)
-    q0 = sum(tensors[a][b] for a in outcomes for b in outcomes if 0 in (a, b))
-    evals, _ = qcore.hermitian_eig(q0)
-    for val, ref in zip(evals, (8.0 / 9.0, 2.0 / 3.0, 2.0 / 3.0, 0.0)):
-        yield f"two_use_Q0_eigenvalue_{_fmt(ref)}", val, ref, 1e-10, None
+    # spectrum of the two-use coarse element for outcome 0, as the N = 2
+    # protocol holds it: a vector when the elements commute
+    q0 = proto2.coarse[0]
+    evals = np.sort(q0 if q0.ndim == 1 else np.linalg.eigvalsh(q0))[::-1]
+    for i, (val, ref) in enumerate(zip(evals, (8.0 / 9.0, 2.0 / 3.0, 2.0 / 3.0, 0.0))):
+        yield f"two_use_Q0_eigenvalue[{i}]", val, ref, 1e-10, None
 
     # N-use closed form, checked against the synthesized implementation
     impls = []
@@ -289,20 +286,23 @@ def _paper_rows(trine: qcore.Povm, samples: int, rng: Rng):
     yield ("single_use_naive_error", rms.rms_exact_povm(naive, _QUBIT_VN),
            1.0 / (3.0 * math.sqrt(3.0)), 1e-12, None)
 
-    # noisy-Z regions: boundary classification plus the rotation angle
-    for p, q, region in (
-        (0.95, 0.6, "rotate-zero"),
-        (0.6, 0.95, "rotate-one"),
-        (0.7, 0.7, "trivial"),
-        (0.8, 0.6, "trivial"),  # exactly on p = (1+q)/2
-    ):
-        params = vnsynth.classify_noisy_z(p, q)
-        yield (f"noisy_z_region_p={p}_q={q}",
-               1.0 if params.region == region else 0.0, 1.0, 1e-10, None)
-    # gamma is the amplitude <00|u0> of the synthesized first state
-    gamma = vnsynth.classify_noisy_z(0.95, 0.6).gamma
-    res = vnsynth.synthesize(qcore.noisy_z_povm(0.95, 0.6), 1, rng)
-    yield "noisy_z_gamma", gamma, abs(res.prep.states[0][0]), 1e-12, None
+    # noisy-Z optima: the synthesized (x*, y*, epsilon) on the box
+    # [1 - q, p] against the paper's point, one per case (x at (1 + q)/2
+    # and y at 1 - q; x at p and y at (1 - p)/2; the corner (p, 1 - q)),
+    # the last exactly on p = (1 + q)/2
+    cases = ((0.95, 0.6, 0.8, 0.4), (0.6, 0.95, 0.6, 0.2),
+             (0.7, 0.7, 0.7, 0.3), (0.8, 0.6, 0.8, 0.4))
+    results = [vnsynth.synthesize(qcore.noisy_z_povm(p, q), 1, rng)
+               for p, q, _, _ in cases]
+    for (p, q, x, y), res in zip(cases, results):
+        sol = res.solution
+        eps = math.sqrt(((1.0 - x - y) ** 2 + (1.0 - x) * y) / 3.0)
+        dev = max(abs(sol.x_star - x), abs(sol.y_star - y), abs(sol.epsilon - eps))
+        yield f"noisy_z_optimum_p={p}_q={q}", dev, 0.0, 1e-12, None
+    # gamma is the amplitude <00|u0> of the first state synthesized at (0.95, 0.6)
+    res = results[0]
+    gamma = math.sqrt((3.0 * 0.6 - 1.0) / (2.0 * (0.95 + 0.6 - 1.0)))
+    yield "noisy_z_gamma", abs(res.prep.states[0][0]), gamma, 1e-12, None
     yield "noisy_z_error", res.solution.epsilon, (1.0 - 0.6) / 2.0, 1e-10, None
 
     # cloning outcome table
@@ -319,7 +319,8 @@ def _paper_rows(trine: qcore.Povm, samples: int, rng: Rng):
     other = same * [[1.0, -1.0], [-1.0, 1.0]]
     ref = np.array([[c0, c1, c1], [c1, same, other], [c1, other, same]])
     span = np.ix_([0, 3], [0, 3])
-    joint = np.array([[t[span] for t in row] for row in tensors])
+    joint = np.array([[qcore.tensor(e1, e2)[span] for e2 in trine.elements]
+                      for e1 in trine.elements])
     yield ("two_use_joint_distribution_deviation", _table_deviation(joint, ref),
            0.0, 1e-10, None)
 

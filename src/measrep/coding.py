@@ -244,6 +244,8 @@ class BlockCode:
         outputs = np.asarray(outputs)
         if outputs.ndim != 2 or outputs.shape[1] != self.n or channel.inputs != self.d:
             raise ShapeMismatch(f"need {self.n} outputs a row, {self.d} channel inputs")
+        if outputs.size and not 0 <= outputs.min() <= outputs.max() < channel.outputs:
+            raise ShapeMismatch(f"need output letters in 0..{channel.outputs - 1}")
         logw = _safe_log(channel.matrix)
         if self.kind == "repetition":
             grouped = outputs.reshape(outputs.shape[0], self.k, self.copies)

@@ -191,7 +191,6 @@ class BoxQuadSolution:
     x_star: float
     y_star: float
     epsilon: float
-    region: str  # left | corner | right
 
 
 def _box_minimiser(lo: float, hi: float):
@@ -246,15 +245,8 @@ def solve_box_quadratic_qubit(lam_min: float, lam_max: float) -> BoxQuadSolution
     """
     if not (0.0 <= lam_min <= lam_max <= 1.0):
         raise InvalidBounds(f"bounds ({lam_min}, {lam_max}) outside [0,1]")
-    lo, hi = lam_min, lam_max
-    x, y, value = _box_minimiser(lo, hi)
-    if abs(x - hi) <= 1e-15 and abs(y - (1.0 - hi) / 2.0) <= 1e-15:
-        region = "left"
-    elif abs(x - (1.0 - lo / 2.0)) <= 1e-15 and abs(y - lo) <= 1e-15:
-        region = "right"
-    else:
-        region = "corner"
-    return BoxQuadSolution(lam_min, lam_max, x, y, math.sqrt(max(value, 0.0)), region)
+    x, y, value = _box_minimiser(lam_min, lam_max)
+    return BoxQuadSolution(lam_min, lam_max, x, y, math.sqrt(max(value, 0.0)))
 
 
 # ---------------------------------------------------------------------------
@@ -418,7 +410,7 @@ def _finish(protocol, co_optimal, evaluated) -> SynthesizedProtocol:
     return SynthesizedProtocol(protocol, solution, prep, co_optimal, evaluated)
 
 
-def _search_terms(available: Povm, n_uses: int, common=None) -> np.ndarray:
+def _search_terms(available: Povm, n_uses: int, common) -> np.ndarray:
     """One term per outcome string, in lexicographic order, for the searches,
     stacked as one array whose row s is the term of string s.
 
@@ -426,9 +418,9 @@ def _search_terms(available: Povm, n_uses: int, common=None) -> np.ndarray:
     (real, length d^N) when the elements commute, and the dense string
     tensors T_s otherwise; Q_0 summed from them are scored by
     ``_extremes`` and ``_score`` either way. ``common`` is the
-    ``_common_eigenbasis`` of ``available`` at ``n_uses``, worked out
-    here when not given, which also checks N. All m^N terms are held, so
-    their bytes are checked against the byte budget before any is built.
+    ``_common_eigenbasis`` of ``available`` at ``n_uses``. All m^N terms
+    are held, so their bytes are checked against the byte budget before
+    any is built.
     They are built one use at a time, by one broadcast multiply per use,
     each entry the same product that a chain of ``np.kron`` computes.
     Dense terms are products of the Hermitian parts of the elements, so
@@ -460,7 +452,7 @@ def _search_terms(available: Povm, n_uses: int, common=None) -> np.ndarray:
     N = 3, 4 for two-outcome qutrit and ququart POVMs normalised through
     S^(-1/2), which sum to the identity within about 1e-13.
     """
-    _, factors = common if common is not None else _common_eigenbasis(available, n_uses)
+    _, factors = common
     qcore._check_bytes(f"search terms of {available.outcomes}^{n_uses} strings",
                        factors[0].itemsize, available.outcomes * factors[0].size,
                        n_uses)
@@ -724,20 +716,3 @@ def trine_optimal_protocol(
     protocol = build_partition_povm(available, n_uses, lambda s: 0 if 0 in s else 1)
     return _finish(protocol, (protocol.assignment,), 1)
 
-
-@dataclass(frozen=True)
-class NoisyZParams:
-    region: str  # rotate-zero | trivial | rotate-one
-    gamma: Optional[float]
-
-
-def classify_noisy_z(p: float, q: float) -> NoisyZParams:
-    if not (0.5 < p <= 1.0 and 0.5 < q <= 1.0):
-        raise InvalidBounds(f"(p, q) = ({p}, {q}) outside (1/2, 1]")
-    if p > (1.0 + q) / 2.0:
-        gamma = math.sqrt((3.0 * q - 1.0) / (2.0 * (p + q - 1.0)))
-        return NoisyZParams("rotate-zero", gamma)
-    if q > (1.0 + p) / 2.0:
-        gamma = math.sqrt((3.0 * p - 1.0) / (2.0 * (p + q - 1.0)))
-        return NoisyZParams("rotate-one", gamma)
-    return NoisyZParams("trivial", None)

@@ -399,21 +399,35 @@ def box_quadratic_qubit_closures(lam_min, lam_max):
     candidates.append((lo, clamp((1.0 - lo) / 2.0)))
     candidates.append((clamp(1.0 - hi / 2.0), hi))
     x, y = min(candidates, key=lambda c: qubit_objective(*c))
-    if abs(x - hi) <= 1e-15 and abs(y - (1.0 - hi) / 2.0) <= 1e-15:
-        region = "left"
-    elif abs(x - (1.0 - lo / 2.0)) <= 1e-15 and abs(y - lo) <= 1e-15:
-        region = "right"
-    else:
-        region = "corner"
     eps = math.sqrt(max(qubit_objective(x, y), 0.0))
-    return BoxQuadSolution(lam_min, lam_max, x, y, eps, region)
+    return BoxQuadSolution(lam_min, lam_max, x, y, eps)
+
+
+def noisy_z_optimum(p, q):
+    """The paper's optimum (x*, y*, epsilon) for one use of the noisy Z
+    measurement {diag(p, 1 - q), diag(1 - p, q)}, whose box is [1 - q, p]:
+    the zero state turned when p > (1 + q)/2, the one state turned when
+    q > (1 + p)/2, else both states kept and the corner (p, 1 - q)."""
+    if p > (1.0 + q) / 2.0:
+        x, y = (1.0 + q) / 2.0, 1.0 - q
+    elif q > (1.0 + p) / 2.0:
+        x, y = p, (1.0 - p) / 2.0
+    else:
+        x, y = p, 1.0 - q
+    return x, y, math.sqrt(qubit_objective(x, y))
+
+
+def search_terms(available, n_uses):
+    """``vnsynth._search_terms`` on the common eigenbasis the searches
+    work out for ``available`` at ``n_uses``."""
+    return _search_terms(available, n_uses, _common_eigenbasis(available, n_uses))
 
 
 def exhaustive_search_depth_first(available, n_uses):
     """(best bits, solution, co-optimal bits, partitions scored) of
     ``exhaustive_search`` as a recursive walk that keeps one partial Q_0
     per level and scores each leaf on its own."""
-    terms = _search_terms(available, n_uses)
+    terms = search_terms(available, n_uses)
     n_strings = len(terms)
     scored = []
     bits = [0] * n_strings

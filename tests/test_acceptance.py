@@ -15,6 +15,7 @@ from oracles import (
     cloning_error_rate_sampled,
     haar_state,
     haar_states,
+    noisy_z_optimum,
     symmetric_subspace_projector,
 )
 
@@ -136,49 +137,33 @@ def test_criterion_04_qubit_solver_vs_grid():
 
 
 def test_criterion_05_noisy_z_regions():
+    # the synthesized optimum of one noisy-Z use against the paper's closed
+    # form in all three of its cases, boundaries included, and its epsilon
+    # against a grid
     n_grid = 240
-    worst_eps = worst_formula = worst_gamma = 0.0
-    region_mismatch = 0
-    ps = np.linspace(0.505, 1.0, 50)
-    for p in ps:
-        for q in ps:
-            params = vnsynth.classify_noisy_z(float(p), float(q))
-            sol = vnsynth.solve_box_quadratic_qubit(1.0 - q, p)
-            axis = np.linspace(1.0 - q, p, n_grid)
-            t = 1.0 - axis[:, None] - axis[None, :]
-            f = (t * t + (1.0 - axis[:, None]) * axis[None, :]) / 3.0
-            eps_grid = math.sqrt(max(float(f.min()), 0.0))
-            worst_eps = max(worst_eps, abs(sol.epsilon - eps_grid))
-            expected = {
-                "rotate-zero": "right",
-                "rotate-one": "left",
-                "trivial": "corner",
-            }[params.region]
-            boundary = min(
-                abs(p - (1 + q) / 2), abs(q - (1 + p) / 2)
-            )
-            if sol.region != expected and boundary > 1e-9:
-                region_mismatch += 1
-            if params.region == "rotate-zero":
-                worst_formula = max(
-                    worst_formula, abs(sol.epsilon - (1 - q) / 2)
-                )
-                gamma_ref = math.sqrt(
-                    (3 * q - 1) / (2 * (p + q - 1))
-                )
-                worst_gamma = max(worst_gamma, abs(params.gamma - gamma_ref))
-    ok = (
-        region_mismatch == 0
-        and worst_eps < 5e-3
-        and worst_formula < 1e-10
-        and worst_gamma < 1e-10
-    )
+    worst_eps = worst_point = worst_gamma = 0.0
+    ps = np.linspace(0.505, 1.0, 50).tolist()
+    for p, q in itertools.product(ps, ps):
+        res = vnsynth.synthesize(qcore.noisy_z_povm(p, q), 1, Rng(0))
+        sol = res.solution
+        axis = np.linspace(1.0 - q, p, n_grid)
+        t = 1.0 - axis[:, None] - axis[None, :]
+        f = (t * t + (1.0 - axis[:, None]) * axis[None, :]) / 3.0
+        eps_grid = math.sqrt(max(float(f.min()), 0.0))
+        worst_eps = max(worst_eps, abs(sol.epsilon - eps_grid))
+        x, y, eps = noisy_z_optimum(p, q)
+        worst_point = max(worst_point, abs(sol.x_star - x), abs(sol.y_star - y),
+                          abs(sol.epsilon - eps))
+        if p > (1 + q) / 2:
+            # the zero state is turned: <00|u0> is the paper's gamma
+            gamma = math.sqrt((3 * q - 1) / (2 * (p + q - 1)))
+            worst_gamma = max(worst_gamma, abs(abs(res.prep.states[0][0]) - gamma))
+    ok = worst_eps < 5e-3 and worst_point <= 1e-12 and worst_gamma <= 1e-12
     report(
         5,
         ok,
-        f"50x50 grid: {region_mismatch} region mismatches, grid epsilon gap "
-        f"{worst_eps:.2g}, region-1 formula gaps {worst_formula:.2g} / "
-        f"{worst_gamma:.2g}",
+        f"50x50 grid: optimum gap to the closed form {worst_point:.2g}, "
+        f"grid epsilon gap {worst_eps:.2g}, gamma gap {worst_gamma:.2g}",
     )
 
 

@@ -539,15 +539,59 @@ def test_two_use_q0_rows_are_the_no_zero_partitions_eigenvalues(capsys, override
     argv = ["reproduce-paper", "--samples", "2000"]
     argv += ["--override", override] if override else []
     _, doc = json_rows(capsys, *argv)
-    rows = [r["value"] for r in doc["rows"]
-            if r["name"].startswith("two_use_Q0_eigenvalue_")]
+    values = {r["name"]: r["value"] for r in doc["rows"]}
+    rows = [values[f"two_use_Q0_eigenvalue[{i}]"] for i in range(4)]
+    # the spectrum of the coarse element the N = 2 protocol holds, a
+    # vector for the commuting noisy-Z elements
     povm = io.load_povm(override) if override else qcore.trine_povm()
+    q0 = vnsynth.trine_optimal_protocol(2, povm).protocol.coarse[0]
+    assert q0.ndim == (1 if override else 2)
+    evals = np.sort(q0 if q0.ndim == 1 else np.linalg.eigvalsh(q0))[::-1]
+    assert np.array_equal(np.array(rows).view(np.uint64), evals.view(np.uint64))
+    # which is the sum of the string tensors with a zero
     strings = itertools.product(range(povm.outcomes), repeat=2)
     bits = [0 if 0 in s else 1 for s in strings]
-    q0 = partition_povm_from_list(povm, 2, bits)[0]
-    evals, _ = qcore.hermitian_eig(q0)
-    assert len(rows) == 4
-    assert np.array_equal(np.array(rows).view(np.uint64), evals.view(np.uint64))
+    ref, _ = qcore.hermitian_eig(partition_povm_from_list(povm, 2, bits)[0])
+    assert np.abs(evals - ref).max() <= 1e-15
+
+
+def test_a_wrong_corner_box_minimiser_fails_a_noisy_z_optimum_row(capsys, monkeypatch):
+    # the corner (lo, hi) returned wherever the minimiser is (hi, lo): no
+    # trine row lands on that corner, so only the noisy-Z points show it
+    right = vnsynth._box_minimiser
+
+    def wrong_corner(lo, hi):
+        x, y, value = right(lo, hi)
+        if (x, y) == (hi, lo):
+            x, y = lo, hi
+            value = ((1.0 - x - y) ** 2 + (1.0 - x) * y) / 3.0
+        return x, y, value
+
+    monkeypatch.setattr(vnsynth, "_box_minimiser", wrong_corner)
+    code, doc = json_rows(capsys, "reproduce-paper", "--samples", "2000")
+    assert code == 1
+    failed = [r["name"] for r in doc["rows"] if r["status"] == "FAIL"]
+    assert "noisy_z_optimum_p=0.7_q=0.7" in failed
+
+
+REPORT_RUNS = [
+    ("validate", "trine"), ("synth", "trine"), ("rms", "trine", "--samples", "2000"),
+    ("postmeas", "trine"), ("clone", "trine"), ("capacity", "trine"),
+    ("block", "trine", "--trials", "2000"), ("reproduce-paper", "--samples", "2000"),
+    ("reproduce-paper", "--samples", "2000", "--override", "noisy-z:0.9,0.8"),
+]
+
+
+@pytest.mark.parametrize("argv", REPORT_RUNS, ids=" ".join)
+def test_every_row_of_a_report_has_its_own_name(capsys, argv):
+    # the CSV that --out writes is keyed by name
+    _, doc = json_rows(capsys, *argv)
+    names = [r["name"] for r in doc["rows"]]
+    assert names and len(set(names)) == len(names)
+
+
+def test_the_row_name_runs_cover_every_command():
+    assert {argv[0] for argv in REPORT_RUNS} == set(cli.COMMANDS)
 
 
 def test_cli_runs_without_scipy():
@@ -600,13 +644,12 @@ def test_main_calls_in_one_process_share_no_state(capsys, before, before_code, a
 REPRODUCE_PAPER_ROWS = [
     "two_use_cloning_error", "two_use_cloning_error_mc", "two_use_optimal_error",
     "two_use_x_star", "two_use_y_star",
-    "two_use_Q0_eigenvalue_0.888888888889", "two_use_Q0_eigenvalue_0.666666666667",
-    "two_use_Q0_eigenvalue_0.666666666667", "two_use_Q0_eigenvalue_0",
+    *(f"two_use_Q0_eigenvalue[{i}]" for i in range(4)),
     *(f"{row}_n={n}" for n in range(1, 7)
       for row in ("optimal_error", "lambda_max", "implemented_element_deviation")),
     "single_use_element_deviation", "single_use_naive_error",
-    "noisy_z_region_p=0.95_q=0.6", "noisy_z_region_p=0.6_q=0.95",
-    "noisy_z_region_p=0.7_q=0.7", "noisy_z_region_p=0.8_q=0.6",
+    "noisy_z_optimum_p=0.95_q=0.6", "noisy_z_optimum_p=0.6_q=0.95",
+    "noisy_z_optimum_p=0.7_q=0.7", "noisy_z_optimum_p=0.8_q=0.6",
     "noisy_z_gamma", "noisy_z_error", "cloning_table_deviation",
     "two_use_joint_distribution_deviation",
 ]

@@ -252,6 +252,19 @@ def test_decode_rejects_malformed_rows_and_a_mismatched_channel(code, outputs, c
         code.decode(outputs, channel)
 
 
+@pytest.mark.parametrize("code", [repetition_code(1, 3, 2), random_codebook(2, 3, 2, Rng(3))],
+                         ids=["repetition", "random"])
+@pytest.mark.parametrize("letter", [-1, 3])
+def test_decode_rejects_letters_outside_the_channel_outputs(code, letter):
+    # a -1 used to wrap to the last output, and 3 on this 3-output channel
+    # ended in numpy's IndexError
+    channel = ClassicalChannel(np.array([[0.5, 0.25, 0.25], [0.0, 0.5, 0.5]]))
+    outputs = np.zeros((4, 3), dtype=np.intp)
+    outputs[1, 2] = letter
+    with pytest.raises(ShapeMismatch, match=r"^need output letters in 0\.\.2$"):
+        code.decode(outputs, channel)
+
+
 def test_a_code_is_its_codebook_with_a_copy_count():
     rep = repetition_code(3, 4, 3)
     digits = np.array(list(itertools.product(range(3), repeat=3)))

@@ -20,7 +20,6 @@ from measrep.qcore import Povm, Rng, identity, trine_povm, von_neumann_povm
 from measrep.rms import rms_exact_povm
 from measrep.vnsynth import (
     build_partition_povm,
-    classify_noisy_z,
     construct_states,
     exhaustive_search,
     hill_climb_search,
@@ -39,12 +38,14 @@ from oracles import (
     hill_climb_search_from_scratch,
     hill_climb_search_per_candidate,
     kron_chain_terms,
+    noisy_z_optimum,
     own_box_solution,
     paper_trine_states,
     partition_povm_from_list,
     random_povm,
     random_povm_of_ranks,
     score_from_scratch,
+    search_terms,
     string_tensors,
 )
 
@@ -125,7 +126,7 @@ def rounding_bound(m, n_uses):
 def string_sums(povm, n_uses, assignment):
     """Each coarse element summed string by string, in string order, from
     the terms the searches score."""
-    terms = vnsynth._search_terms(povm, n_uses)
+    terms = search_terms(povm, n_uses)
     sums = [np.zeros_like(terms[0]) for _ in range(2)]
     for t, v in zip(terms, assignment, strict=True):
         sums[v] += t
@@ -177,7 +178,6 @@ def test_partition_povm_holds_no_list_of_string_tensors():
 
 def test_qubit_qp_left_region():
     sol = solve_box_quadratic_qubit(0.0, 8 / 9)
-    assert sol.region == "left"
     assert abs(sol.x_star - 8 / 9) < 1e-14
     assert abs(sol.y_star - 1 / 18) < 1e-14
     assert abs(sol.epsilon - 1 / 18) < 1e-14
@@ -185,13 +185,12 @@ def test_qubit_qp_left_region():
 
 def test_qubit_qp_corner_region():
     sol = solve_box_quadratic_qubit(0.5, 0.5)
-    assert sol.region == "corner"
+    assert (sol.x_star, sol.y_star) == (0.5, 0.5)
     assert abs(sol.epsilon - 1 / math.sqrt(12)) < 1e-14
 
 
 def test_qubit_qp_right_region():
     sol = solve_box_quadratic_qubit(0.4, 0.95)
-    assert sol.region == "right"
     assert abs(sol.x_star - (1 - 0.2)) < 1e-14
     assert abs(sol.y_star - 0.4) < 1e-14
 
@@ -230,9 +229,8 @@ solution_fields = ("lam_min", "lam_max", "x_star", "y_star", "epsilon")
 
 
 def same_solution(sol, ref):
-    return sol.region == ref.region and same_floats(
-        [getattr(sol, f) for f in solution_fields],
-        [getattr(ref, f) for f in solution_fields])
+    return same_floats([getattr(sol, f) for f in solution_fields],
+                       [getattr(ref, f) for f in solution_fields])
 
 
 def solution_bound(protocol, m):
@@ -257,8 +255,7 @@ def solution_bound(protocol, m):
 
 
 def near_solution(sol, ref, bound):
-    return sol.region == ref.region and all(
-        abs(getattr(sol, f) - getattr(ref, f)) <= bound for f in solution_fields)
+    return all(abs(getattr(sol, f) - getattr(ref, f)) <= bound for f in solution_fields)
 
 
 unit_floats = st.floats(0.0, 1.0)
@@ -483,7 +480,7 @@ commuting_cases = st.one_of(
 def test_commuting_search_on_spectra_matches_dense_scoring(seed, case):
     m, d, n_uses = case
     povm = random_povm(d, 2, Rng(seed)) if m == 2 else lossy_povm(d, Rng(seed))
-    assert vnsynth._search_terms(povm, n_uses)[0].ndim == 1
+    assert search_terms(povm, n_uses)[0].ndim == 1
     if m**n_uses <= vnsynth._EXHAUSTIVE_STRING_CAP:
         result = exhaustive_search(povm, n_uses)
         bits, sol, ties, count = exhaustive_search_from_scratch(povm, n_uses)
@@ -584,7 +581,7 @@ def test_near_commuting_povm_takes_the_spectra_path():
     # N * sum_a ||E_a||_2 is still 6e-13 at N = 4
     povm = random_povm_of_ranks(3, (1, 2), Rng(169))
     assert np.abs(sum(povm.elements) - identity(3)).max() > 5e-14
-    assert vnsynth._search_terms(povm, 4)[0].ndim == 1
+    assert search_terms(povm, 4)[0].ndim == 1
     syn = synthesize(povm, 4, Rng(169))
     assert syn.protocol.basis is not None
     own = score_from_scratch(string_tensors(povm, 4), syn.protocol.assignment)
@@ -595,9 +592,9 @@ def test_near_commuting_povm_takes_the_spectra_path():
 
 
 def test_noncommuting_povms_search_dense_matrices():
-    assert vnsynth._search_terms(trine_povm(), 2)[0].ndim == 2
+    assert search_terms(trine_povm(), 2)[0].ndim == 2
     m0, m1 = random_povm(2, 2, Rng(4)).elements
-    assert vnsynth._search_terms(Povm((m0, m1)), 2)[0].ndim == 1
+    assert search_terms(Povm((m0, m1)), 2)[0].ndim == 1
     # tilt M_0 alone, so the elements miss commuting by more than the
     # admission budget while still summing to the identity within 1e-10
     kick = 10 * vnsynth._TIE_WINDOW * np.array([[0, 1], [1, 0]])
@@ -605,7 +602,7 @@ def test_noncommuting_povms_search_dense_matrices():
     assert qcore.validate_povm(tilted).ok
     commutator = tilted.elements[0] @ m1 - m1 @ tilted.elements[0]
     assert np.abs(commutator).max() > vnsynth._TIE_WINDOW
-    assert vnsynth._search_terms(tilted, 2)[0].ndim == 2
+    assert search_terms(tilted, 2)[0].ndim == 2
     assert exhaustive_search(tilted, 2).evaluated == 8
 
 
@@ -670,7 +667,7 @@ stack_budgets = st.sampled_from([None, 1, 4])
 def stack_budget(povm, n_uses, terms):
     if terms is None:
         return qcore._BLOCK_BYTES
-    return terms * vnsynth._search_terms(povm, n_uses)[0].nbytes
+    return terms * search_terms(povm, n_uses)[0].nbytes
 
 
 @settings(max_examples=40)
@@ -688,7 +685,7 @@ def test_stacked_search_on_spectra_matches_the_depth_first_walk(seed, case, term
     m, d, n_uses = case
     assume(m**n_uses <= vnsynth._EXHAUSTIVE_STRING_CAP)
     povm = random_povm(d, 2, Rng(seed)) if m == 2 else lossy_povm(d, Rng(seed))
-    assert vnsynth._search_terms(povm, n_uses)[0].ndim == 1
+    assert search_terms(povm, n_uses)[0].ndim == 1
     with mock.patch.object(qcore, "_BLOCK_BYTES", stack_budget(povm, n_uses, terms)):
         assert_same_search(povm, n_uses)
 
@@ -727,7 +724,7 @@ def test_spectra_climb_checks_its_search_terms_against_the_byte_budget():
     # neighbour is summed on its own, so the climb holds nothing else
     # that grows with the number of strings
     povm = qcore.noisy_z_povm(0.9, 0.8)
-    terms = vnsynth._search_terms(povm, 3)
+    terms = search_terms(povm, 3)
     assert isinstance(terms, np.ndarray) and terms.shape == (8, 8)
     with mock.patch.object(qcore, "_BYTE_BUDGET", 512):
         assert hill_climb_search(povm, 3, rng=Rng(0)).protocol.basis is not None
@@ -740,10 +737,10 @@ def test_spectra_climb_checks_its_search_terms_against_the_byte_budget():
 def test_search_terms_fail_closed_beyond_their_byte_budget():
     # trine at N = 2: nine dense 4 x 4 complex tensors, 2,304 bytes
     with mock.patch.object(qcore, "_BYTE_BUDGET", 9 * 16 * 16):
-        assert len(vnsynth._search_terms(trine_povm(), 2)) == 9
+        assert len(search_terms(trine_povm(), 2)) == 9
     with mock.patch.object(qcore, "_BYTE_BUDGET", 9 * 16 * 16 - 1):
         with pytest.raises(TooLarge, match="over the budget"):
-            vnsynth._search_terms(trine_povm(), 2)
+            search_terms(trine_povm(), 2)
         with pytest.raises(TooLarge, match="over the budget"):
             synthesize(trine_povm(), 2, Rng(0))
 
@@ -751,7 +748,7 @@ def test_search_terms_fail_closed_beyond_their_byte_budget():
 def test_dense_search_terms_are_exactly_hermitian():
     povm = random_povm(3, 3, Rng(7))
     assert not any(np.array_equal(e, qcore.dagger(e)) for e in povm.elements)
-    terms = vnsynth._search_terms(povm, 2)
+    terms = search_terms(povm, 2)
     assert all(np.array_equal(t, qcore.dagger(t)) for t in terms)
 
 
@@ -767,7 +764,7 @@ search_term_cases = st.one_of(
 def test_search_terms_are_the_kron_chains_of_the_factors(seed, case):
     kind, d, m, n_uses = case
     povm = lossy_povm(d, Rng(seed)) if kind == "lossy" else random_povm(d, m, Rng(seed))
-    terms, ref = vnsynth._search_terms(povm, n_uses), kron_chain_terms(povm, n_uses)
+    terms, ref = search_terms(povm, n_uses), kron_chain_terms(povm, n_uses)
     assert terms.ndim == (3 if kind == "dense" else 2)
     assert terms.dtype == ref.dtype and same_bits(terms, ref)
 
@@ -837,7 +834,7 @@ def test_epsilon_never_rises_with_another_use(seed, d, case):
 def test_a_dense_protocol_holds_the_q0_the_search_scored(n_uses):
     for seed in range(20):
         povm = random_povm(2, 3, Rng(seed))
-        terms = vnsynth._search_terms(povm, n_uses)
+        terms = search_terms(povm, n_uses)
         assert terms.ndim == 3
         protocol = synthesize(povm, n_uses, Rng(seed)).protocol
         assert near_arrays(protocol.coarse,
@@ -915,7 +912,7 @@ def assert_searches_score_as_per_candidate(povm, n_uses, seed):
 def test_commuting_searches_score_as_per_candidate(seed, case):
     m, d, n_uses = case
     povm = random_povm(d, 2, Rng(seed)) if m == 2 else lossy_povm(d, Rng(seed))
-    assert vnsynth._search_terms(povm, n_uses).ndim == 2
+    assert search_terms(povm, n_uses).ndim == 2
     assert_searches_score_as_per_candidate(povm, n_uses, seed)
 
 
@@ -923,7 +920,7 @@ def test_commuting_searches_score_as_per_candidate(seed, case):
 def test_a_commuting_climb_over_256_strings_scores_as_per_candidate(seed):
     # two-outcome qubit POVMs at N = 8, past every size Hypothesis draws
     povm = random_povm(2, 2, Rng(seed))
-    assert vnsynth._search_terms(povm, 8).shape == (256, 256)
+    assert search_terms(povm, 8).shape == (256, 256)
     assert_searches_score_as_per_candidate(povm, 8, seed)
 
 
@@ -932,7 +929,7 @@ def test_a_commuting_climb_over_256_strings_scores_as_per_candidate(seed):
 @given(seed=povm_seeds, m=st.integers(3, 4), n_uses=use_counts)
 def test_dense_searches_score_as_per_candidate(seed, m, n_uses):
     povm = random_povm(2, m, Rng(seed))
-    assert vnsynth._search_terms(povm, n_uses).ndim == 3
+    assert search_terms(povm, n_uses).ndim == 3
     assert_searches_score_as_per_candidate(povm, n_uses, seed)
 
 
@@ -1096,36 +1093,26 @@ def test_trine_protocol_records_its_one_partition(n):
     assert syn.evaluated == 1
 
 
-def test_classify_noisy_z_regions():
-    assert classify_noisy_z(0.95, 0.6).region == "rotate-zero"
-    assert classify_noisy_z(0.6, 0.95).region == "rotate-one"
-    assert classify_noisy_z(0.7, 0.7).region == "trivial"
-    # the boundary p = (1+q)/2 belongs to the trivial region
-    assert classify_noisy_z(0.8, 0.6).region == "trivial"
+def test_noisy_z_synthesis_reaches_the_papers_optimum():
+    # one point per case of the closed form: the zero state turned, the
+    # one state turned, both kept, and both kept exactly on p = (1 + q)/2
+    for p, q in [(0.95, 0.6), (0.6, 0.95), (0.7, 0.7), (0.8, 0.6)]:
+        sol = synthesize(qcore.noisy_z_povm(p, q), 1, Rng(0)).solution
+        x, y, eps = noisy_z_optimum(p, q)
+        assert abs(sol.x_star - x) <= 1e-12, (p, q)
+        assert abs(sol.y_star - y) <= 1e-12, (p, q)
+        assert abs(sol.epsilon - eps) <= 1e-12, (p, q)
 
 
-def test_classify_noisy_z_gamma():
-    params = classify_noisy_z(0.95, 0.6)
-    assert params.gamma == pytest.approx(
-        math.sqrt((3 * 0.6 - 1) / (2 * (0.95 + 0.6 - 1))), abs=1e-14
-    )
-    assert classify_noisy_z(0.7, 0.7).gamma is None
-
-
-def test_classify_noisy_z_invalid():
-    with pytest.raises(InvalidBounds):
-        classify_noisy_z(0.5, 0.8)
-    with pytest.raises(InvalidBounds):
-        classify_noisy_z(0.8, 1.1)
+def test_noisy_z_synthesized_amplitude_is_the_papers_gamma():
+    res = synthesize(qcore.noisy_z_povm(0.95, 0.6), 1, Rng(0))
+    gamma = math.sqrt((3 * 0.6 - 1) / (2 * (0.95 + 0.6 - 1)))
+    assert abs(res.prep.states[0][0]) == pytest.approx(gamma, abs=1e-14)
 
 
 def test_noisy_z_optimal_rotate_zero():
     res = synthesize(qcore.noisy_z_povm(0.95, 0.6), 1, Rng(0))
-    params = classify_noisy_z(0.95, 0.6)
-    assert params.region == "rotate-zero"
     assert abs(res.solution.epsilon - (1 - 0.6) / 2) < 1e-12
-    # the constructed zero-state overlaps |0> with amplitude gamma
-    assert abs(res.prep.states[0][0]) == pytest.approx(params.gamma, abs=1e-10)
 
 
 def test_noisy_z_optimal_trivial_region():
