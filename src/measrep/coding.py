@@ -244,6 +244,8 @@ class BlockCode:
         outputs = np.asarray(outputs)
         if outputs.ndim != 2 or outputs.shape[1] != self.n or channel.inputs != self.d:
             raise ShapeMismatch(f"need {self.n} outputs a row, {self.d} channel inputs")
+        if outputs.dtype.kind not in "biu":  # bool rows decode as 0/1
+            raise ShapeMismatch(f"need integer output letters, not {outputs.dtype}")
         if outputs.size and not 0 <= outputs.min() <= outputs.max() < channel.outputs:
             raise ShapeMismatch(f"need output letters in 0..{channel.outputs - 1}")
         logw = _safe_log(channel.matrix)

@@ -31,6 +31,14 @@ partitions share one. The protocol keeps its coarse elements as
 such vectors too. Its states are built in U's frame, where Q_0 is
 diag(q_0), and mapped out once by U^(x N), one tensor factor at a
 time; ``implemented_povm`` maps them back: no d^N x d^N operator is formed.
+
+Inputs that do not commute but are real in one rotated frame are scored
+there, on real symmetric T_s and the real ``eigvalsh``: every
+three-outcome qubit POVM is one, since its Bloch vectors sum to zero and
+so lie in one plane, which a rotation turns into x-z. The frame is
+admitted only when its imaginary residue moves no scored eigenvalue by
+more than ``_TIE_WINDOW`` (``_common_eigenbasis``). Only the scoring
+uses it: protocols, states and implemented POVMs are never framed.
 """
 
 from __future__ import annotations
@@ -53,8 +61,8 @@ _EXHAUSTIVE_STRING_CAP = 12
 _RESTARTS = 8
 
 # Epsilons within this of the best one tie in exhaustive_search. It also
-# bounds how far an input admitted as commuting may move the eigenvalues
-# the searches score (``_search_terms``).
+# bounds how far an input admitted as commuting, or scored in a real
+# frame, may move the eigenvalues the searches score (``_search_terms``).
 _TIE_WINDOW = 1e-12
 
 
@@ -89,11 +97,12 @@ def _check_coarse_bytes(factors, n_uses) -> None:
 
 
 def _common_eigenbasis(available: Povm, n_uses: int):
-    """(U, factors): U and the eigenvalue vectors of the elements when
-    they commute for N uses, else (None, their Hermitian parts
-    (M + M^dagger)/2). The searches score products of these factors and
-    ``_partition_protocol`` contracts the same ones, so a protocol holds
-    the Q_0 that was scored, up to rounding.
+    """(U, factors, scored): U and the eigenvalue vectors of the elements
+    when they commute for N uses, else None and their Hermitian parts
+    (M + M^dagger)/2, which ``_partition_protocol`` contracts. The
+    searches take products of ``scored``: the same factors, or the
+    elements' real parts in a real frame. So a protocol holds the Q_0
+    that was scored, up to rounding and, in a frame, the bound below.
 
     It first rejects a use count below 1 (``ShapeMismatch``) and an m^N
     whose assignment, 8 bytes a string, would pass the byte budget
@@ -103,6 +112,18 @@ def _common_eigenbasis(available: Povm, n_uses: int):
     as commuting when N * sum_a ||E_a||_2 <= ``_TIE_WINDOW``, E_a the
     off-diagonal part of U^dagger M_a U; ``_search_terms`` shows what
     that bound guarantees.
+
+    Otherwise U's columns are turned by phases that make the first row
+    of sum_a (a + 1)^2 U^dagger M_a U real and nonnegative, giving the
+    frame F_a = V^dagger M_a V, V = U diag(phases). ``scored`` is the
+    real parts of the F_a, symmetrised, when N * sum_a ||Im F_a||_2 <=
+    ``_TIE_WINDOW``, and the Hermitian parts otherwise. A three-outcome
+    qubit POVM always has such a frame: its Bloch vectors sum to zero,
+    so they lie in one plane, which a rotation turns into x-z. Whenever a
+    real frame exists and the combination's eigenvalues are distinct,
+    the eigenbasis in it is real up to column phases, which the first
+    row fixes unless one of its entries vanishes; any frame the bound
+    does not admit leaves the dense complex factors.
     """
     if n_uses < 1:
         raise ShapeMismatch("n_uses must be >= 1")
@@ -112,9 +133,16 @@ def _common_eigenbasis(available: Povm, n_uses: int):
     _, u = np.linalg.eigh((comb + dagger(comb)) / 2)
     rotated = [dagger(u) @ e @ u for e in available.elements]
     off = sum(np.linalg.norm(r - np.diag(np.diag(r)), 2) for r in rotated)
-    if not n_uses * off <= _TIE_WINDOW:
-        return None, [(e + dagger(e)) / 2 for e in available.elements]
-    return u, [np.diag(r).real.copy() for r in rotated]
+    if n_uses * off <= _TIE_WINDOW:
+        spectra = [np.diag(r).real.copy() for r in rotated]
+        return u, spectra, spectra
+    hermitian = [(e + dagger(e)) / 2 for e in available.elements]
+    row = sum((a + 1) ** 2 * r[0] for a, r in enumerate(rotated))
+    phases = np.exp(-1j * np.angle(row))
+    framed = [r * np.outer(phases.conj(), phases) for r in rotated]
+    if not n_uses * sum(np.linalg.norm(f.imag, 2) for f in framed) <= _TIE_WINDOW:
+        return None, hermitian, hermitian
+    return None, hermitian, [(f.real + f.real.T) / 2 for f in framed]
 
 
 def build_partition_povm(
@@ -154,7 +182,7 @@ def _partition_protocol(available, n_uses, assignment, common):
     is a depth-N tree of m-term sums, and dense elements are exactly
     Hermitian. Every stack's bytes are checked before any is built.
     """
-    basis, factors = common
+    basis, factors, _ = common
     _check_coarse_bytes(factors, n_uses)
     f0, m, d = factors[0], available.outcomes, available.dim
     for k in range(n_uses + 1):  # after k uses: m^(N-k) blocks of f0.size^k entries
@@ -415,18 +443,20 @@ def _search_terms(available: Povm, n_uses: int, common) -> np.ndarray:
     stacked as one array whose row s is the term of string s.
 
     The terms are the eigenvalue vectors t_s = v_{a_1} x ... x v_{a_N}
-    (real, length d^N) when the elements commute, and the dense string
-    tensors T_s otherwise; Q_0 summed from them are scored by
-    ``_extremes`` and ``_score`` either way. ``common`` is the
+    (real, length d^N) when the elements commute, the real D x D string
+    tensors of the ``scored`` factors in a real frame (below), and the
+    complex string tensors T_s otherwise; Q_0 summed from them are scored
+    by ``_extremes`` and ``_score`` in every case. ``common`` is the
     ``_common_eigenbasis`` of ``available`` at ``n_uses``. All m^N terms
     are held, so their bytes are checked against the byte budget before
     any is built.
     They are built one use at a time, by one broadcast multiply per use,
     each entry the same product that a chain of ``np.kron`` computes.
-    Dense terms are products of the Hermitian parts of the elements, so
-    every product and partial sum is exactly Hermitian (rounding commutes
-    with conjugation) for LAPACK's ``eigvalsh``, which reads one triangle,
-    as is every protocol contracted from them for ``hermitian_eig``.
+    Dense terms are products of the Hermitian parts of the elements, or
+    of exactly symmetric real parts, so every product and partial sum is
+    exactly Hermitian (rounding commutes with conjugation) for LAPACK's
+    ``eigvalsh``, which reads one triangle, as is every protocol
+    contracted from the Hermitian parts for ``hermitian_eig``.
 
     Commutation is tested once, by ``_common_eigenbasis``: U
     diagonalises the fixed combination sum_a (a + 1) M_a, and v_a is the
@@ -451,8 +481,21 @@ def _search_terms(available: Povm, n_uses: int, common) -> np.ndarray:
     only within delta leave a residual of order delta, up to 9.1e-13 at
     N = 3, 4 for two-outcome qutrit and ququart POVMs normalised through
     S^(-1/2), which sum to the identity within about 1e-13.
+
+    The real frame rests on the same argument. Write V^dagger M_a V =
+    R_a + i A_a, V the phased U. The real part of a positive matrix is
+    positive, and the R_a sum to Re(V^dagger I V) = I, so telescoping
+    again puts the real Q_0 summed from products of the R_a within
+    N * sum_a ||A_a||_2 of V^(x N)dagger Q_0 V^(x N) in the 2-norm, and
+    its eigenvalues within that of Q_0's. ``_common_eigenbasis`` admits
+    the frame only when that bound is at most ``_TIE_WINDOW``. The real
+    terms serve the scoring alone: the protocol, its states and the
+    implemented POVM are contracted from the Hermitian parts in the
+    original frame, so the winner's box and solution are its own Q_0's,
+    as on the complex path. Real terms take half the bytes, and LAPACK's
+    real symmetric eigensolver runs faster than its complex Hermitian one.
     """
-    _, factors = common
+    _, _, factors = common
     qcore._check_bytes(f"search terms of {available.outcomes}^{n_uses} strings",
                        factors[0].itemsize, available.outcomes * factors[0].size,
                        n_uses)
@@ -469,8 +512,8 @@ def _search_terms(available: Povm, n_uses: int, common) -> np.ndarray:
 
 
 # The LAPACK gufunc that ``np.linalg.eigvalsh`` calls (UPLO='L'), called
-# with the loop the wrapper picks for complex input, signature="D->d",
-# but without the wrapper, which costs about as much again on a 4 x 4
+# with the loop the wrapper picks for the input's dtype, signature="D->d"
+# for complex and "d->d" for real-frame terms, but without the wrapper, which costs about as much again on a 4 x 4
 # matrix. The eigenvalues are the same bits, ascending. It skips the
 # wrapper's errstate, so a matrix LAPACK fails on gives NaN eigenvalues
 # instead of a LinAlgError; every caller checks for them. The gufunc also
@@ -490,7 +533,7 @@ def _extremes(stack) -> tuple:
     """
     if stack.ndim == 2:
         return stack.min(axis=1).tolist(), stack.max(axis=1).tolist()
-    w = _eigvalsh(stack, signature="D->d")
+    w = _eigvalsh(stack, signature=stack.dtype.char + "->d")
     if np.isnan(w[:, 0]).any():
         raise NotConverged("eigenvalues did not converge")
     return w[:, 0].tolist(), w[:, -1].tolist()
@@ -666,7 +709,7 @@ def hill_climb_search(available: Povm, n_uses: int, rng: Rng):
                     if on_spectra:
                         lo, hi = float(cand_q0.min()), float(cand_q0.max())
                     else:
-                        w = _eigvalsh(cand_q0, signature="D->d")
+                        w = _eigvalsh(cand_q0, signature=cand_q0.dtype.char + "->d")
                         lo, hi = float(w[0]), float(w[-1])
                         if lo != lo:
                             raise NotConverged("eigenvalues did not converge")

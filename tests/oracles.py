@@ -265,11 +265,14 @@ def string_tensors(available, n_uses):
     ]
 
 
-def kron_chain_terms(available, n_uses):
+def kron_chain_terms(available, n_uses, scored=True):
     """The searches' terms as ``string_tensors`` builds its tensors: one
     ``np.kron`` chain per string, here of the ``_common_eigenbasis``
-    factors (eigenvalue vectors on commuting inputs)."""
-    _, factors = _common_eigenbasis(available, n_uses)
+    factors the searches score (eigenvalue vectors on commuting inputs,
+    real parts in a real frame), or with ``scored=False`` of the ones a
+    protocol contracts."""
+    _, factors, search_factors = _common_eigenbasis(available, n_uses)
+    factors = search_factors if scored else factors
     start = np.ones((1,) * factors[0].ndim)
     return np.stack([
         functools.reduce(np.kron, (factors[a] for a in s), start)

@@ -214,7 +214,8 @@ def test_counts_below_one_fail_with_a_typed_error(capsys, argv, message):
 
 @pytest.mark.parametrize("command", ["synth", "rms"])
 def test_search_beyond_the_terms_budget_fails_with_a_typed_error(capsys, command):
-    # 3^9 dense 512 x 512 string tensors would take 82 GB
+    # 3^9 dense 512 x 512 string tensors, real in the trine's own frame,
+    # would take 41 GB
     tracemalloc.start()
     try:
         code = cli.main([command, "trine", "--n", "9"])
@@ -225,7 +226,7 @@ def test_search_beyond_the_terms_budget_fails_with_a_typed_error(capsys, command
     assert code == 1
     assert captured.out == ""
     assert captured.err == (
-        "error: search terms of 3^9 strings would take 82556485632 bytes, "
+        "error: search terms of 3^9 strings would take 41278242816 bytes, "
         "over the budget of 1073741824\n")
     assert peak < 2**20
 

@@ -265,6 +265,26 @@ def test_decode_rejects_letters_outside_the_channel_outputs(code, letter):
         code.decode(outputs, channel)
 
 
+@pytest.mark.parametrize("code", [repetition_code(1, 3, 2), random_codebook(2, 3, 2, Rng(3))],
+                         ids=["repetition", "random"])
+@pytest.mark.parametrize("outputs", [[[0.5, 0, 0]], [[1.0, 0.0, 1.0]], [[0, 1, 0j]]],
+                         ids=["fraction", "whole-floats", "complex"])
+def test_decode_rejects_letters_that_are_not_integers(code, outputs):
+    # they used to end in numpy's untyped TypeError from take
+    channel = ClassicalChannel(np.array([[0.5, 0.25, 0.25], [0.0, 0.5, 0.5]]))
+    with pytest.raises(ShapeMismatch, match=r"^need integer output letters, not "):
+        code.decode(np.array(outputs), channel)
+
+
+@pytest.mark.parametrize("code", [repetition_code(1, 3, 2), random_codebook(2, 3, 2, Rng(3))],
+                         ids=["repetition", "random"])
+def test_decode_reads_boolean_letters_as_zero_and_one(code):
+    channel = ClassicalChannel(np.array([[0.5, 0.25, 0.25], [0.0, 0.5, 0.5]]))
+    letters = np.array([[True, False, True], [False, False, True]])
+    assert np.array_equal(code.decode(letters, channel),
+                          code.decode(letters.astype(np.intp), channel))
+
+
 def test_a_code_is_its_codebook_with_a_copy_count():
     rep = repetition_code(3, 4, 3)
     digits = np.array(list(itertools.product(range(3), repeat=3)))
