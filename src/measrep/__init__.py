@@ -5,7 +5,8 @@ a box-constrained quadratic program, construct the prepared states, and
 quantify the reproduction error exactly and by Haar Monte Carlo. The
 ``subroutines`` module covers post-measurement realisation, read back
 for an exact check, and generalised classical cloning; ``coding``
-covers the finite-rate block-coding protocol and channel capacity.
+covers the finite-rate block-coding protocol, channel capacity and the
+exact ML error that cloning and repetition codes share.
 """
 
 from .coding import (
@@ -14,6 +15,7 @@ from .coding import (
     ClassicalChannel,
     associated_channel,
     blahut_arimoto,
+    cloning_error_rate,
     mutual_information,
     random_codebook,
     repetition_code,
@@ -39,7 +41,6 @@ from .rms import RmsEstimate, rms_exact_instrument, rms_exact_povm, rms_monte_ca
 from .subroutines import (
     CloningBasis,
     chernoff_information,
-    cloning_error_rate,
     build_measurement_isometry,
     select_cloning_basis,
 )

@@ -182,7 +182,7 @@ def _cmd_clone(args, report: RunReport) -> None:
     )
     report.add("chernoff_exponent_nats", exponent)
     # largest n first, so a sweep past the count-vector limits fails at once
-    errs = [subroutines.cloning_error_rate(basis.table, n).mean()
+    errs = [coding.cloning_error_rate(basis.table, n).mean()
             for n in range(args.max_n, 0, -1)]
     for n, err in enumerate(reversed(errs), 1):
         report.add(f"error_n={n}", err)
@@ -214,7 +214,7 @@ def _cmd_block(args, report: RunReport) -> None:
     # rows. Uniform messages decode symbol by symbol, so a block fails
     # with 1 - (1 - e)^k = e (1 + (1 - e) + ... + (1 - e)^(k-1)): the sum
     # is e itself at k = 1, and does not cancel at small e
-    e = subroutines.cloning_error_rate(channel.matrix, args.copies).mean()
+    e = coding.cloning_error_rate(channel.matrix, args.copies).mean()
     report.add("block_error_exact", e * sum((1.0 - e) ** i for i in range(args.k)))
 
 

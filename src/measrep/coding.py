@@ -4,10 +4,10 @@ A measurement induces a classical channel over basis states; its
 capacity (computed by Blahut-Arimoto with a certified two-sided gap)
 lower-bounds the achievable reproduction rate. Concrete repetition and
 random codebooks demonstrate the block protocol at desk scale. The
-exact count-vector ML error is computed here and exposed once, as
-``subroutines.cloning_error_rate``: one repetition-coded symbol decodes
-exactly as cloning of the channel's rows. Its multinomial weights take
-every log k! from one function, ``math.lgamma``.
+exact count-vector ML error, ``cloning_error_rate``, serves both
+cloning and coding: one repetition-coded symbol decodes exactly as
+cloning of the channel's rows. Its multinomial weights take every
+log k! from one function, ``math.lgamma``.
 """
 
 from __future__ import annotations
@@ -45,54 +45,91 @@ def _ml_argmax(ll: np.ndarray) -> np.ndarray:
 
 
 def _ml_decode_counts(counts: np.ndarray, logp: np.ndarray) -> np.ndarray:
-    """ML hypothesis per outcome-count row; -1 marks a row that every
-    hypothesis gives zero likelihood (undecodable)."""
-    ll = counts @ logp.T
-    dec = _ml_argmax(ll)
-    dec[np.max(ll, axis=1) < _LOG_ZERO / 2] = -1
+    """ML hypothesis per outcome-count row, by ``_ml_argmax``'s rule but
+    one hypothesis at a time; -1 marks a row that every hypothesis gives
+    zero likelihood (undecodable)."""
+    ll = logp @ counts.T  # rounded in place below
+    best = np.round(ll[0], 12, out=ll[0])
+    dec = np.zeros(ll.shape[1], dtype=np.intp)
+    for x in range(1, ll.shape[0]):
+        lx = np.round(ll[x], 12, out=ll[x])
+        dec[lx > best] = x  # a tie keeps the smaller index
+        np.maximum(best, lx, out=best)
+    # rounding moves no log-likelihood across the threshold, which lies
+    # half way to _LOG_ZERO
+    dec[best < _LOG_ZERO / 2] = -1
     return dec
 
 
 def _count_vectors(n: int, m: int) -> np.ndarray:
-    """All outcome-count vectors summing to n, lexicographic, one per row."""
+    """All outcome-count vectors summing to n, lexicographic, one per row
+    of a float array held column by column (Fortran order)."""
     rows = math.comb(n + m - 1, m - 1)
     if rows > _COUNT_VECTOR_CAP:
         raise TooLarge(
             f"count vectors for n = {n} exceed the cap of {_COUNT_VECTOR_CAP}")
     _check_bytes("the count vectors", 8 * rows * m)
+    counts = np.empty((rows, m), order="F")
     # one column at a time: a row with r still to place becomes r + 1
-    # rows valued 0..r, in order, so the rows stay lexicographic
-    rows = np.zeros((1, 0), dtype=np.intp)
+    # rows valued 0..r, in order, so the rows stay lexicographic. The
+    # rows placed so far lead the first j columns.
     rem = np.array([n])
-    for _ in range(m - 1):
+    for j in range(m - 1):
         reps = rem + 1
-        within = np.arange(reps.sum()) - np.repeat(np.cumsum(reps) - reps, reps)
-        rows = np.column_stack((np.repeat(rows, reps, axis=0), within))
-        rem = np.repeat(rem, reps) - within
-    return np.column_stack((rows, rem)).astype(float)
+        src = np.repeat(np.arange(rem.size), reps)
+        within = np.arange(src.size)
+        within -= (np.cumsum(reps) - reps).take(src)
+        for i in range(j):
+            counts[: src.size, i] = counts[: rem.size, i].take(src)
+        counts[: src.size, j] = within
+        rem = rem.take(src)
+        rem -= within
+    counts[:, m - 1] = rem
+    return counts
 
 
-def _exact_ml_error(table: np.ndarray, n: int) -> np.ndarray:
-    """Exact ML decoding error per hypothesis after n i.i.d. draws.
+def cloning_error_rate(table, n_uses: int) -> np.ndarray:
+    """Exact ML decoding error per row of an outcome table after n_uses
+    i.i.d. draws: N-fold cloning on a ``CloningBasis.table``, or one
+    repetition-coded symbol on a channel's ``matrix``.
 
-    ``table`` holds one outcome distribution per hypothesis, shape
-    (d, m). The ML decision depends on the outcome string only through
-    its counts, so the error sums multinomial weights over count
-    vectors. A count vector that no hypothesis can give joins every sum.
+    The ML decision depends on the outcome string only through its
+    counts, so the error sums multinomial weights over count vectors. A
+    count vector that no row can give joins every sum, with weight 0.
+    Each step runs over all count vectors at once, one output or one
+    row of the table at a time, adding the outputs in order.
     """
-    if n < 0:
-        raise TooFewSamples(f"{n} < 0 draws")
-    d = table.shape[0]
+    table = np.asarray(table, dtype=float)
+    if table.ndim != 2 or 0 in table.shape or not np.all(np.isfinite(table)):
+        raise ShapeMismatch("an outcome table must be 2-D, non-empty and finite")
+    if np.any(table < -1e-9) or np.any(np.abs(table.sum(axis=1) - 1.0) > 1e-9):
+        raise ShapeMismatch("each row of an outcome table must be a distribution")
+    if n_uses < 0:
+        raise TooFewSamples(f"{n_uses} < 0 draws")
+    d, m = table.shape
+    rows = math.comb(n_uses + m - 1, m - 1)
+    if rows <= _COUNT_VECTOR_CAP:  # past the cap, _count_vectors raises
+        # the count columns, the (d, R) log-likelihoods, five R-long
+        # temporaries and the n + 1 values of log k!
+        _check_bytes("the count-vector ML error",
+                     8 * (rows * (m + d + 5) + n_uses + 1))
+    counts = _count_vectors(n_uses, m)
+    log_fact = np.fromiter(map(math.lgamma, range(1, n_uses + 2)), float, n_uses + 1)
+    log_multi = log_fact.take(counts[:, 0].astype(np.intp))
+    for a in range(1, m):
+        log_multi += log_fact.take(counts[:, a].astype(np.intp))
+    np.subtract(log_fact[n_uses], log_multi, out=log_multi)
     logp = _safe_log(table)
-    counts = _count_vectors(n, table.shape[1])
     dec = _ml_decode_counts(counts, logp)
-    log_fact = np.fromiter(map(math.lgamma, range(1, n + 2)), float, n + 1)
-    log_multi = log_fact[n] - log_fact[counts.astype(np.intp)].sum(axis=1)
+    terms, weight = np.empty_like(log_multi), np.empty_like(log_multi)
     errs = np.zeros(d)
     for x in range(d):
-        # a zero-probability outcome kills the weight unless it is unseen
-        terms = np.where(counts > 0, counts * logp[x][None, :], 0.0).sum(axis=1)
-        weight = np.exp(log_multi + terms)
+        # an unseen zero-probability output adds 0 * _LOG_ZERO, a zero; a
+        # seen one kills the weight
+        np.multiply(counts[:, 0], logp[x, 0], out=terms)
+        for a in range(1, m):
+            terms += np.multiply(counts[:, a], logp[x, a], out=weight)
+        np.exp(np.add(log_multi, terms, out=weight), out=weight)
         weight[terms < _LOG_ZERO / 2] = 0.0
         errs[x] = float(np.sum(weight[dec != x]))
     return errs

@@ -4,8 +4,8 @@ Two building blocks: the post-measurement isometry W that realises an
 arbitrary instrument given a perfect von Neumann measurement (and reads
 it back), and generalised classical cloning, which distinguishes a
 basis of states using repeated runs of any non-trivial POVM plus
-maximum-likelihood decoding of the outcome string; ``cloning_error_rate``
-also gives the exact error of ``coding``'s repetition-coded symbols.
+maximum-likelihood decoding of the outcome string, whose exact error
+is ``coding.cloning_error_rate``.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import qcore
-from .coding import _exact_ml_error
 from .errors import NotNormalized, ShapeMismatch, TrivialMeasurement
 from .qcore import Instrument, Povm
 
@@ -155,20 +154,6 @@ def select_cloning_basis(available: Povm) -> CloningBasis:
         if not rotated:
             raise TrivialMeasurement("rotation scan failed to separate rows")
     raise TrivialMeasurement("basis selection did not converge")
-
-
-def cloning_error_rate(table, n_uses: int) -> np.ndarray:
-    """Exact ML decoding error per row of an outcome table after n_uses
-    i.i.d. draws: N-fold cloning on a ``CloningBasis.table``, or one
-    repetition-coded symbol on a channel's ``matrix``.
-
-    Sums multinomial weights over all outcome-count vectors: the ML
-    decision depends on the string only through its counts.
-    """
-    table = np.asarray(table, dtype=float)
-    if table.ndim != 2 or 0 in table.shape or not np.all(np.isfinite(table)):
-        raise ShapeMismatch("an outcome table must be 2-D, non-empty and finite")
-    return _exact_ml_error(table, n_uses)
 
 
 def chernoff_information(p, q) -> float:

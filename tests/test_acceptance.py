@@ -220,10 +220,10 @@ def test_criterion_07_cloning_exponent():
     basis = subroutines.select_cloning_basis(trine)
     table_ref = np.array([[2 / 3, 1 / 6, 1 / 6], [0.0, 0.5, 0.5]])
     ok_table = float(np.max(np.abs(basis.table - table_ref))) < 1e-14
-    err1 = subroutines.cloning_error_rate(basis.table, 1)
+    err1 = coding.cloning_error_rate(basis.table, 1)
     ok_n1 = abs(err1[0] - 1 / 3) < 1e-14 and err1[1] == 0.0
     xi = subroutines.chernoff_information(basis.table[0], basis.table[1])
-    err25 = subroutines.cloning_error_rate(basis.table, 25).mean()
+    err25 = coding.cloning_error_rate(basis.table, 25).mean()
     bound = math.exp(-25 * xi)
     ok_exp = bound / 5 <= err25 <= bound * 5
     sampled = cloning_error_rate_sampled(basis, 25, trials=10**6, rng=Rng(707))
@@ -281,7 +281,7 @@ def test_criterion_09_capacity():
 def test_criterion_10_block_protocol():
     channel = coding.associated_channel(trine_povm())
     errs = [
-        float(subroutines.cloning_error_rate(channel.matrix, c).mean())
+        float(coding.cloning_error_rate(channel.matrix, c).mean())
         for c in range(1, 16, 2)
     ]
     ok_mono = all(a > b for a, b in zip(errs, errs[1:]))

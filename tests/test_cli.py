@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from measrep import cli, coding, io, qcore, rms, subroutines, vnsynth
-from measrep.subroutines import cloning_error_rate
+from measrep.coding import cloning_error_rate
 from oracles import (
     hermiticity_defect_povm_file,
     nan_povm_file,

@@ -17,6 +17,7 @@ from measrep.coding import (
     ClassicalChannel,
     associated_channel,
     blahut_arimoto,
+    cloning_error_rate,
     mutual_information,
     random_codebook,
     repetition_code,
@@ -24,7 +25,7 @@ from measrep.coding import (
 )
 from measrep.errors import NotConverged, ShapeMismatch, TooFewSamples, TooLarge
 from measrep.qcore import Povm, Rng, trine_povm, von_neumann_povm
-from measrep.subroutines import CloningBasis, cloning_error_rate
+from measrep.subroutines import CloningBasis
 from oracles import (
     associated_channel_by_traces,
     binary_symmetric_channel,
@@ -658,15 +659,60 @@ def test_count_vectors_match_the_cut_enumeration(n, m):
             coding._count_vectors(n, m)
         return
     assume(size <= 300_000)  # keeps the Python-loop oracle fast
-    assert_same_array(coding._count_vectors(n, m), count_vectors_from_cuts(n, m))
+    counts = coding._count_vectors(n, m)
+    assert counts.flags.f_contiguous  # one contiguous column per output
+    assert_same_array(counts, count_vectors_from_cuts(n, m))
+
+
+# 2 to 6 outputs, wider than `channels`
+wide_channels = st.builds(
+    random_channel, seeds, st.integers(2, 3), st.integers(2, 6),
+    st.booleans(), st.booleans(),
+)
 
 
 @settings(max_examples=80)
-@given(channel=channels, n=st.integers(0, 6))
+@given(channel=wide_channels, n=st.integers(0, 6))
 def test_exact_ml_error_matches_the_sum_over_outcome_strings(channel, n):
-    errs = coding._exact_ml_error(channel.matrix, n)
+    errs = cloning_error_rate(channel.matrix, n)
     ref = exact_ml_error_by_strings(channel.matrix, n)
     assert np.max(np.abs(errs - ref)) <= 1e-14
+
+
+def random_distribution(g, m):
+    """A distribution on m outcomes, about a third of them zero (never all)."""
+    p = g.random(m)
+    p[g.random(m) < 0.3] = 0.0
+    p[0] += p.sum() == 0.0
+    return p / p.sum()
+
+
+@settings(max_examples=60)
+@given(m=st.integers(1, 7), n=st.integers(0, 60), d=st.integers(1, 4), seed=seeds)
+def test_identical_rows_give_every_error_to_all_but_the_first(m, n, d, seed):
+    # every count vector ties and goes to row 0, and the multinomial
+    # weights of the vectors a row can give sum to 1
+    assume(math.comb(n + m - 1, m - 1) <= 100_000)
+    row = random_distribution(Rng(seed).generator, m)
+    errs = cloning_error_rate(np.tile(row, (d, 1)), n)
+    assert errs[0] == 0.0
+    assert np.max(np.abs(errs[1:] - 1.0), initial=0.0) <= 1e-12
+
+
+@settings(max_examples=60)
+@given(m=st.integers(1, 7), n=st.integers(1, 60), seed=seeds, data=st.data())
+def test_rows_with_disjoint_supports_are_never_confused(m, n, seed, data):
+    # a count vector inside one row's support rules out every other row,
+    # and one across two supports has weight 0 under each
+    assume(math.comb(n + m - 1, m - 1) <= 100_000)
+    g = Rng(seed).generator
+    d = data.draw(st.integers(1, m))
+    owner = np.concatenate([np.arange(d), g.integers(0, d, m - d)])
+    g.shuffle(owner)
+    table = np.zeros((d, m))
+    table[owner, np.arange(m)] = g.random(m) + 0.1
+    table /= table.sum(axis=1, keepdims=True)
+    assert np.array_equal(cloning_error_rate(table, n), np.zeros(d))
 
 
 def test_count_vectors_within_their_cap_still_fit_the_byte_budget():
@@ -677,6 +723,47 @@ def test_count_vectors_within_their_cap_still_fit_the_byte_budget():
     try:
         with pytest.raises(TooLarge, match="4004000000 bytes, over the budget"):
             coding._count_vectors(2, 1000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
+@pytest.mark.parametrize("d, m, n", [(2, 4, 150), (2, 2, 300_000), (5, 3, 900),
+                                     (3, 6, 20), (1, 7, 14)])
+def test_exact_ml_error_stays_within_the_bytes_it_checks(d, m, n):
+    # 585,276 count vectors at (2, 4, 150); a peak past the checked bytes
+    # would make the budget check a guess
+    rows = math.comb(n + m - 1, m - 1)
+    table = np.full((d, m), 1.0 / m)
+    table[0] = np.arange(1, m + 1) / (m * (m + 1) / 2)
+    checked = []
+    real_check = qcore._check_bytes
+
+    def record(what, nbytes, *args):
+        checked.append((what, nbytes))
+        real_check(what, nbytes, *args)
+
+    tracemalloc.start()
+    try:
+        with mock.patch.object(coding, "_check_bytes", record):
+            cloning_error_rate(table, n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert checked[0] == ("the count-vector ML error", 8 * (rows * (m + d + 5) + n + 1))
+    assert 8 * rows * (m + d) < peak <= checked[0][1]
+
+
+def test_exact_ml_error_past_the_byte_budget_fails_before_building_anything():
+    # 1,000,001 count vectors fit the cap, but 1000 rows of
+    # log-likelihoods over them would take 8 GB
+    table = np.full((1000, 2), 0.5)
+    tracemalloc.start()
+    try:
+        with pytest.raises(TooLarge, match="the count-vector ML error would take "
+                           "8064008064 bytes, over the budget"):
+            cloning_error_rate(table, 10**6)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from measrep.coding import cloning_error_rate
 from measrep.errors import (NotNormalized, ShapeMismatch, TooFewSamples, TooLarge,
                             TrivialMeasurement)
 from measrep.qcore import (
@@ -21,7 +22,6 @@ from measrep.qcore import (
 from measrep.subroutines import (
     build_measurement_isometry,
     chernoff_information,
-    cloning_error_rate,
     select_cloning_basis,
 )
 from measrep.rms import rms_exact_instrument
@@ -179,6 +179,24 @@ def test_cloning_rejects_a_negative_use_count():
 def test_cloning_rejects_a_table_that_is_not_2d_nonempty_and_finite(table):
     with pytest.raises(ShapeMismatch, match="2-D, non-empty and finite"):
         cloning_error_rate(table, 3)
+
+
+# at n = 3, [[2, 3], [1, 1]] once gave row 0 an error of 8.0, and
+# [[0.5, 0.5], [1.2, -0.2]] row 1 an error of 0
+@pytest.mark.parametrize("table", [
+    [[2.0, 3.0], [1.0, 1.0]], [[0.5, 0.5], [1.2, -0.2]], [[0.5, 0.5], [0.5, 0.4]],
+    [[0.5, 0.5], [1.0 + 2e-9, -2e-9]],
+], ids=["counts", "negative", "short-row", "just-negative"])
+def test_cloning_rejects_a_table_whose_rows_are_not_distributions(table):
+    with pytest.raises(ShapeMismatch, match="must be a distribution"):
+        cloning_error_rate(table, 3)
+
+
+def test_cloning_accepts_rows_within_the_distribution_tolerance():
+    # the bound chernoff_information uses: rows read from a POVM can be
+    # off by rounding
+    err = cloning_error_rate([[0.5 + 5e-10, 0.5], [1.0, -5e-10]], 3)
+    assert err == pytest.approx([0.125, 0.0], abs=1e-9)
 
 
 def test_cloning_exact_size_cap():
