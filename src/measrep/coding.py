@@ -168,10 +168,13 @@ class ClassicalChannel:
     def outputs(self) -> int:
         return self.matrix.shape[1]
 
-    def sample(self, letters: np.ndarray, rng: Rng, copies: int = 1) -> np.ndarray:
+    def sample(self, letters: np.ndarray, rng: Rng, copies: int) -> np.ndarray:
         """Pass each letter through the channel ``copies`` times in a row, as
         ``np.repeat(letters, copies, axis=-1)`` would; the last output takes every
         uniform past the others' cumulative sums, gathered once per letter."""
+        letters = _check_letters(letters, self.inputs, "input")
+        if copies < 1:
+            raise ShapeMismatch(f"need copies >= 1, not {copies}")
         cum = np.cumsum(self.matrix, axis=1)
         u = rng.generator.random(letters.shape + (copies,))
         # counted in the smallest unsigned type that holds every output
@@ -180,6 +183,17 @@ class ClassicalChannel:
             out += u > cum[:, j].take(letters)[..., None]
         shape = letters.shape[:-1] + (letters.shape[-1] * copies,)
         return out.reshape(shape).astype(np.intp)
+
+
+def _check_letters(letters, alphabet: int, kind: str) -> np.ndarray:
+    """``letters`` as an array, or ``ShapeMismatch`` unless every one is an
+    integer in 0..alphabet - 1 (bool letters read as 0 and 1)."""
+    letters = np.asarray(letters)
+    if letters.dtype.kind not in "biu":
+        raise ShapeMismatch(f"need integer {kind} letters, not {letters.dtype}")
+    if letters.size and not 0 <= letters.min() <= letters.max() < alphabet:
+        raise ShapeMismatch(f"need {kind} letters in 0..{alphabet - 1}")
+    return letters
 
 
 def associated_channel(available: Povm) -> ClassicalChannel:
@@ -218,7 +232,7 @@ class CapacityResult:
     gap: float  # bits
 
 
-def blahut_arimoto(channel: ClassicalChannel, tol: float = 1e-6) -> CapacityResult:
+def blahut_arimoto(channel: ClassicalChannel, tol: float) -> CapacityResult:
     """Capacity with the standard certified two-sided stopping rule.
 
     The per-letter divergences D(p(.|x) || q) give a lower bound at the
@@ -281,10 +295,7 @@ class BlockCode:
         outputs = np.asarray(outputs)
         if outputs.ndim != 2 or outputs.shape[1] != self.n or channel.inputs != self.d:
             raise ShapeMismatch(f"need {self.n} outputs a row, {self.d} channel inputs")
-        if outputs.dtype.kind not in "biu":  # bool rows decode as 0/1
-            raise ShapeMismatch(f"need integer output letters, not {outputs.dtype}")
-        if outputs.size and not 0 <= outputs.min() <= outputs.max() < channel.outputs:
-            raise ShapeMismatch(f"need output letters in 0..{channel.outputs - 1}")
+        _check_letters(outputs, channel.outputs, "output")
         logw = _safe_log(channel.matrix)
         if self.kind == "repetition":
             grouped = outputs.reshape(outputs.shape[0], self.k, self.copies)

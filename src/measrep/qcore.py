@@ -39,6 +39,13 @@ def _matrix(a) -> np.ndarray:
     return m
 
 
+def _square(a) -> np.ndarray:
+    m = _matrix(a)
+    if m.shape[0] != m.shape[1] or m.size == 0:
+        raise ShapeMismatch(f"expected a nonempty square matrix, got shape {m.shape}")
+    return m
+
+
 def _vector(a) -> np.ndarray:
     v = np.asarray(a, dtype=complex)
     if v.ndim != 1:
@@ -111,7 +118,7 @@ class Povm:
     elements: tuple
 
     def __post_init__(self):
-        elems = tuple(_matrix(e) for e in self.elements)
+        elems = tuple(_square(e) for e in self.elements)
         if not elems:
             raise ShapeMismatch("POVM needs at least one element")
         d = elems[0].shape[0]
@@ -171,6 +178,8 @@ class Instrument:
         if not groups or not any(groups):
             raise ShapeMismatch("instrument needs at least one Kraus operator")
         first = next(k for g in groups for k in g)
+        if first.size == 0:
+            raise ShapeMismatch("Kraus operators must be nonempty")
         dout, din = first.shape
         for a, g in enumerate(groups):
             for k in g:
@@ -236,7 +245,7 @@ def hermitian_eig(m):
     tie-broken by lexicographic comparison of the (phase-canonicalised)
     eigenvector entries, larger first.
     """
-    m = _matrix(m)
+    m = _square(m)
     defect = frobenius(m - dagger(m))
     if defect > HERMITICITY_RTOL * max(1.0, frobenius(m)):
         raise NotHermitian(f"Hermiticity defect {defect:.3e}")

@@ -12,10 +12,11 @@ sum of the string tensors T_s assigned to target 0, so each candidate
 differs from one already summed by +-T_s. The exhaustive search builds
 the Q_0 of all partitions level by level as one stacked array and
 reads their extreme eigenvalues from one call per stack of LAPACK's
-``eigvalsh`` gufunc, the one ``np.linalg.eigvalsh`` calls; the hill
-climb moves one string at a time and sums and scores each candidate
-alone, but scores no neighbour on a side of its partition (strings out
-of Q_0, or into it) that the box program bounds out.
+``eigvalsh`` gufunc, the one ``np.linalg.eigvalsh`` calls. Every other
+Q_0, each start and neighbour of the hill climb and each winner, is
+read alone by ``_extremes``; the climb moves one string at a time, and
+scores no neighbour on a side of its partition (strings out of Q_0, or
+into it) that the box program bounds out.
 Each candidate then costs one run of the box program on two floats,
 and only the winner becomes a protocol, with its ``BoxQuadSolution``
 and states: both searches return it as a ``SynthesizedProtocol``,
@@ -25,9 +26,10 @@ When the POVM's elements commute (every two-outcome POVM does, and so
 do noisy and lossy measurements), all T_s are diagonal in one product
 basis U^(x N). The searches then add the real d^N-vectors of their
 eigenvalues instead, and read the extreme eigenvalues of Q_0 as a
-vector's min and max, with no ``eigvalsh``. Both searches solve each
-distinct clamped eigenvalue box once, from a per-search memo, as many
-partitions share one. The protocol keeps its coarse elements as
+vector's min and max, with no ``eigvalsh``. On spectra only, both
+searches solve each distinct clamped eigenvalue box once, from a
+per-search memo, as many partitions share one; few dense boxes repeat.
+The protocol keeps its coarse elements as
 such vectors too. Its states are built in U's frame, where Q_0 is
 diag(q_0), and mapped out once by U^(x N), one tensor factor at a
 time; ``implemented_povm`` maps them back: no d^N x d^N operator is formed.
@@ -432,8 +434,7 @@ def _finish(protocol, co_optimal, evaluated) -> SynthesizedProtocol:
     """``protocol`` solved on the clamped box of its own Q_0 (the searches'
     sums can round the box they scored an ulp off), with the states
     ``construct_states`` builds for its optimum."""
-    lows, highs = _extremes(protocol.coarse[0][None])
-    solution = solve_box_quadratic_qubit(*_score(lows[0], highs[0])[1:])
+    solution = solve_box_quadratic_qubit(*_score(*_extremes(protocol.coarse[0]))[1:])
     prep = construct_states(protocol, (solution.x_star, solution.y_star))
     return SynthesizedProtocol(protocol, solution, prep, co_optimal, evaluated)
 
@@ -522,21 +523,21 @@ def _search_terms(available: Povm, n_uses: int, common) -> np.ndarray:
 _eigvalsh = np.linalg._umath_linalg.eigvalsh_lo
 
 
-def _extremes(stack) -> tuple:
-    """(lows, highs): the smallest and largest eigenvalue of each Q_0 in
-    a stack, as two lists of floats.
+def _extremes(q0) -> tuple:
+    """(lo, hi): the smallest and largest eigenvalue of one Q_0, as floats.
 
-    A stack of vectors holds the eigenvalue vectors of ``_search_terms``'
-    spectra path, whose extremes are each row's min and max; a stack of
-    exactly Hermitian matrices is diagonalised by one ``_eigvalsh`` call,
-    and NaN eigenvalues raise ``NotConverged``.
+    On spectra Q_0 is an eigenvalue vector, read as its min and max; an
+    exactly Hermitian matrix is read as the first and last eigenvalue of
+    one ``_eigvalsh`` call, and NaN eigenvalues raise ``NotConverged``.
+    Only the exhaustive search reads its stacks in place instead.
     """
-    if stack.ndim == 2:
-        return stack.min(axis=1).tolist(), stack.max(axis=1).tolist()
-    w = _eigvalsh(stack, signature=stack.dtype.char + "->d")
-    if np.isnan(w[:, 0]).any():
+    if q0.ndim == 1:
+        return float(q0.min()), float(q0.max())
+    w = _eigvalsh(q0, signature=q0.dtype.char + "->d")
+    lo, hi = float(w[0]), float(w[-1])
+    if lo != lo:
         raise NotConverged("eigenvalues did not converge")
-    return w[:, 0].tolist(), w[:, -1].tolist()
+    return lo, hi
 
 
 def _score(lo: float, hi: float, memo: Optional[dict] = None) -> tuple:
@@ -578,8 +579,9 @@ def exhaustive_search(available: Povm, n_uses: int):
     eigenvalues.
     When the stack would pass ``qcore._BLOCK_BYTES``, the leading
     strings are decided depth first and only the last levels are
-    stacked. Partitions whose clamped eigenvalue boxes are equal share
-    one run of the box program, through a per-search memo (``_score``).
+    stacked. On spectra, partitions whose clamped eigenvalue boxes are
+    equal share one run of the box program, through a per-search memo
+    (``_score``).
     """
     common = _common_eigenbasis(available, n_uses)
     n_strings = available.outcomes**n_uses
@@ -601,14 +603,19 @@ def exhaustive_search(available: Povm, n_uses: int):
             yield from prefixes(i + 1, q0)
 
     scored = []  # (epsilon, lam_min, lam_max) per partition, in order
-    memo: dict = {}
+    memo = {} if terms.ndim == 2 else None
     # string 0 is always in target 0; 0 + T_0 starts the sum as a sum
     # from scratch does, signed zeros included
     for prefix in prefixes(1, np.zeros_like(terms[0]) + terms[0]):
         stack = prefix[None]
         for t in terms[lead:]:
             stack = np.stack((stack + t, stack), axis=1).reshape(-1, *t.shape)
-        scored += [_score(lo, hi, memo) for lo, hi in zip(*_extremes(stack))]
+        if stack.ndim == 3:  # each row's eigenvalues, ascending
+            stack = _eigvalsh(stack, signature=stack.dtype.char + "->d")
+            if np.isnan(stack[:, 0]).any():
+                raise NotConverged("eigenvalues did not converge")
+        scored += [_score(lo, hi, memo) for lo, hi in
+                   zip(stack.min(axis=1).tolist(), stack.max(axis=1).tolist())]
     best = 0
     for j, score in enumerate(scored):
         if score[0] < scored[best][0] - 1e-15:
@@ -654,18 +661,14 @@ def hill_climb_search(available: Povm, n_uses: int, rng: Rng):
     scored or bounded, as many as scoring every neighbour would.
 
     Each neighbour the walk scores is summed on its own, Q_0 +- T_i, and
-    its box is read from that sum: the min and max of q_0 +- t_i on
-    spectra, or the first and last eigenvalue of one ``_eigvalsh`` call
-    on a dense D x D candidate. A move would throw the rest of any batch
-    of neighbours away. Spectra scores share a per-search memo of the
-    boxes already solved (``_score``); dense ones take none, since few
-    dense boxes repeat.
+    read by ``_extremes`` as a start is, since a move would throw the
+    rest of any batch of neighbours away. On spectra the scores share a
+    per-search memo of the boxes already solved (``_score``).
     """
     common = _common_eigenbasis(available, n_uses)
     n_strings = available.outcomes**n_uses
     terms = _search_terms(available, n_uses, common)
-    on_spectra = terms.ndim == 2
-    memo = {} if on_spectra else None
+    memo = {} if terms.ndim == 2 else None
     cache: dict = {}
 
     strings = itertools.product(range(available.outcomes), repeat=n_uses)
@@ -687,8 +690,7 @@ def hill_climb_search(available: Povm, n_uses: int, rng: Rng):
                 q0 += t
         cur = cache.get(mask)
         if cur is None or len(cur) == 1:
-            lo, hi = _extremes(q0[None])
-            cur = cache[mask] = _score(lo[0], hi[0], memo)
+            cur = cache[mask] = _score(*_extremes(q0), memo)
         sides = _side_bounds(cur, memo)
         improved = True
         while improved:
@@ -706,14 +708,7 @@ def hill_climb_search(available: Povm, n_uses: int, rng: Rng):
                     s = None
                 cand_q0 = q0 + terms[i] if mask & flips[i] else q0 - terms[i]
                 if s is None:
-                    if on_spectra:
-                        lo, hi = float(cand_q0.min()), float(cand_q0.max())
-                    else:
-                        w = _eigvalsh(cand_q0, signature=cand_q0.dtype.char + "->d")
-                        lo, hi = float(w[0]), float(w[-1])
-                        if lo != lo:
-                            raise NotConverged("eigenvalues did not converge")
-                    s = cache[cand] = _score(lo, hi, memo)
+                    s = cache[cand] = _score(*_extremes(cand_q0), memo)
                 if s[0] < cur[0] - 1e-14:
                     mask, cur, q0 = cand, s, cand_q0
                     sides = _side_bounds(cur, memo)
@@ -742,20 +737,17 @@ def synthesize(available: Povm, n_uses: int, rng: Rng) -> SynthesizedProtocol:
     return hill_climb_search(available, n_uses, rng=rng)
 
 
-def trine_optimal_protocol(
-    n_uses: int, available: Optional[Povm] = None
-) -> SynthesizedProtocol:
+def trine_optimal_protocol(n_uses: int, available: Povm) -> SynthesizedProtocol:
     """The N-use trine partition optimal over deterministic partitions.
 
     Target outcome 1 is declared exactly when no single use returned
     outcome 0; for the trine the error is 3^-N / 2. The partition is
-    built on ``available`` (default: the trine) and finished as the
-    searches finish their winners: solved on its own Q_0's box, with
-    the states ``construct_states`` builds. On the trine these are the
-    paper's: an ancilla pair at N = 1, else |0...0> and |1...1> with
-    the last qubit slightly turned.
+    built on ``available`` and finished as the searches finish their
+    winners: solved on its own Q_0's box, with the states
+    ``construct_states`` builds. On the trine these are the paper's: an
+    ancilla pair at N = 1, else |0...0> and |1...1> with the last qubit
+    slightly turned.
     """
-    available = qcore.trine_povm() if available is None else available
     protocol = build_partition_povm(available, n_uses, lambda s: 0 if 0 in s else 1)
     return _finish(protocol, (protocol.assignment,), 1)
 

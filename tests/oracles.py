@@ -717,7 +717,7 @@ def block_protocol_whole_arrays(channel, code, amplitudes, trials, rng):
     msg_idx = rng.generator.choice(n_msgs, size=trials, p=weights)
     messages = _unpack(msg_idx, code.d, code.k)
     codewords = np.repeat(code.codebook[msg_idx], code.copies, axis=1)
-    outputs = channel.sample(codewords, rng)
+    outputs = channel.sample(codewords, rng, 1)
     decoded = code.decode(outputs, channel)
     rate = float(np.mean(np.any(decoded != messages, axis=1)))
     se = math.sqrt(max(rate * (1.0 - rate), 0.0) / trials)

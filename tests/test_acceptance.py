@@ -87,7 +87,7 @@ def test_criterion_02_two_use_exhaustive_optimum():
 def test_criterion_03_n_use_closed_form():
     worst_eps = worst_lam = worst_impl = 0.0
     for n in range(1, 7):
-        syn = vnsynth.trine_optimal_protocol(n)
+        syn = vnsynth.trine_optimal_protocol(n, trine_povm())
         worst_eps = max(worst_eps, abs(syn.solution.epsilon - 3.0**-n / 2))
         worst_lam = max(worst_lam, abs(syn.solution.lam_max - (1 - 3.0**-n)))
         impl = vnsynth.implemented_povm(syn.prep, syn.protocol)

@@ -231,21 +231,33 @@ def test_search_beyond_the_terms_budget_fails_with_a_typed_error(capsys, command
     assert peak < 2**20
 
 
-@pytest.mark.parametrize("n_uses, fails_on", [
-    ("2", 3),  # exhaustive: the stack of partitions
-    ("3", 3),  # hill climb: a start's Q_0, as a stack of one
-    ("3", 2),  # hill climb: one neighbour
-])
+# which ``_eigvalsh`` call fails, from its input and the number of calls
+# before it; each read site has its own case
+FAILING_READS = {
+    "stack": lambda a, k: a.ndim == 3,  # exhaustive: a stack of partitions
+    "start": lambda a, k: k == 0,  # hill climb: the closed-form start
+    "neighbour": lambda a, k: k == 1,  # hill climb: a neighbour of that start
+    # _finish: the winner's own Q_0, complex where the trine's terms are real
+    "winner": lambda a, k: a.dtype.kind == "c",
+}
+
+
+@pytest.mark.parametrize("n_uses, site", [
+    ("2", "stack"), ("3", "start"), ("3", "neighbour"), ("3", "winner")])
 @pytest.mark.filterwarnings("error")
-def test_eigensolver_failure_is_a_typed_error(monkeypatch, capsys, n_uses, fails_on):
+def test_eigensolver_failure_is_a_typed_error(monkeypatch, capsys, n_uses, site):
     # LAPACK reports a failed eigensolve as NaN eigenvalues; the real
     # gufunc, here on NaN input, also flags an invalid value, which numpy
     # would print as a RuntimeWarning (here: raise) before the error
     solve = vnsynth._eigvalsh
     for fail in (lambda a, **kw: np.full(a.shape[:-1], np.nan),
                  lambda a, **kw: solve(np.full_like(a, np.nan), **kw)):
-        monkeypatch.setattr(vnsynth, "_eigvalsh", lambda a, **kw: (
-            fail(a, **kw) if a.ndim == fails_on else solve(a, **kw)))
+        count = itertools.count()
+
+        def eigvalsh(a, **kw):
+            failing = FAILING_READS[site](a, next(count))
+            return fail(a, **kw) if failing else solve(a, **kw)
+        monkeypatch.setattr(vnsynth, "_eigvalsh", eigvalsh)
         assert cli.main(["synth", "trine", "--n", n_uses]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""

@@ -129,7 +129,7 @@ def test_exact_repetition_error_rejects_a_negative_copy_count():
 
 
 def test_blahut_arimoto_noiseless():
-    cap = blahut_arimoto(ClassicalChannel(np.eye(3)))
+    cap = blahut_arimoto(ClassicalChannel(np.eye(3)), tol=1e-6)
     assert cap.capacity == pytest.approx(math.log2(3), abs=1e-6)
     assert cap.gap <= 1e-6
 
@@ -421,7 +421,7 @@ def test_statevector_path_size_cap():
 def test_channel_sampling_statistics():
     bsc = binary_symmetric_channel(0.25)
     letters = np.zeros(50_000, dtype=np.int64)
-    out = bsc.sample(letters, Rng(19))
+    out = bsc.sample(letters, Rng(19), 1)
     assert abs(out.mean() - 0.25) < 0.01
 
 
@@ -490,7 +490,7 @@ def test_capacity_is_the_mutual_information_at_its_input(seed, d, m):
 def test_channel_sample_matches_the_broadcast_comparison(channel, trials, n, seed):
     letters = Rng(seed).generator.integers(0, channel.inputs, size=(trials, n))
     assert_same_array(
-        channel.sample(letters, Rng(seed, 1)),
+        channel.sample(letters, Rng(seed, 1), 1),
         channel_sample_broadcast(channel, letters, Rng(seed, 1)),
     )
 
@@ -578,11 +578,26 @@ def test_random_decode_tables_are_checked_before_they_are_built():
     assert peak < 2**22
 
 
+@pytest.mark.parametrize("letters, copies, message", [
+    # -1 used to read the last input's thresholds, 2 ended in numpy's
+    # IndexError, a fraction in a TypeError and copies -1 in a ValueError
+    ([[0, -1]], 1, r"^need input letters in 0\.\.1$"),
+    ([[2, 0]], 3, r"^need input letters in 0\.\.1$"),
+    ([[0.5, 0.0]], 1, r"^need integer input letters, not float64$"),
+    ([[0, 1]], 0, r"^need copies >= 1, not 0$"),
+    ([[0, 1]], -1, r"^need copies >= 1, not -1$"),
+], ids=["negative", "past-the-inputs", "fraction", "no-copies", "negative-copies"])
+def test_channel_sample_rejects_letters_outside_the_inputs(letters, copies, message):
+    channel = ClassicalChannel(np.array([[0.5, 0.25, 0.25], [0.0, 0.5, 0.5]]))
+    with pytest.raises(ShapeMismatch, match=message):
+        channel.sample(np.array(letters), Rng(0), copies)
+
+
 def test_channel_sample_counts_past_the_byte_range():
     # 300 outputs: the comparisons are counted in uint16
     channel = random_channel(5, 3, 300, zeros=True, mirror=False)
     letters = Rng(6).generator.integers(0, 3, size=(40, 7))
-    out = channel.sample(letters, Rng(6, 1))
+    out = channel.sample(letters, Rng(6, 1), 1)
     assert out.max() > 255
     assert_same_array(out, channel_sample_broadcast(channel, letters, Rng(6, 1)))
 
@@ -593,7 +608,7 @@ def test_channel_sample_never_passes_the_last_output():
     channel = ClassicalChannel(np.array([[0.5, 0.5 - 4e-13], [0.25, 0.75]]))
     top = SimpleNamespace(generator=SimpleNamespace(
         random=lambda shape: np.full(shape, 1.0 - 2.0**-53)))
-    out = channel.sample(np.zeros((3, 5), dtype=np.int64), top)
+    out = channel.sample(np.zeros((3, 5), dtype=np.int64), top, 1)
     assert (out == channel.outputs - 1).all()
     assert (repetition_code(1, 5, 2).decode(out, channel) == 1).all()
 

@@ -1,4 +1,5 @@
 import math
+import re
 from unittest import mock
 
 import numpy as np
@@ -308,3 +309,21 @@ def test_sqrtm_psd():
 def test_instrument_rejects_empty():
     with pytest.raises(ShapeMismatch):
         Instrument(((),))
+
+
+@pytest.mark.parametrize("shape", [(0, 0), (2, 3), (3, 2)])
+def test_empty_or_non_square_operators_are_a_shape_mismatch(shape):
+    # a 0 x 0 element used to make a POVM whose validation raised
+    # IndexError; hermitian_eig and sqrtm_psd ended in a numpy ValueError
+    message = "^" + re.escape(f"expected a nonempty square matrix, got shape {shape}") + "$"
+    for build in (lambda m: Povm((m,)), hermitian_eig, qcore.sqrtm_psd):
+        with pytest.raises(ShapeMismatch, match=message):
+            build(np.zeros(shape))
+
+
+@pytest.mark.parametrize("shape", [(1, 0), (0, 2)])
+def test_instrument_rejects_empty_kraus_operators(shape):
+    # a 1 x 0 Kraus operator passed validation, then synth and postmeas
+    # ended in a ZeroDivisionError
+    with pytest.raises(ShapeMismatch, match="^Kraus operators must be nonempty$"):
+        Instrument(((np.zeros(shape),),))

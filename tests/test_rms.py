@@ -81,7 +81,7 @@ def test_closed_form_matches_monte_carlo_beyond_the_qubit(d, m, seed):
 
 
 def test_monte_carlo_matches_closed_form():
-    syn = vnsynth.trine_optimal_protocol(2)
+    syn = vnsynth.trine_optimal_protocol(2, trine_povm())
     impl = vnsynth.implemented_povm(syn.prep, syn.protocol)
     target = von_neumann_povm(2)
     est = rms_monte_carlo_povm(impl, target, 50_000, Rng(3))
@@ -124,7 +124,7 @@ def test_monte_carlo_zero_for_identical():
 
 
 def test_monte_carlo_reproducible():
-    syn = vnsynth.trine_optimal_protocol(1)
+    syn = vnsynth.trine_optimal_protocol(1, trine_povm())
     impl = vnsynth.implemented_povm(syn.prep, syn.protocol)
     # compare against the 2x2 target extended trivially: shapes must match
     target = von_neumann_povm(2)

@@ -12,7 +12,9 @@ reads it as an attribute; a field that nothing reads is dead weight too.
 
 A defaulted parameter of a public function or method counts as used when
 some call in ``src/`` or ``benchmarks/`` passes it, by keyword or by
-position; a default that no caller overrides is a constant.
+position; a default that no caller overrides is a constant. It must also
+be left out by some call there: a default that every call overrides
+serves only the tests, and the parameter should be required.
 
 A private module-level function, class or constant counts as used when
 some module of ``src/`` reads it outside its own definition; the tests
@@ -123,35 +125,48 @@ def _defaulted_parameters(tree):
                                         0 if static else 1)
 
 
-def _passed_arguments(trees):
-    """Callee name -> the positions and keywords some call passes it;
-    "*" and "**" stand for a starred positional or keyword argument."""
-    passed = {}
+def _calls(trees):
+    """Callee name -> one set per call of the positions and keywords it
+    passes; "*" and "**" stand for a starred positional or keyword argument."""
+    calls = {}
     for tree in trees:
         for node in ast.walk(tree):
             if not isinstance(node, ast.Call):
                 continue
             func = node.func
             name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
-            got = passed.setdefault(name, set())
-            got.update("*" if isinstance(a, ast.Starred) else i
-                       for i, a in enumerate(node.args))
-            got.update("**" if kw.arg is None else kw.arg for kw in node.keywords)
-    return passed
+            calls.setdefault(name, []).append(
+                {"*" if isinstance(a, ast.Starred) else i for i, a in enumerate(node.args)}
+                | {"**" if kw.arg is None else kw.arg for kw in node.keywords})
+    return calls
+
+
+def _defaulted_parameter_calls():
+    """(qualified parameter, [whether it passes the parameter, per call])
+    for each defaulted parameter of ``src/measrep``, over the calls in
+    ``src/`` and ``benchmarks/*.py`` of a callable of the same name."""
+    sources = sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "benchmarks").glob("*.py"))
+    trees = {path: ast.parse(path.read_text(encoding="utf-8")) for path in sources}
+    calls = _calls(trees.values())
+    for path, tree in trees.items():
+        if path.parent == PACKAGE:
+            for qualified, callee, param, pos in _defaulted_parameters(tree):
+                yield f"{path.stem}.{qualified}({param})", [
+                    bool(call & {param, "**"}) or (pos is not None and bool(call & {pos, "*"}))
+                    for call in calls.get(callee, [])]
 
 
 def test_every_defaulted_parameter_is_passed_outside_the_tests():
-    sources = sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "benchmarks").glob("*.py"))
-    trees = {path: ast.parse(path.read_text(encoding="utf-8")) for path in sources}
-    passed = _passed_arguments(trees.values())
-    params = [(f"{path.stem}.{qualified}", callee, param, pos)
-              for path, tree in trees.items() if path.parent == PACKAGE
-              for qualified, callee, param, pos in _defaulted_parameters(tree)]
-    never = [f"{qualified}({param})" for qualified, callee, param, pos in params
-             if not passed.get(callee, set()) & {param, "**"}
-             and (pos is None or not passed.get(callee, set()) & {pos, "*"})]
+    params = list(_defaulted_parameter_calls())
+    never = [param for param, passes in params if not any(passes)]
     assert params
     assert not never, f"defaulted parameters that no call passes: {never}"
+
+
+def test_no_defaulted_parameter_is_passed_by_every_call():
+    always = [param for param, passes in _defaulted_parameter_calls()
+              if passes and all(passes)]
+    assert not always, f"defaulted parameters that every call passes: {always}"
 
 
 def _module_definitions(tree):

@@ -362,7 +362,7 @@ def test_construct_states_unachievable():
 
 
 def test_implemented_povm_is_valid():
-    syn = trine_optimal_protocol(3)
+    syn = trine_optimal_protocol(3, trine_povm())
     impl = implemented_povm(syn.prep, syn.protocol)
     report = qcore.validate_povm(impl)
     assert report.ok
@@ -797,7 +797,7 @@ def test_dense_coarse_elements_are_exactly_hermitian(seed, d, m, n_uses):
 def test_the_trine_protocol_meets_its_closed_forms_to_rounding(n_uses):
     # each entry of the contracted Q_0 is a depth-N tree of 3-term sums;
     # a running sum over the 3^N strings missed 1 - 3^-N by up to 1.2e-14
-    sol = trine_optimal_protocol(n_uses).solution
+    sol = trine_optimal_protocol(n_uses, trine_povm()).solution
     assert abs(sol.lam_max - (1.0 - 3.0**-n_uses)) <= 1e-15
     assert abs(sol.epsilon - 3.0**-n_uses / 2.0) <= 5e-16
 
@@ -1137,14 +1137,14 @@ def test_implemented_povm_reproduces_the_qp_error(seed, d, m, n_uses):
 
 def test_trine_optimal_protocol_errors():
     for n in range(1, 5):
-        syn = trine_optimal_protocol(n)
+        syn = trine_optimal_protocol(n, trine_povm())
         assert abs(syn.solution.epsilon - 3.0**-n / 2) < 1e-12
         assert abs(syn.solution.lam_max - (1 - 3.0**-n)) < 1e-12
 
 
 def test_trine_optimal_protocol_states_orthonormal():
     for n in (1, 2, 4):
-        syn = trine_optimal_protocol(n)
+        syn = trine_optimal_protocol(n, trine_povm())
         u0, u1 = syn.prep.states
         assert abs(np.linalg.norm(u0) - 1) < 1e-12
         assert abs(np.linalg.norm(u1) - 1) < 1e-12
@@ -1154,7 +1154,7 @@ def test_trine_optimal_protocol_states_orthonormal():
 @pytest.mark.parametrize("n_uses", range(1, 8))
 def test_the_pipeline_builds_the_papers_trine_states(n_uses):
     # construct_states on the trine partition, against the closed form
-    prep = trine_optimal_protocol(n_uses).prep
+    prep = trine_optimal_protocol(n_uses, trine_povm()).prep
     ancilla, states = paper_trine_states(n_uses)
     assert prep.ancilla_qubits == ancilla
     for got, ref in zip(prep.states, states, strict=True):
@@ -1164,7 +1164,7 @@ def test_the_pipeline_builds_the_papers_trine_states(n_uses):
 
 def test_trine_optimal_implemented_element():
     for n in (1, 2, 3):
-        syn = trine_optimal_protocol(n)
+        syn = trine_optimal_protocol(n, trine_povm())
         impl = implemented_povm(syn.prep, syn.protocol)
         ref = np.diag([1 - 3.0**-n, 3.0**-n / 2]).astype(complex)
         assert np.allclose(impl.elements[0], ref, atol=1e-10)
@@ -1201,7 +1201,7 @@ def test_every_protocol_is_solved_on_the_box_of_its_own_q0(produce):
 
 @pytest.mark.parametrize("n", [1, 2, 4])
 def test_trine_protocol_records_its_one_partition(n):
-    syn = trine_optimal_protocol(n)
+    syn = trine_optimal_protocol(n, trine_povm())
     assert syn.co_optimal == (syn.protocol.assignment,)
     assert syn.evaluated == 1
 
