@@ -173,6 +173,8 @@ class ClassicalChannel:
         ``np.repeat(letters, copies, axis=-1)`` would; the last output takes every
         uniform past the others' cumulative sums, gathered once per letter."""
         letters = _check_letters(letters, self.inputs, "input")
+        if letters.ndim == 0:
+            raise ShapeMismatch("need input letters along at least one axis")
         if copies < 1:
             raise ShapeMismatch(f"need copies >= 1, not {copies}")
         cum = np.cumsum(self.matrix, axis=1)

@@ -18,21 +18,20 @@ read alone by ``_extremes``; the climb moves one string at a time, and
 scores no neighbour on a side of its partition (strings out of Q_0, or
 into it) that the box program bounds out.
 Each candidate then costs one run of the box program on two floats,
-and only the winner becomes a protocol, with its ``BoxQuadSolution``
-and states: both searches return it as a ``SynthesizedProtocol``,
-solved on the box of its own Q_0 as ``_partition_protocol`` contracts it.
+solved in closed form (``_box_minimiser``), and only the winner
+becomes a protocol, with its ``BoxQuadSolution`` and states: both
+searches return it as a ``SynthesizedProtocol``, solved on the box of
+its own Q_0 as ``_partition_protocol`` contracts it.
 
 When the POVM's elements commute (every two-outcome POVM does, and so
 do noisy and lossy measurements), all T_s are diagonal in one product
 basis U^(x N). The searches then add the real d^N-vectors of their
 eigenvalues instead, and read the extreme eigenvalues of Q_0 as a
-vector's min and max, with no ``eigvalsh``. On spectra only, both
-searches solve each distinct clamped eigenvalue box once, from a
-per-search memo, as many partitions share one; few dense boxes repeat.
-The protocol keeps its coarse elements as
-such vectors too. Its states are built in U's frame, where Q_0 is
-diag(q_0), and mapped out once by U^(x N), one tensor factor at a
-time; ``implemented_povm`` maps them back: no d^N x d^N operator is formed.
+vector's min and max, with no ``eigvalsh``. The protocol keeps its
+coarse elements as such vectors too. Its states are built in U's frame,
+where Q_0 is diag(q_0), and mapped out once by U^(x N), one tensor
+factor at a time; ``implemented_povm`` maps them back: no d^N x d^N
+operator is formed.
 
 Inputs that do not commute but are real in one rotated frame are scored
 there, on real symmetric T_s and the real ``eigvalsh``: every
@@ -225,54 +224,35 @@ class BoxQuadSolution:
 
 def _box_minimiser(lo: float, hi: float):
     """(x, y, value): the minimiser of the qubit squared error
-    ((1 - x - y)^2 + (1 - x) y) / 3 (diagonal (x, y), z = 0) over
-    [lo, hi]^2.
+    f(x, y) = ((1 - x - y)^2 + (1 - x) y) / 3 (diagonal (x, y), z = 0)
+    over [lo, hi]^2, and f there.
 
-    Convex quadratic on a square, so the minimiser is either the
-    unconstrained optimum (1, 0), the 1-D optimum along one edge, or a
-    corner. The candidates are tried in a fixed order, (1, 0) when the
-    box holds it and then the optimum along the edges x = hi, y = lo,
-    x = lo and y = hi clamped into the box (which reaches the corners),
-    and the first one of smallest value wins. The objective is 0 at
-    (1, 0) and never negative, so no later candidate beats (1, 0). Each
-    candidate is written out, clamped as min(max(c, lo), hi), since this
-    runs once per box a search scores.
+    f is 0 at (1, 0). In a box without that point the minimiser lies on
+    the edge x = hi or the edge y = lo: f is strictly convex, with gradient
+    (2x + y - 2, x + 2y - 1)/3, and a minimiser with x < hi and y > lo
+    would need 2x + y >= 2 and x + 2y <= 1, which forces y <= 0 and x >= 1,
+    so the box would hold (1, 0).
+    Along x = hi, f is least at y = (1 - hi)/2; when that is not below lo,
+    (hi, min((1 - hi)/2, hi)) meets the optimality conditions, else the
+    minimiser is on y = lo, at x = 1 - lo/2 clamped into [lo, hi]. For
+    1/3 <= hi and lo <= 2/3 these are the paper's three noisy-Z cases: x
+    at hi with y inside, the corner (hi, lo), or y at lo with x inside.
     """
     if lo <= 0.0 and 1.0 <= hi:
         return 1.0, 0.0, 0.0
-    c = (1.0 - hi) / 2.0
-    c = lo if lo > c else c
-    c = hi if hi < c else c
-    x, y, value = hi, c, ((1.0 - hi - c) ** 2 + (1.0 - hi) * c) / 3.0
-    c = 1.0 - lo / 2.0
-    c = lo if lo > c else c
-    c = hi if hi < c else c
-    v = ((1.0 - c - lo) ** 2 + (1.0 - c) * lo) / 3.0
-    if v < value:
-        x, y, value = c, lo, v
-    c = (1.0 - lo) / 2.0
-    c = lo if lo > c else c
-    c = hi if hi < c else c
-    v = ((1.0 - lo - c) ** 2 + (1.0 - lo) * c) / 3.0
-    if v < value:
-        x, y, value = lo, c, v
-    c = 1.0 - hi / 2.0
-    c = lo if lo > c else c
-    c = hi if hi < c else c
-    v = ((1.0 - c - hi) ** 2 + (1.0 - c) * hi) / 3.0
-    if v < value:
-        x, y, value = c, hi, v
-    return x, y, value
+    c = (1.0 - hi) / 2.0  # clamps written out: this runs once per scored box
+    if c >= lo:
+        x, y = hi, hi if hi < c else c
+    else:
+        c = 1.0 - lo / 2.0
+        c = lo if lo > c else c
+        x, y = hi if hi < c else c, lo
+    return x, y, ((1.0 - x - y) ** 2 + (1.0 - x) * y) / 3.0
 
 
 def solve_box_quadratic_qubit(lam_min: float, lam_max: float) -> BoxQuadSolution:
-    """Minimise the qubit reproduction error over the eigenvalue box.
-
-    ``_box_minimiser`` enumerates the candidates. For ordinary eigenvalue
-    boxes the minimiser lands in one of three regions: x pinned at
-    lambda_max with interior y, both pinned at a corner, or y pinned at
-    lambda_min with interior x.
-    """
+    """Minimise the qubit reproduction error over the eigenvalue box, in
+    closed form (``_box_minimiser``)."""
     if not (0.0 <= lam_min <= lam_max <= 1.0):
         raise InvalidBounds(f"bounds ({lam_min}, {lam_max}) outside [0,1]")
     x, y, value = _box_minimiser(lam_min, lam_max)
@@ -304,7 +284,10 @@ def _mix_eigvecs(vec_hi, mu_hi, vec_lo, mu_lo, target):
 def _inspace_binary(evals, column, x, y):
     """Try orthogonal states from disjoint eigenvector pairs; None on failure.
 
-    ``column(j)`` is the eigenvector of ``evals[j]``.
+    ``column(j)`` is the eigenvector of ``evals[j]``, sorted descending.
+    ``x`` lies in [evals[-1], evals[0]], so the first state always exists:
+    it is an exact eigenvector, or it mixes evals[0] with the first
+    partner at or below x, evals[-1] at the latest.
     """
     n = evals.size
     tol = 1e-12
@@ -315,10 +298,7 @@ def _inspace_binary(evals, column, x, y):
         u0 = column(exact_x[0])
         used.add(exact_x[0])
     else:
-        partners = [j for j in range(1, n) if evals[j] <= x]
-        if evals[0] < x or not partners:
-            return None
-        p = partners[0]
+        p = next(j for j in range(1, n) if evals[j] <= x)
         u0 = _mix_eigvecs(column(0), evals[0], column(p), evals[p], x)
         used.update({0, p})
 
@@ -540,24 +520,13 @@ def _extremes(q0) -> tuple:
     return lo, hi
 
 
-def _score(lo: float, hi: float, memo: Optional[dict] = None) -> tuple:
+def _score(lo: float, hi: float) -> tuple:
     """(epsilon, lam_min, lam_max) of the qubit box program for a Q_0
-    with extreme eigenvalues lo and hi, clamped into [0, 1].
-
-    ``memo`` maps each clamped box a search has scored to its epsilon, so
-    ``_box_minimiser`` runs once per distinct box. Boxes that differ only
-    in the sign of a zero share an entry; their epsilons are the same
-    bits.
-    """
-    # min(max(v, 0.0), 1.0), written out as in _box_minimiser
+    with extreme eigenvalues lo and hi, clamped into [0, 1]."""
+    # min(max(v, 0.0), 1.0), written out: this runs once per scored box
     lam_min = 0.0 if lo < 0.0 else 1.0 if lo > 1.0 else lo
     lam_max = 0.0 if hi < 0.0 else 1.0 if hi > 1.0 else hi
-    eps = None if memo is None else memo.get((lam_min, lam_max))
-    if eps is None:
-        eps = math.sqrt(max(_box_minimiser(lam_min, lam_max)[2], 0.0))
-        if memo is not None:
-            memo[lam_min, lam_max] = eps
-    return eps, lam_min, lam_max
+    return math.sqrt(max(_box_minimiser(lam_min, lam_max)[2], 0.0)), lam_min, lam_max
 
 
 @np.errstate(invalid="ignore")  # failed eigensolves raise NotConverged
@@ -579,9 +548,7 @@ def exhaustive_search(available: Povm, n_uses: int):
     eigenvalues.
     When the stack would pass ``qcore._BLOCK_BYTES``, the leading
     strings are decided depth first and only the last levels are
-    stacked. On spectra, partitions whose clamped eigenvalue boxes are
-    equal share one run of the box program, through a per-search memo
-    (``_score``).
+    stacked.
     """
     common = _common_eigenbasis(available, n_uses)
     n_strings = available.outcomes**n_uses
@@ -603,7 +570,6 @@ def exhaustive_search(available: Povm, n_uses: int):
             yield from prefixes(i + 1, q0)
 
     scored = []  # (epsilon, lam_min, lam_max) per partition, in order
-    memo = {} if terms.ndim == 2 else None
     # string 0 is always in target 0; 0 + T_0 starts the sum as a sum
     # from scratch does, signed zeros included
     for prefix in prefixes(1, np.zeros_like(terms[0]) + terms[0]):
@@ -614,7 +580,7 @@ def exhaustive_search(available: Povm, n_uses: int):
             stack = _eigvalsh(stack, signature=stack.dtype.char + "->d")
             if np.isnan(stack[:, 0]).any():
                 raise NotConverged("eigenvalues did not converge")
-        scored += [_score(lo, hi, memo) for lo, hi in
+        scored += [_score(lo, hi) for lo, hi in
                    zip(stack.min(axis=1).tolist(), stack.max(axis=1).tolist())]
     best = 0
     for j, score in enumerate(scored):
@@ -631,11 +597,11 @@ def exhaustive_search(available: Povm, n_uses: int):
                    tuple(ties), len(scored))
 
 
-def _side_bounds(cur, memo) -> tuple:
+def _side_bounds(cur) -> tuple:
     """((removals,), (additions,)): lower bounds on the epsilon of every
     Q_0 - T_i, whose box lies in [0, lam_max] of ``cur``, and of every
     Q_0 + T_i, whose box lies in [lam_min, 1]."""
-    return (_score(0.0, cur[2], memo)[0],), (_score(cur[1], 1.0, memo)[0],)
+    return (_score(0.0, cur[2])[0],), (_score(cur[1], 1.0)[0],)
 
 
 @np.errstate(invalid="ignore")  # failed eigensolves raise NotConverged
@@ -662,13 +628,11 @@ def hill_climb_search(available: Povm, n_uses: int, rng: Rng):
 
     Each neighbour the walk scores is summed on its own, Q_0 +- T_i, and
     read by ``_extremes`` as a start is, since a move would throw the
-    rest of any batch of neighbours away. On spectra the scores share a
-    per-search memo of the boxes already solved (``_score``).
+    rest of any batch of neighbours away.
     """
     common = _common_eigenbasis(available, n_uses)
     n_strings = available.outcomes**n_uses
     terms = _search_terms(available, n_uses, common)
-    memo = {} if terms.ndim == 2 else None
     cache: dict = {}
 
     strings = itertools.product(range(available.outcomes), repeat=n_uses)
@@ -690,8 +654,8 @@ def hill_climb_search(available: Povm, n_uses: int, rng: Rng):
                 q0 += t
         cur = cache.get(mask)
         if cur is None or len(cur) == 1:
-            cur = cache[mask] = _score(*_extremes(q0), memo)
-        sides = _side_bounds(cur, memo)
+            cur = cache[mask] = _score(*_extremes(q0))
+        sides = _side_bounds(cur)
         improved = True
         while improved:
             improved = False
@@ -708,10 +672,10 @@ def hill_climb_search(available: Povm, n_uses: int, rng: Rng):
                     s = None
                 cand_q0 = q0 + terms[i] if mask & flips[i] else q0 - terms[i]
                 if s is None:
-                    s = cache[cand] = _score(*_extremes(cand_q0), memo)
+                    s = cache[cand] = _score(*_extremes(cand_q0))
                 if s[0] < cur[0] - 1e-14:
                     mask, cur, q0 = cand, s, cand_q0
-                    sides = _side_bounds(cur, memo)
+                    sides = _side_bounds(cur)
                     improved = True
         if best is None or cur[0] < best[0] - 1e-15:
             best_mask, best = mask, cur

@@ -359,9 +359,9 @@ def hill_climb_search_from_scratch(available, n_uses, restarts=8, rng=None):
     return best_bits, best, len(cache)
 
 
-# Earlier forms of the partition searches' scoring, kept as references:
-# the library must compute the same bits without their per-candidate
-# closures, dataclasses, recursion and candidate loops.
+# The qubit box program as a scan of its edge candidates, the form before
+# the closed form: independent references for ``vnsynth._box_minimiser``,
+# which must reach the same value within rounding.
 
 
 def qubit_objective(x, y):
@@ -370,8 +370,10 @@ def qubit_objective(x, y):
 
 
 def box_minimiser_looped(lo, hi):
-    """``vnsynth._box_minimiser`` as a loop over its candidates, each
-    scored by a ``qubit_objective`` call."""
+    """The minimiser of ``qubit_objective`` over [lo, hi]^2 as a loop over
+    candidates: (1, 0) when the box holds it, then the optimum along the
+    edges x = hi, y = lo, x = lo and y = hi clamped into the box; the
+    first one of least value wins."""
     x = y = value = None
     if lo <= 1.0 <= hi and lo <= 0.0 <= hi:
         x, y, value = 1.0, 0.0, qubit_objective(1.0, 0.0)
@@ -387,8 +389,8 @@ def box_minimiser_looped(lo, hi):
 
 
 def box_quadratic_qubit_closures(lam_min, lam_max):
-    """``solve_box_quadratic_qubit`` as a closure-built candidate list and
-    a keyed ``min``."""
+    """``solve_box_quadratic_qubit`` as a closure-built list of the
+    candidates of ``box_minimiser_looped`` and a keyed ``min``."""
     lo, hi = lam_min, lam_max
 
     def clamp(v):
@@ -429,7 +431,8 @@ def search_terms(available, n_uses):
 def exhaustive_search_depth_first(available, n_uses):
     """(best bits, solution, co-optimal bits, partitions scored) of
     ``exhaustive_search`` as a recursive walk that keeps one partial Q_0
-    per level and scores each leaf on its own."""
+    per level and scores each leaf on its own, by the library's box
+    program."""
     terms = search_terms(available, n_uses)
     n_strings = len(terms)
     scored = []
@@ -441,8 +444,7 @@ def exhaustive_search_depth_first(available, n_uses):
         else:
             w = np.linalg.eigvalsh((q0 + dagger(q0)) / 2)
             lo, hi = float(w[0]), float(w[-1])
-        return box_quadratic_qubit_closures(min(max(lo, 0.0), 1.0),
-                                            min(max(hi, 0.0), 1.0))
+        return solve_box_quadratic_qubit(*vnsynth._score(lo, hi)[1:])
 
     def walk(i, q0):
         if i == n_strings:
@@ -477,10 +479,10 @@ def paper_trine_states(n_uses):
     return 0, (psi0, psi1)
 
 
-# The partition searches as they scored before the per-search box memo
-# and the hill climb's neighbour blocks: the box program runs once per
-# candidate, and each hill-climb neighbour is summed on its own. The
-# library must return the same bits.
+# The partition searches as they scored before the hill climb's side
+# bounds and neighbour blocks: each candidate is scored, and each
+# hill-climb neighbour is summed on its own. They score boxes with the
+# library's box program, so the library must return the same bits.
 
 
 def own_box_solution(protocol):
@@ -506,20 +508,14 @@ class SearchRecord:
 
 
 def scores_per_candidate(stack):
-    """(epsilon, lam_min, lam_max) of the qubit box program for each Q_0
-    in a stack of vectors or of exactly Hermitian matrices."""
+    """``vnsynth._score`` of each Q_0 in a stack of vectors or of exactly
+    Hermitian matrices."""
     if stack.ndim == 2:
         lows, highs = stack.min(axis=1).tolist(), stack.max(axis=1).tolist()
     else:
         w = np.linalg.eigvalsh(stack)
         lows, highs = w[:, 0].tolist(), w[:, -1].tolist()
-    scores = []
-    for lo, hi in zip(lows, highs):
-        lam_min = 0.0 if lo < 0.0 else 1.0 if lo > 1.0 else lo
-        lam_max = 0.0 if hi < 0.0 else 1.0 if hi > 1.0 else hi
-        value = box_minimiser_looped(lam_min, lam_max)[2]
-        scores.append((math.sqrt(max(value, 0.0)), lam_min, lam_max))
-    return scores
+    return [vnsynth._score(lo, hi) for lo, hi in zip(lows, highs)]
 
 
 def exhaustive_search_per_candidate(available, n_uses):

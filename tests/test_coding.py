@@ -586,7 +586,10 @@ def test_random_decode_tables_are_checked_before_they_are_built():
     ([[0.5, 0.0]], 1, r"^need integer input letters, not float64$"),
     ([[0, 1]], 0, r"^need copies >= 1, not 0$"),
     ([[0, 1]], -1, r"^need copies >= 1, not -1$"),
-], ids=["negative", "past-the-inputs", "fraction", "no-copies", "negative-copies"])
+    # a 0-d letter ended in an IndexError from letters.shape[-1]
+    (1, 1, r"^need input letters along at least one axis$"),
+], ids=["negative", "past-the-inputs", "fraction", "no-copies", "negative-copies",
+        "no-axis"])
 def test_channel_sample_rejects_letters_outside_the_inputs(letters, copies, message):
     channel = ClassicalChannel(np.array([[0.5, 0.25, 0.25], [0.0, 0.5, 0.5]]))
     with pytest.raises(ShapeMismatch, match=message):

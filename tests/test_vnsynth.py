@@ -42,6 +42,7 @@ from oracles import (
     own_box_solution,
     paper_trine_states,
     partition_povm_from_list,
+    qubit_objective,
     random_povm,
     random_povm_of_ranks,
     score_from_scratch,
@@ -273,13 +274,43 @@ def near_solution(sol, ref, bound):
 unit_floats = st.floats(0.0, 1.0)
 box_edges = st.sampled_from([0.0, -0.0, 1.0, 0.5, 1 / 3, 2 / 3, 8 / 9])
 
+# Boxes a few ulps to 1e-11 off a boundary between the box program's
+# regions: hi = 1/3, lo = 2/3, lo = (1 - hi)/2 and hi = 1 - lo/2.
+offsets = st.builds(lambda size, sign: sign * size,
+                    st.floats(2.0**-55, 1e-11), st.sampled_from([-1.0, 1.0]))
+free_ends = st.floats(-0.5, 1.5)
+boundary_boxes = st.one_of(
+    st.builds(lambda e, d: (e, 1 / 3 + d), free_ends, offsets),
+    st.builds(lambda e, d: (2 / 3 + d, e), free_ends, offsets),
+    st.builds(lambda e, d: ((1.0 - e) / 2.0 + d, e), free_ends, offsets),
+    st.builds(lambda e, d: (e, 1.0 - e / 2.0 + d), free_ends, offsets),
+).map(sorted)
+
+# The closed form and the candidate loops of ``oracles`` give the same
+# point on all but the boxes within about 1e-11 of a region boundary,
+# where the loops' first candidate of least value can lie up to 1.5e-11
+# from the minimiser. The two points' exact values then differ
+# by about 1e-22, and the computed ones by rounding alone: over 600,000
+# boxes drawn 3e-17 to 1e-11 off the four boundaries, 63,353 points
+# differed, and their values by at most 2 ulps of the larger (as did
+# 83,357 of 1,200,000 such boxes with lo below 1e-3). Values are compared
+# within twice that.
+VALUE_ULPS = 4
+
+
+def near_value(a, b):
+    return abs(a - b) <= VALUE_ULPS * np.spacing(max(a, b))
+
 
 @settings(max_examples=300)
-@given(a=st.one_of(unit_floats, box_edges), b=st.one_of(unit_floats, box_edges))
-def test_qubit_qp_core_matches_the_closure_form(a, b):
-    lo, hi = (a, b) if a <= b else (b, a)
-    assert same_solution(solve_box_quadratic_qubit(lo, hi),
-                         box_quadratic_qubit_closures(lo, hi))
+@given(a=st.one_of(unit_floats, box_edges), b=st.one_of(unit_floats, box_edges),
+       near=boundary_boxes)
+def test_qubit_qp_core_matches_the_closure_form(a, b, near):
+    for lo, hi in ((a, b) if a <= b else (b, a),
+                   [min(max(v, 0.0), 1.0) for v in near]):
+        sol, ref = solve_box_quadratic_qubit(lo, hi), box_quadratic_qubit_closures(lo, hi)
+        assert same_floats([sol.lam_min, sol.lam_max], [lo, hi])
+        assert near_value(sol.epsilon, ref.epsilon)
 
 
 @pytest.mark.parametrize("lo, hi", [
@@ -294,22 +325,43 @@ def test_qubit_qp_core_matches_the_closure_form_on_edge_boxes(lo, hi):
                        [sol.x_star, sol.y_star, sol.epsilon])
 
 
-def assert_same_minimiser(lo, hi):
-    assert same_floats(vnsynth._box_minimiser(lo, hi), box_minimiser_looped(lo, hi))
-
-
 # Boxes on whose corner (hi, lo) the edges x = hi and y = lo both land:
-# their candidates tie exactly.
+# the loop's candidates tie exactly.
 corner_ties = st.floats(1 / 3, 2 / 3).flatmap(
     lambda lo: st.tuples(st.just(lo), st.floats(lo, 1.0 - lo / 2.0)))
 
 
 @settings(max_examples=300)
-@given(a=st.one_of(st.floats(-0.5, 1.5), box_edges),
-       b=st.one_of(st.floats(-0.5, 1.5), box_edges), tie=corner_ties)
-def test_flat_box_minimiser_matches_the_candidate_loop(a, b, tie):
-    assert_same_minimiser(min(a, b), max(a, b))
-    assert_same_minimiser(*tie)
+@given(a=st.one_of(free_ends, box_edges), b=st.one_of(free_ends, box_edges),
+       tie=corner_ties, near=boundary_boxes)
+def test_flat_box_minimiser_matches_the_candidate_loop(a, b, tie, near):
+    for lo, hi in ((min(a, b), max(a, b)), tie, near):
+        assert near_value(vnsynth._box_minimiser(lo, hi)[2],
+                          box_minimiser_looped(lo, hi)[2])
+
+
+# The objective's gradient is (2x + y - 2, x + 2y - 1)/3. The returned x
+# and y are box ends, or one rounding (at most 1.1e-16 here) from the
+# edge optimum, so each component without the 1/3, its terms below 4.5
+# in magnitude, is off by at most 3 * 1.1e-16 plus two roundings of at
+# most 4.4e-16: under 1.3e-15, within 8 eps (1.8e-15).
+GRADIENT_TOL = 8 * np.finfo(float).eps
+
+
+@settings(max_examples=500)
+@given(a=st.one_of(free_ends, box_edges), b=st.one_of(free_ends, box_edges),
+       near=boundary_boxes)
+def test_box_minimiser_meets_the_optimality_conditions(a, b, near):
+    for lo, hi in ((min(a, b), max(a, b)), near):
+        x, y, value = vnsynth._box_minimiser(lo, hi)
+        assert (x, y) == (1.0, 0.0) or x == hi or y == lo
+        assert lo <= x <= hi and lo <= y <= hi
+        assert same_floats([value], [qubit_objective(x, y)])
+        # each gradient component is not positive where its coordinate is
+        # above lo, and not negative where it is below hi
+        for g, v in ((2.0 * x + y - 2.0, x), (x + 2.0 * y - 1.0, y)):
+            assert v == lo or g <= GRADIENT_TOL
+            assert v == hi or g >= -GRADIENT_TOL
 
 
 @pytest.mark.parametrize("lo, hi", [
@@ -323,7 +375,12 @@ def test_flat_box_minimiser_matches_the_candidate_loop(a, b, tie):
     (0.4, 0.5), (1 / 3, 5 / 6), (2 / 3, 2 / 3), (0.4, float(np.nextafter(0.8, 1.0))),
 ])
 def test_flat_box_minimiser_matches_the_candidate_loop_on_edge_boxes(lo, hi):
-    assert_same_minimiser(lo, hi)
+    expected = box_minimiser_looped(lo, hi)
+    if (lo, hi) == (0.4, float(np.nextafter(0.8, 1.0))):
+        # the loop's first candidate of least value is the corner (hi, lo),
+        # an ulp from the minimiser (0.8, 0.4) on y = lo, of the same value
+        expected = (0.8, 0.4, expected[2])
+    assert same_floats(vnsynth._box_minimiser(lo, hi), expected)
 
 
 # ---------------------------------------------------------------------------
@@ -992,17 +1049,6 @@ near_ends = st.sampled_from([0.0, -0.0, -1e-17, 1e-17, 0.5, float(np.nextafter(0
                              float(np.nextafter(1.0, 0.0)), 1.0 + 2**-52])
 
 
-@settings(max_examples=200)
-@given(boxes=st.lists(st.tuples(st.one_of(st.floats(-0.5, 1.5), near_ends),
-                                st.one_of(st.floats(-0.5, 1.5), near_ends)),
-                      max_size=30))
-def test_box_memo_gives_each_box_its_own_score(boxes):
-    memo = {}
-    for a, b in boxes:
-        lo, hi = min(a, b), max(a, b)
-        assert same_floats(vnsynth._score(lo, hi, memo), vnsynth._score(lo, hi))
-
-
 def assert_same_result(result, ref):
     assert result.protocol.assignment == ref.protocol.assignment
     assert result.co_optimal == ref.co_optimal
@@ -1053,13 +1099,7 @@ def test_dense_searches_score_as_per_candidate(seed, m, n_uses):
     (random_povm_of_ranks(3, (1, 2), Rng(169)), 4),  # rank deficient
     (random_povm_of_ranks(4, (3, 1), Rng(21)), 3),  # zero-error ties
 ])
-def test_repeated_boxes_are_solved_once_with_the_same_bits(povm, n_uses):
-    with mock.patch.object(vnsynth, "_box_minimiser",
-                           wraps=vnsynth._box_minimiser) as box:
-        syn = synthesize(povm, n_uses, Rng(4))
-    # one run per distinct box scored or used as a side bound, plus the
-    # winner's solution
-    assert box.call_count < syn.evaluated
+def test_inputs_with_repeated_boxes_score_as_per_candidate(povm, n_uses):
     assert_searches_score_as_per_candidate(povm, n_uses, 4)
 
 
