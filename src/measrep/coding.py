@@ -3,11 +3,11 @@
 A measurement induces a classical channel over basis states; its
 capacity (computed by Blahut-Arimoto with a certified two-sided gap)
 lower-bounds the achievable reproduction rate. Concrete repetition and
-random codebooks demonstrate the block protocol at desk scale. The
-exact count-vector ML error, ``cloning_error_rate``, serves both
-cloning and coding: one repetition-coded symbol decodes exactly as
-cloning of the channel's rows. Its multinomial weights take every
-log k! from one function, ``math.lgamma``.
+random codebooks demonstrate the block protocol at desk scale. One
+count-vector law serves cloning and coding: a repetition-coded symbol
+decodes exactly as cloning of the channel's rows, so its exact error is
+``cloning_error_rate`` and the simulation draws its decoded letter from
+the same weights' confusion matrix. Every log k! is ``math.lgamma``'s.
 """
 
 from __future__ import annotations
@@ -88,17 +88,11 @@ def _count_vectors(n: int, m: int) -> np.ndarray:
     return counts
 
 
-def cloning_error_rate(table, n_uses: int) -> np.ndarray:
-    """Exact ML decoding error per row of an outcome table after n_uses
-    i.i.d. draws: N-fold cloning on a ``CloningBasis.table``, or one
-    repetition-coded symbol on a channel's ``matrix``.
-
-    The ML decision depends on the outcome string only through its
-    counts, so the error sums multinomial weights over count vectors. A
-    count vector that no row can give joins every sum, with weight 0.
-    Each step runs over all count vectors at once, one output or one
-    row of the table at a time, adding the outputs in order.
-    """
+def _count_vector_law(table, n_uses: int):
+    """For each row x of an outcome table, yield the ML decision on every
+    count vector of n_uses i.i.d. draws (``_ml_decode_counts``; -1 for a
+    vector no row can give, which weighs 0 under all) and the vectors'
+    multinomial weights under row x, outputs added in order, in one buffer."""
     table = np.asarray(table, dtype=float)
     if table.ndim != 2 or 0 in table.shape or not np.all(np.isfinite(table)):
         raise ShapeMismatch("an outcome table must be 2-D, non-empty and finite")
@@ -110,9 +104,9 @@ def cloning_error_rate(table, n_uses: int) -> np.ndarray:
     rows = math.comb(n_uses + m - 1, m - 1)
     if rows <= _COUNT_VECTOR_CAP:  # past the cap, _count_vectors raises
         # the count columns, the (d, R) log-likelihoods, five R-long
-        # temporaries and the n + 1 values of log k!
+        # temporaries, n + 1 values of log k! and C with one row's bins
         _check_bytes("the count-vector ML error",
-                     8 * (rows * (m + d + 5) + n_uses + 1))
+                     8 * (rows * (m + d + 5) + n_uses + 1 + d * (d + 1)))
     counts = _count_vectors(n_uses, m)
     log_fact = np.fromiter(map(math.lgamma, range(1, n_uses + 2)), float, n_uses + 1)
     log_multi = log_fact.take(counts[:, 0].astype(np.intp))
@@ -122,7 +116,6 @@ def cloning_error_rate(table, n_uses: int) -> np.ndarray:
     logp = _safe_log(table)
     dec = _ml_decode_counts(counts, logp)
     terms, weight = np.empty_like(log_multi), np.empty_like(log_multi)
-    errs = np.zeros(d)
     for x in range(d):
         # an unseen zero-probability output adds 0 * _LOG_ZERO, a zero; a
         # seen one kills the weight
@@ -131,8 +124,27 @@ def cloning_error_rate(table, n_uses: int) -> np.ndarray:
             terms += np.multiply(counts[:, a], logp[x, a], out=weight)
         np.exp(np.add(log_multi, terms, out=weight), out=weight)
         weight[terms < _LOG_ZERO / 2] = 0.0
-        errs[x] = float(np.sum(weight[dec != x]))
-    return errs
+        yield dec, weight
+
+
+def cloning_error_rate(table, n_uses: int) -> np.ndarray:
+    """Exact ML decoding error per row of an outcome table after n_uses
+    i.i.d. draws: N-fold cloning on a ``CloningBasis.table``, or one
+    repetition-coded symbol on a channel's ``matrix``. The decision reads
+    the outcome string only through its counts, so the error sums the
+    weights of the count vectors that decode wrong."""
+    return np.array([np.sum(weight[dec != x]) for x, (dec, weight)
+                     in enumerate(_count_vector_law(table, n_uses))])
+
+
+def _confusion_matrix(table, n_uses: int) -> np.ndarray:
+    """C[x, y]: the probability that n_uses i.i.d. draws from row x of an
+    outcome table decode to y, one ``np.bincount`` per row. An undecodable
+    vector counted as decision 0 adds an exact 0, as if it were dropped."""
+    conf = np.empty((len(table), len(table)))
+    for x, (dec, weight) in enumerate(_count_vector_law(table, n_uses)):
+        conf[x] = np.bincount(np.maximum(dec, 0, out=dec), weight, minlength=len(conf))
+    return conf
 
 
 # ---------------------------------------------------------------------------
@@ -168,29 +180,29 @@ class ClassicalChannel:
     def outputs(self) -> int:
         return self.matrix.shape[1]
 
-    def sample(self, letters: np.ndarray, rng: Rng, copies: int) -> np.ndarray:
-        """Pass each letter through the channel ``copies`` times in a row, as
-        ``np.repeat(letters, copies, axis=-1)`` would; the last output takes every
-        uniform past the others' cumulative sums, gathered once per letter."""
-        letters = _check_letters(letters, self.inputs, "input")
-        if letters.ndim == 0:
-            raise ShapeMismatch("need input letters along at least one axis")
-        if copies < 1:
-            raise ShapeMismatch(f"need copies >= 1, not {copies}")
-        cum = np.cumsum(self.matrix, axis=1)
-        u = rng.generator.random(letters.shape + (copies,))
-        # counted in the smallest unsigned type that holds every output
-        out = np.zeros(u.shape, np.min_scalar_type(self.outputs))
-        for j in range(self.outputs - 1):
-            out += u > cum[:, j].take(letters)[..., None]
-        shape = letters.shape[:-1] + (letters.shape[-1] * copies,)
-        return out.reshape(shape).astype(np.intp)
+    def sample(self, letters: np.ndarray, rng: Rng) -> np.ndarray:
+        """Pass each letter through the channel once (``_draw``)."""
+        return _draw(self.matrix, _check_letters(letters, self.inputs, "input"), rng)
+
+
+def _draw(matrix: np.ndarray, letters: np.ndarray, rng: Rng) -> np.ndarray:
+    """A column of ``matrix`` per letter, drawn from its row with one uniform
+    each in C order; the last column takes every uniform past the others'."""
+    cum = np.cumsum(matrix, axis=1)
+    u = rng.generator.random(letters.shape)
+    # counted in the smallest unsigned type that holds every column
+    out = np.zeros(u.shape, np.min_scalar_type(matrix.shape[1]))
+    for j in range(matrix.shape[1] - 1):
+        out += u > cum[:, j].take(letters)
+    return out.astype(np.intp)
 
 
 def _check_letters(letters, alphabet: int, kind: str) -> np.ndarray:
-    """``letters`` as an array, or ``ShapeMismatch`` unless every one is an
-    integer in 0..alphabet - 1 (bool letters read as 0 and 1)."""
+    """``letters`` as an array, or ``ShapeMismatch`` unless it has an axis and
+    each letter is an integer in 0..alphabet - 1 (bools read as 0 and 1)."""
     letters = np.asarray(letters)
+    if letters.ndim == 0:
+        raise ShapeMismatch(f"need {kind} letters along at least one axis")
     if letters.dtype.kind not in "biu":
         raise ShapeMismatch(f"need integer {kind} letters, not {letters.dtype}")
     if letters.size and not 0 <= letters.min() <= letters.max() < alphabet:
@@ -285,7 +297,7 @@ class BlockCode:
     ``np.repeat(codebook[i], copies)``: a repetition code's row is those
     digits, a random code's its drawn codeword, sent once."""
 
-    kind: str  # repetition (per-symbol ML) | random (ML over codewords)
+    kind: str  # repetition (simulated per symbol, from C) | random
     k: int
     n: int
     d: int  # alphabet size (messages and codewords)
@@ -293,30 +305,19 @@ class BlockCode:
     codebook: np.ndarray  # (d**k, n // copies)
 
     def decode(self, outputs: np.ndarray, channel: ClassicalChannel) -> np.ndarray:
-        """ML decode output rows (batch, n) back to message rows (batch, k)."""
+        """ML decode output rows (batch, n) back to message rows (batch, k)
+        over the codewords as sent, in row blocks within ``qcore._BLOCK_BYTES``:
+        tables[j, y, w] = log W(y | c_w[j]) makes each codeword position's
+        addend one row gather, added in position order."""
         outputs = np.asarray(outputs)
         if outputs.ndim != 2 or outputs.shape[1] != self.n or channel.inputs != self.d:
             raise ShapeMismatch(f"need {self.n} outputs a row, {self.d} channel inputs")
         _check_letters(outputs, channel.outputs, "output")
-        logw = _safe_log(channel.matrix)
-        if self.kind == "repetition":
-            grouped = outputs.reshape(outputs.shape[0], self.k, self.copies)
-            # log-likelihood (batch, k, d) of each input letter for each
-            # message symbol; the copies are added one at a time, in order,
-            # since a pairwise sum rounds differently and can flip ties
-            t = np.ascontiguousarray(logw.T)
-            ll = t.take(grouped[..., 0], axis=0)
-            for c in range(1, self.copies):
-                ll += t.take(grouped[..., c], axis=0)
-            return _ml_argmax(ll)
-        # random codebook: full ML over all codewords, in blocks of rows
-        # so the log-likelihood table stays within qcore._BLOCK_BYTES. One
-        # table per codeword position, tables[j, y, w] = log W(y | c_w[j]),
-        # turns each position's addend into one row gather; the addends
-        # are added in position order, as one (trials, n) sum would be.
         n_words = self.codebook.shape[0]
         _check_bytes("the decode tables", 8 * self.n * channel.outputs * n_words)
-        tables = np.ascontiguousarray(logw.T[:, self.codebook.T].swapaxes(0, 1))
+        words = np.repeat(self.codebook, self.copies, axis=1)
+        tables = np.ascontiguousarray(
+            _safe_log(channel.matrix).T[:, words.T].swapaxes(0, 1))
         rows = max(1, qcore._BLOCK_BYTES // (8 * n_words))
         idx = np.empty(outputs.shape[0], dtype=np.intp)
         for start in range(0, outputs.shape[0], rows):
@@ -330,20 +331,9 @@ class BlockCode:
         return _unpack(idx, self.d, self.k)
 
 
-def _pack(messages: np.ndarray, d: int) -> np.ndarray:
-    idx = np.zeros(messages.shape[0], dtype=np.int64)
-    for j in range(messages.shape[1]):
-        idx = idx * d + messages[:, j]
-    return idx
-
-
 def _unpack(idx: np.ndarray, d: int, k: int) -> np.ndarray:
-    out = np.zeros((idx.size, k), dtype=np.int64)
-    v = idx.copy()
-    for j in range(k - 1, -1, -1):
-        out[:, j] = v % d
-        v //= d
-    return out
+    """The k base-d digits of each index, one row each, most significant first."""
+    return idx[:, None] // d ** np.arange(k - 1, -1, -1) % d
 
 
 def _check_messages(k: int, d: int, length: int, what: str) -> None:
@@ -413,12 +403,12 @@ def simulate_block_protocol(
     product states, so the outcome statistics factor through the
     classical channel.
 
-    All message indices are drawn first; the trials are then sent and
-    decoded in blocks of rows whose (rows, n) arrays stay within
-    ``qcore._BLOCK_BYTES``. Each block sends its messages' codebook rows,
-    each letter ``copies`` times, with uniforms drawn as (rows, letters,
-    copies) in C order: the same stream as one (trials, n) draw over the
-    repeated letters, so the result does not depend on the blocks.
+    All message indices are drawn first, then the trials run in row
+    blocks whose (rows, codebook letters) arrays stay within
+    ``qcore._BLOCK_BYTES``, one uniform per letter in C order: the same
+    stream as one whole draw. A random code's letters go through the
+    channel and ``decode``; a repetition code's symbols decode one by one,
+    so their decoded letters are drawn from rows of ``_confusion_matrix``.
     """
     if code.d != channel.inputs:
         raise ShapeMismatch("code alphabet does not match the channel input")
@@ -437,14 +427,20 @@ def simulate_block_protocol(
         if not 0.0 < total < math.inf:  # all zero, or a NaN or inf amplitude
             raise ShapeMismatch("amplitudes must have a finite nonzero norm")
         weights /= total
+    if code.kind == "repetition":
+        conf = _confusion_matrix(channel.matrix, code.copies)
     msg_idx = rng.generator.choice(n_msgs, size=trials, p=weights)
-    rows = max(1, qcore._BLOCK_BYTES // (8 * code.n))
+    rows = max(1, qcore._BLOCK_BYTES // (8 * code.codebook.shape[1]))
+    place = code.d ** np.arange(code.k - 1, -1, -1)  # digits @ place = message index
     n_errors = 0
     counts = np.zeros(n_msgs, dtype=np.intp)
     for start in range(0, trials, rows):
         sent = msg_idx[start : start + rows]
-        outputs = channel.sample(code.codebook[sent], rng, code.copies)
-        decoded = _pack(code.decode(outputs, channel), code.d)
+        letters = code.codebook[sent]
+        if code.kind == "repetition":
+            decoded = _draw(conf, letters, rng) @ place
+        else:
+            decoded = code.decode(channel.sample(letters, rng), channel) @ place
         n_errors += int(np.count_nonzero(decoded != sent))
         counts += np.bincount(decoded, minlength=n_msgs)
     rate = n_errors / trials

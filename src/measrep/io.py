@@ -37,6 +37,9 @@ def _matrix_from_json(rows, what: str) -> np.ndarray:
         raise MalformedFile(f"{what}: entries must be [re, im] pairs") from exc
     if arr.ndim != 2:
         raise MalformedFile(f"{what}: expected a matrix")
+    # validation squares entries, a Kraus entry twice; NaN and inf fail later
+    if 1e50 <= np.abs(arr).max(initial=0.0) < np.inf:
+        raise MalformedFile(f"{what}: entries must lie below 1e50 in magnitude")
     return arr
 
 

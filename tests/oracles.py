@@ -18,7 +18,6 @@ from measrep.coding import (
     ClassicalChannel,
     _ml_argmax,
     _ml_decode_counts,
-    _pack,
     _safe_log,
     _unpack,
     associated_channel,
@@ -660,19 +659,13 @@ def blahut_arimoto_wrapped(channel, tol=1e-6):
 # library must compute the same bits without their large temporaries.
 
 
-def channel_sample_broadcast(channel, letters, rng):
-    """``ClassicalChannel.sample`` through a (..., outputs) comparison."""
-    cum = np.cumsum(channel.matrix, axis=1)
+def channel_sample_broadcast(matrix, letters, rng):
+    """``ClassicalChannel.sample`` on a channel's ``matrix``, or the draw
+    of decoded letters from a confusion matrix, through a
+    (..., columns) comparison."""
+    cum = np.cumsum(matrix, axis=1)
     u = rng.generator.random(letters.shape)
     return (u[..., None] > cum[letters]).sum(axis=-1)
-
-
-def repetition_decode_gather(code, outputs, channel):
-    """Repetition ``decode`` through one mixed fancy-index gather."""
-    logw = _safe_log(channel.matrix)
-    grouped = outputs.reshape(outputs.shape[0], code.k, code.copies)
-    ll = logw[:, grouped].sum(axis=-1)  # (d, batch, k)
-    return _ml_argmax(np.moveaxis(ll, 0, -1))
 
 
 def random_decode_full_table(code, outputs, channel):
@@ -703,7 +696,10 @@ def random_decode_strided_gather(code, outputs, channel):
 
 def block_protocol_whole_arrays(channel, code, amplitudes, trials, rng):
     """(error rate, standard error, decoded distribution) of
-    ``simulate_block_protocol``, holding every (trials, n) array at once."""
+    ``simulate_block_protocol``, holding every (trials, n) array at once:
+    a repetition code's decoded letters drawn from the rows of the
+    confusion matrix in one pass, a random code's outputs sampled and
+    decoded in one pass."""
     n_msgs = code.d**code.k
     if amplitudes is None:
         weights = np.full(n_msgs, 1.0 / n_msgs)
@@ -712,12 +708,16 @@ def block_protocol_whole_arrays(channel, code, amplitudes, trials, rng):
         weights /= weights.sum()
     msg_idx = rng.generator.choice(n_msgs, size=trials, p=weights)
     messages = _unpack(msg_idx, code.d, code.k)
-    codewords = np.repeat(code.codebook[msg_idx], code.copies, axis=1)
-    outputs = channel.sample(codewords, rng, 1)
-    decoded = code.decode(outputs, channel)
+    if code.kind == "repetition":
+        conf = coding._confusion_matrix(channel.matrix, code.copies)
+        decoded = channel_sample_broadcast(conf, messages, rng)
+    else:
+        outputs = channel.sample(code.codebook[msg_idx], rng)
+        decoded = code.decode(outputs, channel)
     rate = float(np.mean(np.any(decoded != messages, axis=1)))
     se = math.sqrt(max(rate * (1.0 - rate), 0.0) / trials)
-    dist = np.bincount(_pack(decoded, code.d), minlength=n_msgs).astype(float) / trials
+    decoded_idx = np.ravel_multi_index(tuple(decoded.T), (code.d,) * code.k)
+    dist = np.bincount(decoded_idx, minlength=n_msgs).astype(float) / trials
     return rate, se, dist
 
 
@@ -750,6 +750,20 @@ def exact_ml_error_by_strings(table, n):
         prob = np.prod(table[x][strings], axis=1)
         errs[x] = prob[dec != x].sum()
     return errs
+
+
+def confusion_by_strings(table, n):
+    """Per-symbol confusion matrix, C[x, y], as a sum over all m^n outcome
+    strings of their probability under row x, each string decoded on its
+    own: its log-likelihoods added copy by copy, under ``_ml_argmax``'s
+    12-decimal rule. A string no row can give weighs 0 under every row,
+    whatever it decodes to."""
+    d, m = table.shape
+    strings = np.array(list(itertools.product(range(m), repeat=n)),
+                       dtype=np.intp).reshape(m**n, n)
+    dec = _ml_argmax(_safe_log(table).T[strings].sum(axis=1))
+    return np.array([np.bincount(dec, np.prod(table[x][strings], axis=1), minlength=d)
+                     for x in range(d)])
 
 
 # Earlier form of the Haar-sampled estimator: the library must give the

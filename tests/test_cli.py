@@ -7,6 +7,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -48,6 +49,28 @@ def test_validate_nan_file(tmp_path, capsys):
     code = cli.main(["validate", path])
     assert code == 1
     assert path in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind, elements, where", [
+    ("povm", [[[[1e308, 0.0]]]], "element 0"),
+    ("instrument", [[[[[0.0, 1e100]]]]], "outcome 0 Kraus 0"),
+], ids=["povm", "instrument"])
+def test_validate_rejects_an_entry_too_large_to_square(tmp_path, capsys, kind, elements,
+                                                       where):
+    # the 1 x 1 POVM [1e308] used to print three numpy RuntimeWarnings, for
+    # overflows in the norm and in (e + e^dagger) / 2, and report an
+    # infinite eigenvalue; the norm of K^dagger K overflowed for the Kraus
+    # operator [1e100 i]
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"kind": kind, "dim": 1, "outcomes": 1,
+                                "elements": elements}), encoding="utf-8")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = cli.main(["validate", str(path)])
+    err = capsys.readouterr().err
+    assert code == 1 and caught == []
+    assert err.splitlines() == [f"error: {path}: {where}: entries must lie below "
+                                "1e50 in magnitude"]
 
 
 def test_validate_invalid_builtin_shows_report(capsys):

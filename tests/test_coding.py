@@ -34,12 +34,12 @@ from oracles import (
     block_protocol_whole_arrays,
     channel_sample_broadcast,
     cloning_error_rate_sampled,
+    confusion_by_strings,
     count_vectors_from_cuts,
     exact_ml_error_by_strings,
     random_decode_full_table,
     random_decode_strided_gather,
     random_povm,
-    repetition_decode_gather,
 )
 
 
@@ -421,7 +421,7 @@ def test_statevector_path_size_cap():
 def test_channel_sampling_statistics():
     bsc = binary_symmetric_channel(0.25)
     letters = np.zeros(50_000, dtype=np.int64)
-    out = bsc.sample(letters, Rng(19), 1)
+    out = bsc.sample(letters, Rng(19))
     assert abs(out.mean() - 0.25) < 0.01
 
 
@@ -490,39 +490,41 @@ def test_capacity_is_the_mutual_information_at_its_input(seed, d, m):
 def test_channel_sample_matches_the_broadcast_comparison(channel, trials, n, seed):
     letters = Rng(seed).generator.integers(0, channel.inputs, size=(trials, n))
     assert_same_array(
-        channel.sample(letters, Rng(seed, 1), 1),
-        channel_sample_broadcast(channel, letters, Rng(seed, 1)),
+        channel.sample(letters, Rng(seed, 1)),
+        channel_sample_broadcast(channel.matrix, letters, Rng(seed, 1)),
     )
 
 
-# letters of any leading shape, each sent copies 1..20 times; channels
-# with 300 outputs count in uint16
+# letters of any leading shape; channels with 300 outputs count in uint16
 @settings(max_examples=80)
 @given(channel=channels | st.builds(random_channel, seeds, st.integers(2, 3),
                                     st.just(300), st.booleans(), st.booleans()),
-       lead=st.lists(st.integers(0, 30), max_size=2), k=st.integers(1, 3),
-       copies=st.integers(1, 20), seed=seeds)
-def test_channel_sample_per_symbol_matches_the_repeated_letters(channel, lead, k,
-                                                                copies, seed):
+       lead=st.lists(st.integers(0, 30), max_size=2), k=st.integers(1, 3), seed=seeds)
+def test_channel_sample_of_any_shape_matches_the_broadcast_comparison(channel, lead, k,
+                                                                      seed):
     letters = Rng(seed).generator.integers(0, channel.inputs, size=(*lead, k))
-    repeated = np.repeat(letters, copies, axis=-1)
     assert_same_array(
-        channel.sample(letters, Rng(seed, 1), copies),
-        channel_sample_broadcast(channel, repeated, Rng(seed, 1)),
+        channel.sample(letters, Rng(seed, 1)),
+        channel_sample_broadcast(channel.matrix, letters, Rng(seed, 1)),
     )
 
 
-# copies 1..20 covers both sides of 8, where a contiguous sum over the
-# copies would switch to pairwise summation
 @settings(max_examples=80)
-@given(channel=channels, k=st.integers(1, 3), copies=st.integers(1, 20),
-       trials=st.integers(0, 300), seed=seeds)
-def test_repetition_decode_matches_the_gather(channel, k, copies, trials, seed):
-    code = repetition_code(k, copies, channel.inputs)
-    outputs = Rng(seed).generator.integers(0, channel.outputs, size=(trials, code.n))
-    assert_same_array(
-        code.decode(outputs, channel), repetition_decode_gather(code, outputs, channel)
-    )
+@given(channel=channels, n=st.integers(0, 6))
+def test_confusion_matrix_matches_a_decode_of_every_output_string(channel, n):
+    conf = coding._confusion_matrix(channel.matrix, n)
+    assert np.max(np.abs(conf - confusion_by_strings(channel.matrix, n))) <= 1e-12
+
+
+@settings(max_examples=80)
+@given(channel=channels, n=st.integers(0, 30))
+def test_confusion_rows_are_distributions_whose_errors_are_the_exact_ml_error(channel,
+                                                                              n):
+    conf = coding._confusion_matrix(channel.matrix, n)
+    errs = cloning_error_rate(channel.matrix, n)
+    assert np.max(np.abs(conf.sum(axis=1) - 1.0)) <= 1e-12
+    off_diagonal = np.where(np.eye(channel.inputs, dtype=bool), 0.0, conf).sum(axis=1)
+    assert np.max(np.abs(off_diagonal - errs)) <= 1e-14
 
 
 # trials = blocks * rows + extra: none, part of one row block, whole
@@ -578,31 +580,28 @@ def test_random_decode_tables_are_checked_before_they_are_built():
     assert peak < 2**22
 
 
-@pytest.mark.parametrize("letters, copies, message", [
+@pytest.mark.parametrize("letters, message", [
     # -1 used to read the last input's thresholds, 2 ended in numpy's
-    # IndexError, a fraction in a TypeError and copies -1 in a ValueError
-    ([[0, -1]], 1, r"^need input letters in 0\.\.1$"),
-    ([[2, 0]], 3, r"^need input letters in 0\.\.1$"),
-    ([[0.5, 0.0]], 1, r"^need integer input letters, not float64$"),
-    ([[0, 1]], 0, r"^need copies >= 1, not 0$"),
-    ([[0, 1]], -1, r"^need copies >= 1, not -1$"),
+    # IndexError and a fraction in a TypeError
+    ([[0, -1]], r"^need input letters in 0\.\.1$"),
+    ([[2, 0]], r"^need input letters in 0\.\.1$"),
+    ([[0.5, 0.0]], r"^need integer input letters, not float64$"),
     # a 0-d letter ended in an IndexError from letters.shape[-1]
-    (1, 1, r"^need input letters along at least one axis$"),
-], ids=["negative", "past-the-inputs", "fraction", "no-copies", "negative-copies",
-        "no-axis"])
-def test_channel_sample_rejects_letters_outside_the_inputs(letters, copies, message):
+    (1, r"^need input letters along at least one axis$"),
+], ids=["negative", "past-the-inputs", "fraction", "no-axis"])
+def test_channel_sample_rejects_letters_outside_the_inputs(letters, message):
     channel = ClassicalChannel(np.array([[0.5, 0.25, 0.25], [0.0, 0.5, 0.5]]))
     with pytest.raises(ShapeMismatch, match=message):
-        channel.sample(np.array(letters), Rng(0), copies)
+        channel.sample(np.array(letters), Rng(0))
 
 
 def test_channel_sample_counts_past_the_byte_range():
     # 300 outputs: the comparisons are counted in uint16
     channel = random_channel(5, 3, 300, zeros=True, mirror=False)
     letters = Rng(6).generator.integers(0, 3, size=(40, 7))
-    out = channel.sample(letters, Rng(6, 1), 1)
+    out = channel.sample(letters, Rng(6, 1))
     assert out.max() > 255
-    assert_same_array(out, channel_sample_broadcast(channel, letters, Rng(6, 1)))
+    assert_same_array(out, channel_sample_broadcast(channel.matrix, letters, Rng(6, 1)))
 
 
 def test_channel_sample_never_passes_the_last_output():
@@ -611,7 +610,7 @@ def test_channel_sample_never_passes_the_last_output():
     channel = ClassicalChannel(np.array([[0.5, 0.5 - 4e-13], [0.25, 0.75]]))
     top = SimpleNamespace(generator=SimpleNamespace(
         random=lambda shape: np.full(shape, 1.0 - 2.0**-53)))
-    out = channel.sample(np.zeros((3, 5), dtype=np.int64), top, 1)
+    out = channel.sample(np.zeros((3, 5), dtype=np.int64), top)
     assert (out == channel.outputs - 1).all()
     assert (repetition_code(1, 5, 2).decode(out, channel) == 1).all()
 
@@ -626,9 +625,7 @@ def random_amplitudes(seed, n):
 
 
 # trials around the row block: 1, one short of it, exactly it, one over,
-# and several blocks plus a part; repetition codes of 1 to 20 copies,
-# past 8, where a contiguous sum over the copies would switch to pairwise
-# summation
+# and several blocks plus a part; repetition codes of 1 to 20 copies
 @settings(max_examples=40)
 @given(channel=channels, random_code=st.booleans(), k=st.integers(1, 4),
        extra=st.integers(0, 8), copies=st.integers(1, 20), amplitudes=st.booleans(),
@@ -642,7 +639,7 @@ def test_block_simulation_in_row_blocks_matches_the_whole_arrays(
         code = random_codebook(k, k + extra, d, Rng(seed))
     else:
         code = repetition_code(k, copies, d)
-    rows = max(1, qcore._BLOCK_BYTES // (8 * code.n))
+    rows = max(1, qcore._BLOCK_BYTES // (8 * code.codebook.shape[1]))
     trials = {"one": 1, "short": rows - 1, "block": rows, "over": rows + 1,
               "blocks": blocks * rows + 1 + part % (rows - 1)}[which]
     amps = random_amplitudes(seed, d**k) if amplitudes else None
@@ -666,6 +663,14 @@ def test_block_simulation_holds_no_trials_by_n_arrays():
     finally:
         tracemalloc.stop()
     assert peak < 8 * 2**20
+
+
+def test_repetition_simulation_past_the_count_vector_cap_fails_before_any_draw():
+    # 3,000,001 count vectors for 3,000,000 copies over 2 outputs; the
+    # simulation used to draw and decode every copy, for 5 s a trial
+    code = repetition_code(1, 3_000_000, 2)
+    with pytest.raises(TooLarge, match="^count vectors for n = 3000000 exceed the cap"):
+        simulate_block_protocol(binary_symmetric_channel(0.1), code, None, 1, Rng(0))
 
 
 @settings(max_examples=80)
@@ -751,26 +756,29 @@ def test_count_vectors_within_their_cap_still_fit_the_byte_budget():
                                      (3, 6, 20), (1, 7, 14)])
 def test_exact_ml_error_stays_within_the_bytes_it_checks(d, m, n):
     # 585,276 count vectors at (2, 4, 150); a peak past the checked bytes
-    # would make the budget check a guess
+    # would make the budget check a guess. The error and the confusion
+    # matrix share the check.
     rows = math.comb(n + m - 1, m - 1)
     table = np.full((d, m), 1.0 / m)
     table[0] = np.arange(1, m + 1) / (m * (m + 1) / 2)
-    checked = []
     real_check = qcore._check_bytes
+    for law in (cloning_error_rate, coding._confusion_matrix):
+        checked = []
 
-    def record(what, nbytes, *args):
-        checked.append((what, nbytes))
-        real_check(what, nbytes, *args)
+        def record(what, nbytes, *args):
+            checked.append((what, nbytes))
+            real_check(what, nbytes, *args)
 
-    tracemalloc.start()
-    try:
-        with mock.patch.object(coding, "_check_bytes", record):
-            cloning_error_rate(table, n)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert checked[0] == ("the count-vector ML error", 8 * (rows * (m + d + 5) + n + 1))
-    assert 8 * rows * (m + d) < peak <= checked[0][1]
+        tracemalloc.start()
+        try:
+            with mock.patch.object(coding, "_check_bytes", record):
+                law(table, n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert checked[0] == ("the count-vector ML error",
+                              8 * (rows * (m + d + 5) + n + 1 + d * (d + 1)))
+        assert 8 * rows * (m + d) < peak <= checked[0][1]
 
 
 def test_exact_ml_error_past_the_byte_budget_fails_before_building_anything():
@@ -780,7 +788,7 @@ def test_exact_ml_error_past_the_byte_budget_fails_before_building_anything():
     tracemalloc.start()
     try:
         with pytest.raises(TooLarge, match="the count-vector ML error would take "
-                           "8064008064 bytes, over the budget"):
+                           "8072016064 bytes, over the budget"):
             cloning_error_rate(table, 10**6)
         peak = tracemalloc.get_traced_memory()[1]
     finally:

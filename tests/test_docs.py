@@ -1,7 +1,7 @@
 """Every dotted name that README.md and PAPER.md cite resolves.
 
 A name is cited in backticks, such as ``coding._MAX_ITER`` or
-``ClassicalChannel.sample(letters, rng, copies)``. One whose head is
+``ClassicalChannel.sample(letters, rng)``. One whose head is
 ``measrep``, one of its modules or a public class of one of them must
 resolve against the package attribute by attribute, so a deleted name
 cannot linger in the docs. Other heads, such as ``np.linalg``, are not
