@@ -10,6 +10,7 @@ rows as CSV; ``--json`` dumps the raw report.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import hashlib
 import json
@@ -24,7 +25,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from . import __version__, coding, io, qcore, rms, subroutines, vnsynth
-from .errors import (MalformedName, MeasrepError, ShapeMismatch, TooFewSamples,
+from .errors import (InvalidBounds, MalformedName, MeasrepError, ShapeMismatch,
                      UnwritableFile)
 from .qcore import Rng
 
@@ -52,16 +53,16 @@ class RunReport:
 
 
 def _digest(*parts) -> str:
-    """Hash of the numpy and measrep versions and the inputs, with the
-    bytes of each input that names a readable file and no built-in."""
+    """Hash of the numpy and measrep versions and the inputs: the bytes of
+    each input that names a readable file and no built-in, else its repr,
+    so one file's digest does not depend on its path."""
     h = hashlib.sha256(repr((np.__version__, __version__)).encode())
     for p in parts:
-        h.update(repr(p).encode())
-        try:
-            if io._builtin(str(p)) is None:  # a built-in name reads no file
-                h.update(Path(p).read_bytes())
-        except (TypeError, ValueError, OSError):  # not a path, or unreadable
-            pass
+        data = repr(p).encode()
+        if isinstance(p, str) and io._builtin(p) is None:  # a built-in reads no file
+            with contextlib.suppress(ValueError, OSError):  # a NUL, or unreadable
+                data = Path(p).read_bytes()
+        h.update(data)
     return h.hexdigest()[:16]
 
 
@@ -156,7 +157,7 @@ def _cmd_rms(args, report: RunReport) -> None:
 
 def _cmd_postmeas(args, report: RunReport) -> None:
     if not args.tol >= 0.0:  # NaN included: no row could pass
-        raise ShapeMismatch("tol must be nonnegative")
+        raise InvalidBounds("tol must be nonnegative")
     obj = io.load_measurement(args.measurement)
     target = obj if isinstance(obj, qcore.Instrument) else qcore.lueders_instrument(obj)
     impl = subroutines.build_measurement_isometry(target).instrument()
@@ -168,7 +169,7 @@ def _cmd_postmeas(args, report: RunReport) -> None:
 
 def _cmd_clone(args, report: RunReport) -> None:
     if args.max_n < 1:
-        raise TooFewSamples(f"{args.max_n} < 1 uses")
+        raise InvalidBounds(f"{args.max_n} < 1 uses")
     available = io.load_povm(args.measurement)
     basis = subroutines.select_cloning_basis(available)
     d = available.dim

@@ -19,7 +19,7 @@ from typing import Optional
 import numpy as np
 
 from . import qcore
-from .errors import NotConverged, ShapeMismatch, TooFewSamples, TooLarge
+from .errors import InvalidBounds, NotConverged, ShapeMismatch, TooLarge
 from .qcore import Povm, Rng, _check_bytes
 
 _LOG_ZERO = -1e30  # stands in for log 0: finite, so 0 * _LOG_ZERO is 0
@@ -99,14 +99,15 @@ def _count_vector_law(table, n_uses: int):
     if np.any(table < -1e-9) or np.any(np.abs(table.sum(axis=1) - 1.0) > 1e-9):
         raise ShapeMismatch("each row of an outcome table must be a distribution")
     if n_uses < 0:
-        raise TooFewSamples(f"{n_uses} < 0 draws")
+        raise InvalidBounds(f"{n_uses} < 0 draws")
     d, m = table.shape
     rows = math.comb(n_uses + m - 1, m - 1)
     if rows <= _COUNT_VECTOR_CAP:  # past the cap, _count_vectors raises
         # the count columns, the (d, R) log-likelihoods, five R-long
-        # temporaries, n + 1 values of log k! and C with one row's bins
+        # temporaries, n + 1 values of log k!, C with one row's bins, and
+        # the table as floats, its logs and two temporaries of their size
         _check_bytes("the count-vector ML error",
-                     8 * (rows * (m + d + 5) + n_uses + 1 + d * (d + 1)))
+                     8 * (rows * (m + d + 5) + n_uses + 1 + d * (d + 1 + 4 * m)))
     counts = _count_vectors(n_uses, m)
     log_fact = np.fromiter(map(math.lgamma, range(1, n_uses + 2)), float, n_uses + 1)
     log_multi = log_fact.take(counts[:, 0].astype(np.intp))
@@ -255,7 +256,7 @@ def blahut_arimoto(channel: ClassicalChannel, tol: float) -> CapacityResult:
     ``NotConverged`` with both bounds after ``_MAX_ITER`` iterations.
     """
     if not tol > 0.0:  # NaN included
-        raise ShapeMismatch("tol must be positive")
+        raise InvalidBounds("tol must be positive")
     w = channel.matrix
     n_in = channel.inputs
     r = np.full(n_in, 1.0 / n_in)
@@ -295,14 +296,24 @@ class BlockCode:
 
     Message i, whose k base-d digits read i, goes out as
     ``np.repeat(codebook[i], copies)``: a repetition code's row is those
-    digits, a random code's its drawn codeword, sent once."""
+    digits, a random code's its drawn codeword, sent once. The codebook
+    needs d^k rows of letters in 0..d - 1, checked after k, d and copies."""
 
     kind: str  # repetition (simulated per symbol, from C) | random
     k: int
-    n: int
     d: int  # alphabet size (messages and codewords)
     copies: int  # channel uses per letter
     codebook: np.ndarray  # (d**k, n // copies)
+
+    def __post_init__(self):
+        _check_messages(self.k, self.d, self.copies, "copies")
+        book = _check_letters(self.codebook, self.d, "codebook")
+        if book.ndim != 2 or book.shape[0] != self.d**self.k or book.shape[1] < 1:
+            raise ShapeMismatch(f"need a codebook of {self.d}^{self.k} nonempty rows")
+
+    @property
+    def n(self) -> int:
+        return self.codebook.shape[1] * self.copies
 
     def decode(self, outputs: np.ndarray, channel: ClassicalChannel) -> np.ndarray:
         """ML decode output rows (batch, n) back to message rows (batch, k)
@@ -342,7 +353,7 @@ def _check_messages(k: int, d: int, length: int, what: str) -> None:
     all d^k of them. A large k computes no d^k: the exponent is held at
     17, where 2^k is past the cap already."""
     if k < 1 or length < 1 or d < 2:
-        raise ShapeMismatch(f"need k >= 1, {what} >= 1, d >= 2")
+        raise InvalidBounds(f"need k >= 1, {what} >= 1, d >= 2")
     if d ** min(k, _CODEBOOK_CAP.bit_length()) > _CODEBOOK_CAP:
         raise TooLarge(f"{d}^{k} messages exceed the codebook cap of {_CODEBOOK_CAP}")
 
@@ -350,7 +361,7 @@ def _check_messages(k: int, d: int, length: int, what: str) -> None:
 def repetition_code(k: int, copies: int, d: int) -> BlockCode:
     """Each message digit sent ``copies`` times; per-symbol ML decode."""
     _check_messages(k, d, copies, "copies")
-    return BlockCode(kind="repetition", k=k, n=k * copies, d=d, copies=copies,
+    return BlockCode(kind="repetition", k=k, d=d, copies=copies,
                      codebook=_unpack(np.arange(d**k), d, k))
 
 
@@ -373,7 +384,7 @@ def random_codebook(k: int, n: int, d: int, rng: Rng) -> BlockCode:
             chosen.add(c)
             words.append(c)
     codebook = _unpack(np.array(words, dtype=np.int64), d, n)
-    return BlockCode(kind="random", k=k, n=n, d=d, copies=1, codebook=codebook)
+    return BlockCode(kind="random", k=k, d=d, copies=1, codebook=codebook)
 
 
 # ---------------------------------------------------------------------------
@@ -413,7 +424,7 @@ def simulate_block_protocol(
     if code.d != channel.inputs:
         raise ShapeMismatch("code alphabet does not match the channel input")
     if trials < 1:
-        raise TooFewSamples(f"{trials} < 1 trials")
+        raise InvalidBounds(f"{trials} < 1 trials")
     _check_bytes("the trials' messages and a codeword", 8 * (trials + code.n))
     n_msgs = code.d**code.k
     if amplitudes is None:

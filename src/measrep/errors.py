@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package: one meaning per class."""
 
 
 class MeasrepError(Exception):
@@ -6,7 +6,7 @@ class MeasrepError(Exception):
 
 
 class ShapeMismatch(MeasrepError):
-    """Matrix/vector dimensions are inconsistent with the declared factors."""
+    """An array argument of the wrong shape or content."""
 
 
 class NotHermitian(MeasrepError):
@@ -14,30 +14,17 @@ class NotHermitian(MeasrepError):
 
 
 class InvalidBounds(MeasrepError):
-    """A bound, noise parameter, seed or other parameter out of its range."""
-
-
-class Unachievable(MeasrepError):
-    """Requested expectation values cannot be realised by any state."""
+    """A scalar argument outside its range: a count, sample size,
+    tolerance, target, bound or seed."""
 
 
 class TrivialMeasurement(MeasrepError):
-    """All POVM elements are proportional to the identity."""
-
-
-class NotNormalized(MeasrepError):
-    """Kraus operators do not sum to a trace-preserving map."""
-
-
-class TooFewSamples(MeasrepError):
-    """Monte Carlo sample count below the supported minimum."""
+    """Every POVM element is proportional to the identity."""
 
 
 class NotConverged(MeasrepError):
-    """Iteration hit its cap before reaching the requested gap.
-
-    Carries the best two-sided bounds computed so far.
-    """
+    """An iterative computation stopped without a result; Blahut-Arimoto's
+    carries the best two-sided bounds computed so far."""
 
     def __init__(self, message, lower=None, upper=None):
         super().__init__(message)
@@ -63,4 +50,4 @@ class MalformedName(MeasrepError):
 
 
 class InvalidMeasurement(MeasrepError):
-    """Parsed measurement failed validation."""
+    """A measurement that fails validation, Kraus normalisation included."""

@@ -284,7 +284,7 @@ def _haar_normals(dim: int, count: int, rng: Rng):
     behind ``count`` Haar states z / ||z||: all real parts, then all
     imaginary parts."""
     if dim < 1 or count < 0:
-        raise ShapeMismatch(f"need dim >= 1 and count >= 0, got {dim} and {count}")
+        raise InvalidBounds(f"need dim >= 1 and count >= 0, got {dim} and {count}")
     _check_bytes("the Haar states", 16 * count * dim)
     g = rng.generator
     return g.standard_normal((count, dim)), g.standard_normal((count, dim))

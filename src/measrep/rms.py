@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import qcore
-from .errors import ShapeMismatch, TooFewSamples
+from .errors import InvalidBounds, ShapeMismatch
 from .qcore import Instrument, Povm, Rng, _haar_normals
 
 
@@ -132,7 +132,7 @@ def rms_monte_carlo_povm(
     """
     _check_povm_shapes(impl, target)
     if samples < 100:
-        raise TooFewSamples(f"{samples} < 100 samples")
+        raise InvalidBounds(f"{samples} < 100 samples")
     d = impl.dim
     coef = _quadratic_form_coefficients(impl, target)
     re, im = _haar_normals(d, samples, rng)

@@ -16,7 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import qcore
-from .errors import NotNormalized, ShapeMismatch, TrivialMeasurement
+from .errors import (InvalidMeasurement, NotConverged, ShapeMismatch,
+                     TrivialMeasurement)
 from .qcore import Instrument, Povm
 
 _ROW_DISTINCT_TV = 1e-6
@@ -54,7 +55,7 @@ class MeasurementIsometry:
 def build_measurement_isometry(target: Instrument) -> MeasurementIsometry:
     defect = target.normalization_defect()
     if defect > qcore.NORMALIZATION_ATOL:
-        raise NotNormalized(f"Kraus normalisation defect {defect:.3e}")
+        raise InvalidMeasurement(f"Kraus normalisation defect {defect:.3e}")
     din, dout, m = target.dim_in, target.dim_out, target.outcomes
     r = max(len(g) for g in target.kraus)
     # rows (s, i, j) with s the output-system index
@@ -93,28 +94,15 @@ def _colliding_pairs(table: np.ndarray):
     ]
 
 
-def select_cloning_basis(available: Povm) -> CloningBasis:
-    """Find cloning states whose outcome distributions are pairwise distinct.
-
-    Starts from the computational basis. A colliding pair is repaired by
-    the eigenvectors of the first POVM element that is not proportional
-    to the identity on the pair's span; when every element is, a third
-    basis state with a distinct row is adjoined and a plane rotation
-    with theta from a fixed scan separates the rows.
-    """
-    if available.is_trivial():
-        raise TrivialMeasurement("all POVM elements proportional to the identity")
-    d = available.dim
-    states = [np.eye(d, dtype=complex)[:, i] for i in range(d)]
-
-    for _ in range(10 * d * d):
-        table = available.table(states)
-        collisions = _colliding_pairs(table)
-        if not collisions:
-            return CloningBasis(states=tuple(states), table=table)
-        i, j = collisions[0]
+def _repaired(available: Povm, states: list, table: np.ndarray, collisions: list):
+    """The states after repairing the first colliding pair that can be
+    repaired, or None. A pair (i, j) is repaired by the eigenvectors of
+    the first POVM element that is not proportional to the identity on
+    its span; when every element is, by turning e_i against the first
+    basis state with a distinct row, theta from a fixed scan, so that
+    fewer pairs collide."""
+    for i, j in collisions:
         ei, ej = states[i], states[j]
-        fixed = False
         for e in available.elements:
             r00 = np.conj(ei) @ (e @ ei)
             r01 = np.conj(ei) @ (e @ ej)
@@ -122,38 +110,49 @@ def select_cloning_basis(available: Povm) -> CloningBasis:
             if abs(r01) > 1e-10 or abs(r00 - r11) > 1e-10:
                 restricted = np.array([[r00, r01], [np.conj(r01), r11]])
                 _, vecs = qcore.hermitian_eig(restricted)
-                states[i] = vecs[0, 0] * ei + vecs[1, 0] * ej
-                states[j] = vecs[0, 1] * ei + vecs[1, 1] * ej
-                fixed = True
-                break
-        if fixed:
+                cand = list(states)
+                cand[i] = vecs[0, 0] * ei + vecs[1, 0] * ej
+                cand[j] = vecs[0, 1] * ei + vecs[1, 1] * ej
+                return cand
+        k = next((k for k in range(len(states)) if k not in (i, j)
+                  and _tv(table[k], table[i]) >= _ROW_DISTINCT_TV), None)
+        if k is None:
             continue
-        # every element proportional to identity on span{e_i, e_j}:
-        # rotate e_i against a basis state with a distinct row
-        partners = [
-            k
-            for k in range(d)
-            if k not in (i, j) and _tv(table[k], table[i]) >= _ROW_DISTINCT_TV
-        ]
-        if not partners:
-            raise TrivialMeasurement(
-                "no basis state with a distinct outcome distribution exists"
-            )
-        k = partners[0]
-        ek = states[k]
-        rotated = False
         for theta in _THETA_SCAN:
             c, s = math.cos(theta), math.sin(theta)
             cand = list(states)
-            cand[i] = c * ei + s * ek
-            cand[k] = -s * ei + c * ek
+            cand[i] = c * ei + s * states[k]
+            cand[k] = -s * ei + c * states[k]
             if len(_colliding_pairs(available.table(cand))) < len(collisions):
-                states = cand
-                rotated = True
-                break
-        if not rotated:
-            raise TrivialMeasurement("rotation scan failed to separate rows")
-    raise TrivialMeasurement("basis selection did not converge")
+                return cand
+    return None
+
+
+def select_cloning_basis(available: Povm) -> CloningBasis:
+    """Find cloning states whose outcome distributions are pairwise distinct.
+
+    Starts from the computational basis and repairs colliding pairs
+    (``_repaired``) until none collides. When no pair can be repaired,
+    equal rows mean every element is proportional to the identity on
+    every pair of states, within 1e-10 (``TrivialMeasurement``); other
+    rows, and the iteration cap, raise ``NotConverged``.
+    """
+    if available.is_trivial():
+        raise TrivialMeasurement("all POVM elements proportional to the identity")
+    d = available.dim
+    states = [np.eye(d, dtype=complex)[:, i] for i in range(d)]
+    for _ in range(10 * d * d):
+        table = available.table(states)
+        collisions = _colliding_pairs(table)
+        if not collisions:
+            return CloningBasis(states=tuple(states), table=table)
+        states = _repaired(available, states, table, collisions)
+        if states is None:
+            if len(collisions) == d * (d - 1) // 2:  # all rows equal
+                raise TrivialMeasurement(
+                    "no basis state with a distinct outcome distribution exists")
+            raise NotConverged("rotation scan failed to separate rows")
+    raise NotConverged("basis selection did not converge")
 
 
 def chernoff_information(p, q) -> float:

@@ -52,7 +52,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from . import qcore
-from .errors import InvalidBounds, NotConverged, ShapeMismatch, TooLarge, Unachievable
+from .errors import InvalidBounds, NotConverged, ShapeMismatch, TooLarge
 from .qcore import Povm, Rng, dagger, tensor
 
 # Most outcome strings exhaustive_search accepts; synthesize hill-climbs beyond.
@@ -105,7 +105,7 @@ def _common_eigenbasis(available: Povm, n_uses: int):
     elements' real parts in a real frame. So a protocol holds the Q_0
     that was scored, up to rounding and, in a frame, the bound below.
 
-    It first rejects a use count below 1 (``ShapeMismatch``) and an m^N
+    It first rejects a use count below 1 (``InvalidBounds``) and an m^N
     whose assignment, 8 bytes a string, would pass the byte budget
     (``TooLarge``), so N is bounded before any caller computes m^N.
     U diagonalises the fixed combination sum_a (a + 1) M_a, and
@@ -127,7 +127,7 @@ def _common_eigenbasis(available: Povm, n_uses: int):
     does not admit leaves the dense complex factors.
     """
     if n_uses < 1:
-        raise ShapeMismatch("n_uses must be >= 1")
+        raise InvalidBounds("n_uses must be >= 1")
     qcore._check_bytes(f"an assignment of {available.outcomes}^{n_uses} outcome "
                        "strings", 8, available.outcomes, n_uses)
     comb = sum((a + 1) * e for a, e in enumerate(available.elements))
@@ -349,7 +349,7 @@ def construct_states(protocol: PartitionProtocol, targets) -> StatePrep:
     if not (lam_min - slack <= x <= lam_max + slack) or not (
         lam_min - slack <= y <= lam_max + slack
     ):
-        raise Unachievable(
+        raise InvalidBounds(
             f"targets ({x}, {y}) outside eigenvalue range [{lam_min}, {lam_max}]"
         )
     x = min(max(x, lam_min), lam_max)

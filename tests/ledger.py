@@ -6,9 +6,9 @@ The jobs are the tiny classes of every benchmark workload at seed 1
 (``benchmarks/workloads.TINY``), run as the benchmark runs them
 (``benchmarks/run.run_job``); ``synth`` at N = 1..5 on ``trine`` and
 ``vn:2``; and ``reproduce-paper --seed 0``. Each entry keeps a job's exit
-code, stderr and ``--json`` document without ``wall_time`` or
-``inputs_digest`` (which hashes the inputs' temporary path), or the result
-fields of a random-code job. ``test_ledger`` replays every entry and asks
+code, stderr and ``--json`` document without ``wall_time`` (its
+``inputs_digest`` hashes an input file's bytes, not its temporary path),
+or the result fields of a random-code job. ``test_ledger`` replays every entry and asks
 for the same bits, so any change that moves a seeded output shows as a
 diff against this file. Inputs are written to a temporary directory, and
 nothing under ``benchmarks/`` changes.
@@ -66,7 +66,7 @@ def _entry(argv, outcome) -> dict:
     lines = outcome["stdout"].strip().splitlines()
     doc = json.loads(lines[-1]) if lines and lines[-1].startswith("{") else None
     if doc is not None:
-        del doc["wall_time"], doc["inputs_digest"]
+        del doc["wall_time"]
     error = outcome.get("error")
     return {"argv": list(argv), "rc": outcome.get("rc"),
             "error": error and error.strip().splitlines()[-1],

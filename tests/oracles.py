@@ -22,7 +22,7 @@ from measrep.coding import (
     _unpack,
     associated_channel,
 )
-from measrep.errors import NotConverged, ShapeMismatch, TooFewSamples, TooLarge
+from measrep.errors import InvalidBounds, NotConverged, ShapeMismatch, TooLarge
 from measrep.io import save_measurement
 from measrep.qcore import (
     Instrument,
@@ -56,7 +56,7 @@ def haar_states(dim: int, count: int, rng: Rng) -> np.ndarray:
 def haar_state(dim: int, rng: Rng) -> np.ndarray:
     """One Haar-random pure state of the given dimension."""
     if dim < 1:
-        raise ShapeMismatch("dim must be >= 1")
+        raise InvalidBounds("dim must be >= 1")
     g = rng.generator
     z = g.standard_normal(dim) + 1j * g.standard_normal(dim)
     return z / np.linalg.norm(z)
@@ -810,7 +810,7 @@ def rms_monte_carlo_instrument(impl, target, samples, rng):
     ):
         raise ShapeMismatch("implemented and target instruments must match in shape")
     if samples < 100:
-        raise TooFewSamples(f"{samples} < 100 samples")
+        raise InvalidBounds(f"{samples} < 100 samples")
     psi = haar_states(impl.dim_in, samples, rng)
     sq = np.zeros(samples)
     for gi, gt in zip(impl.kraus, target.kraus):

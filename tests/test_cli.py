@@ -872,6 +872,37 @@ def test_digest_covers_the_content_of_an_input_file(tmp_path, capsys):
     assert digests[0] != digests[1]
 
 
+def test_digest_hashes_a_file_by_its_content_not_its_path(tmp_path, capsys):
+    # byte-identical trine files at a/m.json and b/m.json once got the
+    # validate digests 36735272a35536a8 and 3cc92d1cb34f6478
+    paths = [tmp_path / folder / "m.json" for folder in ("a", "b", "c")]
+    for path in paths:
+        path.parent.mkdir()
+        io.save_measurement(qcore.trine_povm(), path)
+    text = paths[2].read_text(encoding="utf-8")
+    paths[2].write_text(text.replace("\n", " ", 1), encoding="utf-8")  # one byte
+
+    def digest(path, n_uses):
+        code, doc = json_rows(capsys, "synth", str(path), "--n", n_uses)
+        assert code == 0
+        return doc["inputs_digest"]
+
+    assert digest(paths[0], "1") == digest(paths[1], "1")
+    assert len({digest(paths[0], "1"), digest(paths[2], "1"), digest(paths[0], "2")}) == 3
+
+
+def test_clone_repairs_a_later_colliding_pair(tmp_path, capsys):
+    # this qutrit once exited 1 with a TrivialMeasurement
+    m = np.array([[0.5, 0.0, 0.3], [0.0, 0.5, 0.0], [0.3, 0.0, 0.5]])
+    path = tmp_path / "qutrit.json"
+    io.save_measurement(qcore.Povm((m, np.eye(3) - m)), path)
+    code, doc = json_rows(capsys, "clone", str(path), "--max-n", "2")
+    assert code == 0
+    rows = {row["name"]: row["value"] for row in doc["rows"]}
+    table = [[rows[f"P(a={a}|i={i})"] for a in range(2)] for i in range(3)]
+    assert np.allclose(table, [[0.8, 0.2], [0.5, 0.5], [0.2, 0.8]], atol=1e-12)
+
+
 @pytest.mark.parametrize("name", ["trine", "noisy-z:0.9,0.8", "vn:2"])
 def test_a_file_that_shadows_a_built_in_name_leaves_the_digest(
         tmp_path, monkeypatch, capsys, name):

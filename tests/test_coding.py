@@ -23,7 +23,7 @@ from measrep.coding import (
     repetition_code,
     simulate_block_protocol,
 )
-from measrep.errors import NotConverged, ShapeMismatch, TooFewSamples, TooLarge
+from measrep.errors import InvalidBounds, NotConverged, ShapeMismatch, TooLarge
 from measrep.qcore import Povm, Rng, trine_povm, von_neumann_povm
 from measrep.subroutines import CloningBasis
 from oracles import (
@@ -119,12 +119,12 @@ def test_mutual_information_bsc():
 @pytest.mark.parametrize("tol", [0.0, -1e-6, float("nan")])
 def test_blahut_arimoto_rejects_a_tolerance_that_is_not_positive(tol):
     # a NaN tol once ran all 100,000 iterations and then reported the gap
-    with pytest.raises(ShapeMismatch, match="tol must be positive"):
+    with pytest.raises(InvalidBounds, match="tol must be positive"):
         blahut_arimoto(binary_symmetric_channel(0.1), tol=tol)
 
 
 def test_exact_repetition_error_rejects_a_negative_copy_count():
-    with pytest.raises(TooFewSamples, match="-2 < 0 draws"):
+    with pytest.raises(InvalidBounds, match="-2 < 0 draws"):
         cloning_error_rate(associated_channel(trine_povm()).matrix, -2)
 
 
@@ -322,12 +322,14 @@ def test_random_codebook_size_cap():
         random_codebook(20, 24, 2, Rng(0))
     with pytest.raises(TooLarge):
         random_codebook(4, 3, 2, Rng(0))  # more messages than codewords
+    with pytest.raises(TooLarge, match="^codewords of length 64 over 2 letters exceed"):
+        random_codebook(1, 64, 2, Rng(0))  # 2^64 codewords, past the draw's range
 
 
 def assert_rejected_before_any_draw(k, n, d):
     rng = Rng(1)
     state = rng.generator.bit_generator.state
-    with pytest.raises(ShapeMismatch, match="need k >= 1, n >= 1, d >= 2"):
+    with pytest.raises(InvalidBounds, match="need k >= 1, n >= 1, d >= 2"):
         random_codebook(k, n, d, rng)
     assert rng.generator.bit_generator.state == state
 
@@ -371,6 +373,37 @@ def test_block_amplitudes_without_a_finite_norm_are_rejected_before_any_draw(amp
             simulate_block_protocol(ClassicalChannel(np.eye(2)), repetition_code(2, 1, 2),
                                     amps, 1000, rng)
     assert rng.generator.bit_generator.state == state
+
+
+@pytest.mark.parametrize("channel, amps, message", [
+    (ClassicalChannel(np.eye(3)), None, "code alphabet does not match the channel input"),
+    (ClassicalChannel(np.eye(2)), np.ones(3), "need 4 amplitudes"),
+], ids=["alphabet", "amplitude-count"])
+def test_block_simulation_rejects_a_mismatched_channel_or_amplitude_count(channel, amps,
+                                                                          message):
+    rng = Rng(7)
+    state = rng.generator.bit_generator.state
+    with pytest.raises(ShapeMismatch, match=f"^{message}$"):
+        simulate_block_protocol(channel, repetition_code(2, 1, 2), amps, 1000, rng)
+    assert rng.generator.bit_generator.state == state
+
+
+def test_a_block_code_that_disagrees_with_its_codebook_fails_typed():
+    # n was once a field of its own: n = 3 over two-letter codewords made
+    # decode end in an untyped IndexError. It is now read off the codebook.
+    code = BlockCode(kind="random", k=1, d=2, copies=1, codebook=np.array([[0, 0], [1, 1]]))
+    assert code.n == 2
+    with pytest.raises(ShapeMismatch, match="^need 2 outputs a row, 2 channel inputs$"):
+        code.decode(np.zeros((2, 3), dtype=np.intp), ClassicalChannel(np.eye(2)))
+    for book in (np.zeros((3, 2), dtype=np.intp), np.zeros((2, 0), dtype=np.intp),
+                 np.zeros(2, dtype=np.intp)):
+        with pytest.raises(ShapeMismatch, match=r"^need a codebook of 2\^1 nonempty rows$"):
+            BlockCode(kind="random", k=1, d=2, copies=1, codebook=book)
+    with pytest.raises(ShapeMismatch, match=r"^need codebook letters in 0\.\.1$"):
+        BlockCode(kind="random", k=1, d=2, copies=1, codebook=np.array([[0, 2], [1, 1]]))
+    # k is checked before any d^k is computed
+    with pytest.raises(TooLarge, match="messages exceed the codebook cap"):
+        BlockCode(kind="random", k=10**9, d=2, copies=1, codebook=np.zeros((2, 1), int))
 
 
 def test_simulation_matches_exact_repetition():
@@ -753,11 +786,14 @@ def test_count_vectors_within_their_cap_still_fit_the_byte_budget():
 
 
 @pytest.mark.parametrize("d, m, n", [(2, 4, 150), (2, 2, 300_000), (5, 3, 900),
-                                     (3, 6, 20), (1, 7, 14)])
+                                     (3, 6, 20), (1, 7, 14), (1000, 1, 3), (500, 2, 1)])
 def test_exact_ml_error_stays_within_the_bytes_it_checks(d, m, n):
     # 585,276 count vectors at (2, 4, 150); a peak past the checked bytes
     # would make the budget check a guess. The error and the confusion
-    # matrix share the check.
+    # matrix share the check. The confusion matrix once peaked at
+    # 8,020,173 bytes against 8,016,080 checked at (1000, 1, 3), and at
+    # 2,020,123 against 2,012,128 at (500, 2, 1): the table's logs and
+    # their temporaries went uncounted.
     rows = math.comb(n + m - 1, m - 1)
     table = np.full((d, m), 1.0 / m)
     table[0] = np.arange(1, m + 1) / (m * (m + 1) / 2)
@@ -777,7 +813,7 @@ def test_exact_ml_error_stays_within_the_bytes_it_checks(d, m, n):
         finally:
             tracemalloc.stop()
         assert checked[0] == ("the count-vector ML error",
-                              8 * (rows * (m + d + 5) + n + 1 + d * (d + 1)))
+                              8 * (rows * (m + d + 5) + n + 1 + d * (d + 1 + 4 * m)))
         assert 8 * rows * (m + d) < peak <= checked[0][1]
 
 
@@ -788,7 +824,7 @@ def test_exact_ml_error_past_the_byte_budget_fails_before_building_anything():
     tracemalloc.start()
     try:
         with pytest.raises(TooLarge, match="the count-vector ML error would take "
-                           "8072016064 bytes, over the budget"):
+                           "8072080064 bytes, over the budget"):
             cloning_error_rate(table, 10**6)
         peak = tracemalloc.get_traced_memory()[1]
     finally:

@@ -93,6 +93,13 @@ def test_unknown_kind(tmp_path):
         io.load_measurement(str(path))
 
 
+def test_saving_what_is_not_a_measurement_is_refused(tmp_path):
+    path = tmp_path / "m.json"
+    with pytest.raises(MalformedFile, match="^cannot serialise ndarray$"):
+        io.save_measurement(np.eye(2), path)
+    assert not path.exists()
+
+
 def test_nonexistent_path():
     with pytest.raises(MalformedName):
         io.load_measurement("/no/such/file.json")
@@ -239,8 +246,14 @@ def _set_kraus(doc, a, value):
      "outcome 1 Kraus 0: entries must be [re, im] pairs"),
     (qcore.lueders_instrument(qcore.trine_povm()), lambda doc: _set_kraus(doc, 2, []),
      "outcome 2 Kraus 0: expected a matrix"),
+    (qcore.trine_povm(), lambda doc: {k: v for k, v in doc.items() if k != "kind"},
+     "missing 'kind'"),
+    (qcore.trine_povm(), lambda doc: dict(doc, dim=3), "element shape != (3, 3)"),
+    (qcore.lueders_instrument(qcore.trine_povm()), lambda doc: dict(doc, dim=3),
+     "Kraus input dim != 3"),
+    (qcore.trine_povm(), lambda doc: dict(doc, kind="other"), "unknown kind 'other'"),
 ], ids=["three-numbers", "booleans", "huge-int", "no-rows", "ragged-kraus",
-        "no-kraus-rows"])
+        "no-kraus-rows", "no-kind", "element-dim", "kraus-dim", "unknown-kind"])
 def test_an_element_that_does_not_parse_is_named_after_the_file(
         tmp_path, capsys, measurement, change, message):
     path = tmp_path / "m.json"

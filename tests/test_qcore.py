@@ -257,7 +257,7 @@ def test_haar_state_normalised():
 
 
 def test_haar_states_reject_a_negative_count():
-    with pytest.raises(ShapeMismatch, match="count >= 0"):
+    with pytest.raises(InvalidBounds, match="count >= 0"):
         haar_states(2, -1, Rng(0))
     assert haar_states(2, 0, Rng(0)).shape == (0, 2)
 
@@ -319,6 +319,17 @@ def test_empty_or_non_square_operators_are_a_shape_mismatch(shape):
     for build in (lambda m: Povm((m,)), hermitian_eig, qcore.sqrtm_psd):
         with pytest.raises(ShapeMismatch, match=message):
             build(np.zeros(shape))
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: Instrument(((np.ones(2),),)), "expected a matrix, got ndim=1"),
+    (lambda: qcore.density(np.eye(2)), "expected a vector, got ndim=2"),
+    (lambda: Povm(()), "POVM needs at least one element"),
+    (lambda: Povm((np.eye(2), np.eye(3))), "POVM elements must be square and same-dim"),
+], ids=["1-d-kraus", "density-of-a-matrix", "no-elements", "mixed-dimensions"])
+def test_operators_of_the_wrong_rank_or_dimension_are_a_shape_mismatch(build, message):
+    with pytest.raises(ShapeMismatch, match="^" + re.escape(message) + "$"):
+        build()
 
 
 @pytest.mark.parametrize("shape", [(1, 0), (0, 2)])

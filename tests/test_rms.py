@@ -6,7 +6,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from measrep import qcore, rms, vnsynth
-from measrep.errors import ShapeMismatch, TooFewSamples
+from measrep.errors import InvalidBounds, ShapeMismatch
 from measrep.qcore import (
     Rng,
     identity,
@@ -123,6 +123,14 @@ def test_monte_carlo_zero_for_identical():
     assert est.value == 0.0
 
 
+def test_an_estimate_near_zero_takes_the_root_of_the_squares_standard_error():
+    # below a value of 1e-12 the delta method's se / (2 value) would blow up
+    sq = np.array([0.0, 4e-26, 0.0, 4e-26])
+    est = rms._estimate_from_squares(sq)
+    assert est.value == math.sqrt(2e-26) < 1e-12
+    assert est.standard_error == math.sqrt(float(sq.std(ddof=1) / 2.0))
+
+
 def test_monte_carlo_reproducible():
     syn = vnsynth.trine_optimal_protocol(1, trine_povm())
     impl = vnsynth.implemented_povm(syn.prep, syn.protocol)
@@ -136,7 +144,7 @@ def test_monte_carlo_reproducible():
 def test_monte_carlo_shape_checks():
     with pytest.raises(ShapeMismatch):
         rms_monte_carlo_povm(trine_povm(), von_neumann_povm(2), 200, Rng(0))
-    with pytest.raises(TooFewSamples):
+    with pytest.raises(InvalidBounds, match="10 < 100 samples"):
         rms_monte_carlo_povm(trine_povm(), trine_povm(), 10, Rng(0))
 
 

@@ -3,9 +3,10 @@ import math
 import numpy as np
 import pytest
 
+from measrep import subroutines
 from measrep.coding import cloning_error_rate
-from measrep.errors import (NotNormalized, ShapeMismatch, TooFewSamples, TooLarge,
-                            TrivialMeasurement)
+from measrep.errors import (InvalidBounds, InvalidMeasurement, NotConverged, ShapeMismatch,
+                            TooLarge, TrivialMeasurement)
 from measrep.qcore import (
     Instrument,
     Povm,
@@ -44,7 +45,7 @@ def test_isometry_is_isometric():
 
 def test_isometry_rejects_unnormalised():
     bad = Instrument(((0.5 * identity(2),),))
-    with pytest.raises(NotNormalized):
+    with pytest.raises(InvalidMeasurement, match="^Kraus normalisation defect "):
         build_measurement_isometry(bad)
 
 
@@ -117,6 +118,41 @@ def test_trivial_measurement_rejected():
         select_cloning_basis(Povm((identity(2) / 2, identity(2) / 2)))
 
 
+def test_x_basis_is_repaired_by_the_eigenvectors_of_an_element():
+    plus, minus = np.array([1.0, 1.0]) / math.sqrt(2), np.array([1.0, -1.0]) / math.sqrt(2)
+    basis = select_cloning_basis(Povm((np.outer(plus, plus), np.outer(minus, minus))))
+    assert np.allclose(basis.table, [[1.0, 0.0], [0.0, 1.0]], atol=1e-12)
+
+
+def test_a_later_colliding_pair_is_repaired_when_the_first_cannot_be():
+    # every row reads (0.5, 0.5), and both elements are scalar on
+    # span{e0, e1}, but M's eigenbasis separates them: the selection once
+    # gave up after the first pair with a TrivialMeasurement
+    m = np.array([[0.5, 0.0, 0.3], [0.0, 0.5, 0.0], [0.3, 0.0, 0.5]])
+    basis = select_cloning_basis(Povm((m, identity(3) - m)))
+    assert np.allclose(basis.table, [[0.8, 0.2], [0.5, 0.5], [0.2, 0.8]], atol=1e-12)
+
+
+def test_equal_rows_that_no_pair_separates_are_a_trivial_measurement():
+    # each entry within 1e-10 of I/2 makes every element scalar on every
+    # coordinate pair, within the repair's 1e-10, though is_trivial's
+    # Frobenius norm reads 1.1e-10
+    e = np.diag([0.5 + 4e-11] * 4 + [0.5 - 4e-11] * 4 + [0.5])
+    povm = Povm((e, identity(9) - e))
+    assert not povm.is_trivial()
+    with pytest.raises(TrivialMeasurement,
+                       match="^no basis state with a distinct outcome distribution exists$"):
+        select_cloning_basis(povm)
+
+
+def test_rows_that_no_repair_separates_are_not_converged(monkeypatch):
+    # without a rotation angle the degenerate qutrit's first pair cannot
+    # be separated, yet its third row differs: not a trivial measurement
+    monkeypatch.setattr(subroutines, "_THETA_SCAN", ())
+    with pytest.raises(NotConverged, match="^rotation scan failed to separate rows$"):
+        select_cloning_basis(degenerate_qutrit_povm())
+
+
 # ---------------------------------------------------------------------------
 # ML decoding and error rates
 # ---------------------------------------------------------------------------
@@ -167,7 +203,7 @@ def test_cloning_sampled_reproducible():
 
 def test_cloning_rejects_a_negative_use_count():
     # the count vectors of n = -1 once raised an untyped IndexError
-    with pytest.raises(TooFewSamples, match="-1 < 0 draws"):
+    with pytest.raises(InvalidBounds, match="-1 < 0 draws"):
         cloning_error_rate(select_cloning_basis(trine_povm()).table, -1)
 
 

@@ -14,7 +14,6 @@ from measrep.errors import (
     InvalidBounds,
     ShapeMismatch,
     TooLarge,
-    Unachievable,
 )
 from measrep.qcore import Povm, Rng, identity, trine_povm, von_neumann_povm
 from measrep.rms import rms_exact_povm
@@ -99,7 +98,7 @@ def test_partition_povm_bad_assignment():
     lambda n: synthesize(trine_povm(), n, Rng(0)),
 ])
 def test_fewer_than_one_use_is_rejected(build, n_uses):
-    with pytest.raises(ShapeMismatch, match="n_uses must be >= 1"):
+    with pytest.raises(InvalidBounds, match="n_uses must be >= 1"):
         build(n_uses)
 
 
@@ -414,8 +413,16 @@ def test_construct_states_ancilla_route():
 
 def test_construct_states_unachievable():
     proto = build_partition_povm(trine_povm(), 1, lambda s: 0 if s[0] == 0 else 1)
-    with pytest.raises(Unachievable):
+    with pytest.raises(InvalidBounds, match="outside eigenvalue range"):
         construct_states(proto, (0.9, 0.1))  # above lambda_max = 2/3
+
+
+def test_implemented_povm_rejects_states_of_another_dimension():
+    proto = build_partition_povm(trine_povm(), 2, lambda s: 0 if 0 in s else 1)
+    e = np.eye(2, dtype=complex)
+    prep = vnsynth.StatePrep(ancilla_qubits=0, states=(e[:, 0], e[:, 1]))
+    with pytest.raises(ShapeMismatch, match="^state and coarse POVM dimensions disagree$"):
+        implemented_povm(prep, proto)
 
 
 def test_implemented_povm_is_valid():
