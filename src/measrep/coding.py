@@ -8,6 +8,10 @@ count-vector law serves cloning and coding: a repetition-coded symbol
 decodes exactly as cloning of the channel's rows, so its exact error is
 ``cloning_error_rate`` and the simulation draws its decoded letter from
 the same weights' confusion matrix. Every log k! is ``math.lgamma``'s.
+A random code decodes by full ML in three steps (``BlockCode.decode``):
+one matrix product per row block scores every codeword, a row keeps its
+best score when it beats the second by a margin proven to cover every
+rounding, and the other rows are decided again by the exact fold.
 """
 
 from __future__ import annotations
@@ -317,29 +321,86 @@ class BlockCode:
 
     def decode(self, outputs: np.ndarray, channel: ClassicalChannel) -> np.ndarray:
         """ML decode output rows (batch, n) back to message rows (batch, k)
-        over the codewords as sent, in row blocks within ``qcore._BLOCK_BYTES``:
-        tables[j, y, w] = log W(y | c_w[j]) makes each codeword position's
-        addend one row gather, added in position order."""
+        over the codewords as sent, in row blocks within ``qcore._BLOCK_BYTES``.
+
+        The decision is ``_ml_argmax`` of the fold f_w = (a_1(c_1) + a_2(c_2))
+        + ... + a_n(c_n), positions added in order, where c = c_w is codeword
+        w and a_j(x) = log W(y_j | x) (``_safe_log``). Three steps give that
+        decision while folding only a few rows:
+
+        1. Score: one matrix product per block gives s_w, the sum over
+           positions with c_j >= 1 of D_j(c_j) = fl(a_j(c_j) - a_j(0)). Its
+           rows hold D_j(x) for x >= 1, its columns the codewords' one-hot
+           letters, so its inner length is K = n(d - 1); the common term
+           sum_j a_j(0) drops out.
+        2. Filter: a row keeps the first argmax b of its computed scores
+           when A = sum_j max_x |a_j(x)| <= 2^11 and the gap g between its
+           best and second-best scores exceeds
+           2^-39 + 2^-51 (n + 2K + 2) A.
+        3. Recheck: every other row (near-ties, exact ties, and rows that
+           see an output of zero probability, where A >= 10^30) takes the
+           fold through ``_ml_argmax``; tables[j, y, w] = log W(y | c_w[j])
+           make each position's addend one row gather.
+
+        A kept row decides as the fold does. Let u = 2^-53, γ_k = ku/(1 - ku)
+        and l_w = sum_j a_j(c_j), exactly. (i) The fold gives
+        |f_w - l_w| <= γ_{n-1} A. (ii) Rounding the differences moves s_w
+        from l_w - sum_j a_j(0) by at most u sum_j |a_j(c_j) - a_j(0)| <= 2uA.
+        (iii) The product's terms are exact (a factor is 0 or 1), so under
+        any summation order, blocking or FMA the computed score is within
+        γ_K sum_j |D_j(c_j)| <= 2(1 + u) γ_K A of s_w. So for every w != b,
+        f_b - f_w >= (computed gap) - (2γ_{n-1} + 4u + 4(1 + u) γ_K) A.
+        (iv) ``np.round(f, 12)`` is fl(rint(fl(f 10^12)) / 10^12). When
+        f_b - f_w > 10^-12 + 2u(1 + γ_{n-1}) A, the products differ by more
+        than 1, so their rints differ by at least 1; as |f| <= (1 + γ_{n-1}) A
+        < 2^12, where floats lie 2^-41 < 10^-12 apart, the quotients stay
+        apart. Then the rounded f_b beats every other, whatever the tie rule.
+        The gap needed is 10^-12 + (2n + 4K + 4) u A to first order in u;
+        the filter asks twice that slope and 2^-39 > 1.8 10^-12, and the
+        surplus covers the second-order terms and the rounding of A, of the
+        margin and of g, each within (n + 2)u relative, for n + K < 2^40.
+        """
         outputs = np.asarray(outputs)
         if outputs.ndim != 2 or outputs.shape[1] != self.n or channel.inputs != self.d:
             raise ShapeMismatch(f"need {self.n} outputs a row, {self.d} channel inputs")
         _check_letters(outputs, channel.outputs, "output")
-        n_words = self.codebook.shape[0]
-        _check_bytes("the decode tables", 8 * self.n * channel.outputs * n_words)
-        words = np.repeat(self.codebook, self.copies, axis=1)
-        tables = np.ascontiguousarray(
-            _safe_log(channel.matrix).T[:, words.T].swapaxes(0, 1))
-        rows = max(1, qcore._BLOCK_BYTES // (8 * n_words))
+        n_words, width = self.codebook.shape[0], self.n * (self.d - 1)
+        # the per-position tables and the one-hot letters
+        _check_bytes("the decode tables",
+                     8 * self.n * n_words * (channel.outputs + self.d - 1))
+        # as indices: a boolean codebook would index as a mask
+        words = np.repeat(self.codebook.astype(np.intp), self.copies, axis=1)
+        logw = _safe_log(channel.matrix)
+        tables = np.ascontiguousarray(logw.T[:, words.T].swapaxes(0, 1))
+        # row w holds codeword w's one-hot letters, position by position
+        onehot = (words[:, :, None] == np.arange(1, self.d)).reshape(
+            n_words, width).astype(float)
+        diffs = (logw[1:] - logw[0]).T  # D(x) per output y, x >= 1
+        spread = np.abs(logw).max(axis=0)  # max_x |a(x)| per output y
+        slope = 2.0**-51 * (self.n + 2 * width + 2)
+        rows = max(1, qcore._BLOCK_BYTES // (8 * max(n_words, width)))
         idx = np.empty(outputs.shape[0], dtype=np.intp)
         for start in range(0, outputs.shape[0], rows):
             block = outputs[start : start + rows]
-            # _safe_log never gives -0.0, so starting from position 0's
-            # addend is the same bits as adding it to zeros
-            ll = tables[0].take(block[:, 0], axis=0)
-            for j in range(1, self.n):
-                ll += tables[j].take(block[:, j], axis=0)
-            idx[start : start + rows] = _ml_argmax(ll)
-        return _unpack(idx, self.d, self.k)
+            scores = diffs.take(block, axis=0).reshape(len(block), width) @ onehot.T
+            best = scores.argmax(axis=1)
+            at = np.arange(len(block))
+            top = scores[at, best]
+            scores[at, best] = -np.inf
+            gap = top - scores[at, scores.argmax(axis=1)]
+            spans = spread.take(block) @ np.ones(self.n)
+            near = ~((spans <= 2.0**11) & (gap > 2.0**-39 + slope * spans))
+            if near.any():
+                recheck = block[near]
+                # _safe_log never gives -0.0, so starting from position 0's
+                # addend is the same bits as adding it to zeros
+                ll = tables[0].take(recheck[:, 0], axis=0)
+                for j in range(1, self.n):
+                    ll += tables[j].take(recheck[:, j], axis=0)
+                best[near] = _ml_argmax(ll)
+            idx[start : start + rows] = best
+        # a gather of the messages' digits, not a division per row
+        return _unpack(np.arange(n_words), self.d, self.k).take(idx, axis=0)
 
 
 def _unpack(idx: np.ndarray, d: int, k: int) -> np.ndarray:
@@ -447,7 +508,7 @@ def simulate_block_protocol(
     counts = np.zeros(n_msgs, dtype=np.intp)
     for start in range(0, trials, rows):
         sent = msg_idx[start : start + rows]
-        letters = code.codebook[sent]
+        letters = code.codebook.take(sent, axis=0)
         if code.kind == "repetition":
             decoded = _draw(conf, letters, rng) @ place
         else:

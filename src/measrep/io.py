@@ -59,7 +59,7 @@ def save_measurement(obj: Union[Povm, Instrument], path) -> None:
             "elements": [[_matrix_to_json(k) for k in g] for g in obj.kraus],
         }
     else:
-        raise MalformedFile(f"cannot serialise {type(obj).__name__}")
+        raise TypeError(f"cannot serialise {type(obj).__name__}")
     Path(path).write_text(json.dumps(doc, indent=1), encoding="utf-8")
 
 

@@ -94,35 +94,40 @@ def _colliding_pairs(table: np.ndarray):
     ]
 
 
-def _repaired(available: Povm, states: list, table: np.ndarray, collisions: list):
-    """The states after repairing the first colliding pair that can be
-    repaired, or None. A pair (i, j) is repaired by the eigenvectors of
-    the first POVM element that is not proportional to the identity on
-    its span; when every element is, by turning e_i against the first
-    basis state with a distinct row, theta from a fixed scan, so that
-    fewer pairs collide."""
-    for i, j in collisions:
-        ei, ej = states[i], states[j]
-        for e in available.elements:
-            r00 = np.conj(ei) @ (e @ ei)
-            r01 = np.conj(ei) @ (e @ ej)
-            r11 = np.conj(ej) @ (e @ ej)
-            if abs(r01) > 1e-10 or abs(r00 - r11) > 1e-10:
-                restricted = np.array([[r00, r01], [np.conj(r01), r11]])
-                _, vecs = qcore.hermitian_eig(restricted)
-                cand = list(states)
-                cand[i] = vecs[0, 0] * ei + vecs[1, 0] * ej
-                cand[j] = vecs[0, 1] * ei + vecs[1, 1] * ej
-                return cand
-        k = next((k for k in range(len(states)) if k not in (i, j)
-                  and _tv(table[k], table[i]) >= _ROW_DISTINCT_TV), None)
-        if k is None:
-            continue
-        for theta in _THETA_SCAN:
-            c, s = math.cos(theta), math.sin(theta)
+def _repairs(available: Povm, states: list, table: np.ndarray, i: int, j: int):
+    """Candidate states for the colliding pair (i, j): the eigenvectors on
+    its span of each POVM element not proportional to the identity there,
+    then e_i turned against the first basis state with a distinct row,
+    theta from a fixed scan."""
+    ei, ej = states[i], states[j]
+    for e in available.elements:
+        r00 = np.conj(ei) @ (e @ ei)
+        r01 = np.conj(ei) @ (e @ ej)
+        r11 = np.conj(ej) @ (e @ ej)
+        if abs(r01) > 1e-10 or abs(r00 - r11) > 1e-10:
+            restricted = np.array([[r00, r01], [np.conj(r01), r11]])
+            _, vecs = qcore.hermitian_eig(restricted)
             cand = list(states)
-            cand[i] = c * ei + s * states[k]
-            cand[k] = -s * ei + c * states[k]
+            cand[i] = vecs[0, 0] * ei + vecs[1, 0] * ej
+            cand[j] = vecs[0, 1] * ei + vecs[1, 1] * ej
+            yield cand
+    k = next((k for k in range(len(states)) if k not in (i, j)
+              and _tv(table[k], table[i]) >= _ROW_DISTINCT_TV), None)
+    if k is None:
+        return
+    for theta in _THETA_SCAN:
+        c, s = math.cos(theta), math.sin(theta)
+        cand = list(states)
+        cand[i] = c * ei + s * states[k]
+        cand[k] = -s * ei + c * states[k]
+        yield cand
+
+
+def _repaired(available: Povm, states: list, table: np.ndarray, collisions: list):
+    """The first candidate of ``_repairs``, pair by pair, under which fewer
+    pairs collide, or None."""
+    for i, j in collisions:
+        for cand in _repairs(available, states, table, i, j):
             if len(_colliding_pairs(available.table(cand))) < len(collisions):
                 return cand
     return None
@@ -132,10 +137,10 @@ def select_cloning_basis(available: Povm) -> CloningBasis:
     """Find cloning states whose outcome distributions are pairwise distinct.
 
     Starts from the computational basis and repairs colliding pairs
-    (``_repaired``) until none collides. When no pair can be repaired,
-    equal rows mean every element is proportional to the identity on
-    every pair of states, within 1e-10 (``TrivialMeasurement``); other
-    rows, and the iteration cap, raise ``NotConverged``.
+    (``_repaired``) until none collides. When no repair lowers the number
+    of colliding pairs and every pair collides, no state tried moves a
+    row by the distinctness bound (``TrivialMeasurement``); other rows,
+    and the iteration cap, raise ``NotConverged``.
     """
     if available.is_trivial():
         raise TrivialMeasurement("all POVM elements proportional to the identity")

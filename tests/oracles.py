@@ -669,11 +669,14 @@ def channel_sample_broadcast(matrix, letters, rng):
 
 
 def random_decode_full_table(code, outputs, channel):
-    """Random-code ``decode`` holding the whole trials x d^k table."""
+    """Random-code ``decode`` holding the whole trials x d^k table, every
+    row folded over the codewords as sent."""
     logw = _safe_log(channel.matrix)
-    ll = np.zeros((outputs.shape[0], code.codebook.shape[0]))
+    words = np.repeat(np.asarray(code.codebook, dtype=np.intp), code.copies, axis=1)
+    outputs = np.asarray(outputs, dtype=np.intp)
+    ll = np.zeros((outputs.shape[0], words.shape[0]))
     for j in range(code.n):
-        ll += logw[code.codebook[:, j][None, :], outputs[:, j][:, None]]
+        ll += logw[words[:, j][None, :], outputs[:, j][:, None]]
     return _unpack(_ml_argmax(ll), code.d, code.k)
 
 

@@ -561,17 +561,20 @@ def test_confusion_rows_are_distributions_whose_errors_are_the_exact_ml_error(ch
 
 
 # trials = blocks * rows + extra: none, part of one row block, whole
-# blocks, and whole blocks plus a part
-@settings(max_examples=60)
+# blocks, and whole blocks plus a part; binary and ternary codewords,
+# each letter sent up to three times
+@settings(max_examples=80)
 @given(channel=channels, k=st.integers(1, 8), extra_n=st.integers(0, 3),
-       blocks=st.integers(0, 2), extra=st.integers(0, 300), seed=seeds)
+       copies=st.integers(1, 3), blocks=st.integers(0, 2), extra=st.integers(0, 300),
+       seed=seeds)
 def test_random_decode_in_row_blocks_matches_the_full_table(
-    channel, k, extra_n, blocks, extra, seed
+    channel, k, extra_n, copies, blocks, extra, seed
 ):
     d = channel.inputs
     assume(d**k <= 256)
-    code = random_codebook(k, k + extra_n, d, Rng(seed))
-    rows = max(1, qcore._BLOCK_BYTES // (8 * d**k))
+    book = random_codebook(k, k + extra_n, d, Rng(seed)).codebook
+    code = BlockCode(kind="random", k=k, d=d, copies=copies, codebook=book)
+    rows = max(1, qcore._BLOCK_BYTES // (8 * max(d**k, code.n * (d - 1))))
     trials = blocks * rows + extra % rows
     outputs = Rng(seed, 1).generator.integers(0, channel.outputs, size=(trials, code.n))
     assert_same_array(
@@ -596,21 +599,117 @@ def test_random_decode_matches_the_strided_gather(channel, k, extra_n, blocks,
                       random_decode_strided_gather(code, outputs, channel))
 
 
+def rechecked_rows(code, outputs, channel):
+    """``decode``'s messages and the number of rows it decided by the fold."""
+    with mock.patch.object(coding, "_ml_argmax", wraps=coding._ml_argmax) as fold:
+        decoded = code.decode(outputs, channel)
+    return decoded, sum(len(call.args[0]) for call in fold.call_args_list)
+
+
+def zero_in_every_output(seed, d, m, shift):
+    """Random d x m channel whose output j has probability 0 under input
+    (j + shift) mod d: two adjacent outputs zero different inputs, so no
+    row is all zeros."""
+    mat = Rng(seed).generator.random((d, m))
+    mat[(np.arange(m) + shift) % d, np.arange(m)] = 0.0
+    return ClassicalChannel(mat / mat.sum(axis=1, keepdims=True))
+
+
+def draw_outputs(channel, code, trials, seed):
+    return Rng(seed, 1).generator.integers(0, channel.outputs, size=(trials, code.n))
+
+
+# each row sees an output of probability 0, so its score misses the
+# fold's _LOG_ZERO terms and the filter must send it to the fold
+@settings(max_examples=60)
+@given(seed=seeds, d=st.integers(2, 3), m=st.integers(2, 4), shift=st.integers(0, 2),
+       k=st.integers(1, 5), extra_n=st.integers(0, 3), copies=st.integers(1, 3),
+       trials=st.integers(1, 300))
+def test_random_decode_folds_every_row_that_sees_an_output_of_probability_zero(
+    seed, d, m, shift, k, extra_n, copies, trials
+):
+    assume(d**k <= 243)
+    channel = zero_in_every_output(seed, d, m, shift)
+    book = random_codebook(k, k + extra_n, d, Rng(seed)).codebook
+    code = BlockCode(kind="random", k=k, d=d, copies=copies, codebook=book)
+    outputs = draw_outputs(channel, code, trials, seed)
+    decoded, folded = rechecked_rows(code, outputs, channel)
+    assert folded == trials
+    assert_same_array(decoded, random_decode_full_table(code, outputs, channel))
+
+
+@settings(max_examples=40)
+@given(channel=st.builds(random_channel, seeds, st.just(2), st.just(2),
+                         st.booleans(), st.booleans()),
+       k=st.integers(1, 6), extra_n=st.integers(0, 3), copies=st.integers(1, 2),
+       trials=st.integers(0, 300), seed=seeds)
+def test_random_decode_reads_boolean_letters_as_zero_and_one(channel, k, extra_n,
+                                                             copies, trials, seed):
+    # a boolean codebook once indexed the log-likelihoods as a mask and
+    # ended in an IndexError
+    book = random_codebook(k, k + extra_n, 2, Rng(seed)).codebook
+    code = BlockCode(kind="random", k=k, d=2, copies=copies, codebook=book == 1)
+    outputs = draw_outputs(channel, code, trials, seed)
+    assert_same_array(code.decode(outputs == 1, channel),
+                      random_decode_full_table(code, outputs, channel))
+
+
+def test_random_decode_breaks_the_exact_ties_of_a_useless_channel_to_message_0():
+    # under BSC(1/2) every codeword is equally likely: each row's scores
+    # tie exactly, so each row takes the fold, whose tie rule picks index 0
+    code = random_codebook(6, 16, 2, Rng(0))
+    outputs = draw_outputs(binary_symmetric_channel(0.5), code, 500, 0)
+    decoded, folded = rechecked_rows(code, outputs, binary_symmetric_channel(0.5))
+    assert folded == 500
+    assert_same_array(decoded, np.zeros((500, 6), dtype=np.int64))
+
+
+def test_random_decode_folds_a_lead_that_12_decimal_rounding_erases():
+    # log W(0|1) - log W(0|0) = 4e-13: the scores rank message 1 first, but
+    # both log-likelihoods round to -0.691149177897, and the fold's tie
+    # rule picks message 0
+    q = 0.501 * (1 + 4e-13)
+    channel = ClassicalChannel(np.array([[0.501, 0.499], [q, 1.0 - q]]))
+    code = BlockCode(kind="random", k=1, d=2, copies=1, codebook=np.array([[0], [1]]))
+    decoded, folded = rechecked_rows(code, np.zeros((3, 1), dtype=np.intp), channel)
+    assert folded == 3
+    assert_same_array(decoded, np.zeros((3, 1), dtype=np.int64))
+
+
+def test_random_decode_folds_only_a_few_rows_of_a_channel_without_zeros():
+    # the rows the filter keeps skip the fold; the rest are mostly exact
+    # ties between codewords with the same letters on each output value
+    channel = random_channel(0, 2, 3, False, False)
+    code = random_codebook(6, 16, 2, Rng(0))
+    outputs = draw_outputs(channel, code, 2000, 0)
+    decoded, folded = rechecked_rows(code, outputs, channel)
+    assert 0 < folded < 500
+    assert_same_array(decoded, random_decode_full_table(code, outputs, channel))
+
+
 def test_random_decode_tables_are_checked_before_they_are_built():
-    # 1,024 codewords of length 16 over a 16,384-output channel: the
-    # per-position tables would take 2 GiB
-    code = random_codebook(10, 16, 2, Rng(0))
-    channel = ClassicalChannel(np.full((2, 2**14), 2.0**-14))
-    outputs = np.zeros((1, 16), dtype=np.intp)
-    tracemalloc.start()
-    try:
-        with pytest.raises(TooLarge, match="^the decode tables would take "
-                           "2147483648 bytes, over the budget of 1073741824$"):
-            code.decode(outputs, channel)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 2**22
+    cases = [
+        # 1,024 codewords of length 16 over a 16,384-output channel: the
+        # per-position tables take 2 GiB
+        (random_codebook(10, 16, 2, Rng(0)),
+         ClassicalChannel(np.full((2, 2**14), 2.0**-14)), 2147614720),
+        # 65,536 codewords of 9 letters over 256 inputs and one output: the
+        # tables take 4.7 MB, the one-hot letters 1.2 GB
+        (BlockCode(kind="random", k=2, d=256, copies=1,
+                   codebook=np.zeros((2**16, 9), dtype=np.intp)),
+         ClassicalChannel(np.ones((256, 1))), 1207959552),
+    ]
+    for code, channel, size in cases:
+        outputs = np.zeros((1, code.n), dtype=np.intp)
+        tracemalloc.start()
+        try:
+            with pytest.raises(TooLarge, match=f"^the decode tables would take {size} "
+                               "bytes, over the budget of 1073741824$"):
+                code.decode(outputs, channel)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**22
 
 
 @pytest.mark.parametrize("letters, message", [

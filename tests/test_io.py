@@ -95,7 +95,7 @@ def test_unknown_kind(tmp_path):
 
 def test_saving_what_is_not_a_measurement_is_refused(tmp_path):
     path = tmp_path / "m.json"
-    with pytest.raises(MalformedFile, match="^cannot serialise ndarray$"):
+    with pytest.raises(TypeError, match="^cannot serialise ndarray$"):
         io.save_measurement(np.eye(2), path)
     assert not path.exists()
 

@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -143,6 +144,21 @@ def test_equal_rows_that_no_pair_separates_are_a_trivial_measurement():
     with pytest.raises(TrivialMeasurement,
                        match="^no basis state with a distinct outcome distribution exists$"):
         select_cloning_basis(povm)
+
+
+def test_a_repair_that_leaves_its_pair_colliding_is_refused(monkeypatch):
+    # the diagonal gap 1.2e-10 passes the repair's 1e-10 test on pair
+    # (0, 2), but E's eigenvectors there are e0 and e2 again, rows 1.2e-10
+    # apart: 160 such repairs once ran the loop to its 10 d^2 cap
+    e = np.diag([0.5 + 6e-11, 0.5 + 6e-11, 0.5 - 6e-11, 0.5 - 6e-11])
+    povm = Povm((e, identity(4) - e))
+    assert not povm.is_trivial()
+    repaired = mock.Mock(wraps=subroutines._repaired)
+    monkeypatch.setattr(subroutines, "_repaired", repaired)
+    with pytest.raises(TrivialMeasurement,
+                       match="^no basis state with a distinct outcome distribution exists$"):
+        select_cloning_basis(povm)
+    assert repaired.call_count == 1
 
 
 def test_rows_that_no_repair_separates_are_not_converged(monkeypatch):
