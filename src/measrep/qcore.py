@@ -81,13 +81,13 @@ class Rng:
     """Seeded random stream with a substream index.
 
     Identical ``(seed, substream)`` pairs reproduce the identical sample
-    sequence. Parallel Monte Carlo must hand each worker its own
-    substream via :meth:`split`; a single Rng must never be shared.
+    sequence. Each consumer must get its own substream via
+    :meth:`split`; a single Rng must never be shared.
     """
 
     seed: int
     substream: int = 0
-    _gen: np.random.Generator = field(init=False, repr=False, compare=False)
+    generator: np.random.Generator = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not all(isinstance(v, (int, np.integer)) and v >= 0
@@ -95,11 +95,7 @@ class Rng:
             raise InvalidBounds(f"seed {self.seed!r} and substream "
                                 f"{self.substream!r} must be integers >= 0")
         ss = np.random.SeedSequence(entropy=self.seed, spawn_key=(self.substream,))
-        self._gen = np.random.default_rng(ss)
-
-    @property
-    def generator(self) -> np.random.Generator:
-        return self._gen
+        self.generator = np.random.default_rng(ss)
 
     def split(self, substream: int) -> "Rng":
         """Fresh Rng on the same seed but a different substream."""
@@ -277,17 +273,6 @@ def hermitian_eig(m):
             v[:, j:k] = v[:, j + np.lexsort(-keys[::-1])]
         j = k
     return w, v
-
-
-def _haar_normals(dim: int, count: int, rng: Rng):
-    """Real and imaginary parts (count, dim) of the Gaussian vectors z
-    behind ``count`` Haar states z / ||z||: all real parts, then all
-    imaginary parts."""
-    if dim < 1 or count < 0:
-        raise InvalidBounds(f"need dim >= 1 and count >= 0, got {dim} and {count}")
-    _check_bytes("the Haar states", 16 * count * dim)
-    g = rng.generator
-    return g.standard_normal((count, dim)), g.standard_normal((count, dim))
 
 
 def validate_povm(p: Povm) -> PovmReport:

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import qcore
 from .errors import InvalidBounds, ShapeMismatch
-from .qcore import Instrument, Povm, Rng, _haar_normals
+from .qcore import Instrument, Povm, Rng
 
 
 @dataclass(frozen=True)
@@ -117,6 +117,17 @@ def _estimate_from_squares(sq: np.ndarray) -> RmsEstimate:
     else:
         se = math.sqrt(se_sq)
     return RmsEstimate(value=value, standard_error=se)
+
+
+def _haar_normals(dim: int, count: int, rng: Rng):
+    """Real and imaginary parts (count, dim) of the Gaussian vectors z
+    behind ``count`` Haar states z / ||z||: all real parts, then all
+    imaginary parts."""
+    if dim < 1 or count < 0:
+        raise InvalidBounds(f"need dim >= 1 and count >= 0, got {dim} and {count}")
+    qcore._check_bytes("the Haar states", 16 * count * dim)
+    g = rng.generator
+    return g.standard_normal((count, dim)), g.standard_normal((count, dim))
 
 
 def rms_monte_carlo_povm(

@@ -28,13 +28,12 @@ from measrep.qcore import (
     Instrument,
     Povm,
     Rng,
-    _haar_normals,
     dagger,
     density,
     identity,
     tensor,
 )
-from measrep.rms import _estimate_from_squares
+from measrep.rms import _estimate_from_squares, _haar_normals
 from measrep.vnsynth import (
     BoxQuadSolution,
     PartitionProtocol,
