@@ -4,14 +4,15 @@ A measurement induces a classical channel over basis states; its
 capacity (computed by Blahut-Arimoto with a certified two-sided gap)
 lower-bounds the achievable reproduction rate. Concrete repetition and
 random codebooks demonstrate the block protocol at desk scale. One
-count-vector law serves cloning and coding: a repetition-coded symbol
-decodes exactly as cloning of the channel's rows, so its exact error is
-``cloning_error_rate`` and the simulation draws its decoded letter from
-the same weights' confusion matrix. Every log k! is ``math.lgamma``'s.
-A random code decodes by full ML in three steps (``BlockCode.decode``):
-one matrix product per row block scores every codeword, a row keeps its
-best score when it beats the second by a margin proven to cover every
-rounding, and the other rows are decided again by the exact fold.
+count-vector law, the per-symbol confusion matrix C of ML decisions on
+n i.i.d. draws (every log k! ``math.lgamma``'s), serves cloning and
+coding: the exact cloning error is C's off-diagonal mass, and a codebook
+of message digits decodes symbol by symbol, so its simulated letters are
+drawn from C. Any other codebook decodes by full ML in three steps
+(``BlockCode.decode``): one matrix product per row block scores every
+codeword, a row keeps its best score when it beats the second by a
+margin proven to cover every rounding, and the other rows are decided
+again by the exact fold.
 """
 
 from __future__ import annotations
@@ -44,25 +45,9 @@ def _safe_log(p: np.ndarray) -> np.ndarray:
 
 def _ml_argmax(ll: np.ndarray) -> np.ndarray:
     """ML decision over the last axis: log-likelihoods rounded to 12
-    decimals, ties broken to the smallest index."""
-    return np.argmax(np.round(ll, 12), axis=-1)
-
-
-def _ml_decode_counts(counts: np.ndarray, logp: np.ndarray) -> np.ndarray:
-    """ML hypothesis per outcome-count row, by ``_ml_argmax``'s rule but
-    one hypothesis at a time; -1 marks a row that every hypothesis gives
-    zero likelihood (undecodable)."""
-    ll = logp @ counts.T  # rounded in place below
-    best = np.round(ll[0], 12, out=ll[0])
-    dec = np.zeros(ll.shape[1], dtype=np.intp)
-    for x in range(1, ll.shape[0]):
-        lx = np.round(ll[x], 12, out=ll[x])
-        dec[lx > best] = x  # a tie keeps the smaller index
-        np.maximum(best, lx, out=best)
-    # rounding moves no log-likelihood across the threshold, which lies
-    # half way to _LOG_ZERO
-    dec[best < _LOG_ZERO / 2] = -1
-    return dec
+    decimals, ties broken to the smallest index. ``ll`` is a temporary,
+    rounded in place."""
+    return np.argmax(np.round(ll, 12, out=ll), axis=-1)
 
 
 def _count_vectors(n: int, m: int) -> np.ndarray:
@@ -92,11 +77,12 @@ def _count_vectors(n: int, m: int) -> np.ndarray:
     return counts
 
 
-def _count_vector_law(table, n_uses: int):
-    """For each row x of an outcome table, yield the ML decision on every
-    count vector of n_uses i.i.d. draws (``_ml_decode_counts``; -1 for a
-    vector no row can give, which weighs 0 under all) and the vectors'
-    multinomial weights under row x, outputs added in order, in one buffer."""
+def _confusion_matrix(table, n_uses: int) -> np.ndarray:
+    """C[x, y]: the probability that n_uses i.i.d. draws from row x of an
+    outcome table decode to y. The ML decision (``_ml_argmax``) reads the
+    draws only through their count vector, so row x bins the vectors'
+    multinomial weights under x by decision, one ``np.bincount``. A vector
+    no row can give weighs exactly 0 under every row, whatever it decodes to."""
     table = np.asarray(table, dtype=float)
     if table.ndim != 2 or 0 in table.shape or not np.all(np.isfinite(table)):
         raise ShapeMismatch("an outcome table must be 2-D, non-empty and finite")
@@ -107,20 +93,21 @@ def _count_vector_law(table, n_uses: int):
     d, m = table.shape
     rows = math.comb(n_uses + m - 1, m - 1)
     if rows <= _COUNT_VECTOR_CAP:  # past the cap, _count_vectors raises
-        # the count columns, the (d, R) log-likelihoods, five R-long
+        # the count columns, the (R, d) log-likelihoods, five R-long
         # temporaries, n + 1 values of log k!, C with one row's bins, and
         # the table as floats, its logs and two temporaries of their size
         _check_bytes("the count-vector ML error",
                      8 * (rows * (m + d + 5) + n_uses + 1 + d * (d + 1 + 4 * m)))
     counts = _count_vectors(n_uses, m)
+    logp = _safe_log(table)
+    dec = _ml_argmax(counts @ logp.T)
     log_fact = np.fromiter(map(math.lgamma, range(1, n_uses + 2)), float, n_uses + 1)
     log_multi = log_fact.take(counts[:, 0].astype(np.intp))
     for a in range(1, m):
         log_multi += log_fact.take(counts[:, a].astype(np.intp))
     np.subtract(log_fact[n_uses], log_multi, out=log_multi)
-    logp = _safe_log(table)
-    dec = _ml_decode_counts(counts, logp)
     terms, weight = np.empty_like(log_multi), np.empty_like(log_multi)
+    conf = np.empty((d, d))
     for x in range(d):
         # an unseen zero-probability output adds 0 * _LOG_ZERO, a zero; a
         # seen one kills the weight
@@ -129,27 +116,19 @@ def _count_vector_law(table, n_uses: int):
             terms += np.multiply(counts[:, a], logp[x, a], out=weight)
         np.exp(np.add(log_multi, terms, out=weight), out=weight)
         weight[terms < _LOG_ZERO / 2] = 0.0
-        yield dec, weight
+        conf[x] = np.bincount(dec, weight, minlength=d)
+    return conf
 
 
 def cloning_error_rate(table, n_uses: int) -> np.ndarray:
     """Exact ML decoding error per row of an outcome table after n_uses
     i.i.d. draws: N-fold cloning on a ``CloningBasis.table``, or one
-    repetition-coded symbol on a channel's ``matrix``. The decision reads
-    the outcome string only through its counts, so the error sums the
-    weights of the count vectors that decode wrong."""
-    return np.array([np.sum(weight[dec != x]) for x, (dec, weight)
-                     in enumerate(_count_vector_law(table, n_uses))])
-
-
-def _confusion_matrix(table, n_uses: int) -> np.ndarray:
-    """C[x, y]: the probability that n_uses i.i.d. draws from row x of an
-    outcome table decode to y, one ``np.bincount`` per row. An undecodable
-    vector counted as decision 0 adds an exact 0, as if it were dropped."""
-    conf = np.empty((len(table), len(table)))
-    for x, (dec, weight) in enumerate(_count_vector_law(table, n_uses)):
-        conf[x] = np.bincount(np.maximum(dec, 0, out=dec), weight, minlength=len(conf))
-    return conf
+    repetition-coded symbol on a channel's ``matrix``. It is the
+    off-diagonal mass of each row of ``_confusion_matrix``, summed as such
+    (1 - C[x, x] would lose an error below the rounding of 1)."""
+    conf = _confusion_matrix(table, n_uses)
+    np.fill_diagonal(conf, 0.0)
+    return conf.sum(axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -303,7 +282,6 @@ class BlockCode:
     digits, a random code's its drawn codeword, sent once. The codebook
     needs d^k rows of letters in 0..d - 1, checked after k, d and copies."""
 
-    kind: str  # repetition (simulated per symbol, from C) | random
     k: int
     d: int  # alphabet size (messages and codewords)
     copies: int  # channel uses per letter
@@ -422,8 +400,7 @@ def _check_messages(k: int, d: int, length: int, what: str) -> None:
 def repetition_code(k: int, copies: int, d: int) -> BlockCode:
     """Each message digit sent ``copies`` times; per-symbol ML decode."""
     _check_messages(k, d, copies, "copies")
-    return BlockCode(kind="repetition", k=k, d=d, copies=copies,
-                     codebook=_unpack(np.arange(d**k), d, k))
+    return BlockCode(k=k, d=d, copies=copies, codebook=_unpack(np.arange(d**k), d, k))
 
 
 def random_codebook(k: int, n: int, d: int, rng: Rng) -> BlockCode:
@@ -445,7 +422,7 @@ def random_codebook(k: int, n: int, d: int, rng: Rng) -> BlockCode:
             chosen.add(c)
             words.append(c)
     codebook = _unpack(np.array(words, dtype=np.int64), d, n)
-    return BlockCode(kind="random", k=k, d=d, copies=1, codebook=codebook)
+    return BlockCode(k=k, d=d, copies=1, codebook=codebook)
 
 
 # ---------------------------------------------------------------------------
@@ -476,11 +453,13 @@ def simulate_block_protocol(
     classical channel.
 
     All message indices are drawn first, then the trials run in row
-    blocks whose (rows, codebook letters) arrays stay within
-    ``qcore._BLOCK_BYTES``, one uniform per letter in C order: the same
-    stream as one whole draw. A random code's letters go through the
-    channel and ``decode``; a repetition code's symbols decode one by one,
-    so their decoded letters are drawn from rows of ``_confusion_matrix``.
+    blocks whose (rows, letters) arrays stay within ``qcore._BLOCK_BYTES``,
+    one uniform per letter in C order: the same stream as one whole draw.
+    When the codebook is the message digits, as ``repetition_code`` builds
+    it, ML decoding splits into one decision per symbol, so each digit's
+    decoded letter is drawn from its row of ``_confusion_matrix``. Every
+    other code sends ``np.repeat(codebook[i], copies)`` through the channel
+    and ``decode``.
     """
     if code.d != channel.inputs:
         raise ShapeMismatch("code alphabet does not match the channel input")
@@ -499,20 +478,24 @@ def simulate_block_protocol(
         if not 0.0 < total < math.inf:  # all zero, or a NaN or inf amplitude
             raise ShapeMismatch("amplitudes must have a finite nonzero norm")
         weights /= total
-    if code.kind == "repetition":
+    # a width test first, so a random code builds no digits
+    per_symbol = code.codebook.shape[1] == code.k and np.array_equal(
+        code.codebook, _unpack(np.arange(n_msgs), code.d, code.k))
+    if per_symbol:
         conf = _confusion_matrix(channel.matrix, code.copies)
     msg_idx = rng.generator.choice(n_msgs, size=trials, p=weights)
-    rows = max(1, qcore._BLOCK_BYTES // (8 * code.codebook.shape[1]))
+    rows = max(1, qcore._BLOCK_BYTES // (8 * (code.k if per_symbol else code.n)))
     place = code.d ** np.arange(code.k - 1, -1, -1)  # digits @ place = message index
     n_errors = 0
     counts = np.zeros(n_msgs, dtype=np.intp)
     for start in range(0, trials, rows):
         sent = msg_idx[start : start + rows]
         letters = code.codebook.take(sent, axis=0)
-        if code.kind == "repetition":
+        if per_symbol:
             decoded = _draw(conf, letters, rng) @ place
         else:
-            decoded = code.decode(channel.sample(letters, rng), channel) @ place
+            words = np.repeat(letters, code.copies, axis=1)
+            decoded = code.decode(channel.sample(words, rng), channel) @ place
         n_errors += int(np.count_nonzero(decoded != sent))
         counts += np.bincount(decoded, minlength=n_msgs)
     rate = n_errors / trials

@@ -35,8 +35,11 @@ INPUTS = "<inputs>"  # stands for the temporary input directory
 
 
 def versions() -> dict:
-    """The software whose arithmetic the recorded bits depend on."""
-    return {"python": platform.python_version(), "numpy": np.__version__}
+    """The software whose arithmetic the recorded bits depend on: Python,
+    numpy, and the BLAS numpy was built against."""
+    blas = np.__config__.CONFIG["Build Dependencies"]["blas"]
+    return {"python": platform.python_version(), "numpy": np.__version__,
+            "blas": blas["name"], "blas_version": blas["version"]}
 
 
 def _jobs(workdir: Path) -> list:

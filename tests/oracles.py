@@ -17,7 +17,6 @@ from measrep.coding import (
     CapacityResult,
     ClassicalChannel,
     _ml_argmax,
-    _ml_decode_counts,
     _safe_log,
     _unpack,
     associated_channel,
@@ -699,9 +698,9 @@ def random_decode_strided_gather(code, outputs, channel):
 def block_protocol_whole_arrays(channel, code, amplitudes, trials, rng):
     """(error rate, standard error, decoded distribution) of
     ``simulate_block_protocol``, holding every (trials, n) array at once:
-    a repetition code's decoded letters drawn from the rows of the
-    confusion matrix in one pass, a random code's outputs sampled and
-    decoded in one pass."""
+    a codebook of message digits has its decoded letters drawn from the
+    rows of the confusion matrix in one pass, any other code's outputs
+    sampled and decoded in one pass."""
     n_msgs = code.d**code.k
     if amplitudes is None:
         weights = np.full(n_msgs, 1.0 / n_msgs)
@@ -710,11 +709,12 @@ def block_protocol_whole_arrays(channel, code, amplitudes, trials, rng):
         weights /= weights.sum()
     msg_idx = rng.generator.choice(n_msgs, size=trials, p=weights)
     messages = _unpack(msg_idx, code.d, code.k)
-    if code.kind == "repetition":
+    if np.array_equal(code.codebook, _unpack(np.arange(n_msgs), code.d, code.k)):
         conf = coding._confusion_matrix(channel.matrix, code.copies)
         decoded = channel_sample_broadcast(conf, messages, rng)
     else:
-        outputs = channel.sample(code.codebook[msg_idx], rng)
+        words = np.repeat(code.codebook[msg_idx], code.copies, axis=1)
+        outputs = channel.sample(words, rng)
         decoded = code.decode(outputs, channel)
     rate = float(np.mean(np.any(decoded != messages, axis=1)))
     se = math.sqrt(max(rate * (1.0 - rate), 0.0) / trials)
@@ -740,13 +740,14 @@ def count_vectors_from_cuts(n, m):
 def exact_ml_error_by_strings(table, n):
     """Per-hypothesis count-vector ML error as a sum over all m^n outcome
     strings of their probability prod_i p(a_i | x), with no multinomial
-    coefficient."""
+    coefficient. Each string decodes by its counts' log-likelihoods rounded
+    to 12 decimals, ties to the smallest row."""
     d, m = table.shape
     strings = np.array(list(itertools.product(range(m), repeat=n)),
                        dtype=np.intp).reshape(m**n, n)
     counts = np.stack([np.count_nonzero(strings == a, axis=1) for a in range(m)],
                       axis=1).astype(float)
-    dec = _ml_decode_counts(counts, _safe_log(table))
+    dec = np.argmax(np.round(counts @ _safe_log(table).T, 12), axis=1)
     errs = np.zeros(d)
     for x in range(d):
         prob = np.prod(table[x][strings], axis=1)
@@ -827,7 +828,6 @@ class SampledCloningError:
     per_state: np.ndarray  # error rate per basis state
     average: float
     standard_error: float  # on the average
-    undecodable: int
 
 
 def cloning_error_rate_sampled(basis, n_uses, trials, rng):
@@ -836,7 +836,6 @@ def cloning_error_rate_sampled(basis, n_uses, trials, rng):
     table = np.asarray(basis.table, dtype=float)
     d = table.shape[0]
     logp = _safe_log(table)
-    undecodable = 0
     g = rng.generator
     per_state = np.zeros(d)
     variances = np.zeros(d)
@@ -844,10 +843,9 @@ def cloning_error_rate_sampled(basis, n_uses, trials, rng):
         counts = g.multinomial(n_uses, table[i] / table[i].sum(), size=trials).astype(
             float
         )
-        dec = _ml_decode_counts(counts, logp)
-        undecodable += int(np.sum(dec == -1))
+        dec = np.argmax(np.round(counts @ logp.T, 12), axis=1)
         rate = float(np.mean(dec != i))
         per_state[i] = rate
         variances[i] = rate * (1.0 - rate) / trials
     se = float(np.sqrt(np.sum(variances)) / d)
-    return SampledCloningError(per_state, float(per_state.mean()), se, undecodable)
+    return SampledCloningError(per_state, float(per_state.mean()), se)

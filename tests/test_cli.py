@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from measrep import cli, coding, io, qcore, rms, subroutines, vnsynth
@@ -1046,10 +1046,10 @@ def command_lines(draw, saved):
     return argv
 
 
-@settings(max_examples=200)
-@given(data=st.data())
-def test_generated_command_lines_end_in_an_exit_code(saved_instrument, data):
-    argv = data.draw(command_lines(saved_instrument))
+def assert_ends_in_an_exit_code(argv):
+    """Run ``cli.main(argv)``: it returns 0 or 1 or exits 2, and nothing else
+    escapes; stderr holds no warning and at most one ``error:`` line; and
+    no PASS row is non-finite."""
     out, err = StringIO(), StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
             warnings.catch_warnings(record=True) as caught:
@@ -1065,3 +1065,74 @@ def test_generated_command_lines_end_in_an_exit_code(saved_instrument, data):
     for line in out.getvalue().splitlines():
         if line.endswith("  PASS"):
             assert math.isfinite(float(line.split()[1])), line
+
+
+@settings(max_examples=200)
+@given(data=st.data())
+def test_generated_command_lines_end_in_an_exit_code(saved_instrument, data):
+    assert_ends_in_an_exit_code(data.draw(command_lines(saved_instrument)))
+
+
+# the file reader's half: a valid POVM or instrument document, left as it
+# is about half the time, else with one mutation from a fixed menu
+SPECIAL_ENTRIES = (math.nan, math.inf, -math.inf, 1e308, -1e308, 5e-324)
+BAD_PAIRS = ([1.0], [1.0, 0.0, 0.0], "1", [True, 0.0], [[0.0, 0.0], 0.0], None)
+MUTATIONS = ("entry", "non-hermitian", "completeness", "dim", "kind", "pair",
+             "doubled")
+# every command but reproduce-paper reads a measurement; small options each
+SECOND_COMMANDS = (("synth", "--n", "1"), ("rms", "--n", "1", "--samples", "200"),
+                   ("postmeas",), ("clone", "--max-n", "2"),
+                   ("capacity", "--tol", "1e-3"), ("block", "--trials", "200"))
+
+
+@st.composite
+def measurement_documents(draw):
+    """A random POVM (d <= 3, m <= 4) or instrument (d_in, d_out <= 2,
+    m <= 3, one or two Kraus operators an outcome) as a file document, then
+    none or one of ``MUTATIONS``."""
+    rng = qcore.Rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        povm = random_povm(draw(st.integers(1, 3)), draw(st.integers(1, 4)), rng)
+        doc = {"kind": "povm", "dim": povm.dim, "outcomes": povm.outcomes,
+               "elements": [io._matrix_to_json(e) for e in povm.elements]}
+        matrices = doc["elements"]
+    else:
+        inst = random_instrument(draw(st.integers(1, 2)), draw(st.integers(1, 2)),
+                                 draw(st.integers(1, 3)), draw(st.integers(1, 2)), rng)
+        doc = {"kind": "instrument", "dim": inst.dim_in, "outcomes": inst.outcomes,
+               "elements": [[io._matrix_to_json(k) for k in group]
+                            for group in inst.kraus]}
+        matrices = [k for group in doc["elements"] for k in group]
+    mutation = draw(st.just("none") | st.sampled_from(MUTATIONS))
+    matrix = draw(st.sampled_from(matrices))
+    row = draw(st.sampled_from(matrix))
+    col = draw(st.integers(0, len(row) - 1))
+    if mutation == "entry":
+        row[col][draw(st.integers(0, 1))] = draw(st.sampled_from(SPECIAL_ENTRIES))
+    elif mutation == "non-hermitian":  # one entry moved, its mirror not
+        row[col][1] += 0.25
+    elif mutation == "completeness":
+        matrix[:] = [[[0.5 * re, 0.5 * im] for re, im in r] for r in matrix]
+    elif mutation == "dim":
+        doc["dim"] = draw(st.sampled_from((doc["dim"] + 1, doc["dim"] - 1, "2", 2.0)))
+    elif mutation == "kind":
+        doc["kind"] = {"povm": "instrument", "instrument": "povm"}[doc["kind"]]
+    elif mutation == "pair":
+        row[col] = draw(st.sampled_from(BAD_PAIRS))
+    elif mutation == "doubled":
+        doc["elements"].append(doc["elements"][0])
+        doc["outcomes"] += draw(st.integers(0, 1))  # the header kept, or counting it
+    return doc
+
+
+@settings(max_examples=150)
+@given(doc=measurement_documents(), second=st.sampled_from(SECOND_COMMANDS))
+# an entry near 1e308 once overflowed inside validation, with three numpy
+# RuntimeWarnings
+@example(doc={"kind": "povm", "dim": 1, "outcomes": 1, "elements": [[[[1e308, 0.0]]]]},
+         second=("rms", "--n", "1", "--samples", "200"))
+def test_generated_measurement_files_end_in_an_exit_code(tmp_path_factory, doc, second):
+    path = str(tmp_path_factory.getbasetemp() / "generated.json")
+    Path(path).write_text(json.dumps(doc), encoding="utf-8")  # NaN and inf as literals
+    assert_ends_in_an_exit_code(["validate", path])
+    assert_ends_in_an_exit_code([second[0], path, *second[1:]])

@@ -391,19 +391,19 @@ def test_block_simulation_rejects_a_mismatched_channel_or_amplitude_count(channe
 def test_a_block_code_that_disagrees_with_its_codebook_fails_typed():
     # n was once a field of its own: n = 3 over two-letter codewords made
     # decode end in an untyped IndexError. It is now read off the codebook.
-    code = BlockCode(kind="random", k=1, d=2, copies=1, codebook=np.array([[0, 0], [1, 1]]))
+    code = BlockCode(k=1, d=2, copies=1, codebook=np.array([[0, 0], [1, 1]]))
     assert code.n == 2
     with pytest.raises(ShapeMismatch, match="^need 2 outputs a row, 2 channel inputs$"):
         code.decode(np.zeros((2, 3), dtype=np.intp), ClassicalChannel(np.eye(2)))
     for book in (np.zeros((3, 2), dtype=np.intp), np.zeros((2, 0), dtype=np.intp),
                  np.zeros(2, dtype=np.intp)):
         with pytest.raises(ShapeMismatch, match=r"^need a codebook of 2\^1 nonempty rows$"):
-            BlockCode(kind="random", k=1, d=2, copies=1, codebook=book)
+            BlockCode(k=1, d=2, copies=1, codebook=book)
     with pytest.raises(ShapeMismatch, match=r"^need codebook letters in 0\.\.1$"):
-        BlockCode(kind="random", k=1, d=2, copies=1, codebook=np.array([[0, 2], [1, 1]]))
+        BlockCode(k=1, d=2, copies=1, codebook=np.array([[0, 2], [1, 1]]))
     # k is checked before any d^k is computed
     with pytest.raises(TooLarge, match="messages exceed the codebook cap"):
-        BlockCode(kind="random", k=10**9, d=2, copies=1, codebook=np.zeros((2, 1), int))
+        BlockCode(k=10**9, d=2, copies=1, codebook=np.zeros((2, 1), int))
 
 
 def test_simulation_matches_exact_repetition():
@@ -413,6 +413,38 @@ def test_simulation_matches_exact_repetition():
     exact = cloning_error_rate(channel.matrix, 15).mean()
     assert exact < 1e-3
     assert abs(run.error_rate - exact) < 3 * run.standard_error + 1e-4
+
+
+def test_the_simulation_rule_follows_the_codebook_not_the_constructor():
+    # a BlockCode once carried a kind beside its codebook: "repetition"
+    # over [[1], [0]] simulated an error of 0.937 against an exact 0.066,
+    # over [[0, 1], [1, 0]] ended in numpy's matmul ValueError, and
+    # "random" with copies > 1 failed its own decode's shape check
+    channel = ClassicalChannel(np.array([[0.9, 0.1], [0.2, 0.8]]))
+    trials = 100_000
+
+    def within_5_sigma(book, exact):
+        code = BlockCode(k=1, d=2, copies=3, codebook=np.array(book))
+        run = simulate_block_protocol(channel, code, None, trials, Rng(21))
+        assert abs(run.error_rate - exact) <= 5.0 * math.sqrt(exact * (1 - exact) / trials)
+
+    within_5_sigma([[1], [0]], cloning_error_rate(channel.matrix, 3).mean())
+    # ML over the 2^6 output strings: each word's log-likelihood rounded
+    # to 12 decimals, ties to message 0, error averaged over both messages
+    words = np.repeat([[0, 1], [1, 0]], 3, axis=1)
+    strings = np.array(list(itertools.product((0, 1), repeat=6)))
+    logw = np.log(channel.matrix)
+    ll = np.array([logw[w, strings].sum(axis=1) for w in words])
+    dec = np.argmax(np.round(ll, 12), axis=0)
+    prob = np.exp(ll)
+    within_5_sigma([[0, 1], [1, 0]], (prob[0, dec != 0].sum() + prob[1, dec != 1].sum()) / 2)
+    # a hand-built digit codebook is a repetition code
+    hand = BlockCode(k=1, d=2, copies=3, codebook=np.array([[0], [1]]))
+    runs = [simulate_block_protocol(channel, code, None, trials, Rng(22))
+            for code in (hand, repetition_code(1, 3, 2))]
+    assert_same_array(*(np.float64([r.error_rate, r.standard_error]).view(np.uint64)
+                        for r in runs))
+    assert_same_array(*(r.decoded_distribution.view(np.uint64) for r in runs))
 
 
 def test_random_code_beats_uncoded_below_capacity():
@@ -573,7 +605,7 @@ def test_random_decode_in_row_blocks_matches_the_full_table(
     d = channel.inputs
     assume(d**k <= 256)
     book = random_codebook(k, k + extra_n, d, Rng(seed)).codebook
-    code = BlockCode(kind="random", k=k, d=d, copies=copies, codebook=book)
+    code = BlockCode(k=k, d=d, copies=copies, codebook=book)
     rows = max(1, qcore._BLOCK_BYTES // (8 * max(d**k, code.n * (d - 1))))
     trials = blocks * rows + extra % rows
     outputs = Rng(seed, 1).generator.integers(0, channel.outputs, size=(trials, code.n))
@@ -631,7 +663,7 @@ def test_random_decode_folds_every_row_that_sees_an_output_of_probability_zero(
     assume(d**k <= 243)
     channel = zero_in_every_output(seed, d, m, shift)
     book = random_codebook(k, k + extra_n, d, Rng(seed)).codebook
-    code = BlockCode(kind="random", k=k, d=d, copies=copies, codebook=book)
+    code = BlockCode(k=k, d=d, copies=copies, codebook=book)
     outputs = draw_outputs(channel, code, trials, seed)
     decoded, folded = rechecked_rows(code, outputs, channel)
     assert folded == trials
@@ -648,7 +680,7 @@ def test_random_decode_reads_boolean_letters_as_zero_and_one(channel, k, extra_n
     # a boolean codebook once indexed the log-likelihoods as a mask and
     # ended in an IndexError
     book = random_codebook(k, k + extra_n, 2, Rng(seed)).codebook
-    code = BlockCode(kind="random", k=k, d=2, copies=copies, codebook=book == 1)
+    code = BlockCode(k=k, d=2, copies=copies, codebook=book == 1)
     outputs = draw_outputs(channel, code, trials, seed)
     assert_same_array(code.decode(outputs == 1, channel),
                       random_decode_full_table(code, outputs, channel))
@@ -670,7 +702,7 @@ def test_random_decode_folds_a_lead_that_12_decimal_rounding_erases():
     # rule picks message 0
     q = 0.501 * (1 + 4e-13)
     channel = ClassicalChannel(np.array([[0.501, 0.499], [q, 1.0 - q]]))
-    code = BlockCode(kind="random", k=1, d=2, copies=1, codebook=np.array([[0], [1]]))
+    code = BlockCode(k=1, d=2, copies=1, codebook=np.array([[0], [1]]))
     decoded, folded = rechecked_rows(code, np.zeros((3, 1), dtype=np.intp), channel)
     assert folded == 3
     assert_same_array(decoded, np.zeros((3, 1), dtype=np.int64))
@@ -695,7 +727,7 @@ def test_random_decode_tables_are_checked_before_they_are_built():
          ClassicalChannel(np.full((2, 2**14), 2.0**-14)), 2147614720),
         # 65,536 codewords of 9 letters over 256 inputs and one output: the
         # tables take 4.7 MB, the one-hot letters 1.2 GB
-        (BlockCode(kind="random", k=2, d=256, copies=1,
+        (BlockCode(k=2, d=256, copies=1,
                    codebook=np.zeros((2**16, 9), dtype=np.intp)),
          ClassicalChannel(np.ones((256, 1))), 1207959552),
     ]
@@ -757,7 +789,8 @@ def random_amplitudes(seed, n):
 
 
 # trials around the row block: 1, one short of it, exactly it, one over,
-# and several blocks plus a part; repetition codes of 1 to 20 copies
+# and several blocks plus a part; repetition and random codes of 1 to 20
+# copies, a random code's rows of n letters and a repetition code's of k
 @settings(max_examples=40)
 @given(channel=channels, random_code=st.booleans(), k=st.integers(1, 4),
        extra=st.integers(0, 8), copies=st.integers(1, 20), amplitudes=st.booleans(),
@@ -768,10 +801,11 @@ def test_block_simulation_in_row_blocks_matches_the_whole_arrays(
 ):
     d = channel.inputs
     if random_code:
-        code = random_codebook(k, k + extra, d, Rng(seed))
+        book = random_codebook(k, k + extra, d, Rng(seed)).codebook
+        code = BlockCode(k=k, d=d, copies=copies, codebook=book)
     else:
         code = repetition_code(k, copies, d)
-    rows = max(1, qcore._BLOCK_BYTES // (8 * code.codebook.shape[1]))
+    rows = max(1, qcore._BLOCK_BYTES // (8 * (code.n if random_code else k)))
     trials = {"one": 1, "short": rows - 1, "block": rows, "over": rows + 1,
               "blocks": blocks * rows + 1 + part % (rows - 1)}[which]
     amps = random_amplitudes(seed, d**k) if amplitudes else None
